@@ -26,7 +26,7 @@ runner::PointResult run(const char* name,
   config.wfq_weights = {8.0, 4.0, 1.0};
   config.cc_kind = cc;
   config.fixed_window_packets = 64.0;
-  config.enable_aequitas = aequitas;
+  config.admission.kind = aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.seed = seed;
   const double size_mtus = 8.0;
   config.slo = rpc::SloConfig::make({25 * sim::kUsec / size_mtus,

@@ -27,7 +27,8 @@ runner::PointResult run(bool with_aequitas, std::uint64_t seed,
   config.leaf_spine.fabric_rate = sim::gbps(100);  // 8x100G in, 2x100G up
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = with_aequitas;
+  config.admission.kind =
+      with_aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.seed = seed;
   // Per-channel QoS_h rates are tiny (traffic spreads over 24 remote
   // hosts), so favor SLO-compliance in the AIMD balance (§6.6).

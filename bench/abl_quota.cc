@@ -40,7 +40,7 @@ Result run(bool with_quota, std::uint64_t seed,
   auto server = std::make_shared<std::shared_ptr<core::QuotaServer>>();
   if (with_quota) {
     const rpc::SloConfig slo = config.slo;
-    config.admission_factory =
+    config.admission.factory =
         [server, slo](sim::Simulator& simulator, net::HostId host,
                       sim::Rng rng)
         -> std::unique_ptr<rpc::AdmissionController> {
@@ -80,7 +80,6 @@ Result run(bool with_quota, std::uint64_t seed,
       return holder;
     };
   } else {
-    config.enable_aequitas = true;
   }
   runner::Experiment experiment(config);
   trace.apply(experiment, point);

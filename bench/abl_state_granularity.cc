@@ -52,11 +52,10 @@ runner::PointResult run(bool per_destination, std::uint64_t seed,
   config.slo =
       rpc::SloConfig::make({20 * sim::kUsec / size_mtus, 0.0}, 99.9);
   if (per_destination) {
-    config.enable_aequitas = true;
   } else {
     core::AequitasConfig aeq;
     aeq.slo = config.slo;
-    config.admission_factory = [aeq](sim::Simulator&, net::HostId,
+    config.admission.factory = [aeq](sim::Simulator&, net::HostId,
                                      sim::Rng rng) {
       return std::make_unique<GlobalStateController>(aeq, rng);
     };

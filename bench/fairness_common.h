@@ -41,9 +41,8 @@ inline FairnessResult run_fairness(const FairnessSpec& spec) {
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
-  config.enable_aequitas = true;
-  config.alpha = spec.alpha;
-  config.beta_per_mtu = spec.beta_per_mtu;
+  config.admission.aequitas.alpha = spec.alpha;
+  config.admission.aequitas.beta_per_mtu = spec.beta_per_mtu;
   config.seed = spec.seed;
   const double size_mtus = 8.0;
   config.slo = rpc::SloConfig::make(

@@ -37,7 +37,8 @@ Timeline run(bool with_aequitas, std::uint64_t seed,
   config.num_hosts = 12;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = with_aequitas;
+  config.admission.kind =
+      with_aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.seed = seed;
   config.slo = rpc::SloConfig::make(
       {25.0 / 8 * sim::kUsec, 50.0 / 8 * sim::kUsec, 0.0}, 99.9);

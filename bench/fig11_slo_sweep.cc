@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
       config.num_hosts = 3;
       config.num_qos = 2;
       config.wfq_weights = {4.0, 1.0};
-      config.enable_aequitas = true;
       config.seed = ctx.seed;
       const double size_mtus = 8.0;  // 32KB at 4KB MTU
       config.slo = rpc::SloConfig::make(

@@ -20,7 +20,8 @@ runner::PointResult run_variant(bool with_aequitas, std::uint64_t seed,
   config.num_hosts = 33;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = with_aequitas;
+  config.admission.kind =
+      with_aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.seed = seed;
   // Favor SLO-compliance over stability (§6.6): per-channel RPC rates are
   // low with 32 destinations, which weakens MD pressure at the default

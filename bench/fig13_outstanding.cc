@@ -24,7 +24,8 @@ Cdfs run(bool with_aequitas, std::uint64_t seed,
   config.num_hosts = 33;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = with_aequitas;
+  config.admission.kind =
+      with_aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.seed = seed;
   const double size_mtus = 8.0;
   config.slo = rpc::SloConfig::make({25 * sim::kUsec / size_mtus,

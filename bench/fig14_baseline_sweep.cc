@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
       config.num_hosts = 33;
       config.num_qos = 3;
       config.wfq_weights = {8.0, 4.0, 1.0};
-      config.enable_aequitas = false;
+      config.admission.kind = policy::kAlwaysAdmit;
       config.seed = ctx.seed;
       const double size_mtus = 8.0;
       config.slo = rpc::SloConfig::make({15 * sim::kUsec / size_mtus,

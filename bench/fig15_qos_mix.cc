@@ -26,7 +26,8 @@ runner::Experiment make_experiment(bool with_aequitas,
   config.num_hosts = 33;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = with_aequitas;
+  config.admission.kind =
+      with_aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.slo = slo;
   config.seed = seed;
   // Favor SLO-compliance over work-conservation (§6.6 / Appendix C).

@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
       config.num_hosts = 33;
       config.num_qos = 3;
       config.wfq_weights = {8.0, 4.0, 1.0};
-      config.enable_aequitas = true;
       config.seed = ctx.seed;
       config.slo = rpc::SloConfig::make({25 * sim::kUsec / size_mtus,
                                          50 * sim::kUsec / size_mtus, 0.0},

@@ -20,7 +20,8 @@ runner::PointResult run(double qosh_share, bool aequitas_wfq,
   runner::ExperimentConfig config;
   config.num_hosts = 33;
   config.num_qos = 3;
-  config.enable_aequitas = aequitas_wfq;
+  config.admission.kind =
+      aequitas_wfq ? policy::kAequitas : policy::kAlwaysAdmit;
   config.seed = seed;
   if (aequitas_wfq) {
     config.scheduler = net::SchedulerType::kWfq;

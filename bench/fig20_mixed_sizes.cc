@@ -25,7 +25,8 @@ GroupStats run(bool with_aequitas, std::uint64_t seed,
   config.num_hosts = 33;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = with_aequitas;
+  config.admission.kind =
+      with_aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.seed = seed;
   // Normalized SLO: 25us per 8 MTUs => 32KB gets 25us, 64KB gets 50us.
   config.slo = rpc::SloConfig::make(

@@ -41,7 +41,8 @@ runner::PointResult run(const Fig21Params& params, bool with_aequitas,
   config.schedule_digest = params.schedule_digest;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = with_aequitas;
+  config.admission.kind =
+      with_aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.seed = seed;
   // Normalized (per-MTU) SLOs; production sizes make absolute targets vary
   // per RPC.

@@ -29,7 +29,6 @@
 
 #include "bench/bench_util.h"
 #include "policy/registry.h"
-#include "runner/protocol_experiment.h"
 
 namespace {
 
@@ -58,8 +57,7 @@ struct Row {
   double terminated; // % of deadline RPCs killed
 };
 
-template <typename Experiment>
-void attach_workload(Experiment& experiment, bool with_deadlines,
+void attach_workload(runner::Experiment& experiment, bool with_deadlines,
                      double offered_load = kOfferedLoad) {
   bench::AllToAllSpec spec;
   spec.load = offered_load;
@@ -90,8 +88,8 @@ void attach_workload(Experiment& experiment, bool with_deadlines,
   }
 }
 
-template <typename Experiment>
-Row collect(const char* name, Experiment& experiment, double utilization) {
+Row collect(const char* name, runner::Experiment& experiment,
+            double utilization) {
   const auto& metrics = experiment.metrics();
   Row row{};
   row.name = name;
@@ -109,42 +107,55 @@ Row collect(const char* name, Experiment& experiment, double utilization) {
   return row;
 }
 
-Row run_aequitas(std::uint64_t seed, const bench::TraceRequest& trace) {
+// One row of the comparison: Aequitas (Swift over WFQ {8, 4, 1} with
+// admission control), or a baseline transport on the queue discipline it
+// assumes, with no admission control.
+struct System {
+  const char* name;
+  runner::ExperimentConfig::CcKind kind;
+};
+
+Row run_system(const System& system, sim::SchedulerBackend backend,
+               std::uint64_t seed, const bench::TraceRequest& trace,
+               int point) {
+  using CcKind = runner::ExperimentConfig::CcKind;
   runner::ExperimentConfig config;
   config.num_hosts = 33;
   config.num_qos = 3;
-  config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = true;
   config.slo = make_slo();
   config.seed = seed;
-  runner::Experiment experiment(config);
-  // Only the Aequitas point supports tracing (the protocol baselines use
-  // their own harness), so it is always point 0.
-  trace.apply(experiment, 0);
-  attach_workload(experiment, false);
-  experiment.run(12 * sim::kMsec, 15 * sim::kMsec);
-  // Utilization: downlink busy fraction relative to the offered load
-  // (0.8). Terminated/unsent traffic leaves links idle; queued-but-moving
-  // scavenger traffic still counts as useful work.
-  return collect("Aequitas", experiment,
-                 std::min(1.0, experiment.mean_downlink_utilization() /
-                                   kOfferedLoad));
-}
-
-Row run_baseline(runner::BaselineProtocol protocol, std::uint64_t seed) {
-  runner::ProtocolExperimentConfig config;
-  config.protocol = protocol;
-  config.num_hosts = 33;
-  config.num_qos = 3;
-  config.slo = make_slo();
-  config.seed = seed;
+  config.scheduler_backend = backend;
+  config.cc_kind = system.kind;
+  if (system.kind != CcKind::kSwift) {
+    config.admission.kind = policy::kAlwaysAdmit;
+  }
+  switch (system.kind) {
+    case CcKind::kPfabric:
+      config.scheduler = net::SchedulerType::kPfabric;
+      config.buffer_bytes = 160 * 1024;  // ~2.5 BDP
+      break;
+    case CcKind::kQjump:
+      config.scheduler = net::SchedulerType::kSpq;
+      break;
+    case CcKind::kHoma:
+      config.scheduler = net::SchedulerType::kSpq;
+      config.wfq_weights.assign(8, 1.0);  // one class per Homa level
+      break;
+    case CcKind::kD3:
+    case CcKind::kPdq:
+      config.scheduler = net::SchedulerType::kFifo;
+      break;
+    default:
+      break;
+  }
   // QJump provisioned for the expected per-level load (0.4/0.24 of line
   // rate on h/m): caps hold packet latency down but bursts above the cap
   // queue at the host.
   config.qjump_level_rate_fraction = {0.45, 0.30, 0.0};
-  runner::ProtocolExperiment experiment(config);
-  const bool deadlines = protocol == runner::BaselineProtocol::kD3 ||
-                         protocol == runner::BaselineProtocol::kPdq;
+  runner::Experiment experiment(config);
+  trace.apply(experiment, point);
+  const bool deadlines =
+      system.kind == CcKind::kD3 || system.kind == CcKind::kPdq;
 
   // For the deadline protocols the paper judges SLO attainment against the
   // absolute deadline, not the normalized target.
@@ -166,7 +177,10 @@ Row run_baseline(runner::BaselineProtocol protocol, std::uint64_t seed) {
   }
   attach_workload(experiment, deadlines);
   experiment.run(12 * sim::kMsec, 15 * sim::kMsec);
-  Row row = collect(runner::baseline_name(protocol), experiment,
+  // Utilization: downlink busy fraction relative to the offered load
+  // (0.8). Terminated/unsent traffic leaves links idle; queued-but-moving
+  // scavenger traffic still counts as useful work.
+  Row row = collect(system.name, experiment,
                     std::min(1.0, experiment.mean_downlink_utilization() /
                                       kOfferedLoad));
   if (deadlines) {
@@ -235,7 +249,8 @@ PolicyRow run_policy(const std::string& kind, sim::SchedulerBackend backend,
 }
 
 // Runs the shoot-out and renders its table; returns the process exit code.
-int run_shootout(bench::BenchArgs& args, const std::string& controller) {
+int run_shootout(bench::BenchArgs& args, const std::string& controller,
+                 sim::SchedulerBackend backend) {
   std::vector<std::string> kinds;
   if (controller == "all") {
     kinds = policy::names();
@@ -271,16 +286,6 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller) {
       if (comma == std::string_view::npos) break;
       remaining.remove_prefix(comma + 1);
     }
-  }
-
-  const std::string backend_flag = args.flags.get("backend");
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kCalendar;
-  if (backend_flag == "heap") {
-    backend = sim::SchedulerBackend::kHeap;
-  } else if (!backend_flag.empty() && backend_flag != "calendar") {
-    std::fprintf(stderr, "unknown --backend \"%s\" (heap|calendar)\n",
-                 backend_flag.c_str());
-    return 1;
   }
 
   bench::print_header("Admission-policy shoot-out",
@@ -320,12 +325,23 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller) {
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  // `--backend=heap|calendar` pins the event-scheduler backend of every
+  // point, in both modes (default calendar; the output is identical).
+  const std::string backend_flag = args.flags.get("backend");
+  sim::SchedulerBackend backend = sim::SchedulerBackend::kCalendar;
+  if (backend_flag == "heap") {
+    backend = sim::SchedulerBackend::kHeap;
+  } else if (!backend_flag.empty() && backend_flag != "calendar") {
+    std::fprintf(stderr, "unknown --backend \"%s\" (heap|calendar)\n",
+                 backend_flag.c_str());
+    return 1;
+  }
   // `--controller=aequitas,ticket-pool,...` (or `all`) switches from the
   // related-work comparison to the admission-policy shoot-out: every named
   // registered policy on the identical stack, optionally swept across
-  // `--loads=0.6,0.8,1.0` and pinned to a `--backend=heap|calendar`.
+  // `--loads=0.6,0.8,1.0`.
   const std::string controller = args.flags.get("controller");
-  if (!controller.empty()) return run_shootout(args, controller);
+  if (!controller.empty()) return run_shootout(args, controller, backend);
   bench::print_header("Figure 22",
                       "Related-work comparison, 33-node, production sizes, "
                       "input mix 50/30/20 (normalized SLO 3/6us per MTU; "
@@ -346,24 +362,21 @@ int main(int argc, char** argv) {
     return false;
   };
 
+  // Every system is one point; --trace-point N picks the N-th submitted.
+  using CcKind = runner::ExperimentConfig::CcKind;
+  const System systems[] = {{"Aequitas", CcKind::kSwift},
+                            {"pFabric", CcKind::kPfabric},
+                            {"QJump", CcKind::kQjump},
+                            {"D3", CcKind::kD3},
+                            {"PDQ", CcKind::kPdq},
+                            {"Homa", CcKind::kHoma}};
   runner::SweepRunner sweep(args.sweep);
-  if (wanted("Aequitas")) {
-    sweep.submit([trace = args.trace](const runner::PointContext& ctx) {
-      const Row row = run_aequitas(ctx.seed, trace);
-      return runner::PointResult::single(
-          {row.name, row.met_h, row.met_m, row.util,
-           stats::Cell(row.p999[0], 0), stats::Cell(row.p999[1], 0),
-           stats::Cell(row.p999[2], 0), row.terminated});
-    });
-  }
-  const runner::BaselineProtocol protocols[] = {
-      runner::BaselineProtocol::kPfabric, runner::BaselineProtocol::kQjump,
-      runner::BaselineProtocol::kD3, runner::BaselineProtocol::kPdq,
-      runner::BaselineProtocol::kHoma};
-  for (auto protocol : protocols) {
-    if (!wanted(runner::baseline_name(protocol))) continue;
-    sweep.submit([protocol](const runner::PointContext& ctx) {
-      const Row row = run_baseline(protocol, ctx.seed);
+  int point = 0;
+  for (const System& system : systems) {
+    if (!wanted(system.name)) continue;
+    sweep.submit([system, backend, trace = args.trace,
+                  p = point++](const runner::PointContext& ctx) {
+      const Row row = run_system(system, backend, ctx.seed, trace, p);
       return runner::PointResult::single(
           {row.name, row.met_h, row.met_m, row.util,
            stats::Cell(row.p999[0], 0), stats::Cell(row.p999[1], 0),
@@ -379,7 +392,7 @@ int main(int argc, char** argv) {
                       {"m p999(us)", 12, 0},
                       {"l p999(us)", 12, 0},
                       {"killed%", 10, 1}});
-  for (const auto& point : sweep.run()) table.add_rows(point.rows);
+  for (const auto& result : sweep.run()) table.add_rows(result.rows);
   bench::emit(table, args);
   bench::print_footer();
   return 0;

@@ -43,7 +43,7 @@ ClusterOutcome run_cluster(std::uint64_t seed,
   config.num_hosts = 12;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = false;  // Phase 1 only — no admission control
+  config.admission.kind = policy::kAlwaysAdmit;  // Phase 1 only — no admission control
   config.seed = seed;
   config.slo = rpc::SloConfig::make(
       {25.0 / 8 * sim::kUsec, 50.0 / 8 * sim::kUsec, 0.0}, 99.9);

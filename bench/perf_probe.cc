@@ -57,9 +57,9 @@ runner::Experiment make_experiment(const ProbeParams& p,
   config.num_hosts = 33;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = p.aequitas;
-  config.alpha = p.alpha;
-  config.beta_per_mtu = p.beta;
+  config.admission.kind = p.aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
+  config.admission.aequitas.alpha = p.alpha;
+  config.admission.aequitas.beta_per_mtu = p.beta;
   config.seed = seed;
   config.swift.target_delay = p.swift_target_us * sim::kUsec;
   config.slo = rpc::SloConfig::make(

@@ -29,7 +29,7 @@ int main() {
 
   // Shared quota server, created lazily with the experiment's simulator.
   auto server = std::make_shared<std::shared_ptr<core::QuotaServer>>();
-  config.admission_factory =
+  config.admission.factory =
       [server, slo](sim::Simulator& simulator, net::HostId host,
                     sim::Rng rng) -> std::unique_ptr<rpc::AdmissionController> {
     if (!*server) {

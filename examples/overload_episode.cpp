@@ -23,7 +23,8 @@ std::map<int, stats::PercentileTracker> run_episode(bool with_aequitas) {
   config.num_hosts = 10;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = with_aequitas;
+  config.admission.kind =
+      with_aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
   config.slo = rpc::SloConfig::make(
       {3 * sim::kUsec, 8 * sim::kUsec, 0.0}, 99.9);
   runner::Experiment experiment(config);

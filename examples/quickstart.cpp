@@ -20,7 +20,6 @@ int main() {
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
-  config.enable_aequitas = true;
 
   // SLO: 15us per 8-MTU (32KB) RPC at the 99.9th percentile, i.e. 15/8 us
   // per MTU. The lowest QoS is a scavenger class (no SLO).

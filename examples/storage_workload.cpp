@@ -19,14 +19,13 @@ int main() {
   config.num_hosts = 16;  // 12 clients + 4 storage servers
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = true;
   // Normalized SLOs: 6us per MTU for PC, 18us per MTU for NC, at p99.9.
   config.slo = rpc::SloConfig::make(
       {6 * sim::kUsec, 18 * sim::kUsec, 0.0}, 99.9);
   // Favor SLO-compliance (§6.6): heavy-tailed sizes at low per-channel
   // rates need a stronger decrease to hold the tail.
-  config.alpha = 0.003;
-  config.beta_per_mtu = 0.03;
+  config.admission.aequitas.alpha = 0.003;
+  config.admission.aequitas.beta_per_mtu = 0.03;
   runner::Experiment experiment(config);
 
   const auto* pc_sizes = experiment.own(

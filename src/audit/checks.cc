@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/aequitas.h"
 #include "core/quota.h"
 #include "net/port.h"
 #include "net/queue.h"
@@ -19,8 +18,7 @@
 namespace aeq::audit {
 
 void register_queue_checks(Auditor& auditor, std::string component,
-                           const net::QueueDiscipline& queue,
-                           std::size_t num_qos) {
+                           const net::QueueDiscipline& queue) {
   auditor.add_check(component, "conservation-packets", [&queue] {
     const net::QueueStats& s = queue.stats();
     AEQ_CHECK_EQ_MSG(
@@ -44,21 +42,21 @@ void register_queue_checks(Auditor& auditor, std::string component,
     AEQ_CHECK_LE(s.dropped_packets, s.offered_packets);
     AEQ_CHECK_LE(s.dropped_bytes, s.offered_bytes);
   });
-  auditor.add_check(component, "class-sums", [&queue, num_qos] {
+  auditor.add_check(component, "class-sums", [&queue] {
     std::uint64_t class_backlog = 0;
     std::uint64_t class_drop_packets = 0;
     std::uint64_t class_drop_bytes = 0;
-    for (std::size_t q = 0; q < num_qos; ++q) {
+    for (std::size_t q = 0; q < net::kMaxQoSLevels; ++q) {
       const auto qos = static_cast<net::QoSLevel>(q);
       class_backlog += queue.class_backlog_bytes(qos);
       class_drop_packets += queue.class_dropped_packets(qos);
       class_drop_bytes += queue.class_dropped_bytes(qos);
     }
     // The QueueDiscipline base maintains the per-class counters for every
-    // discipline, so whenever any class reports backlog the per-class
+    // discipline, over every class a queue can hold (Homa's eight priority
+    // levels included), so whenever any class reports backlog the per-class
     // backlogs must partition the total exactly. (The guard keeps the check
-    // vacuous for an idle queue and for out-of-plane traffic parked above
-    // num_qos, which the sum below does not see.)
+    // vacuous for an idle queue.)
     if (class_backlog != 0) {
       AEQ_CHECK_EQ_MSG(class_backlog, queue.backlog_bytes(),
                        "per-class backlogs do not partition queue backlog");
@@ -112,8 +110,7 @@ void register_pool_checks(Auditor& auditor, std::string component,
 }
 
 void register_port_checks(Auditor& auditor, std::string component,
-                          const net::Port& port, const sim::Simulator& sim,
-                          std::size_t num_qos) {
+                          const net::Port& port, const sim::Simulator& sim) {
   auditor.add_check(component, "link-conservation", [&port] {
     AEQ_CHECK_EQ_MSG(port.queue().stats().dequeued_packets,
                      port.delivered_packets() + port.in_flight_packets(),
@@ -128,12 +125,12 @@ void register_port_checks(Auditor& auditor, std::string component,
     AEQ_CHECK_LE_MSG(port.busy_time(), now * (1.0 + 1e-9) + 1e-9,
                      "port was busy longer than simulated time");
   });
-  register_queue_checks(auditor, std::move(component), port.queue(), num_qos);
+  register_queue_checks(auditor, std::move(component), port.queue());
 }
 
 void register_switch_checks(Auditor& auditor, std::string component,
                             const net::Switch& fabric_switch,
-                            const sim::Simulator& sim, std::size_t num_qos) {
+                            const sim::Simulator& sim) {
   auditor.add_check(component, "routing-conservation", [&fabric_switch] {
     std::uint64_t offered = 0;
     for (std::size_t p = 0; p < fabric_switch.num_ports(); ++p) {
@@ -145,7 +142,7 @@ void register_switch_checks(Auditor& auditor, std::string component,
   for (std::size_t p = 0; p < fabric_switch.num_ports(); ++p) {
     register_port_checks(auditor,
                          component + "/port" + std::to_string(p),
-                         fabric_switch.port(p), sim, num_qos);
+                         fabric_switch.port(p), sim);
   }
 }
 
@@ -176,14 +173,6 @@ void register_admission_checks(Auditor& auditor, std::string component,
   });
 }
 
-void register_aequitas_checks(Auditor& auditor, std::string component,
-                              const core::AequitasController& controller,
-                              const sim::Simulator& sim) {
-  register_admission_checks(
-      auditor, std::move(component),
-      static_cast<const rpc::AdmissionController&>(controller), sim);
-}
-
 void register_quota_checks(Auditor& auditor, std::string component,
                            const core::QuotaServer& server) {
   auditor.add_check(std::move(component), "allocation-bounds",
@@ -199,15 +188,15 @@ void register_transport_checks(Auditor& auditor, std::string component,
 }
 
 void register_network_checks(Auditor& auditor, const topo::Network& network,
-                             const sim::Simulator& sim, std::size_t num_qos) {
+                             const sim::Simulator& sim) {
   for (std::size_t h = 0; h < network.num_hosts(); ++h) {
     const auto id = static_cast<net::HostId>(h);
     register_port_checks(auditor, "host" + std::to_string(h) + "-nic",
-                         network.host(id).egress(), sim, num_qos);
+                         network.host(id).egress(), sim);
   }
   for (std::size_t s = 0; s < network.num_switches(); ++s) {
     register_switch_checks(auditor, network.fabric_switch(s).name(),
-                           network.fabric_switch(s), sim, num_qos);
+                           network.fabric_switch(s), sim);
   }
   std::size_t pool_index = 0;
   for (const topo::Network::PoolGroup& group : network.pool_groups()) {

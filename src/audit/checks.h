@@ -72,7 +72,6 @@
 #include "audit/audit.h"
 
 namespace aeq::core {
-class AequitasController;
 class QuotaServer;
 }  // namespace aeq::core
 namespace aeq::net {
@@ -99,10 +98,9 @@ namespace aeq::audit {
 
 // Conservation and counter-sanity checks for one queue discipline. When the
 // discipline is (or decorates) a WfqQueue, the WFQ tag checks are attached
-// too. `num_qos` bounds the per-class sums.
+// too.
 void register_queue_checks(Auditor& auditor, std::string component,
-                           const net::QueueDiscipline& queue,
-                           std::size_t num_qos);
+                           const net::QueueDiscipline& queue);
 
 // WFQ virtual-time/tag invariants (normally attached via
 // register_queue_checks; exposed for unit tests).
@@ -117,13 +115,12 @@ void register_pool_checks(Auditor& auditor, std::string component,
 // Link-level conservation and busy-time sanity for one port, plus the queue
 // checks for its discipline.
 void register_port_checks(Auditor& auditor, std::string component,
-                          const net::Port& port, const sim::Simulator& sim,
-                          std::size_t num_qos);
+                          const net::Port& port, const sim::Simulator& sim);
 
 // Routing conservation across the switch plus port checks for every egress.
 void register_switch_checks(Auditor& auditor, std::string component,
                             const net::Switch& fabric_switch,
-                            const sim::Simulator& sim, std::size_t num_qos);
+                            const sim::Simulator& sim);
 
 // Clock monotonicity of the simulation executive.
 void register_simulator_checks(Auditor& auditor, const sim::Simulator& sim);
@@ -137,12 +134,6 @@ void register_admission_checks(Auditor& auditor, std::string component,
                                const rpc::AdmissionController& controller,
                                const sim::Simulator& sim);
 
-// Legacy alias: AIMD state bounds for one Aequitas controller. Forwards to
-// register_admission_checks (the concrete type adds nothing anymore).
-void register_aequitas_checks(Auditor& auditor, std::string component,
-                              const core::AequitasController& controller,
-                              const sim::Simulator& sim);
-
 // Quota-server conservation (per-QoS allocation sums within budget).
 void register_quota_checks(Auditor& auditor, std::string component,
                            const core::QuotaServer& server);
@@ -155,6 +146,6 @@ void register_transport_checks(Auditor& auditor, std::string component,
 // Whole-topology sweep: host NIC ports, switches (all egress ports), and
 // shared-buffer pool groups. This is what the experiment harness installs.
 void register_network_checks(Auditor& auditor, const topo::Network& network,
-                             const sim::Simulator& sim, std::size_t num_qos);
+                             const sim::Simulator& sim);
 
 }  // namespace aeq::audit

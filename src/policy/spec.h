@@ -4,11 +4,8 @@
 //
 // A spec names a policy `kind` (a key in the policy registry,
 // policy/registry.h) plus one parameter block per built-in policy; only the
-// block matching `kind` is read. The legacy ExperimentConfig knobs
-// (enable_aequitas, alpha, beta_per_mtu, p_admit_floor, admission_factory)
-// are aliases folded into the spec at Experiment construction, and conflict
-// with explicit spec settings hard-error there (the use_fixed_window /
-// cc_kind precedent).
+// block matching `kind` is read. ExperimentConfig::admission is the only
+// way to choose or tune an experiment's admission policy.
 #pragma once
 
 #include <cstdint>

@@ -11,81 +11,28 @@
 #include "obs/csv_sink.h"
 #include "obs/shard_merge.h"
 #include "policy/registry.h"
+#include "protocols/deadline_transport.h"
+#include "protocols/homa.h"
+#include "protocols/pfabric.h"
+#include "protocols/qjump.h"
 #include "sim/assert.h"
 #include "topo/sharding.h"
 
 namespace aeq::runner {
-
-// Folds the legacy admission knobs (enable_aequitas, alpha, beta_per_mtu,
-// p_admit_floor, admission_factory) into config_.admission. Each alias may
-// only RESTATE what the spec already says; a conflicting combination used
-// to be silently resolved (factory > enable_aequitas > scalars) and is now
-// a configuration error, like use_fixed_window vs cc_kind.
-void Experiment::resolve_admission_spec() {
-  policy::AdmissionSpec& spec = config_.admission;
-  const policy::AequitasParams defaults;
-
-  if (config_.admission_factory) {
-    AEQ_ASSERT_MSG(spec.factory == nullptr,
-                   "ExperimentConfig::admission_factory conflicts with "
-                   "admission.factory; set only one");
-    AEQ_ASSERT_MSG(spec.kind == policy::kAequitas,
-                   "ExperimentConfig::admission_factory conflicts with the "
-                   "configured admission.kind; use admission.factory (or "
-                   "drop the kind override)");
-    spec.factory = config_.admission_factory;
-  }
-  if (!config_.enable_aequitas && spec.factory == nullptr) {
-    AEQ_ASSERT_MSG(spec.kind == policy::kAequitas ||
-                       spec.kind == policy::kAlwaysAdmit,
-                   "ExperimentConfig::enable_aequitas = false conflicts "
-                   "with the configured admission.kind; set admission.kind "
-                   "= \"always-admit\" instead of the legacy flag");
-    spec.kind = policy::kAlwaysAdmit;
-  }
-  const bool aequitas_knobs_apply =
-      spec.factory == nullptr && spec.kind == policy::kAequitas;
-  auto fold_scalar = [&](double legacy, double& target, double fallback,
-                         const char* name) {
-    if (legacy == fallback) return;  // alias left at its default: nothing set
-    AEQ_ASSERT_MSG(aequitas_knobs_apply,
-                   "a legacy Aequitas knob (alpha/beta_per_mtu/"
-                   "p_admit_floor) is set but the resolved admission policy "
-                   "is not \"aequitas\"");
-    AEQ_ASSERT_MSG(target == fallback || target == legacy, name);
-    target = legacy;
-  };
-  fold_scalar(config_.alpha, spec.aequitas.alpha, defaults.alpha,
-              "ExperimentConfig::alpha conflicts with "
-              "admission.aequitas.alpha");
-  fold_scalar(config_.beta_per_mtu, spec.aequitas.beta_per_mtu,
-              defaults.beta_per_mtu,
-              "ExperimentConfig::beta_per_mtu conflicts with "
-              "admission.aequitas.beta_per_mtu");
-  fold_scalar(config_.p_admit_floor, spec.aequitas.p_admit_floor,
-              defaults.p_admit_floor,
-              "ExperimentConfig::p_admit_floor conflicts with "
-              "admission.aequitas.p_admit_floor");
-}
 
 Experiment::Experiment(const ExperimentConfig& config)
     : config_(config), sim_(config.scheduler_backend) {
   AEQ_CHECK_GE(config_.num_qos, 2u);
   AEQ_ASSERT_MSG(config_.slo.num_qos() == config_.num_qos,
                  "SLO config must cover every QoS level");
-  resolve_admission_spec();
-  // The legacy use_fixed_window alias may only restate the fixed-window
-  // choice; combined with a conflicting cc_kind it is a configuration error
-  // (it used to silently override the requested transport).
-  AEQ_ASSERT_MSG(!config_.use_fixed_window ||
-                     config_.cc_kind == ExperimentConfig::CcKind::kSwift ||
-                     config_.cc_kind == ExperimentConfig::CcKind::kFixedWindow,
-                 "ExperimentConfig::use_fixed_window conflicts with the "
-                 "configured cc_kind; use cc_kind = CcKind::kFixedWindow "
-                 "instead of the legacy flag");
-  if (config_.use_fixed_window) {
-    config_.cc_kind = ExperimentConfig::CcKind::kFixedWindow;
-  }
+  AEQ_ASSERT_MSG(config_.uses_host_stack() || config_.shards == 1,
+                 "ExperimentConfig::shards > 1 is not supported with a "
+                 "baseline-protocol cc_kind (pFabric/QJump/Homa/D3/PDQ)");
+  AEQ_ASSERT_MSG(config_.cc_kind != ExperimentConfig::CcKind::kHoma ||
+                     config_.wfq_weights.size() >=
+                         protocols::HomaConfig{}.num_levels,
+                 "ExperimentConfig::wfq_weights must list one class per "
+                 "Homa priority level (8) when cc_kind is kHoma");
 
   net::QueueConfig queue;
   queue.type = config_.scheduler;
@@ -99,8 +46,9 @@ Experiment::Experiment(const ExperimentConfig& config)
     // DCTCP needs marking; default to ~20 MTUs as in its paper's guidance.
     queue.ecn_threshold_bytes = 20ull * config_.transport.mtu_bytes;
   }
+  // A queue may carry more classes than the RPC QoS space (Homa's levels).
   AEQ_ASSERT(config_.scheduler == net::SchedulerType::kPfabric ||
-             config_.wfq_weights.size() == config_.num_qos);
+             config_.wfq_weights.size() >= config_.num_qos);
 
   AEQ_CHECK_GE(config_.shards, 1u);
   if (config_.use_leaf_spine) {
@@ -187,21 +135,18 @@ Experiment::Experiment(const ExperimentConfig& config)
   stack_config.num_qos = config_.num_qos;
   stack_config.mtu_bytes = config_.transport.mtu_bytes;
 
+  if (config_.cc_kind == ExperimentConfig::CcKind::kD3 ||
+      config_.cc_kind == ExperimentConfig::CcKind::kPdq) {
+    deadline_fabric_ = std::make_unique<protocols::DeadlineFabric>(
+        sim_,
+        config_.cc_kind == ExperimentConfig::CcKind::kD3
+            ? protocols::DeadlineMode::kD3
+            : protocols::DeadlineMode::kPdq,
+        config_.link_rate);
+  }
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
     const auto id = static_cast<net::HostId>(i);
-    auto cc_factory = [this]() -> std::unique_ptr<transport::CongestionControl> {
-      if (config_.cc_kind == ExperimentConfig::CcKind::kFixedWindow) {
-        return std::make_unique<transport::FixedWindowCC>(
-            config_.fixed_window_packets);
-      }
-      if (config_.cc_kind == ExperimentConfig::CcKind::kDctcp) {
-        return std::make_unique<transport::DctcpCC>(config_.dctcp);
-      }
-      return std::make_unique<transport::SwiftCC>(config_.swift);
-    };
-    host_stacks_.push_back(std::make_unique<transport::HostStack>(
-        host_simulator(id), network_.host(id), network_.num_hosts(),
-        config_.transport, cc_factory));
+    transports_.push_back(make_transport(id));
 
     if (config_.admission.factory) {
       controllers_.push_back(
@@ -219,15 +164,10 @@ Experiment::Experiment(const ExperimentConfig& config)
     }
 
     stacks_.push_back(std::make_unique<rpc::RpcStack>(
-        host_simulator(id), id, *host_stacks_.back(), *controllers_.back(),
+        host_simulator(id), id, *transports_.back(), *controllers_.back(),
         host_metrics(id), stack_config));
   }
 
-  // Fold the legacy trace aliases into the spec before wiring.
-  if (!config_.trace.empty()) config_.telemetry.trace = config_.trace;
-  if (!config_.trace_csv.empty()) {
-    config_.telemetry.trace_csv = config_.trace_csv;
-  }
   if (config_.audit) {
     sharded_ ? register_shard_audit_checks() : register_audit_checks();
   }
@@ -246,13 +186,64 @@ Experiment::~Experiment() {
   }
 }
 
-void Experiment::trace_to(const std::string& chrome_json,
-                          const std::string& csv) {
-  if (chrome_json.empty() && csv.empty()) return;
-  TelemetrySpec spec;
-  spec.trace = chrome_json;
-  spec.trace_csv = csv;
-  enable_telemetry(spec);
+std::unique_ptr<transport::MessageTransport> Experiment::make_transport(
+    net::HostId id) {
+  using CcKind = ExperimentConfig::CcKind;
+  sim::Simulator& sim = host_simulator(id);
+  net::Host& host = network_.host(id);
+  protocols::BaseTransportConfig base;
+  base.mtu_bytes = config_.transport.mtu_bytes;
+  switch (config_.cc_kind) {
+    case CcKind::kPfabric: {
+      protocols::PfabricConfig pf;
+      pf.base = base;
+      pf.base.rto = 100 * sim::kUsec;  // aggressive, per pFabric's design
+      return std::make_unique<protocols::PfabricTransport>(sim, host, pf);
+    }
+    case CcKind::kQjump: {
+      protocols::QjumpConfig qj;
+      qj.base = base;
+      for (double fraction : config_.qjump_level_rate_fraction) {
+        qj.level_rate.push_back(fraction <= 0.0 ? 0.0
+                                                : fraction * config_.link_rate);
+      }
+      return std::make_unique<protocols::QjumpTransport>(sim, host, qj);
+    }
+    case CcKind::kHoma: {
+      protocols::HomaConfig homa;
+      homa.base = base;
+      return std::make_unique<protocols::HomaTransport>(sim, host, homa);
+    }
+    case CcKind::kD3:
+    case CcKind::kPdq:
+      base.rto = 1 * sim::kMsec;  // rate-paced; recovery is rare
+      return std::make_unique<protocols::DeadlineTransport>(
+          sim, host, *deadline_fabric_, base);
+    case CcKind::kSwift:
+    case CcKind::kDctcp:
+    case CcKind::kFixedWindow:
+      break;
+  }
+  auto cc_factory = [this]() -> std::unique_ptr<transport::CongestionControl> {
+    if (config_.cc_kind == CcKind::kFixedWindow) {
+      return std::make_unique<transport::FixedWindowCC>(
+          config_.fixed_window_packets);
+    }
+    if (config_.cc_kind == CcKind::kDctcp) {
+      return std::make_unique<transport::DctcpCC>(config_.dctcp);
+    }
+    return std::make_unique<transport::SwiftCC>(config_.swift);
+  };
+  return std::make_unique<transport::HostStack>(
+      sim, host, network_.num_hosts(), config_.transport, cc_factory);
+}
+
+transport::HostStack& Experiment::host_stack(net::HostId id) {
+  AEQ_ASSERT_MSG(config_.uses_host_stack(),
+                 "Experiment::host_stack: a baseline-protocol cc_kind "
+                 "(pFabric/QJump/Homa/D3/PDQ) runs no transport::HostStack");
+  return static_cast<transport::HostStack&>(
+      *transports_.at(static_cast<std::size_t>(id)));
 }
 
 void Experiment::enable_telemetry(const TelemetrySpec& spec) {
@@ -260,8 +251,6 @@ void Experiment::enable_telemetry(const TelemetrySpec& spec) {
                  "telemetry is already enabled");
   if (!spec.any()) return;
   config_.telemetry = spec;
-  config_.trace = spec.trace;
-  config_.trace_csv = spec.trace_csv;
   sharded_ ? wire_shard_telemetry() : wire_telemetry();
 }
 
@@ -438,7 +427,6 @@ void Experiment::fill_watchdog_defaults(obs::WatchdogConfig& config) const {
   }
   // "Pinned at the controller's own floor" — separates pathological
   // collapse from ordinary heavy throttling of misbehaving channels.
-  // (Resolved spec: resolve_admission_spec folded any legacy knob here.)
   if (config.p_admit_floor < 0.0) {
     config.p_admit_floor = 1.5 * config_.admission.aequitas.p_admit_floor;
   }
@@ -544,7 +532,9 @@ void Experiment::wire_telemetry() {
     }
   }
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    host_stacks_[i]->set_observer(recorder_.get());
+    if (config_.uses_host_stack()) {
+      host_stack(static_cast<net::HostId>(i)).set_observer(recorder_.get());
+    }
     stacks_[i]->set_observer(recorder_.get());
   }
 }
@@ -597,7 +587,7 @@ void Experiment::wire_shard_telemetry() {
     const std::uint32_t pid =
         recorder.register_port("host" + std::to_string(i) + "-nic");
     network_.host(id).egress().set_observer(&recorder, pid);
-    host_stacks_[i]->set_observer(&recorder);
+    host_stack(id).set_observer(&recorder);
     stacks_[i]->set_observer(&recorder);
   }
   for (std::size_t s = 0; s < network_.num_switches(); ++s) {
@@ -614,11 +604,14 @@ void Experiment::wire_shard_telemetry() {
 void Experiment::register_audit_checks() {
   auditor_ = std::make_unique<audit::Auditor>();
   audit::register_simulator_checks(*auditor_, sim_);
-  audit::register_network_checks(*auditor_, network_, sim_, config_.num_qos);
+  audit::register_network_checks(*auditor_, network_, sim_);
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
+    const auto id = static_cast<net::HostId>(i);
     const std::string host = "host" + std::to_string(i);
-    audit::register_transport_checks(*auditor_, host + "-transport",
-                                     *host_stacks_[i]);
+    if (config_.uses_host_stack()) {
+      audit::register_transport_checks(*auditor_, host + "-transport",
+                                       host_stack(id));
+    }
     audit::register_admission_checks(*auditor_, host + "-admission",
                                      *controllers_[i], sim_);
   }
@@ -643,9 +636,9 @@ void Experiment::register_shard_audit_checks() {
     const std::string host = "host" + std::to_string(i);
     audit::register_port_checks(auditor, host + "-nic",
                                 network_.host(id).egress(),
-                                sharded_->shard(k), config_.num_qos);
+                                sharded_->shard(k));
     audit::register_transport_checks(auditor, host + "-transport",
-                                     *host_stacks_[i]);
+                                     host_stack(id));
     audit::register_admission_checks(auditor, host + "-admission",
                                      *controllers_[i], sharded_->shard(k));
   }
@@ -654,7 +647,7 @@ void Experiment::register_shard_audit_checks() {
     audit::register_switch_checks(*shard_auditors_[s],
                                   network_.fabric_switch(s).name(),
                                   network_.fabric_switch(s),
-                                  sharded_->shard(s), config_.num_qos);
+                                  sharded_->shard(s));
   }
 }
 

@@ -31,6 +31,10 @@
 #include "workload/generator.h"
 #include "workload/size_dist.h"
 
+namespace aeq::protocols {
+class DeadlineFabric;
+}  // namespace aeq::protocols
+
 namespace aeq::runner {
 
 // Everything the telemetry pipeline can attach to one experiment. All
@@ -117,16 +121,31 @@ struct ExperimentConfig {
   // recorder) are not yet supported above 1.
   std::size_t shards = 1;
 
-  // Transport.
-  enum class CcKind { kSwift, kDctcp, kFixedWindow };
+  // Transport. Swift, DCTCP and fixed-window run over transport::HostStack.
+  // The Figure 22 baselines replace it with their protocols::*Transport per
+  // host; pair each with the queue discipline it assumes via `scheduler`,
+  // `buffer_bytes` and `wfq_weights` (whose size is the class count):
+  // pFabric -> kPfabric, QJump -> kSpq, Homa -> kSpq with one class per
+  // priority level (8), D3/PDQ -> kFifo. Baselines run serial only.
+  enum class CcKind {
+    kSwift, kDctcp, kFixedWindow,
+    kPfabric, kQjump, kHoma, kD3, kPdq
+  };
   transport::TransportConfig transport;
   CcKind cc_kind = CcKind::kSwift;
   transport::SwiftConfig swift;
   transport::DctcpConfig dctcp;
   // ECN marking threshold applied to every queue (needed by DCTCP).
   std::uint64_t ecn_threshold_bytes = 0;
-  bool use_fixed_window = false;  // legacy alias for CcKind::kFixedWindow
   double fixed_window_packets = 64.0;
+  // QJump's per-QoS-level host rate limit as a fraction of link_rate;
+  // 0 = unthrottled.
+  std::vector<double> qjump_level_rate_fraction = {0.05, 0.20, 0.0};
+
+  bool uses_host_stack() const {
+    return cc_kind == CcKind::kSwift || cc_kind == CcKind::kDctcp ||
+           cc_kind == CcKind::kFixedWindow;
+  }
 
   // Admission control: which policy every host runs, resolved through the
   // policy registry (src/policy/). The default spec is Aequitas with the
@@ -135,20 +154,6 @@ struct ExperimentConfig {
   // registered via policy::register_policy).
   policy::AdmissionSpec admission;
 
-  // Legacy aliases, folded into `admission` at construction (the
-  // use_fixed_window/cc_kind precedent): each may only RESTATE what the
-  // spec already says — a conflicting combination is a configuration
-  // error that aborts.
-  //   admission_factory   -> admission.factory
-  //   enable_aequitas     -> admission.kind ("aequitas"/"always-admit")
-  //   alpha, beta_per_mtu, p_admit_floor -> admission.aequitas.*
-  std::function<std::unique_ptr<rpc::AdmissionController>(
-      sim::Simulator&, net::HostId, sim::Rng)>
-      admission_factory;
-  bool enable_aequitas = true;
-  double alpha = 0.01;
-  double beta_per_mtu = 0.01;
-  double p_admit_floor = 0.01;
   rpc::SloConfig slo;  // required (also drives SLO-met accounting)
 
   // Invariant auditing (src/audit/): when set, the experiment registers the
@@ -160,12 +165,8 @@ struct ExperimentConfig {
   bool audit = audit::kBuildEnabled;
   sim::Time audit_interval = 50 * sim::kUsec;
 
-  // Telemetry (src/obs/): see TelemetrySpec. `trace` / `trace_csv` are
-  // legacy aliases for telemetry.trace / telemetry.trace_csv, folded into
-  // the spec at construction.
+  // Telemetry (src/obs/): see TelemetrySpec.
   TelemetrySpec telemetry;
-  std::string trace;
-  std::string trace_csv;
 
   // Execution profiling (src/obs/prof/, DESIGN.md §14): when non-empty,
   // run() attributes cycle cost per component into this JSON report path
@@ -221,9 +222,9 @@ class Experiment {
   rpc::RpcStack& stack(net::HostId id) {
     return *stacks_.at(static_cast<std::size_t>(id));
   }
-  transport::HostStack& host_stack(net::HostId id) {
-    return *host_stacks_.at(static_cast<std::size_t>(id));
-  }
+  // Host `id`'s Swift/DCTCP/fixed-window stack; aborts when cc_kind is a
+  // baseline protocol, which has none.
+  transport::HostStack& host_stack(net::HostId id);
   // Host `id`'s admission controller, whatever policy it runs. The base
   // interface (gauges(), audit_invariants(), on_window()) is the
   // policy-agnostic surface benches and checks should prefer.
@@ -269,10 +270,6 @@ class Experiment {
   // already enable telemetry.
   void enable_telemetry(const TelemetrySpec& spec);
 
-  // Legacy alias: enable_telemetry with just trace / trace_csv set.
-  void trace_to(const std::string& chrome_json,
-                const std::string& csv = "");
-
   // Post-construction equivalent of setting ExperimentConfig::prof. Must
   // be called before run(); at most one profile path per experiment.
   void enable_profiling(const std::string& path);
@@ -301,7 +298,8 @@ class Experiment {
   double mean_downlink_utilization() const;
 
  private:
-  void resolve_admission_spec();
+  std::unique_ptr<transport::MessageTransport> make_transport(
+      net::HostId id);
   void schedule_sampler(std::size_t index, sim::Time at);
   void register_audit_checks();
   void register_shard_audit_checks();
@@ -347,7 +345,9 @@ class Experiment {
   std::ostream* watchdog_log_ = nullptr;
   bool flight_dumped_ = false;
   std::unique_ptr<rpc::RpcMetrics> metrics_;
-  std::vector<std::unique_ptr<transport::HostStack>> host_stacks_;
+  // Shared D3/PDQ allocation state; outlives the transports that use it.
+  std::unique_ptr<protocols::DeadlineFabric> deadline_fabric_;
+  std::vector<std::unique_ptr<transport::MessageTransport>> transports_;
   std::vector<std::unique_ptr<rpc::AdmissionController>> controllers_;
   std::vector<std::unique_ptr<rpc::RpcStack>> stacks_;
   std::vector<std::unique_ptr<workload::TrafficGenerator>> generators_;

@@ -98,9 +98,10 @@ int main(int argc, char** argv) {
   config.num_qos = 3;
   config.wfq_weights = flags.get_list("weights", {8.0, 4.0, 1.0});
   config.num_qos = config.wfq_weights.size();
-  config.enable_aequitas = flags.get_bool("aequitas", true);
-  config.alpha = flags.get_double("alpha", 0.01);
-  config.beta_per_mtu = flags.get_double("beta", 0.01);
+  const bool aequitas = flags.get_bool("aequitas", true);
+  config.admission.kind = aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
+  config.admission.aequitas.alpha = flags.get_double("alpha", 0.01);
+  config.admission.aequitas.beta_per_mtu = flags.get_double("beta", 0.01);
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   const std::string scheduler = flags.get("scheduler", "wfq");
@@ -195,7 +196,7 @@ int main(int argc, char** argv) {
   const auto& metrics = experiment.metrics();
   std::printf("\n%zu hosts, %s, %s, aequitas=%s — warmup %.0fms + %.0fms\n",
               config.num_hosts, scheduler.c_str(), cc.c_str(),
-              config.enable_aequitas ? "on" : "off", warmup / sim::kMsec,
+              aequitas ? "on" : "off", warmup / sim::kMsec,
               duration / sim::kMsec);
   std::printf("%-8s %-12s %-12s %-14s %-12s %-12s %-12s\n", "QoS",
               "mean(us)", "p99(us)", "p99.9(us)", "share(%)", "downgr.",

@@ -83,7 +83,6 @@ std::vector<Tick> run_counted(sim::SchedulerBackend backend) {
   config.num_hosts = 6;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = true;
   config.seed = 7;
   config.slo = rpc::SloConfig::make(
       {25.0 / 8 * sim::kUsec, 50.0 / 8 * sim::kUsec, 0.0}, 99.9);

@@ -173,7 +173,7 @@ class LeakyQueue final : public net::QueueDiscipline {
 TEST(AuditorDeathTest, LeakyQueueTripsConservation) {
   LeakyQueue queue;
   audit::Auditor auditor;
-  audit::register_queue_checks(auditor, "leaky", queue, 2);
+  audit::register_queue_checks(auditor, "leaky", queue);
   for (int i = 0; i < 6; ++i) queue.enqueue(make_packet(1000));
   EXPECT_DEATH(auditor.run_all(),
                "leaky/conservation-packets.*queue lost or invented packets");
@@ -191,9 +191,9 @@ TEST(Checks, WellBehavedQueuesPassConservation) {
   net::PfabricQueue pfabric(16 * 1024);
 
   audit::Auditor auditor;
-  audit::register_queue_checks(auditor, "red", red, 2);
-  audit::register_queue_checks(auditor, "wfq", wfq, 2);
-  audit::register_queue_checks(auditor, "pfabric", pfabric, 2);
+  audit::register_queue_checks(auditor, "red", red);
+  audit::register_queue_checks(auditor, "wfq", wfq);
+  audit::register_queue_checks(auditor, "pfabric", pfabric);
   // WFQ tag checks were attached automatically by the dynamic type probe.
   EXPECT_GT(auditor.num_checks(), 9u);
 
@@ -225,7 +225,7 @@ TEST(Checks, PooledPfabricKeepsPoolConservation) {
       std::make_unique<net::PfabricQueue>(8 * 1024), pool);
   audit::Auditor auditor;
   audit::register_pool_checks(auditor, "pool", pool, {pooled.get()});
-  audit::register_queue_checks(auditor, "pooled-pfabric", *pooled, 2);
+  audit::register_queue_checks(auditor, "pooled-pfabric", *pooled);
   for (std::uint64_t i = 0; i < 100; ++i) {
     net::Packet p = make_packet(1500, 0, i);
     p.cold.msg_bytes = (i % 9 + 1) * 1500;

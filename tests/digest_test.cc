@@ -100,7 +100,6 @@ DigestRun run_workload(std::size_t shards, sim::SchedulerBackend backend,
   config.scheduler_backend = backend;
   config.num_hosts = 8;
   config.num_qos = 3;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = shards;

@@ -17,7 +17,6 @@ runner::ExperimentConfig two_qos_config(double slo_us) {
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
-  config.enable_aequitas = true;
   config.slo =
       rpc::SloConfig::make({slo_us * sim::kUsec / kSizeMtus, 0.0}, 99.9);
   return config;
@@ -52,7 +51,7 @@ TEST(AequitasIntegrationTest, TailTracksSloUnderOverload) {
 
 TEST(AequitasIntegrationTest, WithoutAequitasTailExplodes) {
   auto config = two_qos_config(15.0);
-  config.enable_aequitas = false;
+  config.admission.kind = policy::kAlwaysAdmit;
   runner::Experiment experiment(config);
   attach_two_senders(experiment, 0.7, 0.7);
   experiment.run(10 * sim::kMsec, 10 * sim::kMsec);
@@ -122,7 +121,6 @@ TEST(AequitasIntegrationTest, WorksOnLeafSpine) {
   config.leaf_spine.fabric_rate = sim::gbps(100);
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make(
       {25 * sim::kUsec / kSizeMtus, 50 * sim::kUsec / kSizeMtus, 0.0},
       99.9);

@@ -334,7 +334,6 @@ runner::ExperimentConfig traced_config(net::SchedulerType scheduler,
   config.wfq_weights = {4.0, 1.0};
   config.scheduler = scheduler;
   config.scheduler_backend = backend;
-  config.enable_aequitas = true;
   config.buffer_bytes = 256 * 1024;  // small enough to exercise drops
   config.slo = rpc::SloConfig::make({15.0 / 8 * sim::kUsec, 0.0}, 99.9);
   config.audit = false;
@@ -360,7 +359,7 @@ struct Outcome {
 Outcome run_once(net::SchedulerType scheduler, sim::SchedulerBackend backend,
                  const std::string& trace_path) {
   auto config = traced_config(scheduler, backend);
-  config.trace = trace_path;  // empty = tracing off
+  config.telemetry.trace = trace_path;  // empty = tracing off
   runner::Experiment experiment(config);
   EXPECT_EQ(experiment.tracing() != nullptr, !trace_path.empty());
   attach_overload(experiment);
@@ -415,7 +414,10 @@ TEST(TracingIdentityTest, TraceCountersReconcileWithMetrics) {
   runner::Experiment experiment(config);
   EXPECT_EQ(experiment.tracing(), nullptr);
   const std::string csv_path = ::testing::TempDir() + "obs_reconcile.csv";
-  experiment.trace_to(path, csv_path);
+  runner::TelemetrySpec spec;
+  spec.trace = path;
+  spec.trace_csv = csv_path;
+  experiment.enable_telemetry(spec);
   ASSERT_NE(experiment.tracing(), nullptr);
   obs::CounterSink counters;
   experiment.tracing()->add_sink(&counters);
@@ -492,30 +494,11 @@ TEST(TracingIdentityTest, TraceToTwiceDies) {
   auto config = traced_config(net::SchedulerType::kWfq,
                               sim::SchedulerBackend::kHeap);
   runner::Experiment experiment(config);
-  experiment.trace_to(::testing::TempDir() + "obs_twice.json");
-  EXPECT_DEATH(
-      experiment.trace_to(::testing::TempDir() + "obs_twice_again.json"),
-      "already enabled");
-}
-
-// --- legacy config alias (ExperimentConfig::use_fixed_window) -------------
-
-TEST(FixedWindowAliasTest, ConflictingCcKindDies) {
-  auto config = traced_config(net::SchedulerType::kWfq,
-                              sim::SchedulerBackend::kHeap);
-  config.use_fixed_window = true;
-  config.cc_kind = runner::ExperimentConfig::CcKind::kDctcp;
-  EXPECT_DEATH(runner::Experiment experiment(config), "use_fixed_window");
-}
-
-TEST(FixedWindowAliasTest, LegacyFlagStillSelectsFixedWindow) {
-  auto config = traced_config(net::SchedulerType::kWfq,
-                              sim::SchedulerBackend::kHeap);
-  config.use_fixed_window = true;  // cc_kind left at the kSwift default
-  runner::Experiment experiment(config);
-  attach_overload(experiment);
-  experiment.run(0.0, 1 * sim::kMsec);
-  EXPECT_GT(experiment.metrics().total_completed(), 0u);
+  runner::TelemetrySpec spec;
+  spec.trace = ::testing::TempDir() + "obs_twice.json";
+  experiment.enable_telemetry(spec);
+  spec.trace = ::testing::TempDir() + "obs_twice_again.json";
+  EXPECT_DEATH(experiment.enable_telemetry(spec), "already enabled");
 }
 
 }  // namespace

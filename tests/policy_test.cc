@@ -2,8 +2,7 @@
 //
 // Covers, in order:
 //   * the registry (builtin names, custom registration, unknown-kind abort),
-//   * the legacy-alias folding in ExperimentConfig (hard errors on
-//     conflicts, silent folding otherwise),
+//   * the admission spec reaching every host's controller,
 //   * the AdmissionDecision drop contract (dropped => no completion
 //     feedback, at the stack level and through QuotaController),
 //   * per-policy unit behavior (windowed base mechanics, ticket pool,
@@ -92,19 +91,19 @@ TEST(PolicyRegistry, CustomRegistrationReachesTheExperiment) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy-alias folding
+// The admission spec reaches every host
 // ---------------------------------------------------------------------------
 
-TEST(AdmissionSpecAlias, LegacyKnobsFoldIntoTheSpec) {
+TEST(AdmissionSpec, AequitasKnobsReachTheController) {
   runner::ExperimentConfig config;
   config.num_hosts = 2;
   config.num_qos = 3;
   config.slo = make_slo();
-  config.alpha = 0.05;         // legacy spelling of admission.aequitas.alpha
-  config.p_admit_floor = 0.2;  // and of ...p_admit_floor
+  config.admission.aequitas.alpha = 0.05;
+  config.admission.aequitas.p_admit_floor = 0.2;
   runner::Experiment experiment(config);
   ASSERT_NE(experiment.aequitas(0), nullptr);
-  // The floor folds through: MD can never push p_admit below 0.2.
+  // MD can never push p_admit below the configured floor.
   for (int i = 0; i < 500; ++i) {
     experiment.admission(0).on_completion(0.0, 0, 1, net::kQoSHigh,
                                           net::kQoSHigh, 1.0, 8);
@@ -117,52 +116,10 @@ TEST(AdmissionSpecAlias, DisabledAequitasBecomesAlwaysAdmit) {
   config.num_hosts = 2;
   config.num_qos = 3;
   config.slo = make_slo();
-  config.enable_aequitas = false;
+  config.admission.kind = policy::kAlwaysAdmit;
   runner::Experiment experiment(config);
   EXPECT_EQ(experiment.aequitas(0), nullptr);
   EXPECT_EQ(experiment.config().admission.kind, policy::kAlwaysAdmit);
-}
-
-TEST(AdmissionSpecAliasDeathTest, DisabledFlagConflictsWithExplicitKind) {
-  runner::ExperimentConfig config;
-  config.num_hosts = 2;
-  config.num_qos = 3;
-  config.slo = make_slo();
-  config.enable_aequitas = false;
-  config.admission.kind = policy::kTicketPool;
-  EXPECT_DEATH(runner::Experiment experiment(config), "enable_aequitas");
-}
-
-TEST(AdmissionSpecAliasDeathTest, LegacyAlphaConflictsWithSpecAlpha) {
-  runner::ExperimentConfig config;
-  config.num_hosts = 2;
-  config.num_qos = 3;
-  config.slo = make_slo();
-  config.alpha = 0.05;
-  config.admission.aequitas.alpha = 0.07;
-  EXPECT_DEATH(runner::Experiment experiment(config), "alpha");
-}
-
-TEST(AdmissionSpecAliasDeathTest, LegacyKnobRequiresAequitasKind) {
-  runner::ExperimentConfig config;
-  config.num_hosts = 2;
-  config.num_qos = 3;
-  config.slo = make_slo();
-  config.alpha = 0.05;
-  config.admission.kind = policy::kTicketPool;
-  EXPECT_DEATH(runner::Experiment experiment(config), "legacy Aequitas knob");
-}
-
-TEST(AdmissionSpecAliasDeathTest, LegacyFactoryConflictsWithExplicitKind) {
-  runner::ExperimentConfig config;
-  config.num_hosts = 2;
-  config.num_qos = 3;
-  config.slo = make_slo();
-  config.admission_factory = [](sim::Simulator&, net::HostId, sim::Rng) {
-    return std::make_unique<rpc::AlwaysAdmit>();
-  };
-  config.admission.kind = policy::kBandit;
-  EXPECT_DEATH(runner::Experiment experiment(config), "admission_factory");
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +164,7 @@ TEST(DropContract, DroppedRpcsGenerateNoCompletionFeedback) {
   config.num_qos = 3;
   config.slo = make_slo();
   DropAllSloClasses* probe = nullptr;
-  config.admission_factory = [&probe, slo = config.slo](
+  config.admission.factory = [&probe, slo = config.slo](
                                  sim::Simulator&, net::HostId host,
                                  sim::Rng) {
     auto controller = std::make_unique<DropAllSloClasses>(slo);

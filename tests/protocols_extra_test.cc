@@ -6,30 +6,47 @@
 #include <memory>
 #include <vector>
 
-#include "runner/protocol_experiment.h"
+#include "protocols/deadline_fabric.h"
+#include "runner/experiment.h"
 
 namespace aeq::protocols {
 namespace {
 
-using runner::BaselineProtocol;
-using runner::ProtocolExperiment;
-using runner::ProtocolExperimentConfig;
+using CcKind = runner::ExperimentConfig::CcKind;
 
-ProtocolExperimentConfig base_config(BaselineProtocol protocol,
-                                     std::size_t hosts = 3) {
-  ProtocolExperimentConfig config;
-  config.protocol = protocol;
+// A baseline transport on the queue discipline it assumes (as Figure 22
+// runs it), with no admission control.
+runner::ExperimentConfig base_config(CcKind kind, std::size_t hosts = 3) {
+  runner::ExperimentConfig config;
+  config.cc_kind = kind;
   config.num_hosts = hosts;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
+  config.admission.kind = policy::kAlwaysAdmit;
+  switch (kind) {
+    case CcKind::kPfabric:
+      config.scheduler = net::SchedulerType::kPfabric;
+      config.buffer_bytes = 160 * 1024;  // ~2.5 BDP
+      break;
+    case CcKind::kQjump:
+      config.scheduler = net::SchedulerType::kSpq;
+      break;
+    case CcKind::kHoma:
+      config.scheduler = net::SchedulerType::kSpq;
+      config.wfq_weights.assign(8, 1.0);  // one class per Homa level
+      break;
+    default:
+      config.scheduler = net::SchedulerType::kFifo;
+      break;
+  }
   return config;
 }
 
 TEST(QjumpExtraTest, TopLevelIsolatedFromScavengerBlast) {
-  auto config = base_config(BaselineProtocol::kQjump);
+  auto config = base_config(CcKind::kQjump);
   config.qjump_level_rate_fraction = {0.10, 0.30, 0.0};
-  ProtocolExperiment experiment(config);
+  runner::Experiment experiment(config);
   // Host 1 dumps a huge BE message; host 0's small PC message must still
   // finish promptly (SPQ + its own rate budget).
   experiment.stack(1).issue(2, rpc::Priority::kBE, 16 * sim::kMiB);
@@ -48,7 +65,7 @@ TEST(QjumpExtraTest, TopLevelIsolatedFromScavengerBlast) {
 }
 
 TEST(HomaExtraTest, ShorterMessagesFinishFirstUnderSharedBottleneck) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kHoma, 5));
+  runner::Experiment experiment(base_config(CcKind::kHoma, 5));
   std::vector<std::pair<std::uint64_t, sim::Time>> completions;
   for (net::HostId src = 0; src < 4; ++src) {
     experiment.stack(src).set_completion_listener(
@@ -72,7 +89,7 @@ TEST(HomaExtraTest, ShorterMessagesFinishFirstUnderSharedBottleneck) {
 }
 
 TEST(PfabricExtraTest, ManySendersAllComplete) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPfabric, 9));
+  runner::Experiment experiment(base_config(CcKind::kPfabric, 9));
   int done = 0;
   for (net::HostId src = 0; src < 8; ++src) {
     experiment.stack(src).set_completion_listener(
@@ -127,8 +144,8 @@ TEST(DeadlineFabricExtraTest, UpdateRemainingShrinksDemand) {
 }
 
 TEST(QjumpExtraTest, RecoversFromDropsWithTinyBuffers) {
-  auto config = base_config(BaselineProtocol::kQjump);
-  ProtocolExperiment experiment(config);
+  auto config = base_config(CcKind::kQjump);
+  runner::Experiment experiment(config);
   // Shrink the victim downlink's effective buffer by blasting two
   // unthrottled BE streams; reliability must still complete everything.
   int done = 0;
@@ -142,9 +159,8 @@ TEST(QjumpExtraTest, RecoversFromDropsWithTinyBuffers) {
 }
 
 TEST(HomaExtraTest, UnscheduledOnlyMessageNeedsNoGrants) {
-  auto config = base_config(BaselineProtocol::kHoma);
-  config.homa.rtt_bytes = 64 * 1024;
-  ProtocolExperiment experiment(config);
+  auto config = base_config(CcKind::kHoma);
+  runner::Experiment experiment(config);
   sim::Time rnl = 0.0;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { rnl = r.rnl; });

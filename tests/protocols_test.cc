@@ -1,33 +1,55 @@
 // Tests for the baseline protocol stacks: pFabric SRPT behaviour, QJump
-// host rate limiting, Homa grants and priorities, and the D3/PDQ deadline
-// fabric (allocation, pausing, termination).
+// host rate limiting, Homa grants and priorities, the D3/PDQ deadline
+// fabric (allocation, pausing, termination), and the properties every
+// baseline keeps inside runner::Experiment (audit-clean, deterministic,
+// backend- and telemetry-invariant, invalid configs rejected).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
-#include "runner/protocol_experiment.h"
+#include "protocols/deadline_fabric.h"
+#include "runner/experiment.h"
 
 namespace aeq::protocols {
 namespace {
 
-using runner::BaselineProtocol;
-using runner::ProtocolExperiment;
-using runner::ProtocolExperimentConfig;
+using CcKind = runner::ExperimentConfig::CcKind;
 
-ProtocolExperimentConfig base_config(BaselineProtocol protocol,
-                                     std::size_t hosts = 3) {
-  ProtocolExperimentConfig config;
-  config.protocol = protocol;
+// A baseline transport on the queue discipline it assumes (as Figure 22
+// runs it), with no admission control.
+runner::ExperimentConfig base_config(CcKind kind, std::size_t hosts = 3) {
+  runner::ExperimentConfig config;
+  config.cc_kind = kind;
   config.num_hosts = hosts;
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
+  config.admission.kind = policy::kAlwaysAdmit;
+  switch (kind) {
+    case CcKind::kPfabric:
+      config.scheduler = net::SchedulerType::kPfabric;
+      config.buffer_bytes = 160 * 1024;  // ~2.5 BDP
+      break;
+    case CcKind::kQjump:
+      config.scheduler = net::SchedulerType::kSpq;
+      break;
+    case CcKind::kHoma:
+      config.scheduler = net::SchedulerType::kSpq;
+      config.wfq_weights.assign(8, 1.0);  // one class per Homa level
+      break;
+    default:
+      config.scheduler = net::SchedulerType::kFifo;
+      break;
+  }
   return config;
 }
 
 TEST(PfabricTest, SingleMessageCompletes) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPfabric));
+  runner::Experiment experiment(base_config(CcKind::kPfabric));
   rpc::RpcRecord done;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done = r; });
@@ -42,7 +64,7 @@ TEST(PfabricTest, SingleMessageCompletes) {
 TEST(PfabricTest, SmallMessageBeatsLargeUnderContention) {
   // Start a huge transfer, then a small one on the same bottleneck: SRPT
   // should let the small message finish almost as if the link were idle.
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPfabric));
+  runner::Experiment experiment(base_config(CcKind::kPfabric));
   sim::Time small_rnl = 0.0;
   experiment.stack(0).issue(2, rpc::Priority::kBE, 8 * sim::kMiB);
   experiment.stack(1).set_completion_listener(
@@ -56,9 +78,9 @@ TEST(PfabricTest, SmallMessageBeatsLargeUnderContention) {
 }
 
 TEST(PfabricTest, SurvivesTinyBufferDrops) {
-  auto config = base_config(BaselineProtocol::kPfabric);
-  config.pfabric_buffer_bytes = 32 * 1024;  // 8 packets
-  ProtocolExperiment experiment(config);
+  auto config = base_config(CcKind::kPfabric);
+  config.buffer_bytes = 32 * 1024;  // 8 packets
+  runner::Experiment experiment(config);
   int done = 0;
   for (net::HostId src : {0, 1}) {
     experiment.stack(src).set_completion_listener(
@@ -76,9 +98,9 @@ TEST(PfabricTest, SurvivesTinyBufferDrops) {
 }
 
 TEST(QjumpTest, HighLevelRateLimited) {
-  auto config = base_config(BaselineProtocol::kQjump);
+  auto config = base_config(CcKind::kQjump);
   config.qjump_level_rate_fraction = {0.05, 0.20, 0.0};
-  ProtocolExperiment experiment(config);
+  runner::Experiment experiment(config);
   sim::Time done_at = 0.0;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done_at = r.completed; });
@@ -89,7 +111,7 @@ TEST(QjumpTest, HighLevelRateLimited) {
 }
 
 TEST(QjumpTest, UnthrottledLowLevelRunsAtLineRate) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kQjump));
+  runner::Experiment experiment(base_config(CcKind::kQjump));
   sim::Time done_at = 0.0;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done_at = r.completed; });
@@ -100,7 +122,7 @@ TEST(QjumpTest, UnthrottledLowLevelRunsAtLineRate) {
 }
 
 TEST(HomaTest, MessageLargerThanRttBytesNeedsGrants) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kHoma));
+  runner::Experiment experiment(base_config(CcKind::kHoma));
   rpc::RpcRecord done;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done = r; });
@@ -111,7 +133,7 @@ TEST(HomaTest, MessageLargerThanRttBytesNeedsGrants) {
 }
 
 TEST(HomaTest, SmallMessagePreferredUnderContention) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kHoma));
+  runner::Experiment experiment(base_config(CcKind::kHoma));
   sim::Time small_rnl = 0.0;
   experiment.stack(0).issue(2, rpc::Priority::kBE, 4 * sim::kMiB);
   experiment.stack(1).set_completion_listener(
@@ -178,7 +200,7 @@ TEST(DeadlineFabricTest, PdqTerminatesFlowsThatCannotMakeIt) {
 }
 
 TEST(D3Test, EndToEndCompletesWithDeadline) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kD3));
+  runner::Experiment experiment(base_config(CcKind::kD3));
   rpc::RpcRecord done;
   experiment.stack(0).set_completion_listener(
       [&](const rpc::RpcRecord& r) { done = r; });
@@ -190,7 +212,7 @@ TEST(D3Test, EndToEndCompletesWithDeadline) {
 }
 
 TEST(D3Test, OverloadTerminatesSomeDeadlineFlows) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kD3, 5));
+  runner::Experiment experiment(base_config(CcKind::kD3, 5));
   int terminated = 0, completed = 0;
   for (net::HostId src = 0; src < 4; ++src) {
     experiment.stack(src).set_completion_listener(
@@ -208,7 +230,7 @@ TEST(D3Test, OverloadTerminatesSomeDeadlineFlows) {
 }
 
 TEST(PdqTest, EndToEndPreemptionStillCompletesAll) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPdq, 4));
+  runner::Experiment experiment(base_config(CcKind::kPdq, 4));
   int completed = 0, terminated = 0;
   for (net::HostId src = 0; src < 3; ++src) {
     experiment.stack(src).set_completion_listener(
@@ -224,16 +246,177 @@ TEST(PdqTest, EndToEndPreemptionStillCompletesAll) {
   EXPECT_EQ(terminated, 0);
 }
 
-TEST(ProtocolExperimentTest, GoodputUtilizationBounded) {
-  ProtocolExperiment experiment(base_config(BaselineProtocol::kPfabric));
+TEST(BaselineExperimentTest, GoodputUtilizationBounded) {
+  runner::Experiment experiment(base_config(CcKind::kPfabric));
   const auto* sizes = experiment.own(
       std::make_unique<workload::FixedSize>(32 * sim::kKiB));
   workload::GeneratorConfig gen;
   gen.classes = {{rpc::Priority::kPC, 0.3 * sim::gbps(100), sizes, 0.0}};
   experiment.add_generator(0, gen, workload::fixed_destination(2));
   experiment.run(1 * sim::kMsec, 5 * sim::kMsec);
-  EXPECT_GT(experiment.goodput_utilization(), 0.9);
-  EXPECT_LE(experiment.goodput_utilization(), 1.0);
+  // Offered vs delivered payload bytes over the measured window.
+  std::uint64_t offered = 0;
+  std::uint64_t delivered = 0;
+  for (net::QoSLevel q = 0; q < 3; ++q) {
+    offered += experiment.metrics().bytes_requested(q);
+    delivered += experiment.metrics().bytes_completed(q);
+  }
+  ASSERT_GT(offered, 0u);
+  const double goodput =
+      static_cast<double>(delivered) / static_cast<double>(offered);
+  EXPECT_GT(goodput, 0.9);
+  EXPECT_LE(goodput, 1.0);
+}
+
+// --- Baseline properties: every baseline kind on both backends -------------
+
+struct BaselineRun {
+  std::uint64_t completed = 0;
+  std::uint64_t terminated = 0;
+  std::uint64_t bytes = 0;
+  std::vector<double> p999;
+  std::uint64_t digest = 0;
+  std::uint64_t audit_evaluations = 0;
+};
+
+// A small all-to-all star, audited throughout; `telemetry` attaches a
+// Chrome trace plus a windowed timeseries.
+BaselineRun run_baseline(CcKind kind, sim::SchedulerBackend backend,
+                         bool telemetry) {
+  runner::ExperimentConfig config = base_config(kind, 4);
+  config.scheduler_backend = backend;
+  config.audit = true;
+  config.audit_interval = 20 * sim::kUsec;
+  config.schedule_digest = sim::kDigestBuildEnabled;
+  config.seed = 11;
+  // One path per case: ctest runs the cases as concurrent processes.
+  const std::string base =
+      ::testing::TempDir() + "baseline_props_" +
+      std::to_string(static_cast<int>(kind)) + "_" +
+      std::to_string(static_cast<int>(backend));
+  if (telemetry) {
+    config.telemetry.trace = base + ".json";
+    config.telemetry.timeseries_csv = base + ".csv";
+  }
+  runner::Experiment experiment(config);
+  // Sizes straddle Homa's unscheduled cutoffs and RTTbytes, so its
+  // packets use priority levels above the 3-class RPC QoS space too.
+  auto fixed = [&experiment](std::uint64_t bytes) {
+    return experiment.own(std::make_unique<workload::FixedSize>(bytes));
+  };
+  workload::GeneratorConfig gen;
+  gen.classes = {{rpc::Priority::kPC, 0.25 * sim::gbps(100),
+                  fixed(8 * sim::kKiB), 200 * sim::kUsec},
+                 {rpc::Priority::kNC, 0.25 * sim::gbps(100),
+                  fixed(96 * sim::kKiB), 400 * sim::kUsec},
+                 {rpc::Priority::kBE, 0.25 * sim::gbps(100),
+                  fixed(512 * sim::kKiB), 0.0}};
+  for (net::HostId h = 0; h < 4; ++h) experiment.add_generator(h, gen);
+  experiment.run(0.1 * sim::kMsec, 0.4 * sim::kMsec, 1 * sim::kMsec);
+
+  BaselineRun run;
+  const auto& metrics = experiment.metrics();
+  run.completed = metrics.total_completed();
+  for (net::QoSLevel q = 0; q < 3; ++q) {
+    run.terminated += metrics.terminated(q);
+    run.bytes += metrics.bytes_completed(q);
+    run.p999.push_back(metrics.rnl_by_run_qos(q).p999());
+  }
+  if (sim::kDigestBuildEnabled) {
+    run.digest = experiment.schedule_digest().canonical();
+  }
+  run.audit_evaluations = experiment.auditor()->report().total_evaluations;
+  if (telemetry) {
+    std::remove((base + ".json").c_str());
+    std::remove((base + ".csv").c_str());
+  }
+  return run;
+}
+
+void expect_same_metrics(const BaselineRun& a, const BaselineRun& b) {
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.terminated, b.terminated);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.p999, b.p999);  // bitwise, not near
+}
+
+class BaselinePropertyTest
+    : public ::testing::TestWithParam<
+          std::tuple<CcKind, sim::SchedulerBackend>> {
+ protected:
+  CcKind kind() const { return std::get<0>(GetParam()); }
+  sim::SchedulerBackend backend() const { return std::get<1>(GetParam()); }
+};
+
+TEST_P(BaselinePropertyTest, RunIsAuditClean) {
+  // Any violated invariant aborts the run; reaching the end is the pass.
+  const BaselineRun run = run_baseline(kind(), backend(), false);
+  EXPECT_GT(run.completed, 20u) << "workload too light to mean anything";
+  EXPECT_GT(run.audit_evaluations, 0u);
+}
+
+TEST_P(BaselinePropertyTest, SameSeedSameMetricsAndDigest) {
+  const BaselineRun a = run_baseline(kind(), backend(), false);
+  const BaselineRun b = run_baseline(kind(), backend(), false);
+  expect_same_metrics(a, b);
+  EXPECT_EQ(a.digest, b.digest);
+}
+
+TEST_P(BaselinePropertyTest, BackendsAgreeOnCanonicalDigest) {
+  const sim::SchedulerBackend other =
+      backend() == sim::SchedulerBackend::kHeap
+          ? sim::SchedulerBackend::kCalendar
+          : sim::SchedulerBackend::kHeap;
+  const BaselineRun a = run_baseline(kind(), backend(), false);
+  const BaselineRun b = run_baseline(kind(), other, false);
+  expect_same_metrics(a, b);
+  EXPECT_EQ(a.digest, b.digest);
+}
+
+TEST_P(BaselinePropertyTest, TelemetryDoesNotPerturbMetrics) {
+  expect_same_metrics(run_baseline(kind(), backend(), false),
+                      run_baseline(kind(), backend(), true));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBaselines, BaselinePropertyTest,
+    ::testing::Combine(::testing::Values(CcKind::kPfabric, CcKind::kQjump,
+                                         CcKind::kD3, CcKind::kPdq,
+                                         CcKind::kHoma),
+                       ::testing::Values(sim::SchedulerBackend::kHeap,
+                                         sim::SchedulerBackend::kCalendar)),
+    [](const ::testing::TestParamInfo<BaselinePropertyTest::ParamType>&
+           param_info) {
+      const sim::SchedulerBackend backend = std::get<1>(param_info.param);
+      std::string name;
+      switch (std::get<0>(param_info.param)) {
+        case CcKind::kPfabric: name = "pFabric"; break;
+        case CcKind::kQjump: name = "QJump"; break;
+        case CcKind::kD3: name = "D3"; break;
+        case CcKind::kPdq: name = "PDQ"; break;
+        default: name = "Homa"; break;
+      }
+      return name + (backend == sim::SchedulerBackend::kHeap ? "_heap"
+                                                             : "_calendar");
+    });
+
+// --- Unsupported baseline configurations fail at construction --------------
+
+TEST(BaselineConfigDeathTest, ShardedBaselineDies) {
+  runner::ExperimentConfig config = base_config(CcKind::kQjump, 4);
+  config.shards = 2;
+  EXPECT_DEATH(runner::Experiment experiment(config), "shards");
+}
+
+TEST(BaselineConfigDeathTest, HomaOnTooFewQueueClassesDies) {
+  runner::ExperimentConfig config = base_config(CcKind::kHoma);
+  config.wfq_weights = {1.0, 1.0, 1.0};
+  EXPECT_DEATH(runner::Experiment experiment(config), "wfq_weights");
+}
+
+TEST(BaselineConfigDeathTest, HostStackOnBaselineDies) {
+  runner::Experiment experiment(base_config(CcKind::kPdq));
+  EXPECT_DEATH(experiment.host_stack(0), "host_stack");
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ TEST(RpcStackTest, EndToEndIssueCompletesAndNotifiesListener) {
   runner::ExperimentConfig config;
   config.num_hosts = 3;
   config.num_qos = 3;
-  config.enable_aequitas = false;
+  config.admission.kind = policy::kAlwaysAdmit;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
   runner::Experiment experiment(config);
@@ -163,8 +163,7 @@ TEST(RpcStackTest, DowngradeVisibleToApplication) {
   runner::ExperimentConfig config;
   config.num_hosts = 3;
   config.num_qos = 3;
-  config.enable_aequitas = true;
-  config.p_admit_floor = 0.0;
+  config.admission.aequitas.p_admit_floor = 0.0;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
   runner::Experiment experiment(config);

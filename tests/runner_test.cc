@@ -7,7 +7,6 @@
 
 #include "net/wfq.h"
 #include "runner/experiment.h"
-#include "runner/protocol_experiment.h"
 
 namespace aeq {
 namespace {
@@ -17,7 +16,7 @@ runner::ExperimentConfig small_config() {
   config.num_hosts = 3;
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
-  config.enable_aequitas = false;
+  config.admission.kind = policy::kAlwaysAdmit;
   config.slo = rpc::SloConfig::make({15.0 / 8 * sim::kUsec, 0.0}, 99.9);
   return config;
 }
@@ -80,18 +79,6 @@ TEST(ExperimentTest, UniformPickerNeverSelectsSelf) {
     EXPECT_GE(dst, 0);
     EXPECT_LT(dst, 5);
   }
-}
-
-TEST(ProtocolExperimentTest, BaselineNamesStable) {
-  EXPECT_STREQ(runner::baseline_name(runner::BaselineProtocol::kPfabric),
-               "pFabric");
-  EXPECT_STREQ(runner::baseline_name(runner::BaselineProtocol::kQjump),
-               "QJump");
-  EXPECT_STREQ(runner::baseline_name(runner::BaselineProtocol::kHoma),
-               "Homa");
-  EXPECT_STREQ(runner::baseline_name(runner::BaselineProtocol::kD3), "D3");
-  EXPECT_STREQ(runner::baseline_name(runner::BaselineProtocol::kPdq),
-               "PDQ");
 }
 
 using ContractDeathTest = ::testing::Test;

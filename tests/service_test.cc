@@ -20,7 +20,7 @@ struct ServiceHarness {
     runner::ExperimentConfig c;
     c.num_hosts = 3;
     c.num_qos = 3;
-    c.enable_aequitas = aequitas;
+    c.admission.kind = aequitas ? policy::kAequitas : policy::kAlwaysAdmit;
     c.slo = SloConfig::make({15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
     return c;
   }

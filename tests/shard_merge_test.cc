@@ -53,7 +53,6 @@ TEST(ShardMergeTest, PortTracksStayDistinctAcrossShards) {
   config.scheduler_backend = sim::SchedulerBackend::kCalendar;
   config.num_hosts = 8;
   config.num_qos = 3;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = kShards;
@@ -62,8 +61,8 @@ TEST(ShardMergeTest, PortTracksStayDistinctAcrossShards) {
 
   const std::string trace_path =
       ::testing::TempDir() + "shard_merge_trace.json";
+  config.telemetry.trace = trace_path;
   runner::Experiment experiment(config);
-  experiment.trace_to(trace_path, "");
   const auto* sizes = experiment.own(
       std::make_unique<workload::FixedSize>(16 * sim::kKiB));
   for (std::size_t h = 0; h < config.num_hosts; ++h) {
@@ -112,7 +111,6 @@ TEST(ShardMergeTest, MergedTraceUsesSingleSinkFramingAndRemovesInputs) {
   config.scheduler_backend = sim::SchedulerBackend::kCalendar;
   config.num_hosts = 4;
   config.num_qos = 3;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = kShards;
@@ -121,8 +119,8 @@ TEST(ShardMergeTest, MergedTraceUsesSingleSinkFramingAndRemovesInputs) {
 
   const std::string trace_path =
       ::testing::TempDir() + "shard_merge_framing.json";
+  config.telemetry.trace = trace_path;
   runner::Experiment experiment(config);
-  experiment.trace_to(trace_path, "");
   const auto* sizes = experiment.own(
       std::make_unique<workload::FixedSize>(16 * sim::kKiB));
   workload::GeneratorConfig gen;

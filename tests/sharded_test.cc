@@ -190,7 +190,6 @@ runner::ExperimentConfig sharded_config(std::size_t shards,
   config.scheduler_backend = backend;
   config.num_hosts = 8;
   config.num_qos = 3;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = shards;

@@ -169,7 +169,6 @@ TEST(SweepRunnerTest, MatchesDirectSerialExperiment) {
     config.num_hosts = 3;
     config.num_qos = 2;
     config.wfq_weights = {4.0, 1.0};
-    config.enable_aequitas = true;
     config.seed = seed;
     config.slo = rpc::SloConfig::make({15.0 / 8 * sim::kUsec, 0.0}, 99.9);
     Experiment experiment(config);

@@ -566,7 +566,6 @@ runner::ExperimentConfig wired_config(sim::SchedulerBackend backend) {
   config.wfq_weights = {4.0, 1.0};
   config.scheduler = net::SchedulerType::kWfq;
   config.scheduler_backend = backend;
-  config.enable_aequitas = true;
   config.buffer_bytes = 256 * 1024;
   config.slo = rpc::SloConfig::make({15.0 / 8 * sim::kUsec, 0.0}, 99.9);
   config.audit = false;

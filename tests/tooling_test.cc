@@ -121,7 +121,7 @@ TEST(TraceTest, ReplayIssuesThroughStacks) {
   runner::ExperimentConfig config;
   config.num_hosts = 3;
   config.num_qos = 3;
-  config.enable_aequitas = false;
+  config.admission.kind = policy::kAlwaysAdmit;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
   runner::Experiment experiment(config);
@@ -221,7 +221,6 @@ TEST(EcnTest, DctcpExperimentRunsEndToEnd) {
   config.num_qos = 2;
   config.wfq_weights = {4.0, 1.0};
   config.cc_kind = runner::ExperimentConfig::CcKind::kDctcp;
-  config.enable_aequitas = true;
   config.slo = rpc::SloConfig::make({25.0 / 8 * sim::kUsec, 0.0}, 99.9);
   runner::Experiment experiment(config);
   const auto* sizes = experiment.own(

@@ -128,7 +128,7 @@ TEST(GeneratorTest, OfferedLoadAndMixMatchConfig) {
   runner::ExperimentConfig config;
   config.num_hosts = 3;
   config.num_qos = 3;
-  config.enable_aequitas = false;
+  config.admission.kind = policy::kAlwaysAdmit;
   config.slo = rpc::SloConfig::make(
       {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
   runner::Experiment experiment(config);
