@@ -11,7 +11,6 @@
 #include "net/wfq.h"
 #include "rpc/admission.h"
 #include "sim/simulator.h"
-#include "topo/network.h"
 #include "transport/flow.h"
 #include "transport/host_stack.h"
 
@@ -185,24 +184,6 @@ void register_transport_checks(Auditor& auditor, std::string component,
     stack.for_each_flow(
         [](const transport::Flow& flow) { flow.audit_invariants(); });
   });
-}
-
-void register_network_checks(Auditor& auditor, const topo::Network& network,
-                             const sim::Simulator& sim) {
-  for (std::size_t h = 0; h < network.num_hosts(); ++h) {
-    const auto id = static_cast<net::HostId>(h);
-    register_port_checks(auditor, "host" + std::to_string(h) + "-nic",
-                         network.host(id).egress(), sim);
-  }
-  for (std::size_t s = 0; s < network.num_switches(); ++s) {
-    register_switch_checks(auditor, network.fabric_switch(s).name(),
-                           network.fabric_switch(s), sim);
-  }
-  std::size_t pool_index = 0;
-  for (const topo::Network::PoolGroup& group : network.pool_groups()) {
-    register_pool_checks(auditor, "pool" + std::to_string(pool_index++),
-                         *group.pool, group.members);
-  }
 }
 
 }  // namespace aeq::audit

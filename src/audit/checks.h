@@ -87,9 +87,6 @@ class AdmissionController;
 namespace aeq::sim {
 class Simulator;
 }  // namespace aeq::sim
-namespace aeq::topo {
-class Network;
-}  // namespace aeq::topo
 namespace aeq::transport {
 class HostStack;
 }  // namespace aeq::transport
@@ -142,10 +139,5 @@ void register_quota_checks(Auditor& auditor, std::string component,
 // host's transport stack.
 void register_transport_checks(Auditor& auditor, std::string component,
                                const transport::HostStack& stack);
-
-// Whole-topology sweep: host NIC ports, switches (all egress ports), and
-// shared-buffer pool groups. This is what the experiment harness installs.
-void register_network_checks(Auditor& auditor, const topo::Network& network,
-                             const sim::Simulator& sim);
 
 }  // namespace aeq::audit

@@ -9,7 +9,7 @@
 // Sinks implement the `Sink` interface below; all handlers default to no-ops
 // so a sink overrides only the events it cares about. Sinks may be owned by
 // the recorder (own_sink) or borrowed (add_sink) when the caller wants to
-// inspect the sink afterwards (e.g. CounterSink::to_table()).
+// inspect the sink afterwards.
 //
 // Ports are registered up front (register_port) so packet events carry a
 // dense uint32 id instead of a string; registration order is the experiment

@@ -1,8 +1,8 @@
 // TimeseriesSink: fixed-width sim-time windows over the event stream.
 //
 // The middle layer between raw per-event sinks (ChromeTraceSink/CsvSink,
-// gigabytes at production scale) and whole-run totals (CounterSink): every
-// window of simulated time is folded into one bounded-size WindowStats
+// gigabytes at production scale) and whole-run totals (rpc::RpcMetrics):
+// every window of simulated time is folded into one bounded-size WindowStats
 // record — per-QoS RNL percentiles from a fixed-memory log-bucketed
 // histogram (no per-RPC storage), SLO-compliance rate, QoS-mix byte shares,
 // per-channel-averaged p_admit, admission downgrade/drop counts, and

@@ -59,25 +59,6 @@ Experiment::Experiment(const ExperimentConfig& config)
     ls.switch_queue = queue;
     network_ = topo::build_leaf_spine(sim_, ls);
     config_.num_hosts = network_.num_hosts();
-  } else if (config_.shards > 1) {
-    AEQ_CHECK_GE(config_.num_hosts, config_.shards);
-    topo::StarConfig star;
-    star.num_hosts = config_.num_hosts;
-    star.link_rate = config_.link_rate;
-    star.link_delay = config_.link_delay;
-    star.host_queue = queue;
-    star.switch_queue = queue;
-    const topo::ShardPlan plan = topo::make_shard_plan(star, config_.shards);
-    sharded_ = std::make_unique<sim::ShardedSimulator>(
-        config_.shards, config_.scheduler_backend, plan.lookahead);
-    std::vector<sim::Simulator*> sims;
-    sims.reserve(config_.shards);
-    for (std::size_t k = 0; k < config_.shards; ++k) {
-      sims.push_back(&sharded_->shard(k));
-    }
-    fabric_ = std::make_unique<net::ShardFabric>(sims, plan.shard_of_host);
-    network_ = topo::build_sharded_star(sims, star, plan, *fabric_);
-    sharded_->set_barrier_callback([this] { fabric_->drain_all(); });
   } else {
     topo::StarConfig star;
     star.num_hosts = config_.num_hosts;
@@ -85,15 +66,27 @@ Experiment::Experiment(const ExperimentConfig& config)
     star.link_delay = config_.link_delay;
     star.host_queue = queue;
     star.switch_queue = queue;
-    network_ = topo::build_star(sim_, star);
+    if (config_.shards == 1) {
+      network_ = topo::build_star(sim_, star);
+    } else {
+      AEQ_CHECK_GE(config_.num_hosts, config_.shards);
+      const topo::ShardPlan plan = topo::make_shard_plan(star, config_.shards);
+      sharded_ = std::make_unique<sim::ShardedSimulator>(
+          config_.shards, config_.scheduler_backend, plan.lookahead);
+      std::vector<sim::Simulator*> sims;
+      sims.reserve(config_.shards);
+      for (std::size_t k = 0; k < config_.shards; ++k) {
+        sims.push_back(&sharded_->shard(k));
+      }
+      fabric_ = std::make_unique<net::ShardFabric>(sims, plan.shard_of_host);
+      network_ = topo::build_sharded_star(sims, star, plan, *fabric_);
+      sharded_->set_barrier_callback([this] { fabric_->drain_all(); });
+    }
   }
 
-  if (config_.schedule_digest) {
-    if (sharded_) {
-      sharded_->enable_schedule_digest();
-    } else {
-      sim_.enable_schedule_digest();
-    }
+  for (std::size_t k = 0; k < config_.shards; ++k) {
+    if (config_.schedule_digest) shard_sim(k).enable_schedule_digest();
+    shard_sim(k).reserve_events(config_.reserve_events);
   }
 
   if (config_.queue_reserve_packets != 0) {
@@ -110,13 +103,6 @@ Experiment::Experiment(const ExperimentConfig& config)
         sw.port(p).reserve_packets(config_.queue_reserve_packets);
       }
     }
-  }
-  if (sharded_) {
-    for (std::size_t k = 0; k < config_.shards; ++k) {
-      sharded_->shard(k).reserve_events(config_.reserve_events);
-    }
-  } else {
-    sim_.reserve_events(config_.reserve_events);
   }
 
   metrics_ = std::make_unique<rpc::RpcMetrics>(config_.num_qos, config_.slo,
@@ -168,12 +154,8 @@ Experiment::Experiment(const ExperimentConfig& config)
         host_metrics(id), stack_config));
   }
 
-  if (config_.audit) {
-    sharded_ ? register_shard_audit_checks() : register_audit_checks();
-  }
-  if (config_.telemetry.any()) {
-    sharded_ ? wire_shard_telemetry() : wire_telemetry();
-  }
+  if (config_.audit) register_audit_checks();
+  if (config_.telemetry.any()) wire_telemetry();
 }
 
 Experiment::~Experiment() {
@@ -247,11 +229,10 @@ transport::HostStack& Experiment::host_stack(net::HostId id) {
 }
 
 void Experiment::enable_telemetry(const TelemetrySpec& spec) {
-  AEQ_ASSERT_MSG(recorder_ == nullptr && shard_recorders_.empty(),
-                 "telemetry is already enabled");
+  AEQ_ASSERT_MSG(recorders_.empty(), "telemetry is already enabled");
   if (!spec.any()) return;
   config_.telemetry = spec;
-  sharded_ ? wire_shard_telemetry() : wire_telemetry();
+  wire_telemetry();
 }
 
 void Experiment::enable_profiling(const std::string& path) {
@@ -459,18 +440,53 @@ void Experiment::failure_dump(void* self) {
   }
 }
 
+// One Recorder per shard (a serial run is the one-shard case), so emission
+// never synchronizes across workers. Ports are named "host<i>-nic" and
+// "<switch>-port<p>" and registered host NICs first, in global host order,
+// then each switch's egress ports. Recorder k numbers its ports from a
+// cumulative base (the ports owned by shards < k), so ids — and therefore
+// Chrome-trace pids — are globally unique and equal to the serial ids at
+// any shard count. Without the bases the merged trace folded same-index
+// ports from different shards into one track
+// (tests/shard_merge_test.cc::PortTracksStayDistinctAcrossShards). Above
+// one shard each recorder writes `<path>.shard<k>` and run() merges the
+// files into the final path in shard-id order (obs::merge_sharded_*).
 void Experiment::wire_telemetry() {
   const TelemetrySpec& spec = config_.telemetry;
-  recorder_ = std::make_unique<obs::Recorder>();
-  if (!spec.trace.empty()) {
-    recorder_->own_sink(std::make_unique<obs::ChromeTraceSink>(spec.trace));
+  const std::size_t shards = config_.shards;
+  AEQ_ASSERT_MSG(
+      shards == 1 || (!spec.windowed() && spec.flight_recorder.empty()),
+      "windowed telemetry (timeseries/watchdog/flight recorder) is not yet "
+      "supported with shards > 1; use --trace / --trace-csv");
+  std::vector<std::uint32_t> port_count(shards, 0);
+  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
+    ++port_count[shard_of(static_cast<net::HostId>(i))];
   }
-  if (!spec.trace_csv.empty()) {
-    recorder_->own_sink(std::make_unique<obs::CsvSink>(spec.trace_csv));
+  for (std::size_t s = 0; s < network_.num_switches(); ++s) {
+    port_count[switch_shard(s)] +=
+        static_cast<std::uint32_t>(network_.fabric_switch(s).num_ports());
   }
+  const auto shard_path = [shards](const std::string& path, std::size_t k) {
+    return shards == 1 ? path : obs::shard_trace_path(path, k);
+  };
+  std::uint32_t base = 0;
+  for (std::size_t k = 0; k < shards; ++k) {
+    recorders_.push_back(std::make_unique<obs::Recorder>(base));
+    base += port_count[k];
+    if (!spec.trace.empty()) {
+      recorders_[k]->own_sink(std::make_unique<obs::ChromeTraceSink>(
+          shard_path(spec.trace, k)));
+    }
+    if (!spec.trace_csv.empty()) {
+      recorders_[k]->own_sink(
+          std::make_unique<obs::CsvSink>(shard_path(spec.trace_csv, k)));
+    }
+  }
+  // The windowed components are serial-only (asserted above).
+  obs::Recorder& recorder = *recorders_[0];
   if (!spec.flight_recorder.empty()) {
     flight_ = static_cast<obs::FlightRecorder*>(
-        recorder_->own_sink(std::make_unique<obs::FlightRecorder>(
+        recorder.own_sink(std::make_unique<obs::FlightRecorder>(
             spec.flight_recorder_config)));
     // Arm the last-gasp hook: an assert/audit failure dumps the ring
     // before aborting.
@@ -487,7 +503,7 @@ void Experiment::wire_telemetry() {
     ts.csv_path = spec.timeseries_csv;
     ts.json_path = spec.timeseries_json;
     timeseries_ = static_cast<obs::TimeseriesSink*>(
-        recorder_->own_sink(std::make_unique<obs::TimeseriesSink>(ts)));
+        recorder.own_sink(std::make_unique<obs::TimeseriesSink>(ts)));
     // Every closed window also samples the admission controllers' gauges
     // (read-only, like the audit sweep), giving `--controller=` shoot-outs
     // a per-window gauge timeline next to the admission-plane columns.
@@ -514,157 +530,71 @@ void Experiment::wire_telemetry() {
     watchdog_->add_callback(
         [this](const obs::Anomaly& anomaly) { on_anomaly(anomaly); });
   }
-  // Stable port naming: host NICs first (in host order), then each fabric
-  // switch's egress ports. Names land in the trace as process labels.
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
+    const auto id = static_cast<net::HostId>(i);
+    obs::Recorder& host_recorder = *recorders_[shard_of(id)];
     const std::uint32_t pid =
-        recorder_->register_port("host" + std::to_string(i) + "-nic");
-    network_.host(static_cast<net::HostId>(i))
-        .egress()
-        .set_observer(recorder_.get(), pid);
+        host_recorder.register_port("host" + std::to_string(i) + "-nic");
+    network_.host(id).egress().set_observer(&host_recorder, pid);
+    if (config_.uses_host_stack()) host_stack(id).set_observer(&host_recorder);
+    stacks_[i]->set_observer(&host_recorder);
   }
   for (std::size_t s = 0; s < network_.num_switches(); ++s) {
     net::Switch& sw = network_.fabric_switch(s);
+    obs::Recorder& switch_recorder = *recorders_[switch_shard(s)];
     for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-      const std::uint32_t pid = recorder_->register_port(
+      const std::uint32_t pid = switch_recorder.register_port(
           sw.name() + "-port" + std::to_string(p));
-      sw.port(p).set_observer(recorder_.get(), pid);
-    }
-  }
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    if (config_.uses_host_stack()) {
-      host_stack(static_cast<net::HostId>(i)).set_observer(recorder_.get());
-    }
-    stacks_[i]->set_observer(recorder_.get());
-  }
-}
-
-// Sharded variant of wire_telemetry: one Recorder per shard so emission
-// never synchronizes across workers, each writing to `<path>.shard<k>`.
-// Port names match the serial naming scheme ("host<i>-nic",
-// "<switch>-port<p>") and registration order within a shard is global host
-// order, so per-shard files are deterministic; run() merges them into the
-// final path in shard-id order (obs::merge_sharded_*), giving stable bytes
-// for any rerun of the same seed and shard count.
-//
-// Port-id bases: each recorder numbers its ports from a cumulative base
-// (shard k's base = total ports owned by shards < k) so ids — and
-// therefore Chrome-trace pids — are globally unique. Without the bases
-// every shard numbered from 0 and the merged trace folded same-index
-// ports from different shards into one track
-// (tests/shard_merge_test.cc::PortTracksStayDistinctAcrossShards).
-void Experiment::wire_shard_telemetry() {
-  const TelemetrySpec& spec = config_.telemetry;
-  AEQ_ASSERT_MSG(!spec.windowed() && spec.flight_recorder.empty(),
-                 "windowed telemetry (timeseries/watchdog/flight recorder) "
-                 "is not yet supported with shards > 1; use --trace / "
-                 "--trace-csv");
-  std::vector<std::uint32_t> port_count(config_.shards, 0);
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    ++port_count[fabric_->shard_of(static_cast<net::HostId>(i))];
-  }
-  for (std::size_t s = 0; s < network_.num_switches(); ++s) {
-    port_count[s] += static_cast<std::uint32_t>(
-        network_.fabric_switch(s).num_ports());
-  }
-  shard_recorders_.resize(config_.shards);
-  std::uint32_t base = 0;
-  for (std::size_t k = 0; k < config_.shards; ++k) {
-    shard_recorders_[k] = std::make_unique<obs::Recorder>(base);
-    base += port_count[k];
-    if (!spec.trace.empty()) {
-      shard_recorders_[k]->own_sink(std::make_unique<obs::ChromeTraceSink>(
-          obs::shard_trace_path(spec.trace, k)));
-    }
-    if (!spec.trace_csv.empty()) {
-      shard_recorders_[k]->own_sink(std::make_unique<obs::CsvSink>(
-          obs::shard_trace_path(spec.trace_csv, k)));
-    }
-  }
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    const auto id = static_cast<net::HostId>(i);
-    obs::Recorder& recorder = *shard_recorders_[fabric_->shard_of(id)];
-    const std::uint32_t pid =
-        recorder.register_port("host" + std::to_string(i) + "-nic");
-    network_.host(id).egress().set_observer(&recorder, pid);
-    host_stack(id).set_observer(&recorder);
-    stacks_[i]->set_observer(&recorder);
-  }
-  for (std::size_t s = 0; s < network_.num_switches(); ++s) {
-    net::Switch& sw = network_.fabric_switch(s);
-    obs::Recorder& recorder = *shard_recorders_[s];
-    for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-      const std::uint32_t pid =
-          recorder.register_port(sw.name() + "-port" + std::to_string(p));
-      sw.port(p).set_observer(&recorder, pid);
+      sw.port(p).set_observer(&switch_recorder, pid);
     }
   }
 }
 
+// One auditor per shard (a serial run is the one-shard case), covering
+// exactly that shard's components: its simulator, its hosts' NIC ports,
+// transports and controllers, and its switch. Mid-run checks therefore
+// never read state another shard is mutating; each periodic sweep runs
+// inside its shard's own event stream. Checks stay read-only, so results
+// are identical with audit on.
 void Experiment::register_audit_checks() {
-  auditor_ = std::make_unique<audit::Auditor>();
-  audit::register_simulator_checks(*auditor_, sim_);
-  audit::register_network_checks(*auditor_, network_, sim_);
-  for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-    const auto id = static_cast<net::HostId>(i);
-    const std::string host = "host" + std::to_string(i);
-    if (config_.uses_host_stack()) {
-      audit::register_transport_checks(*auditor_, host + "-transport",
-                                       host_stack(id));
-    }
-    audit::register_admission_checks(*auditor_, host + "-admission",
-                                     *controllers_[i], sim_);
-  }
-}
-
-// Sharded variant: one auditor per shard, covering exactly that shard's
-// components (its hosts' NIC ports + transports + controllers, its switch,
-// its simulator). Mid-run checks therefore never read state another shard
-// is mutating; the periodic sweep runs inside each shard's own event
-// stream. Checks stay read-only, so results are identical with audit on.
-void Experiment::register_shard_audit_checks() {
-  shard_auditors_.resize(config_.shards);
   for (std::size_t k = 0; k < config_.shards; ++k) {
-    shard_auditors_[k] = std::make_unique<audit::Auditor>();
-    audit::register_simulator_checks(*shard_auditors_[k],
-                                     sharded_->shard(k));
+    auditors_.push_back(std::make_unique<audit::Auditor>());
+    audit::register_simulator_checks(*auditors_[k], shard_sim(k));
   }
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
     const auto id = static_cast<net::HostId>(i);
-    const std::size_t k = fabric_->shard_of(id);
-    audit::Auditor& auditor = *shard_auditors_[k];
+    const std::size_t k = shard_of(id);
+    audit::Auditor& auditor = *auditors_[k];
     const std::string host = "host" + std::to_string(i);
     audit::register_port_checks(auditor, host + "-nic",
-                                network_.host(id).egress(),
-                                sharded_->shard(k));
-    audit::register_transport_checks(auditor, host + "-transport",
-                                     host_stack(id));
+                                network_.host(id).egress(), shard_sim(k));
+    if (config_.uses_host_stack()) {
+      audit::register_transport_checks(auditor, host + "-transport",
+                                       host_stack(id));
+    }
     audit::register_admission_checks(auditor, host + "-admission",
-                                     *controllers_[i], sharded_->shard(k));
+                                     *controllers_[i], shard_sim(k));
   }
   for (std::size_t s = 0; s < network_.num_switches(); ++s) {
-    // build_sharded_star creates exactly one switch per shard, in order.
-    audit::register_switch_checks(*shard_auditors_[s],
+    const std::size_t k = switch_shard(s);
+    audit::register_switch_checks(*auditors_[k],
                                   network_.fabric_switch(s).name(),
-                                  network_.fabric_switch(s),
-                                  sharded_->shard(s));
+                                  network_.fabric_switch(s), shard_sim(k));
+  }
+  // Sharded stars reject shared buffers, so every pool group is serial.
+  std::size_t pool_index = 0;
+  for (const topo::Network::PoolGroup& group : network_.pool_groups()) {
+    audit::register_pool_checks(*auditors_[0],
+                                "pool" + std::to_string(pool_index++),
+                                *group.pool, group.members);
   }
 }
 
-void Experiment::schedule_audit(sim::Time at, sim::Time end) {
+void Experiment::schedule_audit(std::size_t k, sim::Time at, sim::Time end) {
   if (at > end) return;
-  sim_.schedule_at(at, [this, at, end] {
-    auditor_->run_all();
-    schedule_audit(at + config_.audit_interval, end);
-  });
-}
-
-void Experiment::schedule_shard_audit(std::size_t k, sim::Time at,
-                                      sim::Time end) {
-  if (at > end) return;
-  sharded_->shard(k).schedule_at(at, [this, k, at, end] {
-    shard_auditors_[k]->run_all();
-    schedule_shard_audit(k, at + config_.audit_interval, end);
+  shard_sim(k).schedule_at(at, [this, k, at, end] {
+    auditors_[k]->run_all();
+    schedule_audit(k, at + config_.audit_interval, end);
   });
 }
 
@@ -701,6 +631,9 @@ workload::TrafficGenerator& Experiment::add_generator(
 
 void Experiment::sample_every(sim::Time interval,
                               std::function<void(sim::Time)> fn) {
+  AEQ_ASSERT_MSG(!sharded_,
+                 "Experiment::sample_every needs ExperimentConfig::shards == "
+                 "1 (samplers read cross-shard state mid-run)");
   AEQ_ASSERT(interval > 0.0 && fn != nullptr);
   samplers_.push_back(Sampler{interval, std::move(fn)});
 }
@@ -720,9 +653,6 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
     shard_metrics->set_warmup(warmup);
   }
   if (sharded_) {
-    AEQ_ASSERT_MSG(samplers_.empty(),
-                   "sample_every is not supported with shards > 1 (samplers "
-                   "read cross-shard state mid-run)");
     // Per-shard metrics merge into metrics_ below; a second run() would
     // double-count the first run's samples.
     AEQ_ASSERT_MSG(!ran_, "a sharded experiment supports one run() call");
@@ -744,15 +674,10 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
   for (std::size_t s = 0; s < samplers_.size(); ++s) {
     schedule_sampler(s, start + samplers_[s].interval);
   }
-  if (auditor_ || !shard_auditors_.empty()) {
+  if (!auditors_.empty()) {
     AEQ_ASSERT(config_.audit_interval > 0.0);
-    if (sharded_) {
-      for (std::size_t k = 0; k < config_.shards; ++k) {
-        schedule_shard_audit(k, start + config_.audit_interval,
-                             run_end_ + drain);
-      }
-    } else {
-      schedule_audit(start + config_.audit_interval, run_end_ + drain);
+    for (std::size_t k = 0; k < auditors_.size(); ++k) {
+      schedule_audit(k, start + config_.audit_interval, run_end_ + drain);
     }
   }
   if (timeseries_ != nullptr) {
@@ -760,44 +685,38 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
     schedule_telemetry_tick(start + config_.telemetry.timeseries_width,
                             run_end_ + drain);
   }
+  const auto run_until = [this](sim::Time end) {
+    if (sharded_) {
+      sharded_->run_until(end);
+      if (prof_run_) prof_run_->epochs.push_back(sharded_->windows_executed());
+    } else {
+      sim_.run_until(end);
+    }
+  };
+  run_until(run_end_);
+  // Let in-flight RPCs finish so tail percentiles include them.
+  run_until(run_end_ + drain);
+  // One final sweep over the drained state (catches leaks that only show
+  // once queues empty, e.g. a pool reservation that never released).
+  for (auto& auditor : auditors_) auditor->run_all();
   if (sharded_) {
-    sharded_->run_until(run_end_);
-    if (prof_run_) prof_run_->epochs.push_back(sharded_->windows_executed());
-    // Let in-flight RPCs finish so tail percentiles include them.
-    sharded_->run_until(run_end_ + drain);
-    if (prof_run_) prof_run_->epochs.push_back(sharded_->windows_executed());
-    // Post-drain audit sweep per shard, then fold the per-shard metric
-    // sinks into the global one in shard-id order (sample-exact; see
-    // rpc::RpcMetrics::merge) and stitch the per-shard trace files.
-    for (auto& shard_auditor : shard_auditors_) shard_auditor->run_all();
     AEQ_ASSERT_MSG(fabric_->idle(),
                    "cross-shard mailboxes still hold packets after drain");
+    // Fold the per-shard metric sinks into the global one in shard-id
+    // order (sample-exact; see rpc::RpcMetrics::merge).
     for (auto& shard_metrics : shard_metrics_) {
       metrics_->merge(*shard_metrics);
     }
-    for (auto& shard_recorder : shard_recorders_) {
-      shard_recorder->flush(sharded_->now());
-    }
-    if (!shard_recorders_.empty()) {
-      if (!config_.telemetry.trace.empty()) {
-        obs::merge_sharded_chrome_traces(config_.telemetry.trace,
-                                         config_.shards);
-      }
-      if (!config_.telemetry.trace_csv.empty()) {
-        obs::merge_sharded_csv_traces(config_.telemetry.trace_csv,
-                                      config_.shards);
-      }
-    }
-    if (prof_run_) finish_profiling();
-    return;
   }
-  sim_.run_until(run_end_);
-  // Let in-flight RPCs finish so tail percentiles include them.
-  sim_.run_until(run_end_ + drain);
-  // One final sweep over the drained state (catches leaks that only show
-  // once queues empty, e.g. a pool reservation that never released).
-  if (auditor_) auditor_->run_all();
-  if (recorder_) recorder_->flush(sim_.now());
+  for (auto& recorder : recorders_) recorder->flush(now());
+  // Stitch the per-shard trace files into the final paths.
+  if (sharded_ && !config_.telemetry.trace.empty()) {
+    obs::merge_sharded_chrome_traces(config_.telemetry.trace, config_.shards);
+  }
+  if (sharded_ && !config_.telemetry.trace_csv.empty()) {
+    obs::merge_sharded_csv_traces(config_.telemetry.trace_csv,
+                                  config_.shards);
+  }
   if (prof_run_) finish_profiling();
 }
 

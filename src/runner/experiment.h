@@ -191,9 +191,14 @@ class Experiment {
   explicit Experiment(const ExperimentConfig& config);
   ~Experiment();
 
-  // The serial executive; only meaningful when config().shards == 1 (a
-  // sharded experiment runs on shard simulators instead — see sharded()).
-  sim::Simulator& simulator() { return sim_; }
+  // The serial executive; aborts when config().shards > 1 (a sharded
+  // experiment runs on shard simulators instead — see sharded()).
+  sim::Simulator& simulator() {
+    AEQ_ASSERT_MSG(!sharded_,
+                   "Experiment::simulator needs ExperimentConfig::shards == "
+                   "1; a sharded experiment runs on sharded()->shard(k)");
+    return sim_;
+  }
 
   // The parallel executive; null when config().shards == 1.
   sim::ShardedSimulator* sharded() { return sharded_.get(); }
@@ -244,20 +249,20 @@ class Experiment {
 
   const ExperimentConfig& config() const { return config_; }
 
-  // The invariant-audit registry; null when ExperimentConfig::audit is off.
-  // A sharded experiment audits per shard instead — see shard_auditor().
-  audit::Auditor* auditor() { return auditor_.get(); }
-
-  // Shard k's audit registry (sharded mode with audit on; null otherwise).
+  // Shard `shard`'s invariant-audit registry (a serial run has one shard).
   // Each shard audits exactly its own components so mid-run checks never
-  // read another shard's in-flight state.
-  audit::Auditor* shard_auditor(std::size_t k) {
-    return k < shard_auditors_.size() ? shard_auditors_[k].get() : nullptr;
+  // read another shard's in-flight state. Null when ExperimentConfig::audit
+  // is off or shard >= shards.
+  audit::Auditor* auditor(std::size_t shard = 0) {
+    return shard < auditors_.size() ? auditors_[shard].get() : nullptr;
   }
 
-  // The telemetry recorder; null unless some TelemetrySpec output is set.
-  // Extra sinks (e.g. obs::CounterSink) may be attached before run().
-  obs::Recorder* tracing() { return recorder_.get(); }
+  // Shard `shard`'s telemetry recorder; null unless some TelemetrySpec
+  // output is set, or when shard >= shards. Extra sinks may be attached
+  // before run().
+  obs::Recorder* tracing(std::size_t shard = 0) {
+    return shard < recorders_.size() ? recorders_[shard].get() : nullptr;
+  }
 
   // The windowed-telemetry components; null unless the spec enables them.
   obs::TimeseriesSink* timeseries() { return timeseries_; }
@@ -302,19 +307,26 @@ class Experiment {
       net::HostId id);
   void schedule_sampler(std::size_t index, sim::Time at);
   void register_audit_checks();
-  void register_shard_audit_checks();
-  void schedule_audit(sim::Time at, sim::Time end);
-  void schedule_shard_audit(std::size_t k, sim::Time at, sim::Time end);
-  void wire_shard_telemetry();
+  void schedule_audit(std::size_t k, sim::Time at, sim::Time end);
+  void wire_telemetry();
+  // Per-shard wiring; a serial run is shard 0 of one, on sim_ and metrics_.
+  sim::Simulator& shard_sim(std::size_t k) {
+    return sharded_ ? sharded_->shard(k) : sim_;
+  }
+  std::size_t shard_of(net::HostId id) const {
+    return fabric_ ? fabric_->shard_of(id) : 0;
+  }
+  // build_sharded_star makes exactly one switch per shard, in shard order;
+  // every switch of a serial run (star or leaf-spine) is on shard 0.
+  std::size_t switch_shard(std::size_t s) const { return sharded_ ? s : 0; }
   // The executive a given host's components schedule into.
   sim::Simulator& host_simulator(net::HostId id) {
-    return sharded_ ? sharded_->shard(fabric_->shard_of(id)) : sim_;
+    return shard_sim(shard_of(id));
   }
   rpc::RpcMetrics& host_metrics(net::HostId id) {
-    return sharded_ ? *shard_metrics_[fabric_->shard_of(id)] : *metrics_;
+    return sharded_ ? *shard_metrics_[shard_of(id)] : *metrics_;
   }
   void schedule_telemetry_tick(sim::Time at, sim::Time end);
-  void wire_telemetry();
   void start_profiling();
   void finish_profiling();
   std::vector<obs::WindowStats::GaugeStat> sample_admission_gauges() const;
@@ -332,14 +344,13 @@ class Experiment {
   std::unique_ptr<sim::ShardedSimulator> sharded_;
   std::unique_ptr<net::ShardFabric> fabric_;
   std::vector<std::unique_ptr<rpc::RpcMetrics>> shard_metrics_;
-  std::vector<std::unique_ptr<audit::Auditor>> shard_auditors_;
-  std::vector<std::unique_ptr<obs::Recorder>> shard_recorders_;
   bool ran_ = false;
   topo::Network network_;
-  std::unique_ptr<audit::Auditor> auditor_;
-  std::unique_ptr<obs::Recorder> recorder_;
-  obs::TimeseriesSink* timeseries_ = nullptr;  // owned by recorder_
-  obs::FlightRecorder* flight_ = nullptr;      // owned by recorder_
+  // One per shard when enabled (audit / any telemetry output); else empty.
+  std::vector<std::unique_ptr<audit::Auditor>> auditors_;
+  std::vector<std::unique_ptr<obs::Recorder>> recorders_;
+  obs::TimeseriesSink* timeseries_ = nullptr;  // owned by recorders_[0]
+  obs::FlightRecorder* flight_ = nullptr;      // owned by recorders_[0]
   std::unique_ptr<obs::Watchdog> watchdog_;
   std::ofstream watchdog_log_file_;
   std::ostream* watchdog_log_ = nullptr;

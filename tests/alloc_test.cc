@@ -90,6 +90,9 @@ std::vector<Tick> run_counted(sim::SchedulerBackend backend) {
   // arena mid-run; the hints move that growth to construction time.
   config.queue_reserve_packets = 4096;
   config.reserve_events = 1u << 15;
+  // This pins the event loop; the audit sweep is an opt-in diagnostic that
+  // allocates (and defaults on in -DAEQ_AUDIT builds).
+  config.audit = false;
   runner::Experiment experiment(config);
 
   const auto* sizes =

@@ -1,7 +1,7 @@
 // Tests for the unified observability layer (src/obs/): recorder fan-out
-// and port registration, sink aggregation, golden-file output of the Chrome
-// and CSV sinks, end-to-end reconciliation of trace counters against
-// RpcMetrics, and the property the whole design hangs on — running with
+// and port registration, golden-file output of the Chrome and CSV sinks,
+// end-to-end reconciliation of windowed trace totals against RpcMetrics,
+// and the property the whole design hangs on — running with
 // tracing enabled leaves every simulation result bit-identical.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obs/chrome_trace_sink.h"
-#include "obs/counter_sink.h"
 #include "obs/csv_sink.h"
 #include "obs/recorder.h"
 #include "runner/experiment.h"
@@ -209,49 +208,6 @@ TEST(RecorderTest, LateSinkReceivesPortReplay) {
   EXPECT_EQ(log.back(), "late:port2:tor-port1");
 }
 
-TEST(CounterSinkTest, AggregatesTheLifecycle) {
-  obs::CounterSink counters;
-  obs::Recorder recorder;
-  recorder.add_sink(&counters);
-  replay_lifecycle(recorder);
-
-  EXPECT_EQ(counters.rpcs_generated(), 1u);
-  EXPECT_EQ(counters.rpcs_completed(), 1u);
-  EXPECT_EQ(counters.rpcs_terminated(), 0u);
-  EXPECT_EQ(counters.admitted(), 0u);
-  EXPECT_EQ(counters.downgraded(), 1u);
-  EXPECT_EQ(counters.admission_dropped(), 0u);
-  EXPECT_EQ(counters.slo_met(), 0u);
-  EXPECT_EQ(counters.cwnd_updates(), 1u);
-  EXPECT_EQ(counters.packets_enqueued(1), 1u);
-  EXPECT_EQ(counters.packets_dequeued(1), 0u);
-  EXPECT_EQ(counters.packets_dropped(1), 1u);
-  EXPECT_EQ(counters.packets_enqueued(0), 0u);
-  EXPECT_EQ(counters.total_packets_dropped(), 1u);
-  EXPECT_DOUBLE_EQ(counters.mean_p_admit(), 0.75);
-  // The lifecycle's one RPC completed (1000 payload bytes) but missed its
-  // SLO; nothing was terminated.
-  EXPECT_EQ(counters.bytes_completed(), 1000u);
-  EXPECT_EQ(counters.bytes_terminated(), 0u);
-  EXPECT_DOUBLE_EQ(counters.slo_compliance(), 0.0);
-  EXPECT_DOUBLE_EQ(obs::CounterSink().slo_compliance(), 1.0);
-  // Rendering must not crash and must carry at least the scalar counters.
-  EXPECT_GE(counters.to_table().num_rows(), 8u);
-}
-
-TEST(CounterSinkTest, MeanPAdmitAveragesDecisionsAndDefaultsToOne) {
-  obs::CounterSink counters;
-  EXPECT_DOUBLE_EQ(counters.mean_p_admit(), 1.0);
-  obs::AdmissionDecision decision;
-  decision.p_admit = 0.5;
-  counters.on_admission(decision);
-  decision.p_admit = 1.0;
-  decision.downgraded = false;
-  counters.on_admission(decision);
-  EXPECT_DOUBLE_EQ(counters.mean_p_admit(), 0.75);
-  EXPECT_EQ(counters.admitted(), 2u);
-}
-
 // Golden-file test: the exact bytes the Chrome sink emits for the fixed
 // lifecycle. Deliberately brittle — the trace format is an interchange
 // format (chrome://tracing, Perfetto), so any change to it should be a
@@ -404,9 +360,9 @@ TEST(TracingIdentityTest, TracedRunIsBitIdenticalAcrossDisciplines) {
   }
 }
 
-// End-to-end reconciliation: counters observed through the recorder must
-// agree with what RpcMetrics accounted for the same run, and the emitted
-// Chrome JSON must be a closed document.
+// End-to-end reconciliation: totals observed through the recorder (summed
+// over the timeseries windows) must agree with what RpcMetrics accounted for
+// the same run, and the emitted Chrome JSON must be a closed document.
 TEST(TracingIdentityTest, TraceCountersReconcileWithMetrics) {
   const std::string path = ::testing::TempDir() + "obs_reconcile.json";
   auto config = traced_config(net::SchedulerType::kWfq,
@@ -414,62 +370,86 @@ TEST(TracingIdentityTest, TraceCountersReconcileWithMetrics) {
   runner::Experiment experiment(config);
   EXPECT_EQ(experiment.tracing(), nullptr);
   const std::string csv_path = ::testing::TempDir() + "obs_reconcile.csv";
+  const std::string timeseries_path =
+      ::testing::TempDir() + "obs_reconcile_timeseries.csv";
   runner::TelemetrySpec spec;
   spec.trace = path;
   spec.trace_csv = csv_path;
+  spec.timeseries_csv = timeseries_path;
   experiment.enable_telemetry(spec);
   ASSERT_NE(experiment.tracing(), nullptr);
-  obs::CounterSink counters;
-  experiment.tracing()->add_sink(&counters);
+  ASSERT_NE(experiment.timeseries(), nullptr);
+  obs::WindowStats totals;
+  experiment.timeseries()->add_window_listener(
+      [&totals](const obs::WindowStats& window) {
+        totals.generated += window.generated;
+        totals.admits += window.admits;
+        totals.downgrades += window.downgrades;
+        totals.admission_drops += window.admission_drops;
+        totals.completed_total += window.completed_total;
+        totals.terminated_total += window.terminated_total;
+        totals.bytes_total += window.bytes_total;
+        totals.packet_drops += window.packet_drops;
+        if (totals.qos.size() < window.qos.size()) {
+          totals.qos.resize(window.qos.size());
+        }
+        for (std::size_t q = 0; q < window.qos.size(); ++q) {
+          totals.qos[q].slo_met += window.qos[q].slo_met;
+        }
+        if (totals.ports.size() < window.ports.size()) {
+          totals.ports.resize(window.ports.size());
+        }
+        for (std::size_t p = 0; p < window.ports.size(); ++p) {
+          totals.ports[p].enqueued += window.ports[p].enqueued;
+          totals.ports[p].dequeued += window.ports[p].dequeued;
+        }
+        EXPECT_GE(window.p_admit_mean, 0.0);
+        EXPECT_LE(window.p_admit_mean, 1.0);
+      });
   attach_overload(experiment);
   experiment.run(0.0, 2 * sim::kMsec);
 
   const auto& metrics = experiment.metrics();
   // Every generated RPC got exactly one admission verdict.
-  EXPECT_EQ(counters.rpcs_generated(), counters.admitted() +
-                                           counters.downgraded() +
-                                           counters.admission_dropped());
+  EXPECT_EQ(totals.generated,
+            totals.admits + totals.downgrades + totals.admission_drops);
   // The overload outlives the capped drain window, so some RPCs are still
   // in flight at the end — but nothing completes that was never generated.
-  EXPECT_GE(counters.rpcs_generated(),
-            counters.rpcs_completed() + counters.rpcs_terminated());
+  EXPECT_GE(totals.generated,
+            totals.completed_total + totals.terminated_total);
   // Completions are counted identically by the trace and by RpcMetrics.
-  EXPECT_EQ(counters.rpcs_completed(), metrics.total_completed());
-  std::uint64_t slo_met = 0, downgraded = 0, delivered_downgraded = 0;
+  EXPECT_EQ(totals.completed_total, metrics.total_completed());
+  std::uint64_t slo_met = 0, traced_slo_met = 0, downgraded = 0,
+                delivered_downgraded = 0;
   for (net::QoSLevel qos = 0; qos < 2; ++qos) {
     slo_met += metrics.slo_met(qos);
+    traced_slo_met += totals.qos[qos].slo_met;
     downgraded += metrics.downgraded(qos);
     delivered_downgraded += metrics.downgraded_delivered(qos);
   }
-  EXPECT_EQ(counters.slo_met(), slo_met);
+  EXPECT_EQ(traced_slo_met, slo_met);
   // Completed payload bytes agree exactly with the metrics' delivered-QoS
   // accounting; terminated bytes are kept apart and never pollute them.
   std::uint64_t bytes_completed = 0;
   for (net::QoSLevel qos = 0; qos < 2; ++qos) {
     bytes_completed += metrics.bytes_completed(qos);
   }
-  EXPECT_EQ(counters.bytes_completed(), bytes_completed);
-  EXPECT_GT(counters.bytes_completed(), 0u);
-  EXPECT_DOUBLE_EQ(
-      counters.slo_compliance(),
-      static_cast<double>(slo_met) /
-          static_cast<double>(metrics.total_completed()));
+  EXPECT_EQ(totals.bytes_total, bytes_completed);
+  EXPECT_GT(totals.bytes_total, 0u);
   // The trace counts downgrade *decisions*; metrics count downgraded RPCs
   // that completed. Decisions bound completions, and the two metrics views
   // (by requested vs by delivered QoS) must agree with each other exactly.
-  EXPECT_GE(counters.downgraded(), downgraded);
+  EXPECT_GE(totals.downgrades, downgraded);
   EXPECT_EQ(downgraded, delivered_downgraded);
-  EXPECT_GT(counters.downgraded(), 0u);  // the workload overloads host 2
-  EXPECT_GT(counters.cwnd_updates(), 0u);
-  // Per class: a drop event is a *rejected arrival* (no matching enqueue),
+  EXPECT_GT(totals.downgrades, 0u);  // the workload overloads host 2
+  // Per port: a drop event is a *rejected arrival* (no matching enqueue),
   // and dequeues never exceed enqueues — the residue is the backlog still
   // queued when the drain window closed.
-  for (net::QoSLevel qos = 0; qos < 2; ++qos) {
-    EXPECT_GE(counters.packets_enqueued(qos), counters.packets_dequeued(qos));
+  ASSERT_FALSE(totals.ports.empty());
+  for (std::size_t p = 0; p < totals.ports.size(); ++p) {
+    EXPECT_GE(totals.ports[p].enqueued, totals.ports[p].dequeued) << p;
   }
-  EXPECT_GT(counters.total_packets_dropped(), 0u);  // 256KB buffers drop
-  EXPECT_GE(counters.mean_p_admit(), 0.0);
-  EXPECT_LE(counters.mean_p_admit(), 1.0);
+  EXPECT_GT(totals.packet_drops, 0u);  // 256KB buffers drop
 
   // The streamed JSON document is closed by the final flush.
   std::ifstream file(path);
@@ -478,6 +458,8 @@ TEST(TracingIdentityTest, TraceCountersReconcileWithMetrics) {
   buffer << file.rdbuf();
   const std::string trace = buffer.str();
   EXPECT_EQ(trace.rfind(R"({"displayTimeUnit":"ms","traceEvents":[)", 0), 0u);
+  // Congestion-window updates reach the trace as counter tracks.
+  EXPECT_NE(trace.find(R"("name":"cwnd dst)"), std::string::npos);
   ASSERT_GE(trace.size(), 4u);
   EXPECT_EQ(trace.substr(trace.size() - 4), "\n]}\n");
   std::ifstream csv(csv_path);
@@ -488,6 +470,7 @@ TEST(TracingIdentityTest, TraceCountersReconcileWithMetrics) {
             "time_us,event,host,peer,port,qos,rpc_id,bytes,value,detail");
   std::remove(path.c_str());
   std::remove(csv_path.c_str());
+  std::remove(timeseries_path.c_str());
 }
 
 TEST(TracingIdentityTest, TraceToTwiceDies) {

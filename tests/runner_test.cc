@@ -100,6 +100,30 @@ TEST(ContractDeathTest, ExperimentRejectsMismatchedSlo) {
                "SLO config must cover every QoS level");
 }
 
+// Serial-only accessors fail at the call site on a sharded experiment
+// instead of handing back an executive that nothing runs.
+TEST(ContractDeathTest, SimulatorRejectsShardedExperiment) {
+  runner::ExperimentConfig config = small_config();
+  config.shards = 2;
+  EXPECT_DEATH(
+      {
+        runner::Experiment experiment(config);
+        experiment.simulator();
+      },
+      "ExperimentConfig::shards");
+}
+
+TEST(ContractDeathTest, SampleEveryRejectsShardedExperiment) {
+  runner::ExperimentConfig config = small_config();
+  config.shards = 2;
+  EXPECT_DEATH(
+      {
+        runner::Experiment experiment(config);
+        experiment.sample_every(1 * sim::kMsec, [](sim::Time) {});
+      },
+      "ExperimentConfig::shards");
+}
+
 TEST(ContractDeathTest, SimulatorRejectsPastScheduling) {
   sim::Simulator s;
   s.schedule_at(1.0, [] {});

@@ -1,8 +1,8 @@
 // Tests for the per-shard telemetry merge (obs/shard_merge.h) at the
 // experiment level. The load-bearing regression: a K-shard run gives each
 // shard's Recorder a disjoint first_port_id base (Experiment::
-// wire_shard_telemetry), so no two ports from different shards can land on
-// the same pid in the merged Chrome trace. Before the base plumbing every
+// wire_telemetry), so no two ports from different shards can land on the
+// same pid in the merged Chrome trace. Before the base plumbing every
 // shard numbered its ports from zero and the merged trace folded distinct
 // ports onto one track.
 #include <cstdio>

@@ -229,15 +229,9 @@ RunResult run_mixed_workload(std::size_t shards,
   if (experiment.shard_fabric() != nullptr) {
     result.cross_shard = experiment.shard_fabric()->cross_shard_packets();
   }
-  if (shards == 1) {
-    if (experiment.auditor() != nullptr) {
-      result.audit_passes = experiment.auditor()->passes();
-    }
-  } else {
-    for (std::size_t k = 0; k < shards; ++k) {
-      if (experiment.shard_auditor(k) != nullptr) {
-        result.audit_passes += experiment.shard_auditor(k)->passes();
-      }
+  for (std::size_t k = 0; k < shards; ++k) {
+    if (experiment.auditor(k) != nullptr) {
+      result.audit_passes += experiment.auditor(k)->passes();
     }
   }
   return result;

@@ -10,7 +10,6 @@
 #include "stats/histogram.h"
 #include "stats/percentile.h"
 #include "stats/summary.h"
-#include "stats/sliding_window.h"
 #include "stats/timeseries.h"
 
 namespace aeq::stats {
@@ -135,32 +134,6 @@ TEST(TimeSeriesTest, ResampleEndpoints) {
   EXPECT_DOUBLE_EQ(points.front().t, 0.0);
   EXPECT_DOUBLE_EQ(points.back().t, 10.0);
   EXPECT_DOUBLE_EQ(points.back().value, 2.0);
-}
-
-TEST(SlidingWindowTest, EvictsOldSamples) {
-  SlidingWindowPercentile window(1.0);
-  window.add(0.1, 100.0);
-  window.add(0.6, 200.0);
-  window.add(1.5, 300.0);  // evicts 0.1 (cutoff 0.5); 0.6 survives
-  EXPECT_EQ(window.count(1.5), 2u);
-  EXPECT_DOUBLE_EQ(window.percentile(1.5, 100.0), 300.0);
-  EXPECT_DOUBLE_EQ(window.percentile(1.5, 50.0), 200.0);
-  // Much later, everything is gone.
-  EXPECT_DOUBLE_EQ(window.percentile(10.0, 99.0), 0.0);
-}
-
-TEST(SlidingWindowTest, MatchesFullTrackerWithinOneWindow) {
-  sim::Rng rng(21);
-  SlidingWindowPercentile window(10.0);
-  PercentileTracker full;
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.uniform(0, 100);
-    window.add(i * 1e-3, v);  // all samples within 5s < 10s window
-    full.add(v);
-  }
-  for (double pct : {50.0, 90.0, 99.0}) {
-    EXPECT_DOUBLE_EQ(window.percentile(5.0, pct), full.percentile(pct));
-  }
 }
 
 TEST(RateMeterTest, WindowedRates) {
