@@ -1,5 +1,6 @@
 #include "net/shard_fabric.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/assert.h"
@@ -7,8 +8,7 @@
 namespace aeq::net {
 
 ShardFabric::ShardFabric(std::vector<sim::Simulator*> sims,
-                         std::vector<std::uint32_t> shard_of_host,
-                         std::size_t mailbox_capacity)
+                         std::vector<std::uint32_t> shard_of_host)
     : sims_(std::move(sims)), shard_of_host_(std::move(shard_of_host)) {
   const std::size_t shards = sims_.size();
   AEQ_CHECK_GE(shards, 1u);
@@ -21,10 +21,8 @@ ShardFabric::ShardFabric(std::vector<sim::Simulator*> sims,
     arrivals_[k].sim = sims_[k];
     links_.emplace_back(this, static_cast<std::uint32_t>(k));
   }
-  mailboxes_.reserve(shards * shards);
-  for (std::size_t i = 0; i < shards * shards; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>(mailbox_capacity));
-  }
+  outbound_.resize(shards);
+  for (auto& half : outboxes_) half.resize(shards * shards);
 }
 
 void ShardFabric::set_local_switch(std::size_t shard, Switch* sw) {
@@ -69,65 +67,59 @@ void ShardFabric::ShardLink::on_tx_complete(const Packet& packet,
     fabric_->arrivals_[shard_].land(arrival, packet);
     return;
   }
-  Mailbox& box = fabric_->mailbox(shard_, dst_shard);
-  ++box.pushed;
-  if (!box.ring.try_push({arrival, packet})) {
-    // Ring full: spill to the producer-owned overflow. The consumer only
-    // touches it at the barrier, and FIFO order is preserved because once
-    // the ring is full it stays full until that same barrier.
-    box.overflow.push_back({arrival, packet});
-    ++box.overflowed;
-  }
-  // Producer-side depth sample: within a window nothing is consumed, so
-  // push time sees the true (monotone within the window) depth.
-  const std::uint64_t depth = box.ring.approx_size() + box.overflow.size();
-  if (depth > box.depth_hwm) box.depth_hwm = depth;
+  Outbound& out = fabric_->outbound_[shard_];
+  std::vector<StampedPacket>& box =
+      fabric_->outbox(out.parity, shard_, dst_shard);
+  box.push_back({arrival, packet});
+  ++out.pushed;
+  out.earliest = std::min(out.earliest, arrival);
+  out.depth_hwm = std::max<std::uint64_t>(out.depth_hwm, box.size());
 }
 
-void ShardFabric::drain_all() {
-  // Fixed (destination, source, FIFO) order keeps the destination shard's
+void ShardFabric::land_inbound(std::size_t shard) {
+  // Every shard flips exactly once per window, so all parities agree: the
+  // half this shard filled last window is the half every source filled.
+  Outbound& own = outbound_[shard];
+  const unsigned last = own.parity;
+  own.parity ^= 1u;
+  own.earliest = kNever;
+  // Fixed (source, FIFO) order keeps the destination shard's
   // event-insertion order — and therefore same-timestamp tie-breaking —
   // deterministic for a given seed and shard count.
-  const std::size_t shards = num_shards();
-  for (std::size_t dst = 0; dst < shards; ++dst) {
-    ArrivalPool& pool = arrivals_[dst];
-    for (std::size_t src = 0; src < shards; ++src) {
-      if (src == dst) continue;
-      Mailbox& box = mailbox(src, dst);
-      StampedPacket msg;
-      while (box.ring.try_pop(msg)) pool.land(msg.arrival, msg.packet);
-      for (const StampedPacket& spilled : box.overflow) {
-        pool.land(spilled.arrival, spilled.packet);
-      }
-      box.overflow.clear();
-    }
+  ArrivalPool& pool = arrivals_[shard];
+  for (std::size_t src = 0; src < num_shards(); ++src) {
+    std::vector<StampedPacket>& box = outbox(last, src, shard);
+    for (const StampedPacket& msg : box) pool.land(msg.arrival, msg.packet);
+    box.clear();
   }
+}
+
+sim::Time ShardFabric::earliest_pending() const {
+  sim::Time earliest = kNever;
+  for (const Outbound& out : outbound_) {
+    earliest = std::min(earliest, out.earliest);
+  }
+  return earliest;
 }
 
 bool ShardFabric::idle() const {
-  for (const auto& box : mailboxes_) {
-    if (!box->ring.empty() || !box->overflow.empty()) return false;
+  for (const auto& half : outboxes_) {
+    for (const auto& box : half) {
+      if (!box.empty()) return false;
+    }
   }
   return true;
 }
 
 std::uint64_t ShardFabric::cross_shard_packets() const {
   std::uint64_t total = 0;
-  for (const auto& box : mailboxes_) total += box->pushed;
-  return total;
-}
-
-std::uint64_t ShardFabric::mailbox_overflows() const {
-  std::uint64_t total = 0;
-  for (const auto& box : mailboxes_) total += box->overflowed;
+  for (const Outbound& out : outbound_) total += out.pushed;
   return total;
 }
 
 std::uint64_t ShardFabric::mailbox_depth_hwm() const {
   std::uint64_t hwm = 0;
-  for (const auto& box : mailboxes_) {
-    if (box->depth_hwm > hwm) hwm = box->depth_hwm;
-  }
+  for (const Outbound& out : outbound_) hwm = std::max(hwm, out.depth_hwm);
   return hwm;
 }
 

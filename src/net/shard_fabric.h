@@ -12,13 +12,16 @@
 //     arrival pool plus one event at the arrival time (the event captures
 //     {pool, slot} — 16 bytes, well inside the scheduler's 48-byte inline
 //     handler budget, which is why packets are never captured directly).
-//   * Cross-shard packets go into the (src, dst) SPSC mailbox — a
-//     util::SpscChannel plus a producer-owned overflow vector so nothing is
-//     ever dropped — and are drained at the next lookahead barrier by the
-//     coordinator, in fixed (destination, source, FIFO) order, into the
-//     destination shard's arrival pool. Arrival timestamps exceed the
-//     barrier horizon by construction (propagation >= lookahead), so the
-//     handoff never schedules into a shard's past.
+//   * Cross-shard packets go into the (src, dst) outbox, a plain vector
+//     double-buffered by window parity: the sending shard fills one half
+//     during its window, and the destination shard lands the other half —
+//     last window's packets from every source, in fixed (source, FIFO)
+//     order — into its arrival pool at the start of its own next window
+//     (sim::CrossShardHandoff::land_inbound). No thread drains anything
+//     serially, and no outbox is touched by two threads in the same
+//     window. Arrival timestamps exceed the previous horizon by
+//     construction (propagation >= lookahead), so the handoff never
+//     schedules into a shard's past.
 //
 // Event budget: one tx-end event on the sending shard plus one arrival
 // event on the receiving shard per packet — identical to the serial link
@@ -26,26 +29,25 @@
 // (the "cross-shard event identity" pinned by BENCH_hotpath.json).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <vector>
 
 #include "net/packet.h"
 #include "net/port.h"
 #include "net/switch.h"
+#include "sim/sharded.h"
 #include "sim/simulator.h"
-#include "util/spsc_channel.h"
 
 namespace aeq::net {
 
-class ShardFabric {
+class ShardFabric final : public sim::CrossShardHandoff {
  public:
   // `sims[k]` is shard k's executive; `shard_of_host[h]` maps each host id
-  // to its owning shard. `mailbox_capacity` sizes each SPSC ring (messages
-  // beyond it spill to the overflow vector — correct, just slower).
+  // to its owning shard.
   ShardFabric(std::vector<sim::Simulator*> sims,
-              std::vector<std::uint32_t> shard_of_host,
-              std::size_t mailbox_capacity = 4096);
+              std::vector<std::uint32_t> shard_of_host);
 
   ShardFabric(const ShardFabric&) = delete;
   ShardFabric& operator=(const ShardFabric&) = delete;
@@ -62,24 +64,22 @@ class ShardFabric {
   // The LinkReceiver every NIC egress port of shard `k` connects to.
   LinkReceiver* nic_link(std::size_t shard);
 
-  // Barrier callback: drains every mailbox into its destination shard, in
-  // (destination, source, FIFO) order. Must only run while all shard
-  // workers are parked (sim::ShardedSimulator::set_barrier_callback).
-  void drain_all();
+  // sim::CrossShardHandoff, driven by sim::ShardedSimulator::set_handoff.
+  // land_inbound(k) flips shard k's outbox parity, then lands what every
+  // other shard sent k last window, in (source, FIFO) order.
+  void land_inbound(std::size_t shard) override;
+  sim::Time earliest_pending() const override;
 
-  // True when no handed-over packet is waiting in a mailbox.
+  // True when no handed-over packet is waiting in an outbox.
   bool idle() const;
 
-  // --- diagnostics (sum per-mailbox counters; each counter is written only
-  // by its single producer thread, so read these only while the shard
-  // workers are parked — between run_until calls or at a barrier) ---
+  // --- diagnostics (each counter is written only by the thread running
+  // its shard's window, so read these only while the shards are parked —
+  // between run_until calls) ---
   std::uint64_t cross_shard_packets() const;
-  // Pushes that missed the SPSC ring and took the overflow vector; a large
-  // count means mailbox_capacity is undersized for the traffic matrix.
-  std::uint64_t mailbox_overflows() const;
-  // Deepest any single (src, dst) mailbox got between barriers (ring +
-  // overflow, sampled at push time): the executive's peak cross-shard
-  // backlog, reported in the --prof executive section.
+  // Deepest any single (src, dst) outbox got within a window (sampled at
+  // push time): the executive's peak cross-shard backlog, reported in the
+  // --prof executive section.
   std::uint64_t mailbox_depth_hwm() const;
 
  private:
@@ -90,8 +90,9 @@ class ShardFabric {
 
   // Per-shard pool of in-flight arrivals: the scheduled event captures only
   // {pool pointer, slot index}; slots are recycled through a free list so
-  // steady state allocates nothing.
-  struct ArrivalPool {
+  // steady state allocates nothing. Only the thread running the shard's
+  // window touches it, so each pool gets its own cache line.
+  struct alignas(64) ArrivalPool {
     sim::Simulator* sim = nullptr;
     Switch* local_switch = nullptr;
     std::vector<Packet> slots;
@@ -101,22 +102,25 @@ class ShardFabric {
     void fire(std::uint32_t slot);
   };
 
-  // One direction of the cut: shard s -> shard d. The ring is the fast
-  // path; overflow is producer-owned until the barrier hands it over.
+  static constexpr sim::Time kNever =
+      std::numeric_limits<sim::Time>::infinity();
+
+  // Shard k's sending side of the cut, on its own cache line because the
+  // shards push concurrently.
   //
-  // Thread-safety analysis (DESIGN.md §12): no lock, so no AEQ_GUARDED_BY —
-  // `overflow`, `pushed`, and `overflowed` are owned by the producing shard
-  // thread inside a window and by the coordinator at the barrier, with the
-  // ShardedSimulator pool mutex (already annotated) ordering the handover.
-  // The role discipline is enforced by the executive's epoch protocol and
-  // checked under TSan in CI.
-  struct Mailbox {
-    explicit Mailbox(std::size_t capacity) : ring(capacity) {}
-    util::SpscChannel<StampedPacket> ring;
-    std::vector<StampedPacket> overflow;
-    std::uint64_t pushed = 0;      // written by the producer shard only
-    std::uint64_t overflowed = 0;  // ditto
-    std::uint64_t depth_hwm = 0;   // ditto (peak ring + overflow depth)
+  // Thread-safety analysis (DESIGN.md §12): no lock, so no AEQ_GUARDED_BY.
+  // The role discipline is phase-based: within a window, shard k's thread
+  // alone writes this struct and the `parity` half of its outboxes, and
+  // destination d's thread alone reads and clears the other half of the
+  // (·, d) outboxes. The ShardedSimulator pool mutex (already annotated)
+  // orders each window's writes before the next window's reads, and the
+  // coordinator touches this state only while every shard is parked.
+  // Checked under TSan in CI.
+  struct alignas(64) Outbound {
+    unsigned parity = 0;  // the outbox half this window's pushes go to
+    sim::Time earliest = kNever;  // earliest arrival pushed this window
+    std::uint64_t pushed = 0;
+    std::uint64_t depth_hwm = 0;  // peak outbox length at push time
   };
 
   // Shard-s side of the cut; one instance per shard, shared by all of the
@@ -132,18 +136,20 @@ class ShardFabric {
     std::uint32_t shard_;
   };
 
-  Mailbox& mailbox(std::size_t src, std::size_t dst) {
-    return *mailboxes_[src * num_shards() + dst];
-  }
-  const Mailbox& mailbox(std::size_t src, std::size_t dst) const {
-    return *mailboxes_[src * num_shards() + dst];
+  std::vector<StampedPacket>& outbox(unsigned parity, std::size_t src,
+                                     std::size_t dst) {
+    return outboxes_[parity][src * num_shards() + dst];
   }
 
   std::vector<sim::Simulator*> sims_;
   std::vector<std::uint32_t> shard_of_host_;
   std::vector<ArrivalPool> arrivals_;
   std::vector<ShardLink> links_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // [src * K + dst]
+  std::vector<Outbound> outbound_;  // [src]
+  // [parity][src * K + dst], reused through clear() so steady state
+  // allocates nothing; the diagonal stays empty (same-shard packets land
+  // directly).
+  std::array<std::vector<std::vector<StampedPacket>>, 2> outboxes_;
 };
 
 }  // namespace aeq::net

@@ -158,7 +158,6 @@ void write_json(const Report& report, const std::string& path) {
         << ",\"load_imbalance\":" << num(exec.load_imbalance)
         << ",\"mailbox_depth_hwm\":" << exec.mailbox_depth_hwm
         << ",\"cross_shard_packets\":" << exec.cross_shard_packets
-        << ",\"mailbox_overflows\":" << exec.mailbox_overflows
         << ",\"window_hist\":[";
     bool first = true;
     for (std::size_t b = 0; b < exec.window_hist.size(); ++b) {
@@ -260,10 +259,10 @@ void write_text_summary(const Report& report, std::ostream& out) {
     out << line << "\n";
     std::snprintf(line, sizeof(line),
                   "[prof]   barrier stall %.1f%% | load imbalance %.2f | "
-                  "mailbox hwm %llu (%llu overflows)",
+                  "mailbox hwm %llu | serial %.3fs",
                   100.0 * exec.barrier_stall_share, exec.load_imbalance,
                   static_cast<unsigned long long>(exec.mailbox_depth_hwm),
-                  static_cast<unsigned long long>(exec.mailbox_overflows));
+                  to_seconds(exec.barrier_cycles, report));
     out << line << "\n";
   }
   out.flush();

@@ -29,18 +29,19 @@
 
 namespace aeq::obs::prof {
 
-// One executive thread's share of the run: a shard worker, the serial main
-// loop, or the sharded coordinator (barrier drains + post-run sweeps).
+// One executive thread's share of the run: a shard, the serial main loop,
+// or the sharded coordinator (horizon scans, the wait for the workers and
+// post-run sweeps — its shard 0 windows are shard0's).
 struct ThreadProfile {
   std::string label;            // "serial", "shard<k>", "coordinator"
   std::uint64_t events = 0;     // events this thread dispatched (0 = n/a)
   Cycles busy_cycles = 0;       // measured execution envelope
-  Cycles wait_cycles = 0;       // parked at barriers (shard workers only)
+  Cycles wait_cycles = 0;       // between windows (shards only)
   Collector collector;
 };
 
 // Sharded-executive introspection, lifted from sim::ExecutiveStats plus
-// the fabric's mailbox counters.
+// the fabric's outbox counters.
 struct ExecutiveReport {
   bool present = false;  // false for serial runs; "executive" key omitted
   std::uint64_t windows = 0;
@@ -49,12 +50,11 @@ struct ExecutiveReport {
   // drain target, ...); must be non-decreasing — the validator's
   // "monotonic epochs" invariant.
   std::vector<std::uint64_t> epochs;
-  Cycles barrier_cycles = 0;
+  Cycles barrier_cycles = 0;  // coordinator's serial time between windows
   double barrier_stall_share = 0.0;
   double load_imbalance = 0.0;
   std::uint64_t mailbox_depth_hwm = 0;
   std::uint64_t cross_shard_packets = 0;
-  std::uint64_t mailbox_overflows = 0;
   std::array<std::uint64_t, sim::ExecutiveStats::kWindowHistBuckets>
       window_hist{};
 };

@@ -80,7 +80,7 @@ Experiment::Experiment(const ExperimentConfig& config)
       }
       fabric_ = std::make_unique<net::ShardFabric>(sims, plan.shard_of_host);
       network_ = topo::build_sharded_star(sims, star, plan, *fabric_);
-      sharded_->set_barrier_callback([this] { fabric_->drain_all(); });
+      sharded_->set_handoff(fabric_.get());
     }
   }
 
@@ -267,8 +267,9 @@ void Experiment::start_profiling() {
     sharded_->set_profiling(std::move(collectors));
   }
   // This thread's collector: serial runs attribute the whole simulation
-  // here; sharded runs only the coordinator's barrier drains and the
-  // post-run sweeps that execute on this thread.
+  // here; sharded runs only what this thread does outside shard 0's
+  // windows (the executive swaps in shard 0's collector around those),
+  // such as the post-run sweeps.
   obs::prof::install(&prof_run_->main);
   prof_run_->begin = obs::prof::calibration_point();
 }
@@ -317,17 +318,22 @@ void Experiment::finish_profiling() {
       report.events_processed += thread.events;
       report.threads.push_back(std::move(thread));
     }
+    // The coordinator thread also runs shard 0's windows, which shard0
+    // already accounts for; the coordinator keeps the rest of its envelope.
+    const obs::prof::Cycles shard0_busy = exec.shards[0].busy_cycles;
     obs::prof::ThreadProfile coordinator;
     coordinator.label = "coordinator";
-    coordinator.busy_cycles = envelope;
+    coordinator.busy_cycles =
+        envelope > shard0_busy ? envelope - shard0_busy : 0;
     coordinator.collector = prof_run_->main;
-    report.threads.push_back(std::move(coordinator));
     report.denominator_cycles = 0;
     for (std::size_t k = 0; k < config_.shards; ++k) {
       report.denominator_cycles += share_denominator(
           *prof_run_->shard_collectors[k], exec.shards[k].busy_cycles);
     }
-    report.denominator_cycles += share_denominator(prof_run_->main, envelope);
+    report.denominator_cycles +=
+        share_denominator(prof_run_->main, coordinator.busy_cycles);
+    report.threads.push_back(std::move(coordinator));
 
     report.executive.present = true;
     report.executive.windows = exec.windows;
@@ -339,7 +345,6 @@ void Experiment::finish_profiling() {
     report.executive.window_hist = exec.window_hist;
     report.executive.mailbox_depth_hwm = fabric_->mailbox_depth_hwm();
     report.executive.cross_shard_packets = fabric_->cross_shard_packets();
-    report.executive.mailbox_overflows = fabric_->mailbox_overflows();
   } else {
     obs::prof::ThreadProfile thread;
     thread.label = "serial";
@@ -701,7 +706,7 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
   for (auto& auditor : auditors_) auditor->run_all();
   if (sharded_) {
     AEQ_ASSERT_MSG(fabric_->idle(),
-                   "cross-shard mailboxes still hold packets after drain");
+                   "cross-shard outboxes still hold packets after drain");
     // Fold the per-shard metric sinks into the global one in shard-id
     // order (sample-exact; see rpc::RpcMetrics::merge).
     for (auto& shard_metrics : shard_metrics_) {

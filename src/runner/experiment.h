@@ -339,7 +339,7 @@ class Experiment {
   ExperimentConfig config_;
   sim::Simulator sim_;
   // Sharded-mode state (config_.shards > 1): the parallel executive, the
-  // cross-shard mailbox fabric, and per-shard metrics sinks merged into
+  // cross-shard packet fabric, and per-shard metrics sinks merged into
   // metrics_ after the run.
   std::unique_ptr<sim::ShardedSimulator> sharded_;
   std::unique_ptr<net::ShardFabric> fabric_;
@@ -372,7 +372,7 @@ class Experiment {
 
   // Live profiling state for the current run() (config_.prof non-empty):
   // the main-thread collector (serial loop, or the sharded coordinator's
-  // barrier drains and post-run sweeps), per-shard worker collectors, the
+  // work outside shard 0's windows), one collector per shard, the
   // opening calibration point, and the executive's cumulative window
   // counts at each run-phase boundary.
   struct ProfRun {

@@ -25,6 +25,12 @@ std::size_t window_bucket(double ratio) {
   return bucket;
 }
 
+// Cycle delta that never underflows (the TSC can step back across cores).
+obs::prof::Cycles cycles_since(obs::prof::Cycles start) {
+  const obs::prof::Cycles now = obs::prof::cycles_now();
+  return now > start ? now - start : 0;
+}
+
 }  // namespace
 
 double ExecutiveStats::load_imbalance() const {
@@ -62,8 +68,8 @@ ShardedSimulator::ShardedSimulator(std::size_t num_shards,
     const util::MutexLock lock(mutex_);
     shard_exec_.resize(num_shards);
   }
-  workers_.reserve(num_shards);
-  for (std::size_t k = 0; k < num_shards; ++k) {
+  workers_.reserve(num_shards - 1);
+  for (std::size_t k = 1; k < num_shards; ++k) {
     workers_.emplace_back([this, k] { worker_loop(k); });
   }
 }
@@ -103,6 +109,16 @@ ShardedSimulator::~ShardedSimulator() {
   for (std::thread& worker : workers_) worker.join();
 }
 
+void ShardedSimulator::run_shard_window(std::size_t k, Time horizon) {
+  if (handoff_ != nullptr) handoff_->land_inbound(k);
+  shards_[k]->run_until(horizon);
+}
+
+void ShardedSimulator::land_all() {
+  if (handoff_ == nullptr) return;
+  for (std::size_t k = 0; k < shards_.size(); ++k) handoff_->land_inbound(k);
+}
+
 void ShardedSimulator::worker_loop(std::size_t k) {
   std::uint64_t seen_epoch = 0;
   for (;;) {
@@ -119,9 +135,7 @@ void ShardedSimulator::worker_loop(std::size_t k) {
           was_profiling ? obs::prof::cycles_now() : 0;
       while (!shutdown_ && epoch_ == seen_epoch) work_cv_.wait(mutex_);
       if (was_profiling && profiling_) {
-        const obs::prof::Cycles wait_end = obs::prof::cycles_now();
-        shard_exec_[k].wait_cycles +=
-            wait_end > wait_start ? wait_end - wait_start : 0;
+        shard_exec_[k].wait_cycles += cycles_since(wait_start);
       }
       if (shutdown_) return;
       seen_epoch = epoch_;
@@ -132,53 +146,78 @@ void ShardedSimulator::worker_loop(std::size_t k) {
     obs::prof::install(collector);
     const obs::prof::Cycles busy_start =
         profiling ? obs::prof::cycles_now() : 0;
-    shards_[k]->run_until(target);
-    const obs::prof::Cycles busy_end =
-        profiling ? obs::prof::cycles_now() : 0;
+    run_shard_window(k, target);
+    const obs::prof::Cycles busy = profiling ? cycles_since(busy_start) : 0;
     obs::prof::install(nullptr);
+    bool last = false;
     {
       const util::MutexLock lock(mutex_);
-      if (profiling) {
-        shard_exec_[k].busy_cycles +=
-            busy_end > busy_start ? busy_end - busy_start : 0;
-      }
-      --running_;
+      shard_exec_[k].busy_cycles += busy;
+      last = --running_ == 0;
     }
-    done_cv_.notify_one();
+    // Only the last worker out has anything to tell the coordinator.
+    if (last) done_cv_.notify_one();
   }
 }
 
 void ShardedSimulator::parallel_window(Time horizon) {
+  obs::prof::Collector* collector = nullptr;
   {
     const util::MutexLock lock(mutex_);
     target_ = horizon;
-    running_ = shards_.size();
+    running_ = workers_.size();
     ++epoch_;
+    if (profiling_) collector = collectors_[0];
   }
   work_cv_.notify_all();
+  // Shard 0 runs here while the workers wake up, under its own collector;
+  // the coordinator's collector comes back afterwards.
+  obs::prof::Collector* const coordinator = obs::prof::current();
+  obs::prof::install(collector);
+  const obs::prof::Cycles busy_start =
+      prof_enabled_ ? obs::prof::cycles_now() : 0;
+  run_shard_window(0, horizon);
+  const obs::prof::Cycles busy =
+      prof_enabled_ ? cycles_since(busy_start) : 0;
+  obs::prof::install(coordinator);
+  const obs::prof::Cycles wait_start =
+      prof_enabled_ ? obs::prof::cycles_now() : 0;
   {
     const util::MutexLock lock(mutex_);
     while (running_ != 0) done_cv_.wait(mutex_);
+    if (prof_enabled_) {
+      shard_exec_[0].busy_cycles += busy;
+      shard_exec_[0].wait_cycles += cycles_since(wait_start);
+    }
   }
   ++windows_;
 }
 
 void ShardedSimulator::run_until(Time t_end) {
   AEQ_CHECK_GE(t_end, now_);
+  // Serial-time accounting: everything here outside parallel_window.
+  obs::prof::Cycles serial_start =
+      prof_enabled_ ? obs::prof::cycles_now() : 0;
   for (;;) {
-    // Safe horizon: the earliest pending event anywhere, plus lookahead.
-    // Any cross-shard message produced inside the window lands at least
-    // `lookahead_` after its producing event, hence at or beyond the
-    // horizon — so no shard can receive a message from its own past.
-    Time earliest = std::numeric_limits<Time>::infinity();
+    // Safe horizon: the earliest pending event anywhere — queued in a
+    // shard or still in a handoff — plus lookahead. Any cross-shard
+    // message produced inside the window lands at least `lookahead_` after
+    // its producing event, hence at or beyond the horizon — so no shard
+    // can receive a message from its own past. Landing a handoff
+    // schedules exactly its arrival time, so this equals the scan of the
+    // shards after landing everything.
+    Time earliest = handoff_ != nullptr
+                        ? handoff_->earliest_pending()
+                        : std::numeric_limits<Time>::infinity();
     for (auto& shard : shards_) {
       earliest = std::min(earliest, shard->next_event_time());
     }
     if (earliest > t_end) {
       // Nothing left on this side of t_end: just advance the clocks.
+      land_all();
       for (auto& shard : shards_) shard->run_until(t_end);
       now_ = t_end;
-      return;
+      break;
     }
     // Back the horizon off by a few ulps: arrival timestamps are computed
     // by the producing shard as tx_start + (ser + delay) — the serial
@@ -196,24 +235,18 @@ void ShardedSimulator::run_until(Time t_end) {
     // theoretical lookahead grain each window achieved.
     if (safe < t_end) ++backoff_windows_;
     ++window_hist_[window_bucket((horizon - now_) / lookahead_)];
+    if (prof_enabled_) barrier_cycles_ += cycles_since(serial_start);
     parallel_window(horizon);
+    if (prof_enabled_) serial_start = obs::prof::cycles_now();
     now_ = horizon;
-    // Barrier: hand cross-shard mailboxes over while every worker is
-    // parked. The callback schedules arrivals >= horizon into the
-    // destination shards, which the next window (or iteration) picks up.
-    if (barrier_callback_) {
-      if (prof_enabled_) {
-        const obs::prof::Cycles barrier_start = obs::prof::cycles_now();
-        barrier_callback_();
-        const obs::prof::Cycles barrier_end = obs::prof::cycles_now();
-        barrier_cycles_ +=
-            barrier_end > barrier_start ? barrier_end - barrier_start : 0;
-      } else {
-        barrier_callback_();
-      }
+    if (now_ >= t_end) {
+      // Hand the last window's messages over now, so nothing is pending
+      // between calls (the runner may schedule into shards in between).
+      land_all();
+      break;
     }
-    if (now_ >= t_end) return;
   }
+  if (prof_enabled_) barrier_cycles_ += cycles_since(serial_start);
 }
 
 std::uint64_t ShardedSimulator::events_processed() const {

@@ -8,35 +8,37 @@
 //   (window_start, min(t_end, earliest_pending + lookahead)]
 //
 // can run concurrently without any shard observing an effect from another
-// shard "from the past". Between windows the coordinator thread runs the
-// registered barrier callback, which drains the cross-shard mailboxes
-// (net::ShardFabric) and schedules the handed-over packets into their
-// destination shards — every message carries an arrival timestamp at least
-// `lookahead` after its send, so it always lands at or beyond the horizon
-// just executed.
+// shard "from the past". Cross-shard messages move through a
+// CrossShardHandoff (net::ShardFabric): a shard buffers what it sends
+// during a window, and each destination lands what it was sent at the
+// start of its own next window — every message carries an arrival
+// timestamp at least `lookahead` after its send, so it always lands at or
+// beyond the horizon just executed.
 //
 // The window horizon is adaptive (bounded-lag / YAWNS style): it chases the
-// globally earliest pending event instead of marching in fixed lookahead
-// steps, so idle gaps cost one barrier instead of gap/lookahead barriers.
+// globally earliest pending event — queued or still in a handoff — instead
+// of marching in fixed lookahead steps, so idle gaps cost one barrier
+// instead of gap/lookahead barriers.
 //
-// Threading model: one persistent worker thread per shard, parked on a
-// condition variable between windows. The coordinator publishes a target
-// time, wakes all workers, and waits for the last one to finish. The pool
-// mutex orders every cross-window access (mailbox overflow handover, the
-// drain callback's schedule_at into foreign shards, next_event_time scans),
-// so the protocol is data-race-free by construction — CI runs a 4-shard
-// configuration under ThreadSanitizer to keep it that way.
+// Threading model: the coordinator (the thread calling run_until) runs
+// shard 0's window itself; shards 1..K-1 each have a persistent worker
+// thread, parked on a condition variable between windows. The coordinator
+// publishes a target time, wakes the workers, runs shard 0, and waits only
+// if a worker is still busy; the last worker to finish is the only one
+// that notifies it. The pool mutex orders every cross-window access
+// (outbox handover, next_event_time scans, the final landing), so the
+// protocol is data-race-free by construction — CI runs the full test suite
+// under ThreadSanitizer to keep it that way.
 //
-// Determinism: shards touch disjoint simulation state, the drain callback
-// runs single-threaded in fixed (destination, source, FIFO) order, and each
-// shard's Simulator dispatches exactly as it would serially. Same seed ⇒
-// same schedule ⇒ same metrics, for any shard count (property-tested in
-// tests/sharded_test.cc).
+// Determinism: shards touch disjoint simulation state, each shard lands
+// its inbound messages in fixed (source, FIFO) order before dispatching
+// anything, and each shard's Simulator dispatches exactly as it would
+// serially. Same seed ⇒ same schedule ⇒ same metrics, for any shard count
+// (property-tested in tests/sharded_test.cc).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -55,8 +57,10 @@ namespace aeq::sim {
 // fields are raw timestamp-counter deltas (obs::prof::cycles_now units);
 // they are observe-only and never feed back into the simulation.
 struct ShardExecStats {
-  std::uint64_t busy_cycles = 0;  // inside Simulator::run_until on a window
-  std::uint64_t wait_cycles = 0;  // parked between windows (barrier + idle)
+  std::uint64_t busy_cycles = 0;  // landing inbound + dispatching a window
+  // Parked between windows (barrier + idle); for shard 0, which the
+  // coordinator runs, the wait for the workers after its own window.
+  std::uint64_t wait_cycles = 0;
   std::uint64_t events = 0;       // events dispatched by this shard
 };
 
@@ -70,8 +74,9 @@ struct ExecutiveStats {
   // Windows whose horizon was set by the 4-ulp backoff (earliest +
   // lookahead won over t_end) rather than the run target.
   std::uint64_t backoff_windows = 0;
-  // Coordinator cycles inside the barrier callback (mailbox drain).
-  // Only accumulated while profiling is enabled.
+  // Coordinator cycles inside run_until but outside the windows: the
+  // horizon scans and the landing before each return — the executive's
+  // serial fraction. Only accumulated while profiling is enabled.
   std::uint64_t barrier_cycles = 0;
   std::array<std::uint64_t, kWindowHistBuckets> window_hist{};
   std::vector<ShardExecStats> shards;
@@ -94,6 +99,26 @@ struct ExecutiveStats {
   double barrier_stall_share() const;
 };
 
+// The cross-shard message contract, implemented by net::ShardFabric. A
+// shard hands messages to other shards during its window; they become
+// visible to their destinations only through these two hooks.
+class CrossShardHandoff {
+ public:
+  // Runs on the thread executing shard k's next window, before it
+  // dispatches anything: lands every message the other shards handed to k
+  // during the previous window into shard k's scheduler, and opens k's
+  // buffers for the window about to run. Before run_until returns, the
+  // coordinator calls it for every k in order, so nothing stays pending
+  // between calls.
+  virtual void land_inbound(std::size_t k) = 0;
+  // Runs on the coordinator while every shard is parked: the earliest
+  // arrival time among handed-over messages not yet landed (+inf if none).
+  virtual Time earliest_pending() const = 0;
+
+ protected:
+  ~CrossShardHandoff() = default;
+};
+
 class ShardedSimulator {
  public:
   // `lookahead` must be strictly positive: it is the window depth, and a
@@ -109,12 +134,9 @@ class ShardedSimulator {
   std::size_t num_shards() const { return shards_.size(); }
   Time lookahead() const { return lookahead_; }
 
-  // Invoked on the coordinator thread after every window, with all workers
-  // parked: the only place cross-shard state may move. The callback may
-  // schedule new events into any shard (at times >= the window horizon).
-  void set_barrier_callback(std::function<void()> fn) {
-    barrier_callback_ = std::move(fn);
-  }
+  // The cross-shard channel the windows drain (none: shards never talk).
+  // Call only between run_until calls; `handoff` must outlive them.
+  void set_handoff(CrossShardHandoff* handoff) { handoff_ = handoff; }
 
   // Advances every shard to exactly `t_end` (their clocks end equal), in
   // conservative windows. Callable repeatedly with increasing targets.
@@ -151,8 +173,9 @@ class ShardedSimulator {
   }
 
   // Profiling handover: `collectors` (one per shard, or empty to disable)
-  // are installed as each worker's thread-local profiler collector for
-  // subsequent windows, and per-shard busy/wait cycle accounting turns on.
+  // are installed as the thread-local profiler collector of whichever
+  // thread runs that shard's window (shard 0's only for its window, on the
+  // coordinator), and per-shard busy/wait cycle accounting turns on.
   // Observe-only — enabling this cannot change the schedule. Call only
   // between run_until calls (workers parked); the pool mutex publishes the
   // pointers to the workers.
@@ -165,15 +188,23 @@ class ShardedSimulator {
   ExecutiveStats executive_stats();
 
  private:
-  // Runs every shard to `horizon` on the worker pool and waits for all.
+  // Runs shard 0 here and shards 1..K-1 on the workers, up to `horizon`,
+  // and returns once all of them have.
   void parallel_window(Time horizon);
+  // One shard's share of a window: land its inbound handoffs, then
+  // dispatch up to `horizon`.
+  void run_shard_window(std::size_t k, Time horizon);
+  // Lands every pending handoff, in (destination, source, FIFO) order.
+  void land_all();
   void worker_loop(std::size_t k);
 
   std::vector<std::unique_ptr<Simulator>> shards_;
   Time lookahead_;
   Time now_ = 0.0;
   std::uint64_t windows_ = 0;
-  std::function<void()> barrier_callback_;
+  // Set between run_until calls; the epoch publish under mutex_ orders the
+  // write before every worker's read.
+  CrossShardHandoff* handoff_ = nullptr;
 
   // Coordinator-thread-only introspection (no lock needed: written in
   // run_until / set_profiling, read in executive_stats, all coordinator
@@ -203,7 +234,7 @@ class ShardedSimulator {
   bool profiling_ AEQ_GUARDED_BY(mutex_) = false;
   std::vector<obs::prof::Collector*> collectors_ AEQ_GUARDED_BY(mutex_);
   std::vector<ShardExecStats> shard_exec_ AEQ_GUARDED_BY(mutex_);
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // workers_[k - 1] runs shard k
 };
 
 }  // namespace aeq::sim

@@ -17,10 +17,9 @@ ShardPlan make_shard_plan(const StarConfig& config, std::size_t num_shards) {
   ShardPlan plan;
   plan.num_shards = num_shards;
   plan.shard_of_host.resize(config.num_hosts);
-  const std::size_t block =
-      (config.num_hosts + num_shards - 1) / num_shards;  // ceil
   for (std::size_t h = 0; h < config.num_hosts; ++h) {
-    plan.shard_of_host[h] = static_cast<std::uint32_t>(h / block);
+    plan.shard_of_host[h] =
+        static_cast<std::uint32_t>(h * num_shards / config.num_hosts);
   }
   // Min-latency cut: the cut edges are exactly the host<->switch hops, and
   // the star wires every one of them with config.link_delay, so the minimum

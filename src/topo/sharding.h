@@ -30,10 +30,11 @@ struct ShardPlan {
   }
 };
 
-// Contiguous block assignment (hosts [k*B, (k+1)*B) to shard k) over a star
+// Balanced contiguous block assignment (host h to shard h*K/n, so block
+// sizes differ by at most one host and no shard is empty) over a star
 // topology, with the min-latency cut computed from the link delays. All-to-
-// all workloads are symmetric across hosts, so contiguous blocks balance
-// load as well as any assignment while keeping shard_of() a division.
+// all workloads are symmetric across hosts, so balanced contiguous blocks
+// spread load as well as any assignment.
 ShardPlan make_shard_plan(const StarConfig& config, std::size_t num_shards);
 
 // Builds the star of `config` partitioned per `plan`: shard k's hosts get

@@ -1,5 +1,5 @@
 // detlint fixture: the thread-primitive rule must flag std:: concurrency
-// types, util:: channel/lock wrappers, thread_local, and pthread_* calls in
+// types, util:: lock/condvar wrappers, thread_local, and pthread_* calls in
 // simulation code, and be silenced by a detlint:allow on the site. Never
 // compiled; consumed by `tools/detlint.py --self-test`.
 #include <atomic>
@@ -18,8 +18,8 @@ void bad_spawn() {
   worker.join();
 }
 
-void bad_channel(util::SpscChannel<int>& ch) {  // detlint:expect(thread-primitive)
-  (void)ch;
+void bad_wait(util::CondVar& cv) {  // detlint:expect(thread-primitive)
+  (void)cv;
 }
 
 // Failure hook mirror: write-once before abort, never read by the schedule.

@@ -285,6 +285,17 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+// The number after the first `key` that follows `anchor` in a report.
+double number_after(const std::string& json, const std::string& anchor,
+                    const std::string& key) {
+  const std::size_t at = json.find(anchor);
+  EXPECT_NE(at, std::string::npos) << anchor;
+  const std::size_t value = json.find(key, at);
+  EXPECT_NE(value, std::string::npos) << anchor << " " << key;
+  if (at == std::string::npos || value == std::string::npos) return 0.0;
+  return std::stod(json.substr(value + key.size()));
+}
+
 TEST(ProfReportTest, SerialJsonReportHasSchemaAndSerialThread) {
   const std::string path = ::testing::TempDir() + "prof_serial_report.json";
   run_workload(sim::SchedulerBackend::kCalendar, 1, path);
@@ -316,6 +327,25 @@ TEST(ProfReportTest, ShardedJsonReportHasExecutiveAndShardThreads) {
   EXPECT_NE(json.find("\"barrier_stall_share\":"), std::string::npos);
   EXPECT_NE(json.find("\"load_imbalance\":"), std::string::npos);
   EXPECT_NE(json.find("\"mailbox_depth_hwm\":"), std::string::npos);
+  // The coordinator thread runs shard 0's windows, and those cycles are
+  // shard0's: the two busy envelopes together fit in the run's wall
+  // envelope instead of counting shard 0 twice (the slack covers the
+  // 6-digit printing of elapsed_seconds and cycles_per_second).
+  const double envelope =
+      number_after(json, "{", "\"elapsed_seconds\":") *
+      number_after(json, "{", "\"cycles_per_second\":");
+  const double shard0 =
+      number_after(json, "\"label\":\"shard0\"", "\"busy_cycles\":");
+  const double coordinator =
+      number_after(json, "\"label\":\"coordinator\"", "\"busy_cycles\":");
+  EXPECT_GT(shard0, 0.0);
+  EXPECT_LE(shard0 + coordinator, envelope * (1.0 + 1e-4));
+  // The coordinator's serial time between windows is measured, and it is
+  // part of the coordinator's own envelope.
+  const double serial =
+      number_after(json, "\"executive\"", "\"barrier_cycles\":");
+  EXPECT_GT(serial, 0.0);
+  EXPECT_LE(serial, coordinator);
   remove_prof_outputs(path);
 }
 

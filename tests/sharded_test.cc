@@ -2,8 +2,10 @@
 // (sim::ShardedSimulator + net::ShardFabric + topo::build_sharded_star)
 // must reproduce the serial schedule exactly.
 //
-//  * ShardedSimulator unit tests: window protocol, adaptive horizon,
-//    barrier callbacks, cross-shard scheduling at the barrier.
+//  * ShardedSimulator unit tests: window protocol, adaptive horizon, the
+//    cross-shard handoff hooks (landing at window start, and before every
+//    return from run_until), a multi-window token-ring stress, and the
+//    balanced shard plan.
 //  * The determinism property (the PR's defining constraint): for a fixed
 //    seed, a 2- and 4-shard run produces RpcMetrics identical to the
 //    serial run — same sample multisets (percentiles, counts, maxima bit
@@ -15,16 +17,21 @@
 //    like the serial link pipeline).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "runner/experiment.h"
 #include "sim/sharded.h"
 #include "sim/simulator.h"
+#include "topo/sharding.h"
 
 namespace aeq {
 namespace {
@@ -32,6 +39,73 @@ namespace {
 // ---------------------------------------------------------------------------
 // ShardedSimulator unit tests
 // ---------------------------------------------------------------------------
+
+// A minimal CrossShardHandoff with net::ShardFabric's protocol: tokens
+// sent during a window go to per-(src, dst) outboxes double-buffered by
+// window parity, and each destination lands last window's tokens, in
+// (source, FIFO) order, as events that call `deliver(dst, token)`.
+class TokenHandoff final : public sim::CrossShardHandoff {
+ public:
+  using Deliver = std::function<void(std::size_t shard, int token)>;
+
+  TokenHandoff(sim::ShardedSimulator& sharded, Deliver deliver)
+      : sharded_(sharded),
+        deliver_(std::move(deliver)),
+        senders_(sharded.num_shards()) {
+    for (auto& half : outboxes_) half.resize(shards() * shards());
+    sharded_.set_handoff(this);
+  }
+
+  // Called from an event running on shard `src`.
+  void send(std::size_t src, std::size_t dst, sim::Time arrival, int token) {
+    Sender& sender = senders_[src];
+    outboxes_[sender.parity][src * shards() + dst].push_back(
+        {arrival, token});
+    sender.earliest = std::min(sender.earliest, arrival);
+  }
+
+  void land_inbound(std::size_t k) override {
+    Sender& own = senders_[k];
+    const unsigned last = own.parity;
+    own.parity ^= 1u;
+    own.earliest = kNever;
+    for (std::size_t src = 0; src < shards(); ++src) {
+      for (const Token& msg : outboxes_[last][src * shards() + k]) {
+        const int token = msg.token;
+        sharded_.shard(k).schedule_at(
+            msg.arrival, [this, k, token] { deliver_(k, token); });
+      }
+      outboxes_[last][src * shards() + k].clear();
+    }
+  }
+
+  sim::Time earliest_pending() const override {
+    sim::Time earliest = kNever;
+    for (const Sender& sender : senders_) {
+      earliest = std::min(earliest, sender.earliest);
+    }
+    return earliest;
+  }
+
+ private:
+  static constexpr sim::Time kNever =
+      std::numeric_limits<sim::Time>::infinity();
+  struct Token {
+    sim::Time arrival;
+    int token;
+  };
+  struct Sender {
+    unsigned parity = 0;
+    sim::Time earliest = kNever;
+  };
+
+  std::size_t shards() const { return sharded_.num_shards(); }
+
+  sim::ShardedSimulator& sharded_;
+  Deliver deliver_;
+  std::vector<Sender> senders_;
+  std::array<std::vector<std::vector<Token>>, 2> outboxes_;
+};
 
 TEST(ShardedSimulatorTest, RunsEventsOnEveryShardAndSyncsClocks) {
   sim::ShardedSimulator sharded(3, sim::SchedulerBackend::kHeap,
@@ -67,28 +141,111 @@ TEST(ShardedSimulatorTest, AdaptiveHorizonSkipsIdleGaps) {
   EXPECT_LE(sharded.windows_executed(), 4u);
 }
 
-TEST(ShardedSimulatorTest, BarrierCallbackMayScheduleAcrossShards) {
-  // Model the fabric handoff: at each barrier, forward a token from shard
-  // 0 into shard 1 at now + lookahead (the conservative-arrival bound).
+TEST(ShardedSimulatorTest, HandoffMayScheduleAcrossShards) {
+  // Model the fabric handoff: forward a token from shard 0 into shard 1
+  // at now + lookahead (the conservative-arrival bound).
   sim::ShardedSimulator sharded(2, sim::SchedulerBackend::kCalendar,
                                 /*lookahead=*/0.5);
   std::vector<double> deliveries;
-  bool pending = false;
-  sharded.set_barrier_callback([&] {
-    if (!pending) return;
-    pending = false;
-    const double arrival = sharded.now() + sharded.lookahead();
-    sharded.shard(1).schedule_at(
-        arrival, [&deliveries, &sharded] {
-          deliveries.push_back(sharded.shard(1).now());
-        });
+  TokenHandoff handoff(sharded, [&](std::size_t shard, int) {
+    deliveries.push_back(sharded.shard(shard).now());
   });
-  sharded.shard(0).schedule_at(1.0, [&pending] { pending = true; });
+  sharded.shard(0).schedule_at(1.0, [&] {
+    handoff.send(0, 1, sharded.shard(0).now() + sharded.lookahead(), 0);
+  });
   sharded.run_until(10.0);
   ASSERT_EQ(deliveries.size(), 1u);
   // The token left shard 0 at t=1 and landed one lookahead later or after.
   EXPECT_GE(deliveries[0], 1.0 + 0.5);
   EXPECT_LE(deliveries[0], 10.0);
+}
+
+TEST(ShardedSimulatorTest, TokenRingCrossesEveryWindowIntact) {
+  // Every shard forwards each token it receives to the next shard one
+  // lookahead later, so every window moves every token one hop: 10k
+  // windows of park/wake, parity flips and FIFO landing. Lookahead 1 keeps
+  // every time an exact integer.
+  constexpr int kTokensPerShard = 3;
+  constexpr int kHops = 10000;
+  for (const std::size_t shards : {2u, 3u, 4u}) {
+    sim::ShardedSimulator sharded(shards, sim::SchedulerBackend::kCalendar,
+                                  /*lookahead=*/1.0);
+    struct Delivery {
+      sim::Time time;
+      int token;
+      bool operator==(const Delivery& other) const {
+        return time == other.time && token == other.token;
+      }
+    };
+    // Each shard's log is written only by the thread running that shard.
+    std::vector<std::vector<Delivery>> log(shards);
+    TokenHandoff* ring = nullptr;
+    const auto on_token = [&](std::size_t k, int token) {
+      const sim::Time now = sharded.shard(k).now();
+      log[k].push_back({now, token});
+      ring->send(k, (k + 1) % shards, now + sharded.lookahead(), token);
+    };
+    TokenHandoff handoff(sharded, on_token);
+    ring = &handoff;
+    for (std::size_t k = 0; k < shards; ++k) {
+      for (int j = 0; j < kTokensPerShard; ++j) {
+        const int token = static_cast<int>(k) * kTokensPerShard + j;
+        sharded.shard(k).schedule_at(
+            0.0, [&on_token, k, token] { on_token(k, token); });
+      }
+    }
+    sharded.run_until(kHops + 0.5);
+    EXPECT_GE(sharded.windows_executed(), static_cast<std::uint64_t>(kHops));
+    for (std::size_t d = 0; d < shards; ++d) {
+      // At time n shard d holds the tokens that started on shard d - n,
+      // in their original (FIFO) order.
+      std::vector<Delivery> expected;
+      for (int n = 0; n <= kHops; ++n) {
+        const std::size_t origin =
+            (d + shards - static_cast<std::size_t>(n) % shards) % shards;
+        for (int j = 0; j < kTokensPerShard; ++j) {
+          expected.push_back({static_cast<sim::Time>(n),
+                              static_cast<int>(origin) * kTokensPerShard + j});
+        }
+      }
+      EXPECT_TRUE(log[d] == expected)
+          << "shard " << d << " of " << shards << ": " << log[d].size()
+          << " deliveries, expected " << expected.size();
+      // The hop sent in the last window was landed before returning.
+      EXPECT_DOUBLE_EQ(sharded.shard(d).next_event_time(), kHops + 1.0);
+      EXPECT_EQ(sharded.shard(d).pending_events(),
+                static_cast<std::size_t>(kTokensPerShard));
+    }
+    EXPECT_EQ(handoff.earliest_pending(),
+              std::numeric_limits<sim::Time>::infinity());
+  }
+}
+
+TEST(ShardedSimulatorTest, PendingHandoffLandsBeforeIdleReturn) {
+  // The token outlives the lookahead (arrival 3 after its send), so after
+  // the one window at t=1 nothing is due before t_end = 2.5 and run_until
+  // returns through its idle path — with the token still in the handoff.
+  // It must be landed into shard 1 before the call returns.
+  sim::ShardedSimulator sharded(2, sim::SchedulerBackend::kHeap,
+                                /*lookahead=*/1.0);
+  std::vector<double> deliveries;
+  TokenHandoff handoff(sharded, [&](std::size_t shard, int) {
+    deliveries.push_back(sharded.shard(shard).now());
+  });
+  sharded.shard(0).schedule_at(1.0, [&] {
+    handoff.send(0, 1, sharded.shard(0).now() + 3.0, 0);
+  });
+  sharded.run_until(2.5);
+  EXPECT_EQ(sharded.windows_executed(), 1u);
+  EXPECT_DOUBLE_EQ(sharded.now(), 2.5);
+  EXPECT_TRUE(deliveries.empty());
+  EXPECT_EQ(handoff.earliest_pending(),
+            std::numeric_limits<sim::Time>::infinity());
+  EXPECT_EQ(sharded.shard(1).pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(sharded.shard(1).next_event_time(), 4.0);
+  sharded.run_until(10.0);
+  ASSERT_EQ(deliveries.size(), 1u);
+  EXPECT_DOUBLE_EQ(deliveries[0], 4.0);
 }
 
 TEST(ShardedSimulatorTest, RepeatedRunUntilAdvancesMonotonically) {
@@ -102,6 +259,29 @@ TEST(ShardedSimulatorTest, RepeatedRunUntilAdvancesMonotonically) {
   sharded.run_until(8.0);
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(sharded.now(), 8.0);
+}
+
+TEST(ShardPlanTest, BlocksDifferByAtMostOneHostAndNoneIsEmpty) {
+  const std::vector<std::pair<std::size_t, std::vector<std::size_t>>> cases =
+      {{5, {2, 1, 1, 1}},
+       {9, {3, 2, 2, 2}},
+       {33, {9, 8, 8, 8}},
+       {576, {144, 144, 144, 144}}};
+  for (const auto& [hosts, sizes] : cases) {
+    topo::StarConfig star;
+    star.num_hosts = hosts;
+    const topo::ShardPlan plan = topo::make_shard_plan(star, 4);
+    ASSERT_EQ(plan.shard_of_host.size(), hosts);
+    std::vector<std::size_t> block(4, 0);
+    for (std::size_t h = 0; h < hosts; ++h) {
+      // Contiguous: shard ids never decrease along the host ids.
+      if (h > 0) {
+        EXPECT_GE(plan.shard_of_host[h], plan.shard_of_host[h - 1]);
+      }
+      ++block.at(plan.shard_of_host[h]);
+    }
+    EXPECT_EQ(block, sizes) << hosts << " hosts";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 // Unit and model-based tests for the src/util containers: the hot-path
-// building blocks (RingBuffer, FlatMap64, InlineFunction) and the
-// cross-shard SPSC channel. These types back the event loop and the
-// PDES mailboxes, so their edge cases (wraparound, backward-shift erase,
-// capacity budget, ring full/empty) get direct coverage here in addition
-// to the allocation/bit-identity suites that exercise them indirectly.
+// building blocks (RingBuffer, FlatMap64, InlineFunction). These types
+// back the event loop, so their edge cases (wraparound, backward-shift
+// erase, capacity budget) get direct coverage here in addition to the
+// allocation/bit-identity suites that exercise them indirectly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -17,7 +15,6 @@
 #include "util/flat_map.h"
 #include "util/inline_function.h"
 #include "util/ring_buffer.h"
-#include "util/spsc_channel.h"
 
 namespace aeq {
 namespace {
@@ -294,64 +291,6 @@ TEST(InlineFunctionTest, CaptureAtExactBudgetFits) {
       [payload]() { return payload.words[5]; };
   static_assert(sizeof(payload) <= 48);
   EXPECT_EQ(fn(), 77u);
-}
-
-// ---------------------------------------------------------------------------
-// util::SpscChannel
-// ---------------------------------------------------------------------------
-
-TEST(SpscChannelTest, CapacityRoundsUpToPowerOfTwo) {
-  util::SpscChannel<int> tiny(2);
-  EXPECT_EQ(tiny.capacity(), 2u);
-  util::SpscChannel<int> odd(5);
-  EXPECT_EQ(odd.capacity(), 8u);
-  util::SpscChannel<int> exact(64);
-  EXPECT_EQ(exact.capacity(), 64u);
-}
-
-TEST(SpscChannelTest, FifoAndFullEmptyAcrossWraparound) {
-  util::SpscChannel<int> channel(4);
-  int out = -1;
-  EXPECT_TRUE(channel.empty());
-  EXPECT_FALSE(channel.try_pop(out));
-  // Cycle far past capacity so the cursors wrap the slot array repeatedly.
-  int next_in = 0;
-  int next_out = 0;
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 4; ++i) EXPECT_TRUE(channel.try_push(next_in++));
-    EXPECT_FALSE(channel.try_push(12345));  // full: push refused, not lost
-    EXPECT_EQ(channel.approx_size(), 4u);
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(channel.try_pop(out));
-      EXPECT_EQ(out, next_out++);
-    }
-    EXPECT_TRUE(channel.empty());
-  }
-}
-
-TEST(SpscChannelTest, TwoThreadStreamArrivesIntactAndInOrder) {
-  // One producer, one consumer, a ring much smaller than the stream:
-  // every value must arrive exactly once, in order, despite full-ring
-  // backoff. (CI runs this under TSan, which also checks the fences.)
-  constexpr std::uint64_t kCount = 200000;
-  util::SpscChannel<std::uint64_t> channel(64);
-  std::thread producer([&channel] {
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!channel.try_push(i)) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kCount) {
-    std::uint64_t value = 0;
-    if (channel.try_pop(value)) {
-      ASSERT_EQ(value, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(channel.empty());
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ Rules (see DESIGN.md §12 for the catalogue rationale):
                     run-to-run independence inside one process (sweeps run
                     many Experiments per process).
   thread-primitive  concurrency primitives (std::thread/mutex/atomic/...,
-                    util::SpscChannel/Mutex) only in the annotated
+                    util::Mutex/CondVar) only in the annotated
                     concurrency layer (sim/sharded, runner/sweep,
                     net/shard_fabric, sim/assert's failure hook) — simulation
                     logic must stay single-threaded-per-shard.
@@ -90,8 +90,8 @@ WHITELIST = {
         "src/sim/sharded.h", "src/sim/sharded.cc",
         "src/runner/sweep.h", "src/runner/sweep.cc",
         "src/net/shard_fabric.h", "src/net/shard_fabric.cc",
-        "src/util/spsc_channel.h", "src/util/mutex.h",
-        "src/util/thread_annotations.h", "src/sim/assert.h",
+        "src/util/mutex.h", "src/util/thread_annotations.h",
+        "src/sim/assert.h",
     ),
     # AEQ_JOBS sizes the sweep worker pool; results are identical for any
     # value (sweep determinism contract), so it is not a schedule input.
@@ -345,7 +345,7 @@ THREAD_STD_IDS = {"thread", "jthread", "mutex", "shared_mutex",
                   "condition_variable_any", "atomic", "atomic_flag",
                   "async", "future", "promise", "barrier", "latch",
                   "counting_semaphore", "binary_semaphore", "stop_token"}
-THREAD_UTIL_IDS = {"SpscChannel", "Mutex", "MutexLock", "CondVar"}
+THREAD_UTIL_IDS = {"Mutex", "MutexLock", "CondVar"}
 
 
 def qualified_by(tokens, i, names):

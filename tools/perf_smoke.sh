@@ -11,7 +11,7 @@
 #                         — guards the enabled-path cost of the pipeline
 #   AEQ_PERF_SHARDED=1    2-shard conservative-PDES run on the calendar
 #                         backend (events_per_sec_millions_sharded) — guards
-#                         the barrier/mailbox overhead. This is a throughput
+#                         the barrier/handoff overhead. This is a throughput
 #                         floor, not a speedup check (it must hold even on a
 #                         single-core CI runner, where the two shard workers
 #                         time-slice); speedup is recorded and gated by

@@ -500,11 +500,7 @@ def check_prof_executive(path, executive, num_shards):
             where,
             f"load_imbalance {imbalance} above the shard count {num_shards}",
         )
-    for name in (
-        "mailbox_depth_hwm",
-        "cross_shard_packets",
-        "mailbox_overflows",
-    ):
+    for name in ("mailbox_depth_hwm", "cross_shard_packets"):
         prof_number(path, where, name, executive.get(name), 0)
     hist = executive.get("window_hist")
     if not isinstance(hist, list):
