@@ -70,6 +70,9 @@ Result run(bool with_quota, std::uint64_t seed,
           inner->on_completion(now, src, dst, qos_requested, qos_run, rnl,
                                mtus);
         }
+        void audit_invariants(sim::Time now) const override {
+          inner->audit_invariants(now);
+        }
       };
       auto holder = std::make_unique<Holder>();
       holder->keepalive = *server;

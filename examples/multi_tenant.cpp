@@ -55,6 +55,9 @@ int main() {
         inner->on_completion(now, src, dst, qos_requested, qos_run, rnl,
                              mtus);
       }
+      void audit_invariants(sim::Time now) const override {
+        inner->audit_invariants(now);
+      }
     };
     auto controller = std::make_unique<Tenant>();
     controller->keepalive = *server;

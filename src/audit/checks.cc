@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/quota.h"
 #include "net/port.h"
 #include "net/queue.h"
 #include "net/shared_buffer.h"
@@ -170,12 +169,6 @@ void register_admission_checks(Auditor& auditor, std::string component,
                        "admission gauge above its documented upper bound");
     }
   });
-}
-
-void register_quota_checks(Auditor& auditor, std::string component,
-                           const core::QuotaServer& server) {
-  auditor.add_check(std::move(component), "allocation-bounds",
-                    [&server] { server.audit_invariants(); });
 }
 
 void register_transport_checks(Auditor& auditor, std::string component,

@@ -6,8 +6,8 @@
 //
 //   queue/conservation-{packets,bytes}   offered == dequeued + dropped +
 //                                        resident, for every discipline
-//                                        (FIFO, WFQ, SPQ, DWRR, RED,
-//                                        pFabric). Work conservation is the
+//                                        (FIFO, WFQ, SPQ, DWRR, pFabric).
+//                                        Work conservation is the
 //                                        ground assumption of the WFQ delay
 //                                        bound (paper §4.1, Appendix B).
 //   queue/counter-bounds                 enqueued <= offered, dequeued <=
@@ -46,16 +46,19 @@
 //                                        in-flight and a clamped limit;
 //                                        for the bandit: Q-values inside
 //                                        the reward hull; for SWP: pacing
-//                                        rate and token bounds).
+//                                        rate and token bounds; for the
+//                                        quota controller: its Aequitas
+//                                        sweep plus the quota server's
+//                                        non-negative grants and demands,
+//                                        with per-QoS grants summing to at
+//                                        most the operator budget — §5.2:
+//                                        quota cannot over-promise the
+//                                        admissible region).
 //   admission/gauge-bounds               every introspection gauge
 //                                        (rpc::Gauge) sits inside its
 //                                        documented [lo, hi] and is finite
 //                                        unless a bound is explicitly
 //                                        unbounded.
-//   quota/allocation-bounds              per-QoS allocations are non-negative
-//                                        and sum to at most the operator
-//                                        budget (§5.2: quota cannot
-//                                        over-promise the admissible region).
 //   transport/flow-invariants            cumulative-ACK stream ordering and
 //                                        congestion-window bounds (Swift /
 //                                        DCTCP window clamps, §6.1's
@@ -71,9 +74,6 @@
 
 #include "audit/audit.h"
 
-namespace aeq::core {
-class QuotaServer;
-}  // namespace aeq::core
 namespace aeq::net {
 class Port;
 class QueueDiscipline;
@@ -130,10 +130,6 @@ void register_simulator_checks(Auditor& auditor, const sim::Simulator& sim);
 void register_admission_checks(Auditor& auditor, std::string component,
                                const rpc::AdmissionController& controller,
                                const sim::Simulator& sim);
-
-// Quota-server conservation (per-QoS allocation sums within budget).
-void register_quota_checks(Auditor& auditor, std::string component,
-                           const core::QuotaServer& server);
 
 // Stream-ordering and congestion-window invariants for every flow of a
 // host's transport stack.

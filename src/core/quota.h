@@ -53,11 +53,12 @@ class QuotaServer {
   std::size_t num_tenants() const { return tenants_.size(); }
   const QuotaServerConfig& config() const { return config_; }
 
-  // Audit hook (src/audit/checks.h): asserts quota conservation — per QoS,
-  // allocations are non-negative, demands are non-negative, and the sum of
-  // allocated rates never exceeds the operator budget (the §5.2 guarantee
-  // that quota cannot over-promise the admissible region). Aborts via
-  // AEQ_CHECK_* on violation.
+  // Audit hook, run by QuotaController::audit_invariants (the
+  // admission/invariants check of src/audit/checks.h): asserts quota
+  // conservation — per QoS, allocations are non-negative, demands are
+  // non-negative, and the sum of allocated rates never exceeds the operator
+  // budget (the §5.2 guarantee that quota cannot over-promise the
+  // admissible region). Aborts via AEQ_CHECK_* on violation.
   void audit_invariants() const;
 
  private:
@@ -102,8 +103,10 @@ class QuotaController final : public rpc::AdmissionController {
 
   // Inner AIMD gauges plus the quota plane's over-quota rejection count.
   std::vector<rpc::Gauge> gauges() const override;
+  // The inner Aequitas sweep plus the shared quota server's conservation.
   void audit_invariants(sim::Time now) const override {
     aequitas_->audit_invariants(now);
+    server_.audit_invariants();
   }
 
   AequitasController& aequitas() { return *aequitas_; }

@@ -101,7 +101,6 @@ enum class Region : std::uint8_t {
   kQueueWfq,
   kQueueSpq,
   kQueueDwrr,
-  kQueueRed,
   kQueuePfabric,
   kAudit,           // audit::Auditor::run_all sweep
   kTelemetry,       // obs::Recorder fan-out to sinks
@@ -124,7 +123,6 @@ inline const char* region_name(Region region) {
     case Region::kQueueWfq: return "queue/wfq";
     case Region::kQueueSpq: return "queue/spq";
     case Region::kQueueDwrr: return "queue/dwrr";
-    case Region::kQueueRed: return "queue/red";
     case Region::kQueuePfabric: return "queue/pfabric";
     case Region::kAudit: return "audit/sweep";
     case Region::kTelemetry: return "telemetry/emit";

@@ -1,5 +1,6 @@
 #include "policy/registry.h"
 
+#include <functional>
 #include <map>
 #include <utility>
 
@@ -14,7 +15,10 @@ namespace aeq::policy {
 
 namespace {
 
-using Registry = std::map<std::string, PolicyFactory>;
+using Registry =
+    std::map<std::string,
+             std::function<std::unique_ptr<rpc::AdmissionController>(
+                 const AdmissionSpec&, const PolicyContext&)>>;
 
 std::unique_ptr<rpc::AdmissionController> wrap_rejections(
     std::unique_ptr<rpc::AdmissionController> inner, bool drop_rejects) {
@@ -63,22 +67,12 @@ Registry builtin_registry() {
   return registry;
 }
 
-Registry& registry() {
-  // Process-wide policy table, written only by register_policy (setup
-  // time) and read at experiment construction — not per-event state, so
-  // run-to-run independence within one process is unaffected.
-  // detlint:allow(static-local)
-  static Registry instance = builtin_registry();
+const Registry& registry() {
+  static const Registry instance = builtin_registry();
   return instance;
 }
 
 }  // namespace
-
-void register_policy(const std::string& kind, PolicyFactory factory) {
-  AEQ_ASSERT_MSG(!kind.empty(), "policy kind must be non-empty");
-  AEQ_ASSERT_MSG(factory != nullptr, "policy factory must be callable");
-  registry()[kind] = std::move(factory);
-}
 
 bool is_registered(const std::string& kind) {
   return registry().count(kind) != 0;

@@ -1,12 +1,13 @@
-// The admission-policy registry: string kind -> controller factory,
-// mirroring the EventScheduler backend pattern from PR 1 at the admission
-// layer. The experiment harness resolves ExperimentConfig::admission
-// (an AdmissionSpec) through make_controller() once per host; benches and
-// tests enumerate names() to sweep every registered policy.
+// The admission-policy registry: a fixed table mapping each built-in
+// policy kind to its controller constructor. The experiment harness
+// resolves ExperimentConfig::admission (an AdmissionSpec) through
+// make_controller() once per host; benches and tests enumerate names() to
+// sweep every built-in policy. Caller-built controllers go through
+// AdmissionSpec::factory instead. The table is immutable, so concurrent
+// experiment construction (SweepRunner workers) reads it safely.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,19 +32,9 @@ struct PolicyContext {
   sim::Rng rng{0};
 };
 
-using PolicyFactory =
-    std::function<std::unique_ptr<rpc::AdmissionController>(
-        const AdmissionSpec&, const PolicyContext&)>;
-
-// Registers (or replaces) a policy under `kind`. Built-ins self-register;
-// user code may add policies before constructing experiments. NOT
-// thread-safe against concurrent experiment construction — register
-// everything up front, as with custom event-scheduler backends.
-void register_policy(const std::string& kind, PolicyFactory factory);
-
 bool is_registered(const std::string& kind);
 
-// Registered kinds in sorted order (stable for sweeps and --controller=all).
+// Built-in kinds in sorted order (stable for sweeps and --controller=all).
 std::vector<std::string> names();
 
 // Builds one host's controller for `spec`. Unknown kinds abort with the

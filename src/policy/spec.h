@@ -94,9 +94,9 @@ struct SwpPacingConfig {
 };
 
 struct AdmissionSpec {
-  // Registry key of the policy every host runs. Built-ins: "aequitas"
-  // (default, Algorithm 1), "always-admit", "ticket-pool", "bandit",
-  // "swp-pacing". User policies register via policy::register_policy.
+  // Registry key of the policy every host runs: "aequitas" (default,
+  // Algorithm 1), "always-admit", "ticket-pool", "bandit" or "swp-pacing".
+  // Other policies are installed through `factory`.
   std::string kind = kAequitas;
 
   // Per-policy parameter blocks; only the block matching `kind` is read.

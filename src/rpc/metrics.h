@@ -34,7 +34,9 @@ struct RpcRecord {
   sim::Time rnl = 0.0;
 };
 
-class RpcMetrics {
+// Cache-line aligned: each shard of a sharded run writes its own sink
+// concurrently, so a sink must not share a line with another shard's data.
+class alignas(64) RpcMetrics {
  public:
   RpcMetrics(std::size_t num_qos, const SloConfig& slo,
              std::size_t num_hosts);

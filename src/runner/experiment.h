@@ -150,8 +150,8 @@ struct ExperimentConfig {
   // Admission control: which policy every host runs, resolved through the
   // policy registry (src/policy/). The default spec is Aequitas with the
   // paper's AIMD knobs; set admission.kind to sweep competing policies
-  // ("always-admit", "ticket-pool", "bandit", "swp-pacing", or anything
-  // registered via policy::register_policy).
+  // ("always-admit", "ticket-pool", "bandit", "swp-pacing"), or
+  // admission.factory to install a caller-built controller.
   policy::AdmissionSpec admission;
 
   rpc::SloConfig slo;  // required (also drives SLO-met accounting)

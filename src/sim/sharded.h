@@ -148,8 +148,8 @@ class ShardedSimulator {
   // Sum of events dispatched across shards. With audit and telemetry off
   // this equals the serial run's count — the cross-shard handoff path
   // schedules one NIC tx-end event plus one arrival event per packet,
-  // exactly like the serial two-event link pipeline (checked by the
-  // BENCH_hotpath sharded section).
+  // exactly like the serial two-event link pipeline (checked by
+  // ShardDeterminismTest.EventCountMatchesSerialWithAuditOff).
   std::uint64_t events_processed() const;
 
   std::size_t pending_events() const;

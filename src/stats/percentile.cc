@@ -3,23 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/assert.h"
+
 namespace aeq::stats {
 
 void PercentileTracker::add(double x) {
   summary_.add(x);
-  if (capacity_ == 0 || samples_.size() < capacity_) {
-    samples_.push_back(x);
-    sorted_ = false;
-    return;
-  }
-  // Vitter's Algorithm R: replace a uniformly random existing slot with
-  // probability capacity/count so the reservoir is a uniform sample.
-  const std::uint64_t n = summary_.count();
-  const std::uint64_t slot = rng_.index(n);
-  if (slot < capacity_) {
-    samples_[static_cast<std::size_t>(slot)] = x;
-    sorted_ = false;
-  }
+  samples_.push_back(x);
+  sorted_ = false;
 }
 
 void PercentileTracker::ensure_sorted() const {
@@ -46,41 +37,9 @@ double PercentileTracker::percentile(double pct) const {
 
 void PercentileTracker::merge(const PercentileTracker& other) {
   if (other.summary_.count() == 0) return;
-  const double n_self = static_cast<double>(summary_.count());
-  const double n_other = static_cast<double>(other.summary_.count());
   summary_.merge(other.summary_);
-  if (capacity_ == 0 || samples_.size() + other.samples_.size() <= capacity_) {
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    sorted_ = false;
-    return;
-  }
-  // Weighted subsample: each stored value stands for count/|samples| of its
-  // side's observations, so draw `capacity_` survivors without replacement,
-  // picking a side in proportion to its remaining represented mass.
-  std::vector<double> mine = std::move(samples_);
-  std::vector<double> theirs = other.samples_;
-  const double w_self = n_self / static_cast<double>(mine.size());
-  const double w_other = n_other / static_cast<double>(theirs.size());
-  samples_.clear();
-  samples_.reserve(capacity_);
-  auto take = [this](std::vector<double>& pool) {
-    const auto slot = static_cast<std::size_t>(rng_.index(pool.size()));
-    samples_.push_back(pool[slot]);
-    pool[slot] = pool.back();
-    pool.pop_back();
-  };
-  while (samples_.size() < capacity_ && (!mine.empty() || !theirs.empty())) {
-    const double mass_self = w_self * static_cast<double>(mine.size());
-    const double mass_other = w_other * static_cast<double>(theirs.size());
-    if (theirs.empty() ||
-        (!mine.empty() &&
-         rng_.bernoulli(mass_self / (mass_self + mass_other)))) {
-      take(mine);
-    } else {
-      take(theirs);
-    }
-  }
+  samples_.insert(samples_.end(), other.samples_.begin(),
+                  other.samples_.end());
   sorted_ = false;
 }
 

@@ -1,29 +1,20 @@
 // Exact percentile tracking over collected samples.
 //
 // Tail percentiles (p99.9) are the paper's headline metric, so we keep exact
-// samples rather than sketches. An optional reservoir cap bounds memory for
-// very long runs while keeping the tail estimate unbiased.
+// samples rather than sketches.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "sim/rng.h"
 #include "stats/summary.h"
 
 namespace aeq::stats {
 
-class PercentileTracker {
+// Cache-line aligned for the same reason as rpc::RpcMetrics, whose
+// per-shard sinks hold these trackers.
+class alignas(64) PercentileTracker {
  public:
-  // Unbounded storage.
-  PercentileTracker() = default;
-
-  // Reservoir-sampled storage with at most `capacity` samples, using `seed`
-  // for the replacement draws.
-  PercentileTracker(std::size_t capacity, std::uint64_t seed)
-      : capacity_(capacity), rng_(seed) {}
-
   void add(double x);
 
   // Percentile in [0, 100]; e.g. 99.9 for p99.9. Returns 0 when empty.
@@ -44,25 +35,18 @@ class PercentileTracker {
 
   // Pre-sizes sample storage so a bounded run adds samples without touching
   // the allocator (the steady-state allocation regression test depends on
-  // this). A no-op beyond the reservoir cap, which already bounds storage.
-  void reserve(std::size_t n) {
-    samples_.reserve(capacity_ > 0 ? std::min(capacity_, n) : n);
-  }
+  // this).
+  void reserve(std::size_t n) { samples_.reserve(n); }
 
   // Folds another tracker into this one (for fan-out/fan-in aggregation of
-  // multi-trial sweep points). With unbounded storage on both sides the
-  // merge is exact: merge-of-parts equals feeding every sample to one
-  // tracker (up to sample order, which percentiles ignore). When either
-  // side is reservoir-capped the merged reservoir is a weighted
-  // subsample — each side's samples survive in proportion to the sample
-  // mass they represent — and the summary statistics stay exact.
+  // multi-trial sweep points). The merge is exact: merge-of-parts equals
+  // feeding every sample to one tracker (up to sample order, which
+  // percentiles ignore).
   void merge(const PercentileTracker& other);
 
  private:
   void ensure_sorted() const;
 
-  std::size_t capacity_ = 0;  // 0 => unbounded
-  sim::Rng rng_{0x5eed};
   Summary summary_;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;

@@ -12,9 +12,9 @@
 
 #include "audit/audit.h"
 #include "audit/checks.h"
+#include "net/fifo_queue.h"
 #include "net/pfabric_queue.h"
 #include "net/queue.h"
-#include "net/red_queue.h"
 #include "net/shared_buffer.h"
 #include "net/wfq.h"
 #include "runner/experiment.h"
@@ -182,16 +182,12 @@ TEST(AuditorDeathTest, LeakyQueueTripsConservation) {
 // --- Catalogue over real components ---------------------------------------
 
 TEST(Checks, WellBehavedQueuesPassConservation) {
-  net::RedConfig red_config;
-  red_config.capacity_bytes = 64 * 1024;
-  red_config.min_threshold_bytes = 8 * 1024;
-  red_config.max_threshold_bytes = 32 * 1024;
-  net::RedQueue red(red_config);
+  net::FifoQueue fifo(64 * 1024);
   net::WfqQueue wfq({4.0, 1.0}, 64 * 1024);
   net::PfabricQueue pfabric(16 * 1024);
 
   audit::Auditor auditor;
-  audit::register_queue_checks(auditor, "red", red);
+  audit::register_queue_checks(auditor, "fifo", fifo);
   audit::register_queue_checks(auditor, "wfq", wfq);
   audit::register_queue_checks(auditor, "pfabric", pfabric);
   // WFQ tag checks were attached automatically by the dynamic type probe.
@@ -199,19 +195,20 @@ TEST(Checks, WellBehavedQueuesPassConservation) {
 
   for (std::uint64_t i = 0; i < 200; ++i) {
     const auto qos = static_cast<net::QoSLevel>(i % 2);
-    red.enqueue(make_packet(1500, qos, i));
+    fifo.enqueue(make_packet(1500, qos, i));
     wfq.enqueue(make_packet(1500, qos, i));
     net::Packet p = make_packet(1500, qos, i);
     p.cold.msg_bytes = (i % 7 + 1) * 1500;  // varied remaining size -> evictions
     pfabric.enqueue(p);
     auditor.run_all();
     if (i % 3 == 0) {
-      red.dequeue();
+      fifo.dequeue();
       wfq.dequeue();
       pfabric.dequeue();
       auditor.run_all();
     }
   }
+  EXPECT_GT(fifo.stats().dropped_packets, 0u);     // tail drops happened
   EXPECT_GT(pfabric.stats().dropped_packets, 0u);  // evictions happened
   EXPECT_GT(auditor.report().total_evaluations, 0u);
 }

@@ -1,12 +1,11 @@
-// Tests for the later substrate additions: the calendar event queue, the
-// RED/AQM discipline, Pareto sizes and Zipf destination picking.
+// Tests for the later substrate additions: the calendar event queue,
+// Pareto sizes and Zipf destination picking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <vector>
 
-#include "net/red_queue.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -90,56 +89,6 @@ TEST(CalendarQueueTest, ResizesUnderLoadAndStaysCorrect) {
     EXPECT_GE(t, last);
     last = t;
   }
-}
-
-TEST(RedQueueTest, NoDropsBelowMinThreshold) {
-  net::RedConfig config;
-  config.min_threshold_bytes = 10000;
-  net::RedQueue q(config);
-  net::Packet p;
-  p.size_bytes = 1000;
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.enqueue(p));
-  EXPECT_EQ(q.stats().dropped_packets, 0u);
-}
-
-TEST(RedQueueTest, ProbabilisticDropsBetweenThresholds) {
-  net::RedConfig config;
-  config.capacity_bytes = 1 << 20;
-  config.min_threshold_bytes = 10000;
-  config.max_threshold_bytes = 100000;
-  config.max_drop_probability = 0.5;
-  config.ewma_weight = 1.0;  // react instantly for the test
-  net::RedQueue q(config);
-  net::Packet p;
-  p.size_bytes = 1000;
-  // Fill to ~55K (drops possible on the way up: keep pushing), then hold
-  // the queue there and expect ~25% drops.
-  int drops = 0;
-  const int trials = 4000;
-  while (q.backlog_bytes() < 55000) q.enqueue(p);
-  for (int i = 0; i < trials; ++i) {
-    if (!q.enqueue(p)) {
-      ++drops;
-    } else {
-      q.dequeue();  // keep the backlog steady
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(drops) / trials, 0.25, 0.06);
-}
-
-TEST(RedQueueTest, HardDropAtCapacity) {
-  net::RedConfig config;
-  config.capacity_bytes = 3000;
-  config.min_threshold_bytes = 1000;
-  config.max_threshold_bytes = 2999;
-  config.ewma_weight = 0.001;  // keep the average low: no early drops
-  net::RedQueue q(config);
-  net::Packet p;
-  p.size_bytes = 1000;
-  EXPECT_TRUE(q.enqueue(p));
-  EXPECT_TRUE(q.enqueue(p));
-  EXPECT_TRUE(q.enqueue(p));
-  EXPECT_FALSE(q.enqueue(p));  // 4000 > 3000
 }
 
 TEST(ParetoSizeTest, BoundsAndMeanMatchSamples) {

@@ -1,7 +1,7 @@
 // Admission-policy framework tests (src/policy/, DESIGN.md §13).
 //
 // Covers, in order:
-//   * the registry (builtin names, custom registration, unknown-kind abort),
+//   * the registry (builtin names, unknown-kind abort),
 //   * the admission spec reaching every host's controller,
 //   * the AdmissionDecision drop contract (dropped => no completion
 //     feedback, at the stack level and through QuotaController),
@@ -56,7 +56,7 @@ TEST(PolicyRegistry, BuiltinsRegisteredAndSorted) {
     EXPECT_NE(std::find(names.begin(), names.end(), kind), names.end())
         << kind;
   }
-  EXPECT_GE(names.size(), 5u);
+  EXPECT_EQ(names.size(), 5u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   EXPECT_FALSE(policy::is_registered("no-such-policy"));
 }
@@ -68,26 +68,6 @@ TEST(PolicyRegistryDeathTest, UnknownKindAbortsWithNameList) {
   context.slo = make_slo();
   EXPECT_DEATH(policy::make_controller(spec, std::move(context)),
                "no-such-policy");
-}
-
-TEST(PolicyRegistry, CustomRegistrationReachesTheExperiment) {
-  policy::register_policy(
-      "test-always-admit",
-      [](const policy::AdmissionSpec&, const policy::PolicyContext&) {
-        return std::make_unique<rpc::AlwaysAdmit>();
-      });
-  ASSERT_TRUE(policy::is_registered("test-always-admit"));
-
-  runner::ExperimentConfig config;
-  config.num_hosts = 2;
-  config.num_qos = 3;
-  config.slo = make_slo();
-  config.admission.kind = "test-always-admit";
-  runner::Experiment experiment(config);
-  const auto decision =
-      experiment.admission(0).admit(0.0, 0, 1, net::kQoSHigh, 4096);
-  EXPECT_FALSE(decision.downgraded);
-  EXPECT_FALSE(decision.dropped);
 }
 
 // ---------------------------------------------------------------------------

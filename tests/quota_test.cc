@@ -184,5 +184,25 @@ TEST(QuotaControllerTest, TokensRefillOverTime) {
   EXPECT_GE(admitted_later, 1);
 }
 
+// The controller's audit sweep covers the shared quota server too, so a
+// negative demand report aborts. AEQ_AUDIT builds already abort inside
+// report_demand, hence the report sits inside the death statement.
+TEST(QuotaControllerDeathTest, AuditCatchesNegativeDemandReport) {
+  sim::Simulator s;
+  QuotaServer server(s, server_config());
+  const auto tenant = server.register_tenant(1.0);
+  QuotaController controller(
+      s, server, tenant,
+      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)),
+      QuotaControllerConfig{});
+  controller.audit_invariants(0.0);  // a clean server passes
+  EXPECT_DEATH(
+      {
+        server.report_demand(tenant, 0, -1.0);
+        controller.audit_invariants(0.0);
+      },
+      ">= 0\\.0 \\(-1 vs 0\\)");
+}
+
 }  // namespace
 }  // namespace aeq::core

@@ -39,23 +39,9 @@ windows bounded by the window count, barrier stall share inside [0, 1]
 and a load-imbalance factor of at least 1. Each is negative-tested in CI
 by mangling a fresh report and expecting a non-zero exit.
 
-Finally, --bench-json checks the committed speed artifact
-(BENCH_hotpath.json, written by tools/bench_hotpath.sh): schema version,
-one perf_probe result per backend x telemetry combination with positive
-events/sec, matching event counts across backends for the same telemetry
-mode (the two schedulers must dispatch the identical event sequence),
-a sharded section covering shard counts 1/2/4 whose event counts agree
-exactly (a sharded run must reproduce the serial event sequence) with a
-speedup floor at 4 shards when the recording machine had >= 4 cores,
-well-formed micro_core entries, and a profile section (schema v3) that
-breaks the headline events/sec down by component and by shard, with the
-same share/stall/imbalance invariants as --prof-json. CI runs it against
-both the committed file and a freshly generated one, so a schema drift in
-either direction fails.
-
 Usage: tools/validate_trace.py [TRACE.json] [--expect-spans]
            [--timeseries-csv TS.csv] [--timeseries-json TS.json]
-           [--bench-json BENCH.json] [--prof-json PROF.json]
+           [--prof-json PROF.json]
 """
 
 import argparse
@@ -604,295 +590,6 @@ def validate_prof_json(path):
     )
 
 
-BENCH_SCHEMA_VERSION = 3
-BENCH_BACKENDS = {"heap", "calendar"}
-BENCH_SHARD_COUNTS = [1, 2, 4]
-# Speedup floor at 4 shards, applied only when the recording machine had at
-# least that many cores (on fewer cores shard workers time-slice and the
-# sharded section measures overhead, not speedup).
-BENCH_SPEEDUP_FLOOR_4_SHARDS = 3.0
-
-
-def bench_fail(path, where, why):
-    sys.exit(f"{path}: {where}: {why}")
-
-
-def bench_positive(path, where, name, value):
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        bench_fail(path, where, f"{name} is not numeric: {value!r}")
-    if value <= 0:
-        bench_fail(path, where, f"{name}={value} not positive")
-    return value
-
-
-def validate_bench_json(path):
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            sys.exit(f"{path}: not valid JSON: {err}")
-    if not isinstance(doc, dict):
-        bench_fail(path, "top level", "document is not an object")
-    if doc.get("schema_version") != BENCH_SCHEMA_VERSION:
-        bench_fail(
-            path,
-            "top level",
-            f"schema_version {doc.get('schema_version')!r}, expected "
-            f"{BENCH_SCHEMA_VERSION}",
-        )
-    if doc.get("benchmark") != "hotpath":
-        bench_fail(path, "top level", f"benchmark {doc.get('benchmark')!r}")
-
-    probe = doc.get("perf_probe")
-    if not isinstance(probe, dict) or not isinstance(
-        probe.get("results"), list
-    ):
-        bench_fail(path, "perf_probe", "missing results array")
-    if not isinstance(probe.get("command"), str):
-        bench_fail(path, "perf_probe", "missing command string")
-    seen = {}
-    events = {}
-    for index, result in enumerate(probe["results"]):
-        where = f"perf_probe.results[{index}]"
-        if not isinstance(result, dict):
-            bench_fail(path, where, "result is not an object")
-        backend = result.get("backend")
-        if backend not in BENCH_BACKENDS:
-            bench_fail(path, where, f"unknown backend {backend!r}")
-        telemetry = result.get("telemetry")
-        if not isinstance(telemetry, bool):
-            bench_fail(path, where, "telemetry is not a bool")
-        combo = (backend, telemetry)
-        if combo in seen:
-            bench_fail(path, where, f"duplicate combination {combo}")
-        seen[combo] = where
-        bench_positive(path, where, "events", result.get("events"))
-        bench_positive(
-            path,
-            where,
-            "events_per_sec_millions",
-            result.get("events_per_sec_millions"),
-        )
-        # Both backends must dispatch the identical event sequence for the
-        # same workload; a count mismatch means determinism broke.
-        events.setdefault(telemetry, {})[backend] = result["events"]
-    for backend in BENCH_BACKENDS:
-        for telemetry in (False, True):
-            if (backend, telemetry) not in seen:
-                bench_fail(
-                    path,
-                    "perf_probe.results",
-                    f"missing combination ({backend}, telemetry="
-                    f"{telemetry})",
-                )
-    for telemetry, by_backend in events.items():
-        if len(set(by_backend.values())) != 1:
-            bench_fail(
-                path,
-                "perf_probe.results",
-                f"event counts diverge across backends (telemetry="
-                f"{telemetry}): {by_backend}",
-            )
-
-    sharded = doc.get("sharded")
-    if not isinstance(sharded, dict) or not isinstance(
-        sharded.get("results"), list
-    ):
-        bench_fail(path, "sharded", "missing results array")
-    if not isinstance(sharded.get("command"), str):
-        bench_fail(path, "sharded", "missing command string")
-    cores = sharded.get("cores")
-    if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
-        bench_fail(path, "sharded", f"bad core count {cores!r}")
-    shard_counts = []
-    shard_events = set()
-    for index, result in enumerate(sharded["results"]):
-        where = f"sharded.results[{index}]"
-        if not isinstance(result, dict):
-            bench_fail(path, where, "result is not an object")
-        shards = result.get("shards")
-        if not isinstance(shards, int) or isinstance(shards, bool):
-            bench_fail(path, where, f"bad shard count {shards!r}")
-        shard_counts.append(shards)
-        bench_positive(path, where, "events", result.get("events"))
-        shard_events.add(result["events"])
-        bench_positive(
-            path,
-            where,
-            "events_per_sec_millions",
-            result.get("events_per_sec_millions"),
-        )
-        speedup = bench_positive(
-            path, where, "speedup_vs_serial", result.get("speedup_vs_serial")
-        )
-        if shards == 1 and abs(speedup - 1.0) > 1e-9:
-            bench_fail(path, where, f"serial speedup {speedup} != 1.0")
-        if shards >= 4 and cores >= shards:
-            if speedup < BENCH_SPEEDUP_FLOOR_4_SHARDS:
-                bench_fail(
-                    path,
-                    where,
-                    f"speedup {speedup} below the {shards}-shard floor "
-                    f"{BENCH_SPEEDUP_FLOOR_4_SHARDS} on a {cores}-core "
-                    "machine",
-                )
-    if shard_counts != BENCH_SHARD_COUNTS:
-        bench_fail(
-            path,
-            "sharded.results",
-            f"shard counts {shard_counts}, expected {BENCH_SHARD_COUNTS}",
-        )
-    # A sharded run must dispatch the exact serial event sequence; a count
-    # mismatch means the conservative-PDES determinism guarantee broke.
-    if len(shard_events) != 1:
-        bench_fail(
-            path,
-            "sharded.results",
-            f"event counts diverge across shard counts: {shard_events}",
-        )
-
-    micro = doc.get("micro_core")
-    if not isinstance(micro, dict) or not isinstance(
-        micro.get("results"), list
-    ):
-        bench_fail(path, "micro_core", "missing results array")
-    if not micro["results"]:
-        bench_fail(path, "micro_core", "empty results array")
-    names = set()
-    for index, result in enumerate(micro["results"]):
-        where = f"micro_core.results[{index}]"
-        if not isinstance(result, dict):
-            bench_fail(path, where, "result is not an object")
-        name = result.get("name")
-        if not isinstance(name, str) or not name:
-            bench_fail(path, where, f"bad benchmark name {name!r}")
-        if name in names:
-            bench_fail(path, where, f"duplicate benchmark {name!r}")
-        names.add(name)
-        bench_positive(path, where, "cpu_ns_per_op", result.get("cpu_ns_per_op"))
-        if "items_per_second" in result:
-            bench_positive(
-                path, where, "items_per_second", result["items_per_second"]
-            )
-
-    # Schema v3: the profile section breaks the headline events/sec down by
-    # component (obs/prof regions) and, for the sharded run, by shard.
-    profile = doc.get("profile")
-    if not isinstance(profile, dict):
-        bench_fail(path, "profile", "missing profile section (schema v3)")
-    if not isinstance(profile.get("command"), str):
-        bench_fail(path, "profile", "missing command string")
-    profile_events = {}
-    for mode in ("serial", "sharded"):
-        section = profile.get(mode)
-        where = f"profile.{mode}"
-        if not isinstance(section, dict):
-            bench_fail(path, where, "missing section")
-        profile_events[mode] = bench_positive(
-            path, where, "events", section.get("events")
-        )
-        bench_positive(
-            path,
-            where,
-            "events_per_sec_millions",
-            section.get("events_per_sec_millions"),
-        )
-        regions = section.get("regions")
-        if not isinstance(regions, list) or not regions:
-            bench_fail(path, where, "missing regions array")
-        share_sum = 0.0
-        for index, region in enumerate(regions):
-            rwhere = f"{where}.regions[{index}]"
-            if not isinstance(region, dict) or not isinstance(
-                region.get("name"), str
-            ):
-                bench_fail(path, rwhere, "region without a name")
-            bench_positive(path, rwhere, "calls", region.get("calls"))
-            share = region.get("self_share")
-            if not isinstance(share, numbers.Real) or not (
-                0.0 <= share <= 1.0 + SHARE_TOLERANCE
-            ):
-                bench_fail(path, rwhere, f"self_share {share!r} outside [0, 1]")
-            share_sum += share
-            bench_positive(path, rwhere, "ns_per_call", region.get("ns_per_call"))
-        if share_sum > 1.0 + SHARE_TOLERANCE:
-            bench_fail(
-                path, where, f"region self shares sum to {share_sum}, above 1"
-            )
-    # The profiled runs use the hotpath workload, so the sharded run must
-    # dispatch exactly the serial event sequence.
-    if profile_events["serial"] != profile_events["sharded"]:
-        bench_fail(
-            path,
-            "profile",
-            f"profiled event counts diverge: {profile_events}",
-        )
-    psharded = profile["sharded"]
-    nshards = psharded.get("shards")
-    if not isinstance(nshards, int) or nshards < 2:
-        bench_fail(path, "profile.sharded", f"bad shard count {nshards!r}")
-    bench_positive(path, "profile.sharded", "windows", psharded.get("windows"))
-    stall = psharded.get("barrier_stall_share")
-    if not isinstance(stall, numbers.Real) or not (
-        0.0 <= stall <= 1.0 + SHARE_TOLERANCE
-    ):
-        bench_fail(
-            path,
-            "profile.sharded",
-            f"barrier_stall_share {stall!r} outside [0, 1]",
-        )
-    imbalance = psharded.get("load_imbalance")
-    if not isinstance(imbalance, numbers.Real) or not (
-        1.0 - SHARE_TOLERANCE <= imbalance <= nshards + SHARE_TOLERANCE
-    ):
-        bench_fail(
-            path,
-            "profile.sharded",
-            f"load_imbalance {imbalance!r} outside [1, {nshards}]",
-        )
-    per_shard = psharded.get("per_shard")
-    if not isinstance(per_shard, list) or len(per_shard) != nshards:
-        bench_fail(
-            path,
-            "profile.sharded",
-            f"per_shard must list all {nshards} shards",
-        )
-    busy_sum = 0.0
-    for index, shard in enumerate(per_shard):
-        where = f"profile.sharded.per_shard[{index}]"
-        if not isinstance(shard, dict) or shard.get("label") != f"shard{index}":
-            bench_fail(path, where, "missing or out-of-order shard label")
-        bench_positive(path, where, "events", shard.get("events"))
-        busy = shard.get("busy_share")
-        if not isinstance(busy, numbers.Real) or not (
-            0.0 <= busy <= 1.0 + SHARE_TOLERANCE
-        ):
-            bench_fail(path, where, f"busy_share {busy!r} outside [0, 1]")
-        busy_sum += busy
-    if busy_sum > 1.0 + SHARE_TOLERANCE:
-        bench_fail(
-            path,
-            "profile.sharded",
-            f"per-shard busy shares sum to {busy_sum}, above 1",
-        )
-
-    pre = doc.get("pre_overhaul")
-    if not isinstance(pre, dict):
-        bench_fail(path, "pre_overhaul", "missing reference numbers")
-    for name in (
-        "heap_events_per_sec_millions",
-        "calendar_events_per_sec_millions",
-    ):
-        bench_positive(path, "pre_overhaul", name, pre.get(name))
-
-    print(
-        f"{path}: OK — {len(probe['results'])} perf_probe results, "
-        f"{len(sharded['results'])} sharded results ({cores} cores), "
-        f"{len(micro['results'])} micro_core results, profile over "
-        f"{len(profile['serial']['regions'])} regions"
-    )
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -914,10 +611,6 @@ def main():
         help="validate a TimeseriesSink JSON timeline",
     )
     parser.add_argument(
-        "--bench-json",
-        help="validate a BENCH_hotpath.json speed artifact",
-    )
-    parser.add_argument(
         "--prof-json",
         help="validate an execution-profile report (--prof=PATH output)",
     )
@@ -927,21 +620,17 @@ def main():
             opts.trace,
             opts.timeseries_csv,
             opts.timeseries_json,
-            opts.bench_json,
             opts.prof_json,
         )
     ):
         parser.error(
-            "nothing to validate: pass TRACE, --timeseries-*, --bench-json, "
-            "or --prof-json"
+            "nothing to validate: pass TRACE, --timeseries-* or --prof-json"
         )
 
     if opts.timeseries_csv:
         validate_timeseries_csv(opts.timeseries_csv)
     if opts.timeseries_json:
         validate_timeseries_json(opts.timeseries_json)
-    if opts.bench_json:
-        validate_bench_json(opts.bench_json)
     if opts.prof_json:
         validate_prof_json(opts.prof_json)
     if not opts.trace:
