@@ -62,14 +62,4 @@ std::size_t Report::num_components() const {
   return names.size();
 }
 
-void Report::write(std::ostream& os) const {
-  os << "audit report: " << entries.size() << " checks over "
-     << num_components() << " components, " << total_evaluations
-     << " evaluations, 0 violations\n";
-  for (const Entry& entry : entries) {
-    os << "  " << entry.component << "/" << entry.name << ": "
-       << entry.evaluations << " evaluations\n";
-  }
-}
-
 }  // namespace aeq::audit

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,8 +37,8 @@ inline constexpr bool kBuildEnabled = AEQ_AUDIT_ENABLED != 0;
 // End-of-run summary: which invariants were evaluated how often, per
 // component. A run that aborts never produces one, so a report with nonzero
 // evaluations is itself the "zero violations" statement for CI.
-// Entries are sorted by (component, name) — the serialized report is
-// independent of check registration order (DESIGN.md §12).
+// Entries are sorted by (component, name), independent of check
+// registration order (DESIGN.md §12).
 struct Report {
   struct Entry {
     std::string component;
@@ -50,7 +49,6 @@ struct Report {
   std::uint64_t total_evaluations = 0;
 
   std::size_t num_components() const;
-  void write(std::ostream& os) const;
 };
 
 // Registry of named invariant checks. A check is a closure that reads

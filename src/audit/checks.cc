@@ -5,7 +5,6 @@
 
 #include "net/port.h"
 #include "net/queue.h"
-#include "net/shared_buffer.h"
 #include "net/switch.h"
 #include "net/wfq.h"
 #include "rpc/admission.h"
@@ -59,19 +58,15 @@ void register_queue_checks(Auditor& auditor, std::string component,
       AEQ_CHECK_EQ_MSG(class_backlog, queue.backlog_bytes(),
                        "per-class backlogs do not partition queue backlog");
     }
-    // Class drops never exceed the totals (a shared-buffer decorator adds
-    // pool rejections to its own total on top of the inner class drops).
-    AEQ_CHECK_LE(class_drop_packets, queue.stats().dropped_packets);
-    AEQ_CHECK_LE(class_drop_bytes, queue.stats().dropped_bytes);
+    // Every drop is charged to exactly one class, so class drops partition
+    // the totals.
+    AEQ_CHECK_EQ(class_drop_packets, queue.stats().dropped_packets);
+    AEQ_CHECK_EQ(class_drop_bytes, queue.stats().dropped_bytes);
   });
 
-  // Attach the WFQ tag invariants when this discipline is (or wraps) a
-  // virtual-time WFQ.
-  const net::QueueDiscipline* inner = &queue;
-  if (const auto* pooled = dynamic_cast<const net::PooledQueue*>(inner)) {
-    inner = &pooled->inner();
-  }
-  if (const auto* wfq = dynamic_cast<const net::WfqQueue*>(inner)) {
+  // Attach the WFQ tag invariants when this discipline is a virtual-time
+  // WFQ.
+  if (const auto* wfq = dynamic_cast<const net::WfqQueue*>(&queue)) {
     register_wfq_checks(auditor, std::move(component), *wfq);
   }
 }
@@ -86,24 +81,6 @@ void register_wfq_checks(Auditor& auditor, std::string component,
                       AEQ_CHECK_GE_MSG(v, prev,
                                        "WFQ virtual clock ran backwards");
                       prev = v;
-                    });
-}
-
-void register_pool_checks(Auditor& auditor, std::string component,
-                          const net::SharedBufferPool& pool,
-                          std::vector<const net::QueueDiscipline*> members) {
-  auditor.add_check(component, "used-within-total", [&pool] {
-    AEQ_CHECK_LE_MSG(pool.used(), pool.total(),
-                     "shared buffer pool over-committed");
-  });
-  auditor.add_check(component, "conservation",
-                    [&pool, members = std::move(members)] {
-                      std::uint64_t backlog = 0;
-                      for (const net::QueueDiscipline* member : members) {
-                        backlog += member->backlog_bytes();
-                      }
-                      AEQ_CHECK_EQ_MSG(pool.used(), backlog,
-                                       "pool reservation leaked or lost");
                     });
 }
 

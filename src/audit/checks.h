@@ -21,12 +21,6 @@
 //                                        non-decreasing virtual clock — the
 //                                        invariants the per-QoS delay bound
 //                                        is derived from (§4, Appendix B).
-//   pool/conservation, pool/used-within-total
-//                                        Dynamic-Threshold shared buffer:
-//                                        pool.used equals the sum of member
-//                                        backlogs and never exceeds the pool
-//                                        (footnote 2's commodity-switch
-//                                        buffering model).
 //   port/link-conservation               dequeued == delivered + in-flight.
 //   port/busy-time-bounded               serialization time fits in [0, now]
 //                                        (utilization figures depend on it).
@@ -70,14 +64,12 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "audit/audit.h"
 
 namespace aeq::net {
 class Port;
 class QueueDiscipline;
-class SharedBufferPool;
 class Switch;
 class WfqQueue;
 }  // namespace aeq::net
@@ -94,8 +86,7 @@ class HostStack;
 namespace aeq::audit {
 
 // Conservation and counter-sanity checks for one queue discipline. When the
-// discipline is (or decorates) a WfqQueue, the WFQ tag checks are attached
-// too.
+// discipline is a WfqQueue, the WFQ tag checks are attached too.
 void register_queue_checks(Auditor& auditor, std::string component,
                            const net::QueueDiscipline& queue);
 
@@ -103,11 +94,6 @@ void register_queue_checks(Auditor& auditor, std::string component,
 // register_queue_checks; exposed for unit tests).
 void register_wfq_checks(Auditor& auditor, std::string component,
                          const net::WfqQueue& queue);
-
-// Shared-buffer conservation over the queues drawing on `pool`.
-void register_pool_checks(Auditor& auditor, std::string component,
-                          const net::SharedBufferPool& pool,
-                          std::vector<const net::QueueDiscipline*> members);
 
 // Link-level conservation and busy-time sanity for one port, plus the queue
 // checks for its discipline.

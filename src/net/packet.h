@@ -50,10 +50,6 @@ struct PacketCold {
 
   // Homa grants: offset granted up to.
   std::uint64_t grant_offset = 0;
-
-  // Application-level correlation tag carried end-to-end with the message
-  // (request/response matching in the two-sided RPC layer).
-  std::uint64_t app_tag = 0;
 };
 
 struct Packet {
@@ -82,11 +78,11 @@ struct Packet {
 };
 
 // The split is only worth its churn if the layout actually holds: the whole
-// hot section must land in the packet's first cache line, and the overall
-// copy must stay smaller than the 136-byte pre-split struct.
+// hot section must land in the packet's first cache line. Every queue and
+// link copies packets, so the cold section may not grow unnoticed either.
 static_assert(offsetof(Packet, cold) == 64, "hot section must fill exactly one cache line");
 static_assert(sizeof(Packet) == 64 + sizeof(PacketCold), "unexpected padding between sections");
-static_assert(sizeof(Packet) <= 120, "Packet regrew past the post-split budget");
+static_assert(sizeof(Packet) <= 112, "Packet regrew past the post-split budget");
 
 // Receives packets delivered by a link. Implemented by switches and by the
 // host-side demultiplexer.

@@ -73,20 +73,18 @@ class QueueDiscipline {
   virtual std::uint64_t backlog_packets() const = 0;
 
   // Per-QoS backlog, for instrumentation. The base class maintains these
-  // from the count_*() calls, so they are exact for every discipline;
-  // virtual only for decorators (PooledQueue) that report an inner queue's
-  // backlog instead of their own.
-  virtual std::uint64_t class_backlog_bytes(QoSLevel qos) const {
+  // from the count_*() calls, so they are exact for every discipline.
+  std::uint64_t class_backlog_bytes(QoSLevel qos) const {
     return class_counters_.backlog_bytes[class_index(qos)];
   }
 
   // Per-QoS drop accounting (tail drops attributed to the class of the
   // dropped packet), needed to recover per-class drop rates from a shared
   // buffer.
-  virtual std::uint64_t class_dropped_packets(QoSLevel qos) const {
+  std::uint64_t class_dropped_packets(QoSLevel qos) const {
     return class_counters_.dropped_packets[class_index(qos)];
   }
-  virtual std::uint64_t class_dropped_bytes(QoSLevel qos) const {
+  std::uint64_t class_dropped_bytes(QoSLevel qos) const {
     return class_counters_.dropped_bytes[class_index(qos)];
   }
 

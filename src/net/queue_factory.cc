@@ -16,8 +16,7 @@ std::unique_ptr<QueueDiscipline> make_queue_impl(const QueueConfig& config) {
     case SchedulerType::kFifo:
       return std::make_unique<FifoQueue>(config.capacity_bytes);
     case SchedulerType::kWfq:
-      return std::make_unique<WfqQueue>(config.weights, config.capacity_bytes,
-                                        config.per_class_capacity_bytes);
+      return std::make_unique<WfqQueue>(config.weights, config.capacity_bytes);
     case SchedulerType::kDwrr:
       return std::make_unique<DwrrQueue>(config.weights,
                                          config.capacity_bytes);

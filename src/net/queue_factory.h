@@ -25,10 +25,6 @@ struct QueueConfig {
   std::uint64_t capacity_bytes = 0;  // 0 = unbounded (except pFabric)
   // ECN marking threshold for DCTCP-style senders (0 = no marking).
   std::uint64_t ecn_threshold_bytes = 0;
-  // Per-class buffer cap for class-aware disciplines (WFQ/DWRR/SPQ):
-  // isolates drops so an overloaded scavenger class cannot tail-drop
-  // higher-QoS packets out of the shared buffer. 0 = shared buffer only.
-  std::uint64_t per_class_capacity_bytes = 0;
   // Pre-sizes each class's packet ring for this many queued packets, so a
   // run whose queue depths stay below the hint performs no steady-state
   // ring growth (see QueueDiscipline::reserve_packets and the allocation

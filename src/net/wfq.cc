@@ -8,10 +8,8 @@
 
 namespace aeq::net {
 
-WfqQueue::WfqQueue(std::vector<double> weights, std::uint64_t capacity_bytes,
-                   std::uint64_t per_class_capacity_bytes)
-    : capacity_bytes_(capacity_bytes),
-      per_class_capacity_bytes_(per_class_capacity_bytes) {
+WfqQueue::WfqQueue(std::vector<double> weights, std::uint64_t capacity_bytes)
+    : capacity_bytes_(capacity_bytes) {
   AEQ_ASSERT_MSG(!weights.empty(), "WFQ needs at least one class");
   AEQ_CHECK_LE(weights.size(), kMaxQoSLevels);
   classes_.resize(weights.size());
@@ -28,12 +26,6 @@ bool WfqQueue::enqueue(const Packet& packet) {
   ClassState& cls = classes_[packet.qos];
   if (capacity_bytes_ != 0 &&
       backlog_bytes_ + packet.size_bytes > capacity_bytes_) {
-    count_dropped(packet);
-    return false;
-  }
-  if (per_class_capacity_bytes_ != 0 &&
-      class_backlog_bytes(packet.qos) + packet.size_bytes >
-          per_class_capacity_bytes_) {
     count_dropped(packet);
     return false;
   }

@@ -23,10 +23,8 @@ namespace aeq::net {
 class WfqQueue final : public QueueDiscipline {
  public:
   // `weights[i]` is the WFQ weight of QoS level i (i == 0 highest priority).
-  // capacity_bytes == 0 means unbounded. `per_class_capacity_bytes` caps
-  // each class individually (drop isolation); 0 disables it.
-  WfqQueue(std::vector<double> weights, std::uint64_t capacity_bytes = 0,
-           std::uint64_t per_class_capacity_bytes = 0);
+  // capacity_bytes == 0 means unbounded.
+  WfqQueue(std::vector<double> weights, std::uint64_t capacity_bytes = 0);
 
   bool enqueue(const Packet& packet) override;
   std::optional<Packet> dequeue() override;
@@ -65,7 +63,6 @@ class WfqQueue final : public QueueDiscipline {
   };
 
   std::uint64_t capacity_bytes_;
-  std::uint64_t per_class_capacity_bytes_;
   std::uint64_t backlog_bytes_ = 0;
   std::uint64_t backlog_packets_ = 0;
   double virtual_time_ = 0.0;

@@ -96,20 +96,6 @@ void write_regions_json(std::ostream& out, const Report& report,
 
 }  // namespace
 
-RegionStats aggregate_region(const Report& report, Region region) {
-  RegionStats total;
-  for (const ThreadProfile& thread : report.threads) {
-    const RegionStats& stats = thread.collector.stats(region);
-    total.count += stats.count;
-    total.total_cycles += stats.total_cycles;
-    total.self_cycles += stats.self_cycles;
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      total.hist[b] += stats.hist[b];
-    }
-  }
-  return total;
-}
-
 void write_json(const Report& report, const std::string& path) {
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   AEQ_ASSERT_MSG(out.is_open(), "prof: cannot open --prof report file");

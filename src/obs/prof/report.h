@@ -76,9 +76,6 @@ struct Report {
   ExecutiveReport executive;
 };
 
-// Sums a region's stats across every thread in the report.
-RegionStats aggregate_region(const Report& report, Region region);
-
 void write_json(const Report& report, const std::string& path);
 void write_chrome_tracks(const Report& report, const std::string& path);
 void write_text_summary(const Report& report, std::ostream& out);

@@ -47,8 +47,6 @@ void RpcMetrics::record(const RpcRecord& record) {
   if (record.downgraded) {
     ++downgraded_[record.qos_requested];
     ++downgraded_delivered_[record.qos_run];
-    ++downgraded_channel_[channel_key(record.src, record.dst,
-                                      record.qos_requested)];
   }
 
   const int group =
@@ -96,14 +94,6 @@ double RpcMetrics::admitted_share(net::QoSLevel qos) const {
                : 0.0;
 }
 
-double RpcMetrics::requested_share(net::QoSLevel qos) const {
-  std::uint64_t total = 0;
-  for (auto b : bytes_requested_) total += b;
-  return total ? static_cast<double>(bytes_requested_[qos]) /
-                     static_cast<double>(total)
-               : 0.0;
-}
-
 double RpcMetrics::slo_met_fraction(net::QoSLevel qos_requested) const {
   const auto eligible = slo_eligible_[qos_requested];
   return eligible ? static_cast<double>(slo_met_[qos_requested]) /
@@ -117,21 +107,6 @@ double RpcMetrics::slo_met_fraction_bytes(
   return eligible ? static_cast<double>(slo_met_bytes_[qos_requested]) /
                         static_cast<double>(eligible)
                   : 0.0;
-}
-
-std::uint64_t RpcMetrics::channel_key(net::HostId src, net::HostId dst,
-                                      net::QoSLevel qos) const {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 40) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 8) |
-         qos;
-}
-
-std::uint64_t RpcMetrics::downgraded_on_channel(net::HostId src,
-                                                net::HostId dst,
-                                                net::QoSLevel qos) const {
-  const std::uint64_t* count =
-      downgraded_channel_.find(channel_key(src, dst, qos));
-  return count == nullptr ? 0 : *count;
 }
 
 void RpcMetrics::merge(const RpcMetrics& other) {
@@ -153,12 +128,6 @@ void RpcMetrics::merge(const RpcMetrics& other) {
     slo_eligible_bytes_[q] += other.slo_eligible_bytes_[q];
     slo_met_bytes_[q] += other.slo_met_bytes_[q];
   }
-  // Commutative merge (+= per key); visit order cannot reach any output.
-  // detlint:allow(unordered-iter)
-  other.downgraded_channel_.for_each(
-      [this](std::uint64_t key, const std::uint64_t& count) {
-        downgraded_channel_[key] += count;
-      });
   for (std::size_t h = 0; h < outstanding_.size(); ++h) {
     outstanding_[h][0] += other.outstanding_[h][0];
     outstanding_[h][1] += other.outstanding_[h][1];

@@ -14,7 +14,6 @@
 #include "rpc/slo.h"
 #include "sim/units.h"
 #include "stats/percentile.h"
-#include "util/flat_map.h"
 
 namespace aeq::rpc {
 
@@ -92,8 +91,6 @@ class alignas(64) RpcMetrics {
   }
   // Fraction of issued bytes that ran on `qos` (the admitted QoS-mix).
   double admitted_share(net::QoSLevel qos) const;
-  // Fraction of issued bytes that requested `qos` (the input QoS-mix).
-  double requested_share(net::QoSLevel qos) const;
 
   std::uint64_t completed(net::QoSLevel qos_run) const {
     return completed_[qos_run];
@@ -108,11 +105,6 @@ class alignas(64) RpcMetrics {
   std::uint64_t downgraded_delivered(net::QoSLevel qos_run) const {
     return downgraded_delivered_[qos_run];
   }
-  // Downgrades of one (src, dst, qos_requested) RPC channel — the unit the
-  // per-channel AIMD operates on — so QoS-mix accounting can be audited
-  // channel by channel.
-  std::uint64_t downgraded_on_channel(net::HostId src, net::HostId dst,
-                                      net::QoSLevel qos_requested) const;
   std::uint64_t terminated(net::QoSLevel qos_requested) const {
     return terminated_[qos_requested];
   }
@@ -159,14 +151,10 @@ class alignas(64) RpcMetrics {
   std::vector<std::uint64_t> bytes_requested_;
   std::vector<std::uint64_t> bytes_admitted_;
   std::vector<std::uint64_t> bytes_completed_;
-  std::uint64_t channel_key(net::HostId src, net::HostId dst,
-                            net::QoSLevel qos) const;
 
   std::vector<std::uint64_t> completed_;
   std::vector<std::uint64_t> downgraded_;
   std::vector<std::uint64_t> downgraded_delivered_;
-  // Sparse: only channels that actually saw a downgrade hold an entry.
-  util::FlatMap64<std::uint64_t> downgraded_channel_;
   std::vector<std::uint64_t> terminated_;
   std::vector<std::uint64_t> slo_eligible_;
   std::vector<std::uint64_t> slo_met_;

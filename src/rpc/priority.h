@@ -16,17 +16,6 @@ enum class Priority : std::uint8_t {
   kBE = 2,  // best-effort: scavenger, no SLO
 };
 
-inline constexpr std::size_t kNumPriorities = 3;
-
-inline const char* priority_name(Priority p) {
-  switch (p) {
-    case Priority::kPC: return "PC";
-    case Priority::kNC: return "NC";
-    case Priority::kBE: return "BE";
-  }
-  return "?";
-}
-
 // Phase-1 mapping of priority to requested QoS for a fabric with
 // `num_qos_levels` WFQ classes.
 inline net::QoSLevel qos_for_priority(Priority priority,

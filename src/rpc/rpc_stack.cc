@@ -21,8 +21,7 @@ RpcStack::RpcStack(sim::Simulator& simulator, net::HostId host_id,
 
 std::uint64_t RpcStack::issue(net::HostId dst, Priority priority,
                               std::uint64_t bytes,
-                              sim::Time deadline_budget,
-                              std::uint64_t app_tag) {
+                              sim::Time deadline_budget) {
   AEQ_CHECK_GT(bytes, 0u);
   AEQ_CHECK_NE(dst, host_id_);
   const std::uint64_t rpc_id =
@@ -99,7 +98,6 @@ std::uint64_t RpcStack::issue(net::HostId dst, Priority priority,
   request.rpc_id = rpc_id;
   request.deadline =
       deadline_budget > 0.0 ? sim_.now() + deadline_budget : 0.0;
-  request.app_tag = app_tag;
 
   transport_.send_message(
       request, [this, record](const transport::MessageCompletion& done) {

@@ -33,12 +33,9 @@ class RpcStack {
 
   // Issues one RPC of `bytes` payload at `priority` toward `dst`.
   // `deadline_budget` (0 = none) is a relative deadline hint consumed only
-  // by deadline-aware transports; `app_tag` is delivered opaquely to the
-  // receiving host (two-sided RPC correlation). Returns the assigned
-  // rpc id.
+  // by deadline-aware transports. Returns the assigned rpc id.
   std::uint64_t issue(net::HostId dst, Priority priority, std::uint64_t bytes,
-                      sim::Time deadline_budget = 0.0,
-                      std::uint64_t app_tag = 0);
+                      sim::Time deadline_budget = 0.0);
 
   // Application hook: invoked with the full record of every finished RPC
   // (completions and terminations), e.g. to react to downgrades.

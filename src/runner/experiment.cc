@@ -38,12 +38,9 @@ Experiment::Experiment(const ExperimentConfig& config)
   queue.type = config_.scheduler;
   queue.weights = config_.wfq_weights;
   queue.capacity_bytes = config_.buffer_bytes;
-  queue.ecn_threshold_bytes = config_.ecn_threshold_bytes;
-  queue.per_class_capacity_bytes = config_.per_class_buffer_bytes;
   queue.reserve_packets = config_.queue_reserve_packets;
-  if (config_.cc_kind == ExperimentConfig::CcKind::kDctcp &&
-      queue.ecn_threshold_bytes == 0) {
-    // DCTCP needs marking; default to ~20 MTUs as in its paper's guidance.
+  if (config_.cc_kind == ExperimentConfig::CcKind::kDctcp) {
+    // DCTCP needs marking: ~20 MTUs, as in its paper's guidance.
     queue.ecn_threshold_bytes = 20ull * config_.transport.mtu_bytes;
   }
   // A queue may carry more classes than the RPC QoS space (Homa's levels).
@@ -585,13 +582,6 @@ void Experiment::register_audit_checks() {
     audit::register_switch_checks(*auditors_[k],
                                   network_.fabric_switch(s).name(),
                                   network_.fabric_switch(s), shard_sim(k));
-  }
-  // Sharded stars reject shared buffers, so every pool group is serial.
-  std::size_t pool_index = 0;
-  for (const topo::Network::PoolGroup& group : network_.pool_groups()) {
-    audit::register_pool_checks(*auditors_[0],
-                                "pool" + std::to_string(pool_index++),
-                                *group.pool, group.members);
   }
 }
 

@@ -99,8 +99,6 @@ struct ExperimentConfig {
   std::vector<double> wfq_weights = {8.0, 4.0, 1.0};
   net::SchedulerType scheduler = net::SchedulerType::kWfq;
   std::uint64_t buffer_bytes = 8 * sim::kMiB;  // per port, shared
-  // Per-class drop isolation at every port (see QueueConfig); 0 = off.
-  std::uint64_t per_class_buffer_bytes = 0;
   // Pre-sizes every port queue's per-class packet ring (see
   // QueueConfig::reserve_packets): with a hint above the run's deepest
   // backlog the event loop performs zero steady-state allocations, which
@@ -134,9 +132,7 @@ struct ExperimentConfig {
   transport::TransportConfig transport;
   CcKind cc_kind = CcKind::kSwift;
   transport::SwiftConfig swift;
-  transport::DctcpConfig dctcp;
-  // ECN marking threshold applied to every queue (needed by DCTCP).
-  std::uint64_t ecn_threshold_bytes = 0;
+  transport::DctcpConfig dctcp;  // every queue marks ECN past 20 MTUs
   double fixed_window_packets = 64.0;
   // QJump's per-QoS-level host rate limit as a fraction of link_rate;
   // 0 = unthrottled.

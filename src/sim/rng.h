@@ -7,8 +7,6 @@
 
 #include <cstdint>
 #include <random>
-#include <span>
-#include <vector>
 
 #include "sim/assert.h"
 
@@ -62,10 +60,6 @@ class Rng {
     AEQ_DCHECK(mean > 0);
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
-
-  // Samples an index from a discrete distribution with the given
-  // (not necessarily normalized, non-negative) weights.
-  std::size_t discrete(std::span<const double> weights);
 
   // Derives a new independent generator; useful for giving each component
   // its own stream.

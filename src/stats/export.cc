@@ -3,48 +3,13 @@
 #include <cstdio>
 #include <ostream>
 
-#include "sim/assert.h"
-
 namespace aeq::stats {
-
-void write_csv(std::ostream& out, const TimeSeries& series,
-               const std::string& value_name) {
-  out << "t," << value_name << "\n";
-  for (const TimePoint& point : series.points()) {
-    out << point.t << "," << point.value << "\n";
-  }
-}
 
 void write_quantiles_csv(std::ostream& out, const PercentileTracker& tracker,
                          const std::vector<double>& percentiles) {
   out << "percentile,value\n";
   for (double pct : percentiles) {
     out << pct << "," << tracker.percentile(pct) << "\n";
-  }
-}
-
-void write_csv(std::ostream& out, const Histogram& histogram) {
-  out << "bin_lower,count,cdf\n";
-  for (std::size_t i = 0; i < histogram.bin_count(); ++i) {
-    out << histogram.bin_lower(i) << "," << histogram.bin(i) << ","
-        << histogram.cdf_at(i) << "\n";
-  }
-}
-
-void write_csv(std::ostream& out,
-               const std::vector<LabelledSeries>& series, std::size_t rows) {
-  AEQ_ASSERT(!series.empty() && rows >= 2);
-  out << "t";
-  for (const LabelledSeries& s : series) out << "," << s.name;
-  out << "\n";
-  // Shared axis from the first series' span.
-  const auto axis = series.front().series->resample(rows);
-  for (const TimePoint& point : axis) {
-    out << point.t;
-    for (const LabelledSeries& s : series) {
-      out << "," << s.series->value_at(point.t);
-    }
-    out << "\n";
   }
 }
 

@@ -6,33 +6,15 @@
 #include <string>
 #include <vector>
 
-#include "stats/histogram.h"
 #include "stats/percentile.h"
 #include "stats/table.h"
-#include "stats/timeseries.h"
 
 namespace aeq::stats {
-
-// Writes "t,value" rows (with a header) for a time series.
-void write_csv(std::ostream& out, const TimeSeries& series,
-               const std::string& value_name = "value");
 
 // Writes "quantile,value" rows for the given quantiles (percent units).
 void write_quantiles_csv(std::ostream& out, const PercentileTracker& tracker,
                          const std::vector<double>& percentiles = {
                              1, 5, 10, 25, 50, 75, 90, 95, 99, 99.9});
-
-// Writes "bin_lower,count,cdf" rows for a histogram.
-void write_csv(std::ostream& out, const Histogram& histogram);
-
-// Writes several labelled time series side by side on a shared resampled
-// time axis: "t,<name1>,<name2>,...".
-struct LabelledSeries {
-  std::string name;
-  const TimeSeries* series;
-};
-void write_csv(std::ostream& out, const std::vector<LabelledSeries>& series,
-               std::size_t rows);
 
 // Writes a result table as CSV: one header row of column names, numeric
 // cells at full precision (%.12g), text cells quoted when they contain a

@@ -17,17 +17,6 @@ void Histogram::add(double x, std::uint64_t weight) {
   counts_[i < counts_.size() ? i : counts_.size() - 1] += weight;
 }
 
-void Histogram::merge(const Histogram& other) {
-  AEQ_ASSERT_MSG(same_binning(other),
-                 "can only merge histograms with identical binning");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-}
-
 double Histogram::cdf_at(std::size_t i) const {
   AEQ_CHECK_LT(i, counts_.size());
   if (total_ == 0) return 0.0;

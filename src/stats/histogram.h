@@ -34,17 +34,6 @@ class Histogram {
   // Fraction of mass at or below the upper edge of bin i (underflow included).
   double cdf_at(std::size_t i) const;
 
-  // Folds another histogram with identical binning into this one. Adding
-  // samples to shards and merging is exactly equivalent to adding them all
-  // to one histogram, so multi-trial sweep points can aggregate in
-  // parallel. Underflow/overflow mass is preserved.
-  void merge(const Histogram& other);
-
-  bool same_binning(const Histogram& other) const {
-    return lo_ == other.lo_ && hi_ == other.hi_ &&
-           counts_.size() == other.counts_.size();
-  }
-
  private:
   double lo_, hi_;
   std::vector<std::uint64_t> counts_;

@@ -51,13 +51,4 @@ double LogHistogram::percentile(double pct) const {
   return max_value_;
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  AEQ_CHECK_EQ(buckets_.size(), other.buckets_.size());
-  AEQ_CHECK_EQ(min_value_, other.min_value_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  total_ += other.total_;
-}
-
 }  // namespace aeq::stats

@@ -33,7 +33,6 @@ class LogHistogram {
   double p999() const { return percentile(99.9); }
 
   std::size_t bucket_count() const { return buckets_.size(); }
-  void merge(const LogHistogram& other);
 
  private:
   std::size_t index_of(double value) const;

@@ -43,10 +43,4 @@ void PercentileTracker::merge(const PercentileTracker& other) {
   sorted_ = false;
 }
 
-void PercentileTracker::clear() {
-  samples_.clear();
-  summary_ = Summary{};
-  sorted_ = true;
-}
-
 }  // namespace aeq::stats

@@ -31,8 +31,6 @@ class alignas(64) PercentileTracker {
   double min() const { return summary_.min(); }
   const Summary& summary() const { return summary_; }
 
-  void clear();
-
   // Pre-sizes sample storage so a bounded run adds samples without touching
   // the allocator (the steady-state allocation regression test depends on
   // this).

@@ -1,7 +1,5 @@
 #include "topo/builders.h"
 
-#include "net/shared_buffer.h"
-
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,11 +23,6 @@ Network build_star(sim::Simulator& simulator, const StarConfig& config) {
   AEQ_CHECK_GE(config.num_hosts, 2u);
   Network network;
   auto* fabric = network.add_switch(std::make_unique<net::Switch>("tor"));
-  net::SharedBufferPool* pool = nullptr;
-  if (config.shared_buffer_bytes != 0) {
-    pool = network.add_buffer_pool(std::make_unique<net::SharedBufferPool>(
-        config.shared_buffer_bytes, config.shared_buffer_alpha));
-  }
 
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
@@ -43,20 +36,12 @@ Network build_star(sim::Simulator& simulator, const StarConfig& config) {
   }
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
-    std::unique_ptr<net::QueueDiscipline> queue =
-        net::make_queue(config.switch_queue);
-    if (pool != nullptr) {
-      queue = std::make_unique<net::PooledQueue>(std::move(queue), *pool);
-    }
-    auto downlink = std::make_unique<net::Port>(
-        simulator, config.link_rate, config.link_delay, std::move(queue));
+    auto downlink = make_port(simulator, config.link_rate, config.link_delay,
+                              config.switch_queue);
     downlink->connect(&network.host(id));
     const std::size_t port = fabric->add_port(std::move(downlink));
     fabric->set_route(id, port);
     network.register_downlink(&fabric->port(port));
-    if (pool != nullptr) {
-      network.register_pool_member(pool, &fabric->port(port).queue());
-    }
   }
   return network;
 }

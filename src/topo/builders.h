@@ -22,11 +22,6 @@ struct StarConfig {
   sim::Time link_delay = 0.5 * sim::kUsec;
   net::QueueConfig host_queue;    // host NIC egress discipline
   net::QueueConfig switch_queue;  // switch egress (downlink) discipline
-  // When set, the switch's egress queues share one buffer pool of this many
-  // bytes with Dynamic-Threshold admission (paper footnote 2) instead of
-  // independent per-port capacities.
-  std::uint64_t shared_buffer_bytes = 0;
-  double shared_buffer_alpha = 1.0;
 };
 
 Network build_star(sim::Simulator& simulator, const StarConfig& config);

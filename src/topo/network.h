@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "net/host.h"
-#include "net/shared_buffer.h"
 #include "net/switch.h"
 
 namespace aeq::topo {
@@ -42,41 +41,15 @@ class Network {
     return *downlinks_.at(static_cast<std::size_t>(id));
   }
 
-  // A shared buffer pool together with the (pooled) queues drawing on it,
-  // recorded by the topology builders so the audit layer can state pool
-  // conservation: pool.used == sum of member backlogs.
-  struct PoolGroup {
-    net::SharedBufferPool* pool = nullptr;
-    std::vector<const net::QueueDiscipline*> members;
-  };
-  const std::vector<PoolGroup>& pool_groups() const { return pool_groups_; }
-
   // Builder API.
   net::Host* add_host(std::unique_ptr<net::Host> host);
   net::Switch* add_switch(std::unique_ptr<net::Switch> sw);
   void register_downlink(net::Port* port) { downlinks_.push_back(port); }
-  net::SharedBufferPool* add_buffer_pool(
-      std::unique_ptr<net::SharedBufferPool> pool) {
-    pools_.push_back(std::move(pool));
-    return pools_.back().get();
-  }
-  void register_pool_member(net::SharedBufferPool* pool,
-                            const net::QueueDiscipline* queue) {
-    for (PoolGroup& group : pool_groups_) {
-      if (group.pool == pool) {
-        group.members.push_back(queue);
-        return;
-      }
-    }
-    pool_groups_.push_back(PoolGroup{pool, {queue}});
-  }
 
  private:
   std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<net::Switch>> switches_;
-  std::vector<std::unique_ptr<net::SharedBufferPool>> pools_;
   std::vector<net::Port*> downlinks_;  // indexed by host id
-  std::vector<PoolGroup> pool_groups_;
 };
 
 }  // namespace aeq::topo

@@ -39,9 +39,6 @@ Network build_sharded_star(const std::vector<sim::Simulator*>& sims,
   AEQ_CHECK_GE(config.num_hosts, 2u);
   AEQ_CHECK_EQ(sims.size(), plan.num_shards);
   AEQ_CHECK_EQ(plan.shard_of_host.size(), config.num_hosts);
-  AEQ_ASSERT_MSG(config.shared_buffer_bytes == 0,
-                 "shared switch buffers span all downlinks and cannot be "
-                 "partitioned across shards");
 
   Network network;
   std::vector<net::Switch*> switches;

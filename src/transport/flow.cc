@@ -23,8 +23,7 @@ Flow::Flow(sim::Simulator& simulator, net::Host& src_host, net::HostId dst,
 }
 
 void Flow::send_message(std::uint64_t bytes, std::uint64_t rpc_id,
-                        CompletionHandler on_complete,
-                        std::uint64_t app_tag) {
+                        CompletionHandler on_complete) {
   AEQ_ASSERT_MSG(bytes > 0, "empty message");
   if (next_seq_ == stream_end_ && bytes_in_flight() == 0 &&
       sim_.now() - last_activity_ > config_->idle_restart_after) {
@@ -32,8 +31,8 @@ void Flow::send_message(std::uint64_t bytes, std::uint64_t rpc_id,
     emit_cwnd();
   }
   stream_end_ += bytes;
-  messages_.push_back(PendingMessage{stream_end_, bytes, rpc_id, app_tag,
-                                     sim_.now(), std::move(on_complete)});
+  messages_.push_back(PendingMessage{stream_end_, bytes, rpc_id, sim_.now(),
+                                     std::move(on_complete)});
   try_send();
 }
 
@@ -63,8 +62,8 @@ void Flow::try_send() {
   while (next_seq_ < stream_end_) {
     const double cwnd_pkts = cc_->cwnd_packets();
     const std::uint64_t in_flight = next_seq_ - acked_;
-    // Segments never span message boundaries so every packet can carry its
-    // message's identity for receiver-side RPC delivery detection.
+    // Segments never span message boundaries, so every packet carries the
+    // rpc_id of the one message its payload belongs to.
     const PendingMessage& msg = message_at(next_seq_);
     const auto payload = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         config_->mtu_bytes, msg.end_offset - next_seq_));
@@ -108,9 +107,6 @@ void Flow::send_segment(std::uint64_t offset, std::uint32_t payload) {
   p.flow_id = flow_id_;
   p.seq = offset;
   p.rpc_id = msg.rpc_id;
-  p.cold.msg_bytes = msg.bytes;
-  p.cold.grant_offset = msg.end_offset;  // stream offset the message ends at
-  p.cold.app_tag = msg.app_tag;
   p.sent_time = sim_.now();
   last_activity_ = sim_.now();
   src_host_.send(p);
@@ -199,8 +195,7 @@ void Flow::handle_ack(const net::Packet& ack) {
     complete_messages();
     rearm_rto();
     try_send();
-  } else if (config_->fast_retransmit && ack.ack_seq == acked_ &&
-             bytes_in_flight() > 0) {
+  } else if (ack.ack_seq == acked_ && bytes_in_flight() > 0) {
     if (++dup_acks_ >= 3) {
       dup_acks_ = 0;
       cc_->on_loss(sim_.now());

@@ -28,18 +28,9 @@ struct TransportConfig {
   sim::Time initial_rtt = 10 * sim::kUsec;  // seeds pacing/RTO before samples
   sim::Time min_rto = 200 * sim::kUsec;
   double rto_srtt_multiplier = 4.0;
-  bool fast_retransmit = true;
   // A flow idle longer than this gets a congestion-window restart before
   // its next message (stale state no longer reflects the path).
   sim::Time idle_restart_after = 500 * sim::kUsec;
-  // Messages larger than this use a separate flow ("lane") per (dst, QoS),
-  // emulating the production practice of mapping an RPC channel onto
-  // multiple per-QoS sockets (paper §6.11) so bulk transfers do not
-  // head-of-line-block small RPCs. 0 (default) keeps a single lane: with
-  // heavy-tailed sizes the per-(dst,QoS) AIMD otherwise settles where small
-  // RPCs meet and large ones chronically miss, hurting byte-weighted
-  // compliance (see EXPERIMENTS.md, Fig 22 notes).
-  std::uint64_t large_message_lane_threshold = 0;
 };
 
 class Flow {
@@ -54,11 +45,9 @@ class Flow {
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;
 
-  // Appends a message to the stream. `issued` is stamped now. `app_tag`
-  // rides every data packet of the message and is surfaced to the
-  // receiver's RPC-delivery hook (request/response correlation).
+  // Appends a message to the stream. `issued` is stamped now.
   void send_message(std::uint64_t bytes, std::uint64_t rpc_id,
-                    CompletionHandler on_complete, std::uint64_t app_tag = 0);
+                    CompletionHandler on_complete);
 
   // Cumulative-ACK input from the receiving host (demuxed by HostStack).
   void handle_ack(const net::Packet& ack);
@@ -88,7 +77,6 @@ class Flow {
     std::uint64_t end_offset;  // stream offset one past the last byte
     std::uint64_t bytes;
     std::uint64_t rpc_id;
-    std::uint64_t app_tag;
     sim::Time issued;
     CompletionHandler on_complete;
   };

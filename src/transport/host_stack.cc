@@ -20,23 +20,21 @@ HostStack::HostStack(sim::Simulator& simulator, net::Host& host,
       [this](const net::Packet& packet) { on_packet(packet); });
 }
 
-std::uint64_t HostStack::flow_key(net::HostId dst, net::QoSLevel qos,
-                                  int lane) const {
+std::uint64_t HostStack::flow_key(net::HostId dst, net::QoSLevel qos) const {
   AEQ_CHECK_GE(dst, 0);
   AEQ_CHECK_LT(static_cast<std::size_t>(dst), num_hosts_);
   AEQ_CHECK_LT(qos, net::kMaxQoSLevels);
-  AEQ_CHECK_GE(lane, 0);
-  AEQ_CHECK_LT(static_cast<std::uint64_t>(lane), kLanes);
-  return ((static_cast<std::uint64_t>(host_.id()) * num_hosts_ +
-           static_cast<std::uint64_t>(dst)) *
-              net::kMaxQoSLevels +
-          qos) *
-             kLanes +
-         static_cast<std::uint64_t>(lane) + 1;
+  const std::uint64_t channel =
+      (static_cast<std::uint64_t>(host_.id()) * num_hosts_ +
+       static_cast<std::uint64_t>(dst)) *
+          net::kMaxQoSLevels +
+      qos;
+  // Odd ids at stride 2 keep ECMP paths and traced flow ids stable.
+  return channel * 2 + 1;
 }
 
-Flow& HostStack::flow_to(net::HostId dst, net::QoSLevel qos, int lane) {
-  const std::uint64_t key = flow_key(dst, qos, lane);
+Flow& HostStack::flow_to(net::HostId dst, net::QoSLevel qos) {
+  const std::uint64_t key = flow_key(dst, qos);
   if (std::unique_ptr<Flow>* found = flows_.find(key)) return **found;
   std::unique_ptr<Flow>& created = flows_[key];
   created =
@@ -49,14 +47,8 @@ Flow& HostStack::flow_to(net::HostId dst, net::QoSLevel qos, int lane) {
 void HostStack::send_message(const SendRequest& request,
                              CompletionHandler on_complete) {
   const obs::prof::ProfRegion prof(obs::prof::Region::kTransportTx);
-  const int lane = config_.large_message_lane_threshold != 0 &&
-                           request.bytes >
-                               config_.large_message_lane_threshold
-                       ? 1
-                       : 0;
-  flow_to(request.dst, request.qos, lane)
-      .send_message(request.bytes, request.rpc_id, std::move(on_complete),
-                    request.app_tag);
+  flow_to(request.dst, request.qos)
+      .send_message(request.bytes, request.rpc_id, std::move(on_complete));
 }
 
 void HostStack::on_packet(const net::Packet& packet) {
@@ -84,16 +76,6 @@ void HostStack::handle_data(const net::Packet& packet) {
   const std::uint64_t end = packet.seq + packet.size_bytes;
   const std::uint64_t before = r.next_expected;
 
-  if (rpc_delivery_handler_ && packet.cold.grant_offset > r.next_expected) {
-    DeliveredRpc info;
-    info.rpc_id = packet.rpc_id;
-    info.app_tag = packet.cold.app_tag;
-    info.src = packet.src;
-    info.qos = packet.qos;
-    info.bytes = packet.cold.msg_bytes;
-    r.pending_rpcs.emplace(packet.cold.grant_offset, info);
-  }
-
   if (end > r.next_expected) {
     if (begin <= r.next_expected) {
       r.next_expected = end;
@@ -112,16 +94,6 @@ void HostStack::handle_data(const net::Packet& packet) {
   const std::uint64_t advanced = r.next_expected - before;
   bytes_delivered_ += advanced;
   bytes_delivered_per_qos_[packet.qos] += advanced;
-
-  if (rpc_delivery_handler_) {
-    auto it = r.pending_rpcs.begin();
-    while (it != r.pending_rpcs.end() && it->first <= r.next_expected) {
-      DeliveredRpc info = it->second;
-      info.delivered = sim_.now();
-      it = r.pending_rpcs.erase(it);
-      rpc_delivery_handler_(info);
-    }
-  }
 
   net::Packet ack;
   ack.src = host_.id();

@@ -21,23 +21,12 @@
 
 namespace aeq::transport {
 
-// A fully delivered incoming message, surfaced to the RPC layer (two-sided
-// request/response processing at servers).
-struct DeliveredRpc {
-  std::uint64_t rpc_id = 0;
-  std::uint64_t app_tag = 0;
-  net::HostId src = net::kNoHost;
-  net::QoSLevel qos = net::kQoSHigh;
-  std::uint64_t bytes = 0;
-  sim::Time delivered = 0.0;
-};
-
 class HostStack final : public MessageTransport {
  public:
   using CcFactory = std::function<std::unique_ptr<CongestionControl>()>;
 
   // `num_hosts` fixes the deterministic flow-id scheme
-  // (src * num_hosts + dst) * kMaxQoSLevels + qos + 1.
+  // ((src * num_hosts + dst) * kMaxQoSLevels + qos) * 2 + 1.
   HostStack(sim::Simulator& simulator, net::Host& host,
             std::size_t num_hosts, const TransportConfig& config,
             CcFactory cc_factory);
@@ -45,23 +34,14 @@ class HostStack final : public MessageTransport {
   void send_message(const SendRequest& request,
                     CompletionHandler on_complete) override;
 
-  // The flow used for (dst, qos, lane); created on first use. Lane 0
-  // carries ordinary messages, lane 1 large ones (see
-  // TransportConfig::large_message_lane_threshold).
-  Flow& flow_to(net::HostId dst, net::QoSLevel qos, int lane = 0);
+  // The flow used for (dst, qos); created on first use.
+  Flow& flow_to(net::HostId dst, net::QoSLevel qos);
 
   // Optional hook consuming control packets (grants, rate messages) before
   // the default demux; return true when the packet was handled.
   using ControlHandler = std::function<bool(const net::Packet&)>;
   void set_control_handler(ControlHandler handler) {
     control_handler_ = std::move(handler);
-  }
-
-  // Optional hook invoked once per fully delivered incoming message
-  // (in-order byte stream reached the message's end).
-  using RpcDeliveryHandler = std::function<void(const DeliveredRpc&)>;
-  void set_rpc_delivery_handler(RpcDeliveryHandler handler) {
-    rpc_delivery_handler_ = std::move(handler);
   }
 
   // Attaches the telemetry recorder to every existing and future flow of
@@ -107,16 +87,11 @@ class HostStack final : public MessageTransport {
   struct ReceiverState {
     std::uint64_t next_expected = 0;
     std::map<std::uint64_t, std::uint64_t> out_of_order;  // start -> end
-    // Message ends not yet reached by next_expected (delivery detection).
-    std::map<std::uint64_t, DeliveredRpc> pending_rpcs;
   };
-
-  static constexpr std::uint64_t kLanes = 2;
 
   void on_packet(const net::Packet& packet);
   void handle_data(const net::Packet& packet);
-  std::uint64_t flow_key(net::HostId dst, net::QoSLevel qos,
-                         int lane) const;
+  std::uint64_t flow_key(net::HostId dst, net::QoSLevel qos) const;
 
   sim::Simulator& sim_;
   net::Host& host_;
@@ -125,7 +100,6 @@ class HostStack final : public MessageTransport {
   CcFactory cc_factory_;
   obs::Recorder* obs_ = nullptr;
   ControlHandler control_handler_;
-  RpcDeliveryHandler rpc_delivery_handler_;
 
   util::FlatMap64<std::unique_ptr<Flow>> flows_;
   util::FlatMap64<ReceiverState> receivers_;

@@ -37,8 +37,7 @@ struct SendRequest {
   net::QoSLevel qos = net::kQoSHigh;
   std::uint64_t bytes = 0;
   std::uint64_t rpc_id = 0;
-  sim::Time deadline = 0.0;   // absolute; 0 = none (used by D3/PDQ)
-  std::uint64_t app_tag = 0;  // opaque, delivered with the message
+  sim::Time deadline = 0.0;  // absolute; 0 = none (used by D3/PDQ)
 };
 
 // Anything that can carry a message to a destination host and report

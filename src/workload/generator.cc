@@ -1,7 +1,6 @@
 #include "workload/generator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -22,28 +21,6 @@ DestinationPicker uniform_destinations(std::size_t num_hosts,
 
 DestinationPicker fixed_destination(net::HostId dst) {
   return [dst](sim::Rng&) { return dst; };
-}
-
-DestinationPicker zipf_destinations(std::size_t num_hosts, net::HostId self,
-                                    double exponent) {
-  AEQ_ASSERT(num_hosts >= 2 && exponent > 0.0);
-  // Precompute the CDF over ranks once; capture by value in the picker.
-  std::vector<double> cdf(num_hosts);
-  double total = 0.0;
-  for (std::size_t r = 0; r < num_hosts; ++r) {
-    total += 1.0 / std::pow(static_cast<double>(r + 1), exponent);
-    cdf[r] = total;
-  }
-  for (double& c : cdf) c /= total;
-  return [cdf = std::move(cdf), self](sim::Rng& rng) {
-    const double u = rng.uniform();
-    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    auto dst = static_cast<net::HostId>(it - cdf.begin());
-    if (dst == self) {
-      dst = static_cast<net::HostId>((dst + 1) % cdf.size());
-    }
-    return dst;
-  };
 }
 
 TrafficGenerator::TrafficGenerator(sim::Simulator& simulator,

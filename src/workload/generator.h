@@ -26,10 +26,6 @@ DestinationPicker uniform_destinations(std::size_t num_hosts,
                                        net::HostId self);
 // Always the same destination.
 DestinationPicker fixed_destination(net::HostId dst);
-// Zipf-distributed destinations (rank 0 = host 0 hottest, skipping `self`):
-// models the hotspot fan-in of real storage fleets. `exponent` ~0.8-1.2.
-DestinationPicker zipf_destinations(std::size_t num_hosts, net::HostId self,
-                                    double exponent);
 
 struct ClassLoad {
   rpc::Priority priority = rpc::Priority::kPC;

@@ -1,59 +1,8 @@
 #include "workload/size_dist.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace aeq::workload {
-
-ExponentialSize::ExponentialSize(double mean_bytes, std::uint64_t min_bytes,
-                                 std::uint64_t max_bytes)
-    : raw_mean_(mean_bytes), min_bytes_(min_bytes), max_bytes_(max_bytes) {
-  AEQ_ASSERT(mean_bytes > 0 && min_bytes > 0 && max_bytes >= min_bytes);
-  // Estimate the clamped mean numerically (10k-point quadrature on the
-  // inverse CDF) so mean_bytes() is accurate for rate planning.
-  double sum = 0.0;
-  const int kSamples = 10000;
-  for (int i = 0; i < kSamples; ++i) {
-    const double u = (i + 0.5) / kSamples;
-    const double x = -raw_mean_ * std::log(1.0 - u);
-    sum += std::clamp(x, static_cast<double>(min_bytes_),
-                      static_cast<double>(max_bytes_));
-  }
-  effective_mean_ = sum / kSamples;
-}
-
-std::uint64_t ExponentialSize::sample(sim::Rng& rng) const {
-  const double x = rng.exponential(raw_mean_);
-  return static_cast<std::uint64_t>(
-      std::clamp(x, static_cast<double>(min_bytes_),
-                 static_cast<double>(max_bytes_)));
-}
-
-ParetoSize::ParetoSize(double alpha, std::uint64_t min_bytes,
-                       std::uint64_t max_bytes)
-    : alpha_(alpha),
-      min_(static_cast<double>(min_bytes)),
-      max_(static_cast<double>(max_bytes)) {
-  AEQ_ASSERT(alpha > 0.0 && min_bytes > 0 && max_bytes > min_bytes);
-  // Mean of the bounded Pareto (closed form; alpha == 1 handled separately).
-  const double L = min_, H = max_, a = alpha_;
-  if (std::abs(a - 1.0) < 1e-12) {
-    mean_ = std::log(H / L) * L * H / (H - L);
-  } else {
-    mean_ = std::pow(L, a) / (1.0 - std::pow(L / H, a)) * a / (a - 1.0) *
-            (1.0 / std::pow(L, a - 1.0) - 1.0 / std::pow(H, a - 1.0));
-  }
-}
-
-std::uint64_t ParetoSize::sample(sim::Rng& rng) const {
-  // Inverse CDF of the bounded Pareto.
-  const double u = rng.uniform();
-  const double La = std::pow(min_, alpha_);
-  const double Ha = std::pow(max_, alpha_);
-  const double x =
-      std::pow(-(u * Ha - u * La - Ha) / (Ha * La), -1.0 / alpha_);
-  return static_cast<std::uint64_t>(std::clamp(x, min_, max_));
-}
 
 EmpiricalSize::EmpiricalSize(std::vector<Point> points)
     : points_(std::move(points)) {

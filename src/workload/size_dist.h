@@ -1,4 +1,4 @@
-// RPC size distributions: fixed/uniform/exponential synthetics plus
+// RPC size distributions: fixed/uniform synthetics plus
 // empirical CDFs shaped like the paper's production storage workload
 // (Figure 1), where PC RPCs are small-biased but have a genuine large tail —
 // the size/priority misalignment that defeats SJF-style schedulers (§2.1).
@@ -48,36 +48,6 @@ class UniformSize final : public SizeDistribution {
 
  private:
   std::uint64_t lo_, hi_;
-};
-
-// Exponential sizes clamped to [min, max] (clamping shifts the mean; the
-// reported mean is estimated by quadrature at construction).
-class ExponentialSize final : public SizeDistribution {
- public:
-  ExponentialSize(double mean_bytes, std::uint64_t min_bytes,
-                  std::uint64_t max_bytes);
-  std::uint64_t sample(sim::Rng& rng) const override;
-  double mean_bytes() const override { return effective_mean_; }
-
- private:
-  double raw_mean_;
-  std::uint64_t min_bytes_, max_bytes_;
-  double effective_mean_;
-};
-
-// Bounded Pareto sizes: the canonical heavy-tail model for datacenter
-// message sizes. alpha < 2 gives the infinite-variance regime where tail
-// messages dominate byte counts.
-class ParetoSize final : public SizeDistribution {
- public:
-  ParetoSize(double alpha, std::uint64_t min_bytes, std::uint64_t max_bytes);
-  std::uint64_t sample(sim::Rng& rng) const override;
-  double mean_bytes() const override { return mean_; }
-
- private:
-  double alpha_;
-  double min_, max_;
-  double mean_;
 };
 
 // Piecewise-linear inverse-CDF sampling: points are (cumulative probability,

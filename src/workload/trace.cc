@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "sim/assert.h"
@@ -77,16 +76,6 @@ TraceParseResult parse_trace_csv(std::istream& in) {
     }
   }
   return result;
-}
-
-void write_trace_csv(std::ostream& out,
-                     const std::vector<TraceRecord>& records) {
-  out << "time,src,dst,priority,bytes,deadline\n";
-  for (const TraceRecord& record : records) {
-    out << record.issue_time << "," << record.src << "," << record.dst
-        << "," << rpc::priority_name(record.priority) << "," << record.bytes
-        << "," << record.deadline_budget << "\n";
-  }
 }
 
 ReplayStats replay_trace(sim::Simulator& simulator,

@@ -1,4 +1,4 @@
-// RPC trace loading / recording / replay.
+// RPC trace loading and replay.
 //
 // The paper's artifact lets users "try out the simulator with their own RPC
 // size distribution"; traces go one step further and replay a recorded RPC
@@ -38,10 +38,6 @@ struct TraceParseResult {
   std::vector<std::string> errors;  // one message per rejected line
 };
 TraceParseResult parse_trace_csv(std::istream& in);
-
-// Writes records in the same CSV format (with header).
-void write_trace_csv(std::ostream& out,
-                     const std::vector<TraceRecord>& records);
 
 // Schedules every record of the trace against per-host RPC stacks.
 // `stacks[src]` must outlive the simulation. Records are issued at

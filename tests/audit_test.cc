@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "net/fifo_queue.h"
 #include "net/pfabric_queue.h"
 #include "net/queue.h"
-#include "net/shared_buffer.h"
 #include "net/wfq.h"
 #include "runner/experiment.h"
 #include "transport/dctcp.h"
@@ -30,7 +28,6 @@ net::Packet make_packet(std::uint32_t bytes, net::QoSLevel qos = 0,
   p.size_bytes = bytes;
   p.qos = qos;
   p.seq = seq;
-  p.cold.msg_bytes = bytes;
   return p;
 }
 
@@ -99,16 +96,12 @@ TEST(Auditor, ReportCountsEvaluationsPerCheck) {
   EXPECT_EQ(report.total_evaluations, 9u);
   EXPECT_EQ(report.num_components(), 2u);
   for (const auto& entry : report.entries) EXPECT_EQ(entry.evaluations, 3u);
-  std::ostringstream os;
-  report.write(os);
-  EXPECT_NE(os.str().find("queue/conservation"), std::string::npos);
-  EXPECT_NE(os.str().find("0 violations"), std::string::npos);
 }
 
 TEST(Auditor, ReportOrderIsSortedIndependentOfRegistration) {
   // Registration order is construction order and shifts under refactors;
   // the report contract (DESIGN.md §12) is explicit (component, name)
-  // ordering so serialized reports stay diffable.
+  // ordering so reports stay diffable.
   audit::Auditor auditor;
   auditor.add_check("zeta", "late", [] {});
   auditor.add_check("alpha", "second", [] {});
@@ -123,12 +116,6 @@ TEST(Auditor, ReportOrderIsSortedIndependentOfRegistration) {
   EXPECT_EQ(report.entries[1].name, "second");
   EXPECT_EQ(report.entries[2].component, "queue");
   EXPECT_EQ(report.entries[3].component, "zeta");
-  std::ostringstream os;
-  report.write(os);
-  const std::string text = os.str();
-  EXPECT_LT(text.find("alpha/first"), text.find("alpha/second"));
-  EXPECT_LT(text.find("alpha/second"), text.find("queue/conservation"));
-  EXPECT_LT(text.find("queue/conservation"), text.find("zeta/late"));
 }
 
 TEST(AuditorDeathTest, FailureNamesTheViolatedCheck) {
@@ -193,13 +180,16 @@ TEST(Checks, WellBehavedQueuesPassConservation) {
   // WFQ tag checks were attached automatically by the dynamic type probe.
   EXPECT_GT(auditor.num_checks(), 9u);
 
+  std::uint64_t pfabric_rejected = 0;
   for (std::uint64_t i = 0; i < 200; ++i) {
     const auto qos = static_cast<net::QoSLevel>(i % 2);
     fifo.enqueue(make_packet(1500, qos, i));
     wfq.enqueue(make_packet(1500, qos, i));
     net::Packet p = make_packet(1500, qos, i);
-    p.cold.msg_bytes = (i % 7 + 1) * 1500;  // varied remaining size -> evictions
-    pfabric.enqueue(p);
+    // Varied remaining size: a full queue evicts its least urgent resident,
+    // or rejects the newcomer when that is the least urgent packet.
+    p.cold.priority = static_cast<double>((i % 7 + 1) * 1500);
+    if (!pfabric.enqueue(p)) ++pfabric_rejected;
     auditor.run_all();
     if (i % 3 == 0) {
       fifo.dequeue();
@@ -208,30 +198,11 @@ TEST(Checks, WellBehavedQueuesPassConservation) {
       auditor.run_all();
     }
   }
-  EXPECT_GT(fifo.stats().dropped_packets, 0u);     // tail drops happened
-  EXPECT_GT(pfabric.stats().dropped_packets, 0u);  // evictions happened
+  EXPECT_GT(fifo.stats().dropped_packets, 0u);  // tail drops happened
+  EXPECT_GT(pfabric_rejected, 0u);              // newcomers rejected
+  // Drops beyond the rejections are evicted residents.
+  EXPECT_GT(pfabric.stats().dropped_packets, pfabric_rejected);
   EXPECT_GT(auditor.report().total_evaluations, 0u);
-}
-
-TEST(Checks, PooledPfabricKeepsPoolConservation) {
-  // Regression: pFabric evictions must release their pool reservation (and
-  // be folded into the decorator's drop counters), otherwise the pool leaks
-  // until nothing can be admitted.
-  net::SharedBufferPool pool(32 * 1024);
-  auto pooled = std::make_unique<net::PooledQueue>(
-      std::make_unique<net::PfabricQueue>(8 * 1024), pool);
-  audit::Auditor auditor;
-  audit::register_pool_checks(auditor, "pool", pool, {pooled.get()});
-  audit::register_queue_checks(auditor, "pooled-pfabric", *pooled);
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    net::Packet p = make_packet(1500, 0, i);
-    p.cold.msg_bytes = (i % 9 + 1) * 1500;
-    pooled->enqueue(p);
-    auditor.run_all();
-  }
-  while (pooled->dequeue()) auditor.run_all();
-  EXPECT_EQ(pool.used(), 0u);
-  EXPECT_GT(pooled->stats().dropped_packets, 0u);
 }
 
 TEST(Checks, CongestionControlInvariantsPass) {
@@ -299,15 +270,6 @@ TEST(AuditedRuns, EveryDisciplineOnBothBackendsRunsClean) {
       EXPECT_GT(experiment.auditor()->report().total_evaluations, 0u);
     }
   }
-}
-
-TEST(AuditedRuns, SharedPoolTopologyRunsClean) {
-  auto config = audited_config(net::SchedulerType::kWfq,
-                               sim::SchedulerBackend::kCalendar);
-  config.per_class_buffer_bytes = 64 * 1024;
-  runner::Experiment experiment(config);
-  run_audited(experiment);
-  EXPECT_GT(experiment.auditor()->passes(), 0u);
 }
 
 TEST(AuditedRuns, AuditOffLeavesNoRegistry) {

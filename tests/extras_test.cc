@@ -1,16 +1,12 @@
-// Tests for the later substrate additions: the calendar event queue,
-// Pareto sizes and Zipf destination picking.
+// Tests for the calendar event queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "workload/generator.h"
-#include "workload/size_dist.h"
 
 namespace aeq {
 namespace {
@@ -89,43 +85,6 @@ TEST(CalendarQueueTest, ResizesUnderLoadAndStaysCorrect) {
     EXPECT_GE(t, last);
     last = t;
   }
-}
-
-TEST(ParetoSizeTest, BoundsAndMeanMatchSamples) {
-  workload::ParetoSize dist(1.2, 1024, 1 << 20);
-  sim::Rng rng(3);
-  double sum = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const auto x = dist.sample(rng);
-    ASSERT_GE(x, 1024u);
-    ASSERT_LE(x, static_cast<std::uint64_t>(1) << 20);
-    sum += static_cast<double>(x);
-  }
-  EXPECT_NEAR(sum / n / dist.mean_bytes(), 1.0, 0.05);
-}
-
-TEST(ParetoSizeTest, HeavierAlphaMeansLighterTail) {
-  workload::ParetoSize heavy(1.1, 1024, 1 << 20);
-  workload::ParetoSize light(2.5, 1024, 1 << 20);
-  EXPECT_GT(heavy.mean_bytes(), light.mean_bytes());
-}
-
-TEST(ZipfDestinationsTest, SkewsTowardLowRanksAndAvoidsSelf) {
-  sim::Rng rng(11);
-  auto pick = workload::zipf_destinations(16, /*self=*/0, 1.0);
-  std::map<net::HostId, int> counts;
-  for (int i = 0; i < 40000; ++i) {
-    const net::HostId dst = pick(rng);
-    ASSERT_NE(dst, 0);
-    ASSERT_GE(dst, 0);
-    ASSERT_LT(dst, 16);
-    ++counts[dst];
-  }
-  // Rank 1 (self=0 redirects its mass to host 1) must dominate rank 15.
-  EXPECT_GT(counts[1], 5 * counts[15]);
-  // Monotone-ish decay across a few ranks.
-  EXPECT_GT(counts[2], counts[8]);
 }
 
 }  // namespace

@@ -168,18 +168,6 @@ TEST(WfqQueueTest, PerClassDropCountersAttributeSharedBufferDrops) {
   EXPECT_EQ(q.class_backlog_bytes(1), 1000u);
 }
 
-TEST(WfqQueueTest, PerClassDropCountersCoverPerClassCap) {
-  WfqQueue q({1.0, 1.0}, /*capacity_bytes=*/0,
-             /*per_class_capacity_bytes=*/1500);
-  ASSERT_TRUE(q.enqueue(make_packet(0, 1000)));
-  EXPECT_FALSE(q.enqueue(make_packet(0, 1000)));  // class 0 cap hit
-  ASSERT_TRUE(q.enqueue(make_packet(1, 1000)));   // class 1 unaffected
-  EXPECT_EQ(q.class_dropped_packets(0), 1u);
-  EXPECT_EQ(q.class_dropped_bytes(0), 1000u);
-  EXPECT_EQ(q.class_dropped_packets(1), 0u);
-  EXPECT_EQ(q.class_dropped_bytes(1), 0u);
-}
-
 TEST(SpqQueueTest, PerClassDropCounters) {
   SpqQueue q(2, /*capacity_bytes=*/2000);
   ASSERT_TRUE(q.enqueue(make_packet(0, 1000)));

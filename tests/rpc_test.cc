@@ -72,7 +72,9 @@ TEST(MetricsTest, MixSharesAndSloAccounting) {
   EXPECT_NEAR(metrics.slo_met_fraction(0), 2.0 / 3.0, 1e-12);
   EXPECT_EQ(metrics.downgraded(0), 1u);
   EXPECT_NEAR(metrics.admitted_share(0), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(metrics.requested_share(0), 1.0, 1e-12);
+  // Every byte requested QoS 0: a requested share of 1.
+  EXPECT_EQ(metrics.bytes_requested(0), 3000u);
+  EXPECT_EQ(metrics.bytes_requested(1), 0u);
   EXPECT_EQ(metrics.total_completed(), 3u);
 }
 
@@ -188,7 +190,7 @@ TEST(RpcStackTest, DowngradeVisibleToApplication) {
   EXPECT_GE(downgrades, 18);
 }
 
-TEST(RpcMetricsTest, DowngradeAttributionByRequestedDeliveredAndChannel) {
+TEST(RpcMetricsTest, DowngradeAttributionByRequestedAndDelivered) {
   RpcMetrics metrics(3, SloConfig::make({15 * sim::kUsec, 25 * sim::kUsec,
                                          0.0}, 99.9), 4);
   auto downgrade = [&](net::HostId src, net::HostId dst,
@@ -213,16 +215,10 @@ TEST(RpcMetricsTest, DowngradeAttributionByRequestedDeliveredAndChannel) {
   EXPECT_EQ(metrics.downgraded(net::kQoSHigh), 3u);
   EXPECT_EQ(metrics.downgraded(1), 1u);
   EXPECT_EQ(metrics.downgraded(2), 0u);
-  // ...where the traffic actually landed (by delivered QoS)...
+  // ...and where the traffic actually landed (by delivered QoS).
   EXPECT_EQ(metrics.downgraded_delivered(net::kQoSHigh), 0u);
   EXPECT_EQ(metrics.downgraded_delivered(1), 1u);
   EXPECT_EQ(metrics.downgraded_delivered(2), 3u);
-  // ...and per (src, dst, qos_requested) channel, the AIMD's unit.
-  EXPECT_EQ(metrics.downgraded_on_channel(0, 1, net::kQoSHigh), 2u);
-  EXPECT_EQ(metrics.downgraded_on_channel(2, 1, net::kQoSHigh), 1u);
-  EXPECT_EQ(metrics.downgraded_on_channel(0, 3, 1), 1u);
-  EXPECT_EQ(metrics.downgraded_on_channel(0, 1, 1), 0u);
-  EXPECT_EQ(metrics.downgraded_on_channel(3, 0, net::kQoSHigh), 0u);
 }
 
 TEST(RpcMetricsTest, AdmissionDropCountsRequestedButNotAdmittedBytes) {
@@ -230,8 +226,8 @@ TEST(RpcMetricsTest, AdmissionDropCountsRequestedButNotAdmittedBytes) {
   metrics.on_issue(1, net::kQoSHigh, net::kQoSHigh, 1000);
   metrics.on_issue(1, net::kQoSHigh, net::kQoSHigh, 3000,
                    /*admission_dropped=*/true);
-  EXPECT_DOUBLE_EQ(metrics.requested_share(net::kQoSHigh), 1.0);
   EXPECT_EQ(metrics.bytes_requested(net::kQoSHigh), 4000u);
+  EXPECT_EQ(metrics.bytes_requested(1), 0u);
   EXPECT_EQ(metrics.bytes_admitted(net::kQoSHigh), 1000u);
 }
 

@@ -142,15 +142,6 @@ TEST(RngTest, ExponentialMeanApproximatelyCorrect) {
   EXPECT_NEAR(sum / n, 3.0, 0.05);
 }
 
-TEST(RngTest, DiscreteRespectsWeights) {
-  Rng rng(13);
-  const std::vector<double> weights = {1.0, 3.0};
-  int counts[2] = {0, 0};
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.discrete(weights)];
-  EXPECT_NEAR(static_cast<double>(counts[1]) / n, 0.75, 0.01);
-}
-
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng a(42);
   Rng b = a.fork();

@@ -71,14 +71,6 @@ TEST(PercentileTest, SingleValue) {
   EXPECT_DOUBLE_EQ(t.p999(), 42.0);
 }
 
-TEST(PercentileTest, ClearResets) {
-  PercentileTracker t;
-  t.add(1.0);
-  t.clear();
-  EXPECT_EQ(t.count(), 0u);
-  EXPECT_DOUBLE_EQ(t.p50(), 0.0);
-}
-
 TEST(HistogramTest, BinningAndCdf) {
   Histogram h(0.0, 10.0, 10);
   for (int i = 0; i < 10; ++i) h.add(i + 0.5);
@@ -135,48 +127,6 @@ TEST(RateMeterTest, WindowedRates) {
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_DOUBLE_EQ(pts[0].value, 100.0);
   EXPECT_DOUBLE_EQ(pts[1].value, 200.0);
-}
-
-
-TEST(HistogramTest, MergeOfPartsEqualsWhole) {
-  sim::Rng rng(11);
-  Histogram whole(0.0, 100.0, 50);
-  Histogram shards[3] = {Histogram(0.0, 100.0, 50),
-                         Histogram(0.0, 100.0, 50),
-                         Histogram(0.0, 100.0, 50)};
-  for (int i = 0; i < 5000; ++i) {
-    // Range wider than the bins so underflow/overflow mass exists.
-    const double x = rng.uniform(-20.0, 130.0);
-    whole.add(x);
-    shards[i % 3].add(x);
-  }
-  Histogram merged(0.0, 100.0, 50);
-  for (const Histogram& shard : shards) merged.merge(shard);
-  EXPECT_EQ(merged.total(), whole.total());
-  EXPECT_EQ(merged.underflow(), whole.underflow());
-  EXPECT_EQ(merged.overflow(), whole.overflow());
-  for (std::size_t b = 0; b < whole.bin_count(); ++b) {
-    EXPECT_EQ(merged.bin(b), whole.bin(b)) << "bin " << b;
-  }
-  for (std::size_t b = 0; b < whole.bin_count(); ++b) {
-    EXPECT_DOUBLE_EQ(merged.cdf_at(b), whole.cdf_at(b));
-  }
-}
-
-TEST(HistogramTest, MergeEmptyIsIdentity) {
-  Histogram a(0.0, 10.0, 10);
-  a.add(3.0);
-  a.add(-1.0);
-  Histogram empty(0.0, 10.0, 10);
-  a.merge(empty);
-  EXPECT_EQ(a.total(), 2u);
-  EXPECT_EQ(a.underflow(), 1u);
-}
-
-TEST(HistogramDeathTest, MergeRejectsMismatchedBinning) {
-  Histogram a(0.0, 10.0, 10);
-  Histogram b(0.0, 10.0, 20);
-  EXPECT_DEATH(a.merge(b), "binning");
 }
 
 TEST(PercentileTest, UnboundedMergeIsExact) {
