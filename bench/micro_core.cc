@@ -118,7 +118,7 @@ net::Packet make_packet(std::uint8_t qos, double priority = 0.0) {
   net::Packet p;
   p.qos = qos;
   p.size_bytes = 4096;
-  p.cold.priority = priority;
+  p.priority = priority;
   return p;
 }
 

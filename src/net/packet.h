@@ -34,19 +34,10 @@ enum class PacketType : std::uint8_t {
 
 // Fields every hop and queue discipline leaves alone but some protocol or
 // endpoint needs: kept in a trailing section so the fields consulted per
-// hop (routing, sizing, sequencing, ECN) pack into the first cache line of
-// the packet.
+// hop (routing, sizing, sequencing, ECN, pFabric's priority) pack into the
+// first cache line of the packet.
 struct PacketCold {
   std::uint64_t msg_bytes = 0;  // total message size (message-based stacks)
-
-  // pFabric: remaining bytes of the message at send time (lower = higher
-  // priority). Homa: network priority level chosen by the receiver.
-  double priority = 0.0;
-
-  // Deadline-aware protocols (D3/PDQ).
-  sim::Time deadline = 0.0;     // absolute
-  double requested_rate = 0.0;  // bytes/sec
-  double granted_rate = 0.0;    // bytes/sec
 
   // Homa grants: offset granted up to.
   std::uint64_t grant_offset = 0;
@@ -54,12 +45,15 @@ struct PacketCold {
 
 struct Packet {
   // --- hot section: touched at every hop; fits one cache line ---
-  std::uint64_t id = 0;        // globally unique, assigned at creation
   std::uint64_t flow_id = 0;  // (src, dst, qos) stream the packet belongs to
   std::uint64_t rpc_id = 0;   // RPC/message the payload belongs to
   std::uint64_t seq = 0;      // byte offset of first payload byte
   std::uint64_t ack_seq = 0;  // cumulative ack (next expected byte)
   sim::Time sent_time = 0.0;  // stamped by sender; echoed by ACKs for RTT
+  // pFabric: remaining bytes of the message at send time (lower = higher
+  // priority), read by the pFabric queue on every enqueue. Homa grants: the
+  // scheduled network priority level chosen by the receiver.
+  double priority = 0.0;
   HostId src = kNoHost;
   HostId dst = kNoHost;
   std::uint32_t size_bytes = 0;
@@ -79,10 +73,11 @@ struct Packet {
 
 // The split is only worth its churn if the layout actually holds: the whole
 // hot section must land in the packet's first cache line. Every queue and
-// link copies packets, so the cold section may not grow unnoticed either.
+// link copies packets, and a backlogged switch holds millions of them, so
+// the cold section may not grow unnoticed either.
 static_assert(offsetof(Packet, cold) == 64, "hot section must fill exactly one cache line");
 static_assert(sizeof(Packet) == 64 + sizeof(PacketCold), "unexpected padding between sections");
-static_assert(sizeof(Packet) <= 112, "Packet regrew past the post-split budget");
+static_assert(sizeof(Packet) <= 80, "Packet regrew past its 80-byte budget");
 
 // Receives packets delivered by a link. Implemented by switches and by the
 // host-side demultiplexer.

@@ -16,8 +16,8 @@ std::size_t PfabricQueue::min_priority_index() const {
   for (std::size_t i = 1; i < queue_.size(); ++i) {
     const auto& a = queue_[i];
     const auto& b = queue_[best];
-    if (a.priority < b.priority ||
-        (a.priority == b.priority &&
+    if (a.packet.priority < b.packet.priority ||
+        (a.packet.priority == b.packet.priority &&
          a.arrival_seq < b.arrival_seq)) {
       best = i;
     }
@@ -31,8 +31,8 @@ std::size_t PfabricQueue::max_priority_index() const {
   for (std::size_t i = 1; i < queue_.size(); ++i) {
     const auto& a = queue_[i];
     const auto& b = queue_[worst];
-    if (a.priority > b.priority ||
-        (a.priority == b.priority &&
+    if (a.packet.priority > b.packet.priority ||
+        (a.packet.priority == b.packet.priority &&
          a.arrival_seq > b.arrival_seq)) {
       worst = i;
     }
@@ -43,7 +43,7 @@ std::size_t PfabricQueue::max_priority_index() const {
 bool PfabricQueue::enqueue(const Packet& packet) {
   const obs::prof::ProfRegion prof(obs::prof::Region::kQueuePfabric);
   count_offered(packet);
-  Entry incoming{packet, packet.cold.priority, next_arrival_seq_++};
+  Entry incoming{packet, next_arrival_seq_++};
   // Evict lowest-urgency packets until the newcomer fits; if the newcomer is
   // itself the least urgent, it is the one dropped. Evicted residents count
   // as drops (they were offered and accepted earlier), so conservation
@@ -54,7 +54,7 @@ bool PfabricQueue::enqueue(const Packet& packet) {
       return false;
     }
     const std::size_t worst = max_priority_index();
-    if (queue_[worst].priority >= incoming.priority) {
+    if (queue_[worst].packet.priority >= incoming.packet.priority) {
       count_evicted(queue_[worst].packet);
       backlog_bytes_ -= queue_[worst].packet.size_bytes;
       queue_[worst] = queue_.back();

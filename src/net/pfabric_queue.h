@@ -32,10 +32,7 @@ class PfabricQueue final : public QueueDiscipline {
 
  private:
   struct Entry {
-    Packet packet;
-    // Sort key copied out of the packet's cold section at enqueue so the
-    // min/max scans stay within the entries they are comparing.
-    double priority;
+    Packet packet;  // sort key: packet.priority, in the packet's hot section
     std::uint64_t arrival_seq;
   };
 

@@ -93,8 +93,8 @@ enum class Region : std::uint8_t {
   kDispatch = 0,    // sim::Simulator::dispatch — root of every event
   kWorkload,        // workload::TrafficGenerator arrival handler
   kAdmission,       // rpc::AdmissionController::admit (whatever the policy)
-  kTransportTx,     // transport::HostStack::send_message
-  kTransportRx,     // transport::HostStack::on_packet
+  kTransportTx,     // HostStack / protocols::BaseTransport send_message
+  kTransportRx,     // HostStack / protocols::BaseTransport on_packet
   kPortTx,          // net::Port::try_transmit (serialization bookkeeping)
   kSwitchRoute,     // net::Switch::receive (route + forward)
   kQueueFifo,       // per-discipline enqueue/dequeue

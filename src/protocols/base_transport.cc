@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/prof/profiler.h"
 #include "sim/assert.h"
 
 namespace aeq::protocols {
@@ -17,6 +18,7 @@ BaseTransport::BaseTransport(sim::Simulator& simulator, net::Host& host,
 
 void BaseTransport::send_message(const transport::SendRequest& request,
                                  transport::CompletionHandler on_complete) {
+  const obs::prof::ProfRegion prof(obs::prof::Region::kTransportTx);
   AEQ_ASSERT(request.bytes > 0);
   OutMessage message;
   message.request = request;
@@ -51,8 +53,7 @@ void BaseTransport::emit_packet(OutMessage& message, std::uint32_t index) {
   p.seq = index;
   p.cold.msg_bytes = message.request.bytes;
   p.sent_time = sim_.now();
-  p.cold.priority = packet_priority(message);
-  p.cold.deadline = message.request.deadline;
+  p.priority = packet_priority(message);
   host_.send(p);
 }
 
@@ -83,6 +84,7 @@ void BaseTransport::finish(OutMessage& message, bool terminated) {
 }
 
 void BaseTransport::on_packet(const net::Packet& packet) {
+  const obs::prof::ProfRegion prof(obs::prof::Region::kTransportRx);
   switch (packet.type) {
     case net::PacketType::kData:
       handle_data(packet);

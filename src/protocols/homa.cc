@@ -119,7 +119,7 @@ void HomaTransport::send_grant(std::uint64_t rpc_id, RxMessage& rx,
   grant.type = net::PacketType::kGrant;
   grant.rpc_id = rpc_id;
   grant.cold.grant_offset = rx.granted;
-  grant.cold.priority = static_cast<double>(scheduled_level(srpt_rank));
+  grant.priority = static_cast<double>(scheduled_level(srpt_rank));
   send_control(grant);
 }
 
@@ -130,7 +130,7 @@ void HomaTransport::on_control_packet(const net::Packet& packet) {
   OutMessage& message = it->second;
   message.grant_limit_bytes =
       std::max(message.grant_limit_bytes, packet.cold.grant_offset);
-  message.granted_rate = packet.cold.priority;  // scheduled level to use
+  message.granted_rate = packet.priority;  // scheduled level to use
   pump(message);
 }
 

@@ -11,19 +11,9 @@ RpcMetrics::RpcMetrics(std::size_t num_qos, const SloConfig& slo,
       rnl_run_(num_qos),
       rnl_requested_(num_qos),
       rnl_per_mtu_run_(num_qos),
-      bytes_requested_(num_qos, 0),
-      bytes_admitted_(num_qos, 0),
-      bytes_completed_(num_qos, 0),
-      completed_(num_qos, 0),
-      downgraded_(num_qos, 0),
-      downgraded_delivered_(num_qos, 0),
-      terminated_(num_qos, 0),
-      slo_eligible_(num_qos, 0),
-      slo_met_(num_qos, 0),
-      slo_eligible_bytes_(num_qos, 0),
-      slo_met_bytes_(num_qos, 0),
       outstanding_(num_hosts, {0, 0}) {
   AEQ_CHECK_GE(num_qos, 2u);
+  AEQ_CHECK_LE(num_qos, net::kMaxQoSLevels);
 }
 
 void RpcMetrics::on_issue(net::HostId dst, net::QoSLevel qos_requested,

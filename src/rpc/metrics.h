@@ -35,6 +35,9 @@ struct RpcRecord {
 
 // Cache-line aligned: each shard of a sharded run writes its own sink
 // concurrently, so a sink must not share a line with another shard's data.
+// The per-QoS counters the hot path bumps are inline arrays, so they sit
+// inside the sink's own lines by construction rather than in separate heap
+// blocks whose placement depends on allocation order.
 class alignas(64) RpcMetrics {
  public:
   RpcMetrics(std::size_t num_qos, const SloConfig& slo,
@@ -148,18 +151,20 @@ class alignas(64) RpcMetrics {
   std::vector<stats::PercentileTracker> rnl_requested_;
   std::vector<stats::PercentileTracker> rnl_per_mtu_run_;
 
-  std::vector<std::uint64_t> bytes_requested_;
-  std::vector<std::uint64_t> bytes_admitted_;
-  std::vector<std::uint64_t> bytes_completed_;
+  // Levels at or past num_qos_ stay zero.
+  using PerQos = std::array<std::uint64_t, net::kMaxQoSLevels>;
+  PerQos bytes_requested_{};
+  PerQos bytes_admitted_{};
+  PerQos bytes_completed_{};
 
-  std::vector<std::uint64_t> completed_;
-  std::vector<std::uint64_t> downgraded_;
-  std::vector<std::uint64_t> downgraded_delivered_;
-  std::vector<std::uint64_t> terminated_;
-  std::vector<std::uint64_t> slo_eligible_;
-  std::vector<std::uint64_t> slo_met_;
-  std::vector<std::uint64_t> slo_eligible_bytes_;
-  std::vector<std::uint64_t> slo_met_bytes_;
+  PerQos completed_{};
+  PerQos downgraded_{};
+  PerQos downgraded_delivered_{};
+  PerQos terminated_{};
+  PerQos slo_eligible_{};
+  PerQos slo_met_{};
+  PerQos slo_eligible_bytes_{};
+  PerQos slo_met_bytes_{};
   std::vector<std::array<int, 2>> outstanding_;
 };
 

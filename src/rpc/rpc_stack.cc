@@ -60,18 +60,6 @@ std::uint64_t RpcStack::issue(net::HostId dst, Priority priority,
     obs_->admission(admitted);
   }
 
-  RpcRecord record;
-  record.rpc_id = rpc_id;
-  record.src = host_id_;
-  record.dst = dst;
-  record.priority = priority;
-  record.qos_requested = qos_requested;
-  record.qos_run = decision.qos_run;
-  record.downgraded = decision.downgraded;
-  record.bytes = bytes;
-  record.size_mtus = size_in_mtus(bytes, config_.mtu_bytes);
-  record.issued = sim_.now();
-
   if (decision.dropped) {
     // Rejected at admission: never enters the network. Accounted like a
     // terminated RPC (an SLO miss with zero goodput), and its bytes are
@@ -79,6 +67,17 @@ std::uint64_t RpcStack::issue(net::HostId dst, Priority priority,
     // contract (rpc/admission.h), a dropped RPC generates NO
     // on_completion feedback — there is no transport completion to
     // measure an RNL from.
+    RpcRecord record;
+    record.rpc_id = rpc_id;
+    record.src = host_id_;
+    record.dst = dst;
+    record.priority = priority;
+    record.qos_requested = qos_requested;
+    record.qos_run = decision.qos_run;
+    record.downgraded = decision.downgraded;
+    record.bytes = bytes;
+    record.size_mtus = size_in_mtus(bytes, config_.mtu_bytes);
+    record.issued = sim_.now();
     record.terminated = true;
     record.completed = record.issued;
     metrics_.on_issue(dst, qos_requested, decision.qos_run, bytes,
@@ -99,20 +98,44 @@ std::uint64_t RpcStack::issue(net::HostId dst, Priority priority,
   request.deadline =
       deadline_budget > 0.0 ? sim_.now() + deadline_budget : 0.0;
 
+  // The closure is queued with the message until it completes, so it keeps
+  // only what the completion does not echo back (16 bytes, see
+  // transport::CompletionHandler).
   transport_.send_message(
-      request, [this, record](const transport::MessageCompletion& done) {
-        RpcRecord finished = record;
-        finished.completed = done.completed;
-        finished.rnl = done.rnl();
-        finished.terminated = done.terminated;
-        admission_.on_completion(sim_.now(), finished.src, finished.dst,
-                                 finished.qos_requested, finished.qos_run,
-                                 finished.rnl, finished.size_mtus);
-        metrics_.record(finished);
-        emit_finished(finished);
-        if (listener_) listener_(finished);
+      request, [this, priority, qos_requested,
+                downgraded = decision.downgraded](
+                   const transport::MessageCompletion& done) {
+        finish(done, priority, qos_requested, downgraded);
       });
   return rpc_id;
+}
+
+void RpcStack::finish(const transport::MessageCompletion& done,
+                      Priority priority, net::QoSLevel qos_requested,
+                      bool downgraded) {
+  // The transport ran the message at the decided QoS and stamped `issued`
+  // in the issue() event, so the record equals the one issue() would have
+  // built.
+  RpcRecord record;
+  record.rpc_id = done.rpc_id;
+  record.src = host_id_;
+  record.dst = done.dst;
+  record.priority = priority;
+  record.qos_requested = qos_requested;
+  record.qos_run = done.qos;
+  record.downgraded = downgraded;
+  record.bytes = done.bytes;
+  record.size_mtus = size_in_mtus(done.bytes, config_.mtu_bytes);
+  record.issued = done.issued;
+  record.completed = done.completed;
+  record.rnl = done.rnl();
+  record.terminated = done.terminated;
+  admission_.on_completion(sim_.now(), record.src, record.dst,
+                           record.qos_requested, record.qos_run, record.rnl,
+                           record.size_mtus);
+  metrics_.record(record);
+  emit_finished(record);
+  if (listener_) listener_(record);
 }
 
 void RpcStack::emit_finished(const RpcRecord& record) {

@@ -53,6 +53,10 @@ class RpcStack {
   void set_observer(obs::Recorder* recorder) { obs_ = recorder; }
 
  private:
+  // Completion of an admitted RPC: rebuilds its record from the transport's
+  // completion plus the fields the closure kept.
+  void finish(const transport::MessageCompletion& done, Priority priority,
+              net::QoSLevel qos_requested, bool downgraded);
   void emit_finished(const RpcRecord& record);
 
   obs::Recorder* obs_ = nullptr;

@@ -9,7 +9,7 @@ namespace aeq::transport {
 
 Flow::Flow(sim::Simulator& simulator, net::Host& src_host, net::HostId dst,
            net::QoSLevel qos, std::uint64_t flow_id,
-           const TransportConfig& config,
+           const TransportConfig& config, MessageSlab& messages,
            std::unique_ptr<CongestionControl> cc)
     : sim_(simulator),
       src_host_(src_host),
@@ -17,7 +17,8 @@ Flow::Flow(sim::Simulator& simulator, net::Host& src_host, net::HostId dst,
       qos_(qos),
       flow_id_(flow_id),
       config_(&config),
-      cc_(std::move(cc)) {
+      cc_(std::move(cc)),
+      slab_(messages) {
   AEQ_ASSERT(cc_ != nullptr);
   AEQ_ASSERT(config_->mtu_bytes > 0);
 }
@@ -31,25 +32,11 @@ void Flow::send_message(std::uint64_t bytes, std::uint64_t rpc_id,
     emit_cwnd();
   }
   stream_end_ += bytes;
-  messages_.push_back(PendingMessage{stream_end_, bytes, rpc_id, sim_.now(),
-                                     std::move(on_complete)});
+  const MessageSlab::Index slot = slab_.push_back(
+      messages_, PendingMessage{stream_end_, bytes, rpc_id, sim_.now(),
+                                std::move(on_complete)});
+  if (send_ == MessageSlab::kNil) send_ = slot;
   try_send();
-}
-
-const Flow::PendingMessage& Flow::message_at(std::uint64_t offset) const {
-  // messages_ is sorted by end_offset; find the first end > offset.
-  std::size_t lo = 0;
-  std::size_t hi = messages_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (messages_[mid].end_offset <= offset) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  AEQ_ASSERT_MSG(lo < messages_.size(), "offset beyond queued messages");
-  return messages_[lo];
 }
 
 sim::Time Flow::pace_gap() const {
@@ -63,8 +50,11 @@ void Flow::try_send() {
     const double cwnd_pkts = cc_->cwnd_packets();
     const std::uint64_t in_flight = next_seq_ - acked_;
     // Segments never span message boundaries, so every packet carries the
-    // rpc_id of the one message its payload belongs to.
-    const PendingMessage& msg = message_at(next_seq_);
+    // rpc_id of the one message its payload belongs to: the first queued
+    // message that ends past next_seq_.
+    while (slab_[send_].end_offset <= next_seq_) send_ = slab_.next(send_);
+    const PendingMessage& msg = slab_[send_];
+    const std::uint64_t rpc_id = msg.rpc_id;
     const auto payload = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         config_->mtu_bytes, msg.end_offset - next_seq_));
     if (cwnd_pkts >= 1.0) {
@@ -87,7 +77,7 @@ void Flow::try_send() {
         break;
       }
     }
-    send_segment(next_seq_, payload);
+    send_segment(next_seq_, payload, rpc_id);
     next_seq_ += payload;
     if (cc_->cwnd_packets() < 1.0) {
       next_pace_time_ = sim_.now() + pace_gap();
@@ -96,8 +86,8 @@ void Flow::try_send() {
   rearm_rto();
 }
 
-void Flow::send_segment(std::uint64_t offset, std::uint32_t payload) {
-  const PendingMessage& msg = message_at(offset);
+void Flow::send_segment(std::uint64_t offset, std::uint32_t payload,
+                        std::uint64_t rpc_id) {
   net::Packet p;
   p.src = src_host_.id();
   p.dst = dst_;
@@ -106,7 +96,7 @@ void Flow::send_segment(std::uint64_t offset, std::uint32_t payload) {
   p.type = net::PacketType::kData;
   p.flow_id = flow_id_;
   p.seq = offset;
-  p.rpc_id = msg.rpc_id;
+  p.rpc_id = rpc_id;
   p.sent_time = sim_.now();
   last_activity_ = sim_.now();
   src_host_.send(p);
@@ -173,6 +163,9 @@ void Flow::emit_cwnd() {
 
 void Flow::retransmit_from_ack() {
   next_seq_ = acked_;  // go-back-N
+  // Every message ending at or before the ACK point has completed, so the
+  // head holds acked_.
+  send_ = messages_.head;
   next_pace_time_ = 0.0;
   try_send();
 }
@@ -209,27 +202,41 @@ void Flow::audit_invariants() const {
   AEQ_CHECK_LE_MSG(acked_, next_seq_, "ACK point beyond send point");
   AEQ_CHECK_LE_MSG(next_seq_, stream_end_, "send point beyond stream end");
   std::uint64_t prev_end = acked_;
-  for (std::size_t i = 0; i < messages_.size(); ++i) {
-    const PendingMessage& msg = messages_[i];
+  std::uint64_t count = 0;
+  bool cursor_seen = send_ == MessageSlab::kNil;
+  MessageSlab::Index last = MessageSlab::kNil;
+  for (MessageSlab::Index i = messages_.head; i != MessageSlab::kNil;
+       i = slab_.next(i)) {
+    const PendingMessage& msg = slab_[i];
     // Completed messages are popped eagerly, so every queued message ends
-    // strictly past the ACK point, and the queue stays sorted (message_at
-    // binary-searches on this).
+    // strictly past the ACK point, and the queue stays sorted (the send
+    // cursor only ever steps forward through it).
     AEQ_CHECK_GT_MSG(msg.end_offset, prev_end,
                      "message end_offset not increasing past ACK point");
     AEQ_CHECK_GE_MSG(msg.end_offset, msg.bytes, "message larger than stream");
+    if (i == send_) cursor_seen = true;
+    if (!cursor_seen) {
+      AEQ_CHECK_LE_MSG(msg.end_offset, next_seq_,
+                       "unsent bytes queued ahead of the send cursor");
+    }
     prev_end = msg.end_offset;
+    last = i;
+    ++count;
   }
+  AEQ_CHECK_EQ_MSG(count, messages_.size, "message FIFO length mismatch");
+  AEQ_CHECK_EQ_MSG(last, messages_.tail, "message FIFO tail mismatch");
+  AEQ_ASSERT_MSG(cursor_seen, "send cursor is not a queued message");
   if (!messages_.empty()) {
-    AEQ_CHECK_EQ_MSG(messages_.back().end_offset, stream_end_,
+    AEQ_CHECK_EQ_MSG(slab_[messages_.tail].end_offset, stream_end_,
                      "last queued message does not end at stream end");
   }
   cc_->audit_invariants();
 }
 
 void Flow::complete_messages() {
-  while (!messages_.empty() && messages_.front().end_offset <= acked_) {
-    PendingMessage msg = std::move(messages_.front());
-    messages_.pop_front();
+  while (!messages_.empty() && slab_[messages_.head].end_offset <= acked_) {
+    if (send_ == messages_.head) send_ = slab_.next(send_);
+    PendingMessage msg = slab_.pop_front(messages_);
     if (msg.on_complete) {
       MessageCompletion done;
       done.rpc_id = msg.rpc_id;

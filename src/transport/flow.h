@@ -18,7 +18,7 @@
 #include "sim/simulator.h"
 #include "transport/congestion_control.h"
 #include "transport/message.h"
-#include "util/ring_buffer.h"
+#include "transport/message_slab.h"
 
 namespace aeq::transport {
 
@@ -38,9 +38,11 @@ class Flow {
   // `config` is shared, not copied: it must outlive the flow (HostStack
   // owns the one instance all of its flows point at) and stay immutable
   // once any flow exists — HostStack::mutable_config() enforces that.
+  // `messages` is the host's slab the flow queues its messages in; it too
+  // must outlive the flow.
   Flow(sim::Simulator& simulator, net::Host& src_host, net::HostId dst,
        net::QoSLevel qos, std::uint64_t flow_id, const TransportConfig& config,
-       std::unique_ptr<CongestionControl> cc);
+       MessageSlab& messages, std::unique_ptr<CongestionControl> cc);
 
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;
@@ -57,7 +59,7 @@ class Flow {
   net::HostId dst() const { return dst_; }
   std::uint64_t bytes_in_flight() const { return next_seq_ - acked_; }
   std::uint64_t backlog_bytes() const { return stream_end_ - next_seq_; }
-  std::uint64_t queued_messages() const { return messages_.size(); }
+  std::uint64_t queued_messages() const { return messages_.size; }
   const CongestionControl& cc() const { return *cc_; }
 
   // Attaches the telemetry recorder: every congestion-window move (ACK
@@ -68,24 +70,15 @@ class Flow {
   // ordering acked <= next_seq <= stream_end (go-back-N can rewind next_seq,
   // but never below the ACK point), that queued messages partition the
   // unacknowledged stream suffix in strictly increasing end_offset order,
-  // and delegates to the congestion controller's own invariants. Aborts via
+  // that the send cursor is one of them with no unsent byte before it, and
+  // delegates to the congestion controller's own invariants. Aborts via
   // AEQ_CHECK_* on violation.
   void audit_invariants() const;
 
  private:
-  struct PendingMessage {
-    std::uint64_t end_offset;  // stream offset one past the last byte
-    std::uint64_t bytes;
-    std::uint64_t rpc_id;
-    sim::Time issued;
-    CompletionHandler on_complete;
-  };
-
-  // The queued message containing stream offset `offset`.
-  const PendingMessage& message_at(std::uint64_t offset) const;
-
   void try_send();
-  void send_segment(std::uint64_t offset, std::uint32_t payload);
+  void send_segment(std::uint64_t offset, std::uint32_t payload,
+                    std::uint64_t rpc_id);
   void complete_messages();
   void update_srtt(sim::Time sample);
   sim::Time rto() const;
@@ -108,7 +101,13 @@ class Flow {
   std::uint64_t stream_end_ = 0;  // total bytes enqueued
   std::uint64_t next_seq_ = 0;    // next byte to (re)transmit
   std::uint64_t acked_ = 0;       // cumulative ack point
-  util::RingBuffer<PendingMessage> messages_;
+  MessageSlab& slab_;
+  MessageSlab::Fifo messages_;  // queued in end_offset order
+  // Send cursor: a queued message with no unsent byte before it, so the
+  // message holding next_seq_ is found by stepping forward from here (kNil
+  // iff nothing is queued). Completion moves it off a freed slot, and a
+  // go-back-N rewind resets it to the head.
+  MessageSlab::Index send_ = MessageSlab::kNil;
 
   sim::Time srtt_ = 0.0;
   sim::Time last_activity_ = 0.0;

@@ -38,7 +38,7 @@ Flow& HostStack::flow_to(net::HostId dst, net::QoSLevel qos) {
   if (std::unique_ptr<Flow>* found = flows_.find(key)) return **found;
   std::unique_ptr<Flow>& created = flows_[key];
   created =
-      std::make_unique<Flow>(sim_, host_, dst, qos, key, config_,
+      std::make_unique<Flow>(sim_, host_, dst, qos, key, config_, messages_,
                              cc_factory_());
   if (obs_ != nullptr) created->set_observer(obs_);
   return *created;

@@ -1,7 +1,8 @@
 // Per-host transport stack over Swift (or any CongestionControl).
 //
 // Sending side: one Flow per (destination, QoS), created lazily — this
-// mirrors the paper's RPC-channel-to-per-QoS-socket mapping (§6.11).
+// mirrors the paper's RPC-channel-to-per-QoS-socket mapping (§6.11). The
+// flows queue their pending messages in one per-host MessageSlab.
 // Receiving side: per-flow reassembly with cumulative ACKs (one ACK per data
 // packet, carrying the echoed timestamp for RTT measurement).
 #pragma once
@@ -17,6 +18,7 @@
 #include "sim/simulator.h"
 #include "transport/flow.h"
 #include "transport/message.h"
+#include "transport/message_slab.h"
 #include "util/flat_map.h"
 
 namespace aeq::transport {
@@ -101,6 +103,7 @@ class HostStack final : public MessageTransport {
   obs::Recorder* obs_ = nullptr;
   ControlHandler control_handler_;
 
+  MessageSlab messages_;  // declared before flows_: flows point into it
   util::FlatMap64<std::unique_ptr<Flow>> flows_;
   util::FlatMap64<ReceiverState> receivers_;
   std::uint64_t bytes_delivered_ = 0;

@@ -17,7 +17,9 @@ struct MessageCompletion {
   net::HostId dst = net::kNoHost;
   net::QoSLevel qos = net::kQoSHigh;
   std::uint64_t bytes = 0;
-  sim::Time issued = 0.0;     // handed to the transport (t0 in Appendix A)
+  // Handed to the transport (t0 in Appendix A). Every transport stamps it in
+  // the event that called send_message, so it is also the RPC's issue time.
+  sim::Time issued = 0.0;
   sim::Time completed = 0.0;  // last byte acknowledged (t1)
   bool terminated = false;    // D3/PDQ quench: message was killed, not done
 
@@ -27,10 +29,13 @@ struct MessageCompletion {
 
 // Inline-only (no heap fallback): one of these is queued per in-flight
 // message, so a std::function here would mean an allocation per RPC. The
-// 96-byte budget fits the largest capture in the tree (RpcStack's
-// [this, record] completion closure at ~72 bytes) with headroom.
+// 16-byte budget fits RpcStack's closure, which captures `this`, the RPC's
+// priority, its requested QoS and its downgrade bit and rebuilds the rest of
+// its RpcRecord from the MessageCompletion. Every pending message carries
+// one, so the budget is a per-message cost: widen a capture only with a
+// field the completion cannot supply.
 using CompletionHandler =
-    util::InlineFunction<void(const MessageCompletion&), 96>;
+    util::InlineFunction<void(const MessageCompletion&), 16>;
 
 struct SendRequest {
   net::HostId dst = net::kNoHost;

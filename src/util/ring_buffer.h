@@ -3,7 +3,7 @@
 //
 // std::deque allocates and frees ~512-byte blocks as the queue breathes,
 // which shows up as steady-state allocator traffic in every queue
-// discipline, in Port's in-flight list, and in Flow's message queue. A
+// discipline and in Port's in-flight list. A
 // ring only allocates when it grows past its high-water mark — after
 // warmup it never touches the heap again — and keeps elements contiguous
 // (mod wraparound) for the drain loops.

@@ -188,7 +188,7 @@ TEST(Checks, WellBehavedQueuesPassConservation) {
     net::Packet p = make_packet(1500, qos, i);
     // Varied remaining size: a full queue evicts its least urgent resident,
     // or rejects the newcomer when that is the least urgent packet.
-    p.cold.priority = static_cast<double>((i % 7 + 1) * 1500);
+    p.priority = static_cast<double>((i % 7 + 1) * 1500);
     if (!pfabric.enqueue(p)) ++pfabric_rejected;
     auditor.run_all();
     if (i % 3 == 0) {

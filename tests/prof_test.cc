@@ -180,8 +180,8 @@ struct RunResult {
   std::vector<double> p999;
 };
 
-RunResult run_workload(sim::SchedulerBackend backend, std::size_t shards,
-                       const std::string& prof_path) {
+runner::ExperimentConfig workload_config(sim::SchedulerBackend backend,
+                                         std::size_t shards) {
   runner::ExperimentConfig config;
   config.scheduler_backend = backend;
   config.num_hosts = 8;
@@ -194,7 +194,11 @@ RunResult run_workload(sim::SchedulerBackend backend, std::size_t shards,
   config.audit = false;
   config.schedule_digest = sim::kDigestBuildEnabled;
   config.seed = 42;
+  return config;
+}
 
+RunResult run_config(const runner::ExperimentConfig& config,
+                     const std::string& prof_path) {
   runner::Experiment experiment(config);
   if (!prof_path.empty()) experiment.enable_profiling(prof_path);
   const auto* sizes = experiment.own(
@@ -218,6 +222,11 @@ RunResult run_workload(sim::SchedulerBackend backend, std::size_t shards,
     result.p999.push_back(experiment.metrics().rnl_by_run_qos(qos).p999());
   }
   return result;
+}
+
+RunResult run_workload(sim::SchedulerBackend backend, std::size_t shards,
+                       const std::string& prof_path) {
+  return run_config(workload_config(backend, shards), prof_path);
 }
 
 void remove_prof_outputs(const std::string& path) {
@@ -346,6 +355,28 @@ TEST(ProfReportTest, ShardedJsonReportHasExecutiveAndShardThreads) {
       number_after(json, "\"executive\"", "\"barrier_cycles\":");
   EXPECT_GT(serial, 0.0);
   EXPECT_LE(serial, coordinator);
+  remove_prof_outputs(path);
+}
+
+// The Fig 22 baselines send and receive through protocols::BaseTransport,
+// which books that work under the same transport regions as the Swift
+// stack; without them it would show up as engine/dispatch self time.
+TEST(ProfReportTest, BaselineTransportBooksTransportRegions) {
+  runner::ExperimentConfig config =
+      workload_config(sim::SchedulerBackend::kCalendar, 1);
+  config.cc_kind = runner::ExperimentConfig::CcKind::kPfabric;
+  config.scheduler = net::SchedulerType::kPfabric;
+  config.buffer_bytes = 160 * 1024;  // ~2.5 BDP, as Figure 22 runs it
+  config.admission.kind = policy::kAlwaysAdmit;
+  const std::string path = ::testing::TempDir() + "prof_baseline_report.json";
+  ASSERT_GT(run_config(config, path).completed, 0u);
+  const std::string json = slurp(path);
+  for (const std::string region : {"transport/tx", "transport/rx"}) {
+    EXPECT_GT(number_after(json, "\"name\":\"" + region + "\"",
+                           "\"calls\":"),
+              0.0)
+        << region;
+  }
   remove_prof_outputs(path);
 }
 

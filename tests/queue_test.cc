@@ -17,9 +17,10 @@
 namespace aeq::net {
 namespace {
 
-Packet make_packet(QoSLevel qos, std::uint32_t size, std::uint64_t id = 0) {
+// `seq` tags each packet so a test can tell which one a queue served.
+Packet make_packet(QoSLevel qos, std::uint32_t size, std::uint64_t seq = 0) {
   Packet p;
-  p.id = id;
+  p.seq = seq;
   p.qos = qos;
   p.size_bytes = size;
   return p;
@@ -31,8 +32,8 @@ TEST(FifoQueueTest, FifoOrderAndTailDrop) {
   EXPECT_TRUE(q.enqueue(make_packet(0, 1000, 2)));
   EXPECT_FALSE(q.enqueue(make_packet(0, 1, 3)));  // full
   EXPECT_EQ(q.stats().dropped_packets, 1u);
-  EXPECT_EQ(q.dequeue()->id, 1u);
-  EXPECT_EQ(q.dequeue()->id, 2u);
+  EXPECT_EQ(q.dequeue()->seq, 1u);
+  EXPECT_EQ(q.dequeue()->seq, 2u);
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
@@ -41,9 +42,9 @@ TEST(SpqQueueTest, StrictPriorityOrder) {
   ASSERT_TRUE(q.enqueue(make_packet(2, 100, 1)));
   ASSERT_TRUE(q.enqueue(make_packet(0, 100, 2)));
   ASSERT_TRUE(q.enqueue(make_packet(1, 100, 3)));
-  EXPECT_EQ(q.dequeue()->id, 2u);
-  EXPECT_EQ(q.dequeue()->id, 3u);
-  EXPECT_EQ(q.dequeue()->id, 1u);
+  EXPECT_EQ(q.dequeue()->seq, 2u);
+  EXPECT_EQ(q.dequeue()->seq, 3u);
+  EXPECT_EQ(q.dequeue()->seq, 1u);
 }
 
 TEST(SpqQueueTest, LowPriorityStarvesUnderHighLoad) {
@@ -133,8 +134,8 @@ TEST(WfqQueueTest, PerClassFifoOrder) {
   }
   std::uint64_t last = 0;
   while (auto p = q.dequeue()) {
-    EXPECT_GT(p->id, last);
-    last = p->id;
+    EXPECT_GT(p->seq, last);
+    last = p->seq;
   }
 }
 
@@ -231,24 +232,24 @@ TEST(DwrrQueueTest, WorkConservingAndDrainsFully) {
 
 TEST(PfabricQueueTest, DequeuesMostUrgentFirst) {
   PfabricQueue q(100000);
-  auto with_priority = [](double prio, std::uint64_t id) {
-    Packet p = make_packet(0, 1000, id);
-    p.cold.priority = prio;
+  auto with_priority = [](double prio, std::uint64_t seq) {
+    Packet p = make_packet(0, 1000, seq);
+    p.priority = prio;
     return p;
   };
   ASSERT_TRUE(q.enqueue(with_priority(5000, 1)));
   ASSERT_TRUE(q.enqueue(with_priority(100, 2)));
   ASSERT_TRUE(q.enqueue(with_priority(2000, 3)));
-  EXPECT_EQ(q.dequeue()->id, 2u);
-  EXPECT_EQ(q.dequeue()->id, 3u);
-  EXPECT_EQ(q.dequeue()->id, 1u);
+  EXPECT_EQ(q.dequeue()->seq, 2u);
+  EXPECT_EQ(q.dequeue()->seq, 3u);
+  EXPECT_EQ(q.dequeue()->seq, 1u);
 }
 
 TEST(PfabricQueueTest, EvictsLeastUrgentOnOverflow) {
   PfabricQueue q(2500);
-  auto with_priority = [](double prio, std::uint64_t id) {
-    Packet p = make_packet(0, 1000, id);
-    p.cold.priority = prio;
+  auto with_priority = [](double prio, std::uint64_t seq) {
+    Packet p = make_packet(0, 1000, seq);
+    p.priority = prio;
     return p;
   };
   ASSERT_TRUE(q.enqueue(with_priority(100, 1)));
@@ -256,16 +257,16 @@ TEST(PfabricQueueTest, EvictsLeastUrgentOnOverflow) {
   // Newcomer is more urgent than packet 2: packet 2 is evicted.
   EXPECT_TRUE(q.enqueue(with_priority(200, 3)));
   EXPECT_EQ(q.stats().dropped_packets, 1u);
-  EXPECT_EQ(q.dequeue()->id, 1u);
-  EXPECT_EQ(q.dequeue()->id, 3u);
+  EXPECT_EQ(q.dequeue()->seq, 1u);
+  EXPECT_EQ(q.dequeue()->seq, 3u);
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(PfabricQueueTest, DropsNewcomerWhenLeastUrgent) {
   PfabricQueue q(2000);
-  auto with_priority = [](double prio, std::uint64_t id) {
-    Packet p = make_packet(0, 1000, id);
-    p.cold.priority = prio;
+  auto with_priority = [](double prio, std::uint64_t seq) {
+    Packet p = make_packet(0, 1000, seq);
+    p.priority = prio;
     return p;
   };
   ASSERT_TRUE(q.enqueue(with_priority(100, 1)));
@@ -276,15 +277,15 @@ TEST(PfabricQueueTest, DropsNewcomerWhenLeastUrgent) {
 
 TEST(PfabricQueueTest, FifoAmongEqualPriorities) {
   PfabricQueue q(100000);
-  auto with_priority = [](double prio, std::uint64_t id) {
-    Packet p = make_packet(0, 1000, id);
-    p.cold.priority = prio;
+  auto with_priority = [](double prio, std::uint64_t seq) {
+    Packet p = make_packet(0, 1000, seq);
+    p.priority = prio;
     return p;
   };
   for (std::uint64_t i = 1; i <= 4; ++i) {
     ASSERT_TRUE(q.enqueue(with_priority(100, i)));
   }
-  for (std::uint64_t i = 1; i <= 4; ++i) EXPECT_EQ(q.dequeue()->id, i);
+  for (std::uint64_t i = 1; i <= 4; ++i) EXPECT_EQ(q.dequeue()->seq, i);
 }
 
 TEST(QueueFactoryTest, BuildsEveryType) {

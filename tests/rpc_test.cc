@@ -137,28 +137,77 @@ TEST(MetricsTest, WarmupExcludedFromLatencyButNotTraffic) {
   EXPECT_EQ(metrics.rnl_by_run_qos(0).count(), 1u);
 }
 
+// The stack rebuilds each finished RPC's record from the transport's
+// completion plus the few fields its completion closure keeps, so every
+// field is checked against what issue() was given and returned, over the
+// Swift stack and over a BaseTransport baseline (pFabric).
 TEST(RpcStackTest, EndToEndIssueCompletesAndNotifiesListener) {
-  runner::ExperimentConfig config;
-  config.num_hosts = 3;
-  config.num_qos = 3;
-  config.admission.kind = policy::kAlwaysAdmit;
-  config.slo = rpc::SloConfig::make(
-      {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
-  runner::Experiment experiment(config);
+  using CcKind = runner::ExperimentConfig::CcKind;
+  for (const CcKind cc_kind : {CcKind::kSwift, CcKind::kPfabric}) {
+    SCOPED_TRACE(cc_kind == CcKind::kSwift ? "swift" : "pfabric");
+    runner::ExperimentConfig config;
+    config.num_hosts = 3;
+    config.num_qos = 3;
+    config.admission.kind = policy::kAlwaysAdmit;
+    config.slo = rpc::SloConfig::make(
+        {15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
+    config.cc_kind = cc_kind;
+    if (cc_kind == CcKind::kPfabric) {
+      config.scheduler = net::SchedulerType::kPfabric;
+      config.buffer_bytes = 160 * 1024;  // ~2.5 BDP, as Figure 22 runs it
+    }
+    runner::Experiment experiment(config);
 
-  std::vector<RpcRecord> seen;
-  experiment.stack(0).set_completion_listener(
-      [&](const RpcRecord& r) { seen.push_back(r); });
-  experiment.stack(0).issue(1, Priority::kPC, 32 * sim::kKiB);
-  experiment.stack(0).issue(2, Priority::kBE, 8 * sim::kKiB);
-  experiment.simulator().run();
+    std::vector<RpcRecord> seen;
+    experiment.stack(0).set_completion_listener(
+        [&](const RpcRecord& r) { seen.push_back(r); });
+    // Issued off time zero, so `issued` cannot pass by defaulting to 0.
+    const sim::Time t_issue = 3 * sim::kUsec;
+    std::uint64_t id_pc = 0;
+    std::uint64_t id_be = 0;
+    experiment.simulator().schedule_at(t_issue, [&] {
+      id_pc = experiment.stack(0).issue(1, Priority::kPC, 32 * sim::kKiB);
+      id_be = experiment.stack(0).issue(2, Priority::kBE, 8 * sim::kKiB);
+    });
+    experiment.simulator().run();
 
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].qos_run, net::kQoSHigh);
-  EXPECT_EQ(seen[1].qos_run, net::kQoSLow);
-  EXPECT_GT(seen[0].rnl, 0.0);
-  EXPECT_EQ(seen[0].size_mtus, 8u);
-  EXPECT_EQ(experiment.metrics().total_completed(), 2u);
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_NE(id_pc, id_be);
+    const auto find = [&seen](std::uint64_t rpc_id) {
+      for (const RpcRecord& r : seen) {
+        if (r.rpc_id == rpc_id) return r;
+      }
+      ADD_FAILURE() << "no record for rpc " << rpc_id;
+      return RpcRecord{};
+    };
+    struct Expected {
+      std::uint64_t rpc_id;
+      net::HostId dst;
+      Priority priority;
+      net::QoSLevel qos;
+      std::uint64_t bytes;
+      std::uint64_t size_mtus;
+    };
+    for (const Expected& want :
+         {Expected{id_pc, 1, Priority::kPC, net::kQoSHigh, 32 * sim::kKiB, 8},
+          Expected{id_be, 2, Priority::kBE, net::kQoSLow, 8 * sim::kKiB, 2}}) {
+      const RpcRecord r = find(want.rpc_id);
+      EXPECT_EQ(r.rpc_id, want.rpc_id);
+      EXPECT_EQ(r.src, 0);
+      EXPECT_EQ(r.dst, want.dst);
+      EXPECT_EQ(r.priority, want.priority);
+      EXPECT_EQ(r.qos_requested, want.qos);
+      EXPECT_EQ(r.qos_run, want.qos);
+      EXPECT_FALSE(r.downgraded);
+      EXPECT_EQ(r.bytes, want.bytes);
+      EXPECT_EQ(r.size_mtus, want.size_mtus);
+      EXPECT_EQ(r.issued, t_issue);
+      EXPECT_GT(r.completed, r.issued);
+      EXPECT_EQ(r.rnl, r.completed - r.issued);
+      EXPECT_FALSE(r.terminated);
+    }
+    EXPECT_EQ(experiment.metrics().total_completed(), 2u);
+  }
 }
 
 TEST(RpcStackTest, DowngradeVisibleToApplication) {
