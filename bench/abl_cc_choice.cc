@@ -63,6 +63,7 @@ runner::PointResult run(const char* name,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Ablation",
                       "Aequitas over Swift vs DCTCP vs no CC "
                       "(17-node all-to-all, SLO 25/50us)");

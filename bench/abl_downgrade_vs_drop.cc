@@ -88,6 +88,7 @@ std::vector<std::string> parse_kinds(const std::string& controller) {
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
   const std::string controller = args.flags.get("controller");
+  bench::reject_unknown_flags(args);
   std::vector<std::string> kinds = parse_kinds(controller);
   for (const std::string& kind : kinds) {
     if (policy::is_registered(kind)) continue;

@@ -76,6 +76,7 @@ runner::PointResult run(bool with_aequitas, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Ablation",
                       "Overload in the fabric core: 32-host leaf-spine, "
                       "2:1 oversubscribed uplinks, cross-leaf traffic only "

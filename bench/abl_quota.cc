@@ -121,6 +121,7 @@ Result run(bool with_quota, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Extension",
                       "Per-tenant quota server over Aequitas (tenant "
                       "weights 3:1, both over-demanding QoS_h)");

@@ -111,6 +111,7 @@ runner::PointResult run(bool per_destination, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Ablation",
                       "Per-destination admission state vs a global "
                       "per-QoS p_admit (hotspot at host 0)");

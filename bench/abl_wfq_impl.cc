@@ -76,6 +76,7 @@ Point run_once(double x, bool dwrr) {
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Ablation",
                       "WFQ implementations: virtual-time (PGPS) vs DWRR on "
                       "the Figure-10 validation (4:1, mu=0.8, rho=1.2)");

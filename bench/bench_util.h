@@ -116,21 +116,12 @@ struct TraceRequest {
 //                   report at PATH (+ `.trace.json` flame rows, stderr
 //                   summary); observe-only, stdout stays byte-identical
 //   --trace-point N which point gets the telemetry (default 0, the first)
-//   --shards N      intra-run parallelism (ExperimentConfig::shards): each
-//                   simulation point runs on N conservative-PDES shards;
-//                   results are identical for any N (benches that honor it
-//                   wire args.shards into their config)
-//   --schedule-digest  print the canonical schedule digest (sim/digest.h)
-//                   per point — the fingerprint of the dispatched event
-//                   schedule. Identical across backends, shard counts, and
-//                   address-space layouts for a fixed seed (DESIGN.md §12);
-//                   needs an AEQ_SCHED_DIGEST=ON build (the default).
+// A bench reads its own flags from `flags` and then calls
+// reject_unknown_flags(), so a flag it does not read is an error.
 struct BenchArgs {
   runner::SweepOptions sweep;
   std::string csv_path;
   std::string json_path;
-  std::size_t shards = 1;
-  bool schedule_digest = false;
   TraceRequest trace;
   tools::Flags flags;       // bench-specific extras stay queryable
   bool machine_started = false;  // first emit truncates, later ones append
@@ -147,9 +138,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
       static_cast<std::uint64_t>(args.flags.get_int("seed", 1));
   args.csv_path = args.flags.get("csv");
   args.json_path = args.flags.get("json");
-  args.shards = static_cast<std::size_t>(args.flags.get_int("shards", 1));
-  if (args.shards < 1) args.shards = 1;
-  args.schedule_digest = args.flags.get_bool("schedule-digest", false);
   args.trace.trace = args.flags.get("trace");
   args.trace.trace_csv = args.flags.get("trace-csv");
   args.trace.timeseries = args.flags.get("timeseries");
@@ -164,6 +152,18 @@ inline BenchArgs parse_args(int argc, char** argv) {
   args.trace.prof = args.flags.get("prof");
   args.trace.point = static_cast<int>(args.flags.get_int("trace-point", 0));
   return args;
+}
+
+// Exits 2 naming the first command-line flag the bench never read (a typo,
+// or a flag this bench does not honor), after printing `usage` if given.
+// Call once the bench has read all of its own flags.
+inline void reject_unknown_flags(const BenchArgs& args,
+                                 const char* usage = nullptr) {
+  const std::vector<std::string> unused = args.flags.unused();
+  if (unused.empty()) return;
+  std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
+  if (usage != nullptr) std::fprintf(stderr, "usage:\n%s\n", usage);
+  std::exit(2);
 }
 
 namespace detail {

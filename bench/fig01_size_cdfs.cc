@@ -51,6 +51,7 @@ runner::PointResult sample_panel(bool write) {
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 1",
                       "Synthetic production RPC size distributions "
                       "per priority class");

@@ -96,6 +96,7 @@ Timeline run(bool with_aequitas, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 3",
                       "Congestion episode: PC-marked bulk surge (10-30ms) "
                       "into 3 victims; interactive-PC tail over time");

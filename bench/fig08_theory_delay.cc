@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace aeq;
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   analysis::TwoQosParams params{.phi = 4.0, .mu = 0.8, .rho = 1.2};
 
   bench::print_header("Figure 8",

@@ -45,6 +45,7 @@ void run_panel(const char* label, const std::vector<double>& weights,
 
 int main(int argc, char** argv) {
   aeq::bench::BenchArgs args = aeq::bench::parse_args(argc, argv);
+  aeq::bench::reject_unknown_flags(args);
   aeq::bench::print_header(
       "Figure 9", "Simulated WFQ worst-case delay, 3 QoS levels (fluid)");
   run_panel("a", {8.0, 4.0, 1.0}, args);

@@ -76,6 +76,7 @@ SimPoint run_packet_sim(double x, double mu, double rho, double phi) {
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 10",
                       "Packet simulator vs theory, QoS_h:QoS_l = 4:1, "
                       "mu=0.8, rho=1.2 (CC off, unbounded buffer)");

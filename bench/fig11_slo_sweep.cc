@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
   using namespace aeq;
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 11",
                       "SLO compliance, 3-node, 32KB RPCs, 70%/30% h/l at "
                       "line rate, QoS_h:QoS_l = 4:1");

@@ -51,6 +51,7 @@ runner::PointResult run_variant(bool with_aequitas, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 12",
                       "33-node all-to-all, mix 60/30/10, SLO 25/50us, "
                       "w/ and w/o Aequitas");

@@ -71,6 +71,7 @@ void print_cdf(const char* title, const stats::Histogram& baseline,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 13",
                       "Outstanding RPCs per destination (33-node, "
                       "mix 60/30/10), w/ and w/o Aequitas");

@@ -9,6 +9,7 @@
 int main(int argc, char** argv) {
   using namespace aeq;
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 14",
                       "Baseline p99.9 RNL vs input QoS_h-share "
                       "(QoS_m fixed at 25%), 33-node, no admission control");

@@ -56,6 +56,7 @@ std::string mix_label(double h, double m, double l, int precision) {
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 15",
                       "Admitted QoS-mix converges to the target mix "
                       "(25/25/50) for any input mix, 33-node");

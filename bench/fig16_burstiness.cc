@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
   using namespace aeq;
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 16",
                       "Admitted QoS_h-share vs burst load rho "
                       "(33-node, mu=0.8, SLO 25us)");

@@ -10,6 +10,7 @@
 int main(int argc, char** argv) {
   using namespace aeq;
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 17",
                       "Two channels, 80%/40% requested on QoS_h, SLO 15us: "
                       "max-min fair admitted throughput");

@@ -10,6 +10,7 @@
 int main(int argc, char** argv) {
   using namespace aeq;
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 18",
                       "In-quota channel (10% QoS_h) vs heavy channel (80%), "
                       "SLO 15us");

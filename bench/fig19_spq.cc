@@ -54,6 +54,7 @@ runner::PointResult run(double qosh_share, bool aequitas_wfq,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 19",
                       "Aequitas (WFQ) vs plain SPQ as QoS_h-share grows, "
                       "QoS_m fixed at 20% (SLO 25/50us)");

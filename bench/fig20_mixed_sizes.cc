@@ -70,6 +70,7 @@ GroupStats run(bool with_aequitas, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 20",
                       "Size-normalized SLOs: half 32KB / half 64KB "
                       "channels, SLO 25us per 8 MTUs (p99.9)");

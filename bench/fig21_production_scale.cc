@@ -15,6 +15,9 @@
 //   --warmup-ms W  warmup before measurement (default 10)
 //   --run-ms R     measured interval (default 12); CI smokes use shorter
 //                  intervals to bound wall-clock time
+//   --schedule-digest  print each point's canonical schedule digest
+//                  (sim/digest.h), identical for any K and backend
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -94,10 +97,12 @@ int main(int argc, char** argv) {
   Fig21Params params;
   params.hosts =
       static_cast<std::size_t>(args.flags.get_int("hosts", 144));
-  params.shards = args.shards;
-  params.schedule_digest = args.schedule_digest;
+  params.shards = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, args.flags.get_int("shards", 1)));
+  params.schedule_digest = args.flags.get_bool("schedule-digest", false);
   params.warmup_ms = args.flags.get_double("warmup-ms", params.warmup_ms);
   params.run_ms = args.flags.get_double("run-ms", params.run_ms);
+  bench::reject_unknown_flags(args);
 
   char title[160];
   std::snprintf(title, sizeof(title),

@@ -276,6 +276,7 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller,
 
   std::vector<double> loads;
   const std::string loads_flag = args.flags.get("loads");
+  bench::reject_unknown_flags(args);
   if (loads_flag.empty()) {
     loads.push_back(kOfferedLoad);
   } else {
@@ -349,6 +350,7 @@ int main(int argc, char** argv) {
   // Optional filter: run only the named systems (case-sensitive,
   // comma-separated), e.g. `fig22_related_work --only=D3,PDQ`.
   const std::string only = args.flags.get("only");
+  bench::reject_unknown_flags(args);
   auto wanted = [&only](const char* name) {
     if (only.empty()) return true;
     std::string_view remaining = only;

@@ -53,6 +53,7 @@ std::string mix_label(const double* shares) {
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 23",
                       "20-host testbed (simulated), weights 8:4:1, input "
                       "mix 50/35/15, SLOs at target mix 20/30/50");

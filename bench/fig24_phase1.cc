@@ -110,6 +110,7 @@ struct ClusterParams {
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Figure 24 (+4/5)",
                       "Phase-1 QoS/priority realignment across a synthetic "
                       "fleet of 50 clusters");

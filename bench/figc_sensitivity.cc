@@ -23,6 +23,7 @@ struct Setting {
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::reject_unknown_flags(args);
   bench::print_header("Appendix C (Fig 28/29)",
                       "beta sensitivity on the fairness experiments "
                       "(smaller beta = smoother p_admit, looser compliance)");

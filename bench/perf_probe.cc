@@ -9,6 +9,7 @@
 //     --jobs=1 and at the resolved --jobs and reports the parallel speedup
 //     (results are checked to be identical across the two runs).
 // All parameters are flags; see kUsage below.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -185,17 +186,13 @@ int main(int argc, char** argv) {
   p.aequitas = args.flags.get_bool("aequitas", p.aequitas);
   p.mix_h = args.flags.get_double("mix-h", p.mix_h);
   p.mix_m = args.flags.get_double("mix-m", p.mix_m);
-  p.shards = args.shards;
-  p.schedule_digest = args.schedule_digest;
+  p.shards = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, args.flags.get_int("shards", 1)));
+  p.schedule_digest = args.flags.get_bool("schedule-digest", false);
   const std::string backend_arg = args.flags.get("backend", "both");
   const auto sweep_points =
       static_cast<std::size_t>(args.flags.get_int("sweep-points", 0));
-  const auto unused = args.flags.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag --%s\nusage:\n%s\n",
-                 unused.front().c_str(), kUsage);
-    return 2;
-  }
+  bench::reject_unknown_flags(args, kUsage);
 
   std::vector<sim::SchedulerBackend> backends;
   if (backend_arg == "heap") {

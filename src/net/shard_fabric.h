@@ -26,8 +26,8 @@
 // Event budget: one tx-end event on the sending shard plus one arrival
 // event on the receiving shard per packet — identical to the serial link
 // pipeline, which is what makes serial and sharded event counts comparable
-// (the "cross-shard event identity" pinned by
-// ShardDeterminismTest.EventCountMatchesSerialWithAuditOff).
+// (the "cross-shard event identity" pinned, with auditing on, by
+// ShardDeterminismTest.SameSeedAnyShardCountSameMetrics).
 #pragma once
 
 #include <array>

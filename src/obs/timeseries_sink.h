@@ -12,8 +12,8 @@
 //
 // Windows are [k*W, (k+1)*W). Events carry nondecreasing times (the
 // simulator dispatches in time order), so a window closes when the first
-// event at or past its end arrives, or when advance_to() is driven by the
-// experiment's periodic telemetry tick (which also closes empty windows —
+// event at or past its end arrives, or when the experiment calls
+// advance_to() between events every W (which also closes empty windows —
 // that is what lets the watchdog detect a total stall). Listeners run at
 // window close, after the window's rows are written and retained; the
 // Watchdog (obs/watchdog.h) is the canonical listener.
@@ -135,8 +135,8 @@ class TimeseriesSink : public Sink {
   void on_rpc_complete(const RpcComplete& event) override;
 
   // Closes every window whose end is <= t (emitting empty windows across
-  // gaps). Driven by the experiment's periodic tick so stalls surface even
-  // when no events arrive.
+  // gaps). The experiment calls it every window width of simulated time,
+  // so stalls surface even when no events arrive.
   void advance_to(sim::Time t);
 
   // Closes the final (partial) window and the JSON document.

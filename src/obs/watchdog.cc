@@ -131,8 +131,8 @@ void Watchdog::on_window(const WindowStats& window) {
   }
 
   // Stall: work outstanding but the event stream has gone completely quiet.
-  // Empty windows only exist because the experiment tick drives advance_to,
-  // so this rule is what turns that tick into a liveness check.
+  // Empty windows only exist because the experiment calls advance_to every
+  // window, so this rule turns that clock into a liveness check.
   if (config_.stall_windows > 0 &&
       (config_.stall_horizon < 0.0 || window.end <= config_.stall_horizon)) {
     const bool outstanding = window.cum_generated > window.cum_finished;

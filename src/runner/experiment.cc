@@ -1,7 +1,9 @@
 #include "runner/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -266,7 +268,7 @@ void Experiment::start_profiling() {
   // This thread's collector: serial runs attribute the whole simulation
   // here; sharded runs only what this thread does outside shard 0's
   // windows (the executive swaps in shard 0's collector around those),
-  // such as the post-run sweeps.
+  // such as the observers at executive stops and the post-run sweep.
   obs::prof::install(&prof_run_->main);
   prof_run_->begin = obs::prof::calibration_point();
 }
@@ -390,29 +392,25 @@ std::vector<obs::WindowStats::GaugeStat> Experiment::sample_admission_gauges()
   return out;
 }
 
-void Experiment::fill_watchdog_defaults(obs::WatchdogConfig& config) const {
+obs::WatchdogConfig Experiment::watchdog_config() const {
+  obs::WatchdogConfig config;
   // Compliance alarms derive from the configured SLO percentiles, backed
   // off by a margin so ordinary jitter around the target stays silent: a
   // 99.9% SLO alarms when a window's compliance drops below ~90%.
   constexpr double kAlarmMargin = 0.9;
-  if (config.compliance_target.empty()) {
-    config.compliance_target.assign(config_.num_qos, 0.0);
-    for (std::size_t q = 0; q < config_.num_qos; ++q) {
-      const auto qos = static_cast<net::QoSLevel>(q);
-      if (!config_.slo.has_slo(qos)) continue;  // scavenger class: no alarm
-      config.compliance_target[q] =
-          kAlarmMargin * config_.slo.target_percentile[q] / 100.0;
-    }
+  config.compliance_target.assign(config_.num_qos, 0.0);
+  for (std::size_t q = 0; q < config_.num_qos; ++q) {
+    const auto qos = static_cast<net::QoSLevel>(q);
+    if (!config_.slo.has_slo(qos)) continue;  // scavenger class: no alarm
+    config.compliance_target[q] =
+        kAlarmMargin * config_.slo.target_percentile[q] / 100.0;
   }
-  if (config.saturation_qlen_bytes == 0) {
-    config.saturation_qlen_bytes = static_cast<std::uint64_t>(
-        0.95 * static_cast<double>(config_.buffer_bytes));
-  }
+  config.saturation_qlen_bytes = static_cast<std::uint64_t>(
+      0.95 * static_cast<double>(config_.buffer_bytes));
   // "Pinned at the controller's own floor" — separates pathological
   // collapse from ordinary heavy throttling of misbehaving channels.
-  if (config.p_admit_floor < 0.0) {
-    config.p_admit_floor = 1.5 * config_.admission.aequitas.p_admit_floor;
-  }
+  config.p_admit_floor = 1.5 * config_.admission.aequitas.p_admit_floor;
+  return config;
 }
 
 void Experiment::on_anomaly(const obs::Anomaly& anomaly) {
@@ -487,9 +485,8 @@ void Experiment::wire_telemetry() {
   // The windowed components are serial-only (asserted above).
   obs::Recorder& recorder = *recorders_[0];
   if (!spec.flight_recorder.empty()) {
-    flight_ = static_cast<obs::FlightRecorder*>(
-        recorder.own_sink(std::make_unique<obs::FlightRecorder>(
-            spec.flight_recorder_config)));
+    flight_ = static_cast<obs::FlightRecorder*>(recorder.own_sink(
+        std::make_unique<obs::FlightRecorder>(obs::FlightRecorderConfig{})));
     // Arm the last-gasp hook: an assert/audit failure dumps the ring
     // before aborting.
     detail::g_failure_sink = &Experiment::failure_dump;
@@ -511,11 +508,15 @@ void Experiment::wire_telemetry() {
     // a per-window gauge timeline next to the admission-plane columns.
     timeseries_->set_gauge_provider(
         [this] { return sample_admission_gauges(); });
+    // The telemetry tick: closing windows on the clock, not only on the
+    // next event, is what closes empty windows, so a fully stalled run
+    // still reaches the watchdog's stall rule.
+    observers_.push_back(Observer{
+        spec.timeseries_width, /*through_drain=*/true,
+        [this](sim::Time t) { timeseries_->advance_to(t); }});
   }
   if (spec.watchdog) {
-    obs::WatchdogConfig wd = spec.watchdog_config;
-    fill_watchdog_defaults(wd);
-    watchdog_ = std::make_unique<obs::Watchdog>(wd);
+    watchdog_ = std::make_unique<obs::Watchdog>(watchdog_config());
     if (!spec.watchdog_log.empty()) {
       watchdog_log_file_.open(spec.watchdog_log,
                               std::ios::out | std::ios::trunc);
@@ -552,57 +553,35 @@ void Experiment::wire_telemetry() {
   }
 }
 
-// One auditor per shard (a serial run is the one-shard case), covering
-// exactly that shard's components: its simulator, its hosts' NIC ports,
-// transports and controllers, and its switch. Mid-run checks therefore
-// never read state another shard is mutating; each periodic sweep runs
-// inside its shard's own event stream. Checks stay read-only, so results
-// are identical with audit on.
+// One auditor over every component of every shard: its sweeps run at
+// executive stops, where all shards are parked and every cross-shard
+// handoff has landed, so a check may read any shard's state.
 void Experiment::register_audit_checks() {
+  auditor_ = std::make_unique<audit::Auditor>();
+  audit::Auditor& auditor = *auditor_;
   for (std::size_t k = 0; k < config_.shards; ++k) {
-    auditors_.push_back(std::make_unique<audit::Auditor>());
-    audit::register_simulator_checks(*auditors_[k], shard_sim(k));
+    audit::register_simulator_checks(auditor, shard_sim(k));
   }
   for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
     const auto id = static_cast<net::HostId>(i);
-    const std::size_t k = shard_of(id);
-    audit::Auditor& auditor = *auditors_[k];
     const std::string host = "host" + std::to_string(i);
     audit::register_port_checks(auditor, host + "-nic",
-                                network_.host(id).egress(), shard_sim(k));
+                                network_.host(id).egress(),
+                                host_simulator(id));
     if (config_.uses_host_stack()) {
       audit::register_transport_checks(auditor, host + "-transport",
                                        host_stack(id));
     }
     audit::register_admission_checks(auditor, host + "-admission",
-                                     *controllers_[i], shard_sim(k));
+                                     *controllers_[i], host_simulator(id));
   }
   for (std::size_t s = 0; s < network_.num_switches(); ++s) {
-    const std::size_t k = switch_shard(s);
-    audit::register_switch_checks(*auditors_[k],
-                                  network_.fabric_switch(s).name(),
-                                  network_.fabric_switch(s), shard_sim(k));
+    audit::register_switch_checks(auditor, network_.fabric_switch(s).name(),
+                                  network_.fabric_switch(s),
+                                  shard_sim(switch_shard(s)));
   }
-}
-
-void Experiment::schedule_audit(std::size_t k, sim::Time at, sim::Time end) {
-  if (at > end) return;
-  shard_sim(k).schedule_at(at, [this, k, at, end] {
-    auditors_[k]->run_all();
-    schedule_audit(k, at + config_.audit_interval, end);
-  });
-}
-
-// Periodic clock for the windowed telemetry: advance_to only *reads* sink
-// state, so (like the audit sweep) the extra events cannot perturb the
-// simulation. Without the tick a fully stalled run would never close
-// another window and the watchdog's stall rule could never fire.
-void Experiment::schedule_telemetry_tick(sim::Time at, sim::Time end) {
-  if (at > end) return;
-  sim_.schedule_at(at, [this, at, end] {
-    timeseries_->advance_to(at);
-    schedule_telemetry_tick(at + config_.telemetry.timeseries_width, end);
-  });
+  observers_.push_back(Observer{config_.audit_interval, /*through_drain=*/true,
+                                [this](sim::Time) { auditor_->run_all(); }});
 }
 
 const workload::SizeDistribution* Experiment::own(
@@ -630,15 +609,8 @@ void Experiment::sample_every(sim::Time interval,
                  "Experiment::sample_every needs ExperimentConfig::shards == "
                  "1 (samplers read cross-shard state mid-run)");
   AEQ_ASSERT(interval > 0.0 && fn != nullptr);
-  samplers_.push_back(Sampler{interval, std::move(fn)});
-}
-
-void Experiment::schedule_sampler(std::size_t index, sim::Time at) {
-  if (at >= run_end_) return;
-  sim_.schedule_at(at, [this, index, at] {
-    samplers_[index].fn(at);
-    schedule_sampler(index, at + samplers_[index].interval);
-  });
+  observers_.push_back(Observer{interval, /*through_drain=*/false,
+                                std::move(fn)});
 }
 
 void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
@@ -653,47 +625,62 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
     AEQ_ASSERT_MSG(!ran_, "a sharded experiment supports one run() call");
     ran_ = true;
   }
+  const sim::Time run_end = warmup + duration;
+  const sim::Time drain_end = run_end + drain;
   // The warmup transient (admission probabilities converging down from 1)
   // is expected turbulence, not an anomaly; going quiet after generation
   // ends is the drain working, not a stall.
   if (watchdog_) {
     watchdog_->set_quiet_until(warmup);
-    watchdog_->set_stall_horizon(warmup + duration);
+    watchdog_->set_stall_horizon(run_end);
   }
-  run_end_ = warmup + duration;
   if (!config_.prof.empty()) start_profiling();
   const sim::Time start = now();
   for (auto& generator : generators_) {
-    generator->run(start, run_end_);
+    generator->run(start, run_end);
   }
-  for (std::size_t s = 0; s < samplers_.size(); ++s) {
-    schedule_sampler(s, start + samplers_[s].interval);
+  for (Observer& observer : observers_) {
+    AEQ_ASSERT(observer.interval > 0.0);
+    observer.next = start + observer.interval;
   }
-  if (!auditors_.empty()) {
-    AEQ_ASSERT(config_.audit_interval > 0.0);
-    for (std::size_t k = 0; k < auditors_.size(); ++k) {
-      schedule_audit(k, start + config_.audit_interval, run_end_ + drain);
+  const auto due = [run_end, drain_end](const Observer& observer) {
+    return observer.through_drain ? observer.next <= drain_end
+                                  : observer.next < run_end;
+  };
+  // Runs every event up to `end`, stopping at each observer instant t on
+  // the way: the stop runs every event before t and none at t. The sharded
+  // run_until returns with every shard parked and every handoff landed.
+  const auto run_phase = [&](sim::Time end) {
+    constexpr sim::Time kInf = std::numeric_limits<sim::Time>::infinity();
+    for (;;) {
+      sim::Time stop = kInf;
+      for (const Observer& observer : observers_) {
+        if (due(observer)) stop = std::min(stop, observer.next);
+      }
+      const sim::Time until = stop > end ? end : std::nextafter(stop, -kInf);
+      if (sharded_) {
+        sharded_->run_until(until);
+      } else {
+        sim_.run_until(until);
+      }
+      if (stop > end) break;
+      for (Observer& observer : observers_) {
+        if (due(observer) && observer.next == stop) {
+          observer.fn(stop);
+          observer.next += observer.interval;
+        }
+      }
     }
-  }
-  if (timeseries_ != nullptr) {
-    AEQ_ASSERT(config_.telemetry.timeseries_width > 0.0);
-    schedule_telemetry_tick(start + config_.telemetry.timeseries_width,
-                            run_end_ + drain);
-  }
-  const auto run_until = [this](sim::Time end) {
-    if (sharded_) {
-      sharded_->run_until(end);
-      if (prof_run_) prof_run_->epochs.push_back(sharded_->windows_executed());
-    } else {
-      sim_.run_until(end);
+    if (sharded_ && prof_run_) {
+      prof_run_->epochs.push_back(sharded_->windows_executed());
     }
   };
-  run_until(run_end_);
+  run_phase(run_end);
   // Let in-flight RPCs finish so tail percentiles include them.
-  run_until(run_end_ + drain);
+  run_phase(drain_end);
   // One final sweep over the drained state (catches leaks that only show
   // once queues empty, e.g. a pool reservation that never released).
-  for (auto& auditor : auditors_) auditor->run_all();
+  if (auditor_) auditor_->run_all();
   if (sharded_) {
     AEQ_ASSERT_MSG(fabric_->idle(),
                    "cross-shard outboxes still hold packets after drain");

@@ -56,20 +56,17 @@ struct TelemetrySpec {
 
   // Online anomaly detection over closed windows (obs::Watchdog). Enabled
   // implies a TimeseriesSink even when both timeseries paths are empty.
-  // Anomaly lines go to `watchdog_log` ("" = stderr). Zero/empty thresholds
-  // in `watchdog_config` are auto-filled by the experiment: compliance
-  // targets from the SLO percentiles (with an alarm margin), saturation
-  // from the port buffer size.
+  // Anomaly lines go to `watchdog_log` ("" = stderr). The experiment sets
+  // the thresholds: compliance targets from the SLO percentiles (with an
+  // alarm margin), saturation from the port buffer size.
   bool watchdog = false;
   std::string watchdog_log;
-  obs::WatchdogConfig watchdog_config;
 
   // Post-mortem ring buffer (obs::FlightRecorder). The path is where the
   // Chrome-trace snapshot lands when the watchdog first fires or when an
   // AEQ_ASSERT/AEQ_CHECK (including audit invariants) aborts the run; the
   // recent timeseries rows land next to it at `<path>.timeseries.csv`.
   std::string flight_recorder;
-  obs::FlightRecorderConfig flight_recorder_config;
 
   bool windowed() const {
     return !timeseries_csv.empty() || !timeseries_json.empty() || watchdog;
@@ -154,8 +151,9 @@ struct ExperimentConfig {
 
   // Invariant auditing (src/audit/): when set, the experiment registers the
   // full check catalogue over its components and evaluates it every
-  // `audit_interval` of simulated time plus once after the drain. Checks are
-  // read-only, so results are bit-identical with auditing on or off.
+  // `audit_interval` of simulated time, between events, plus once after the
+  // drain. Checks are read-only, so results and schedule digests are
+  // bit-identical with auditing on or off.
   // Defaults on in -DAEQ_AUDIT builds (which additionally enable the
   // per-event hot-path hooks), off otherwise.
   bool audit = audit::kBuildEnabled;
@@ -245,13 +243,9 @@ class Experiment {
 
   const ExperimentConfig& config() const { return config_; }
 
-  // Shard `shard`'s invariant-audit registry (a serial run has one shard).
-  // Each shard audits exactly its own components so mid-run checks never
-  // read another shard's in-flight state. Null when ExperimentConfig::audit
-  // is off or shard >= shards.
-  audit::Auditor* auditor(std::size_t shard = 0) {
-    return shard < auditors_.size() ? auditors_[shard].get() : nullptr;
-  }
+  // The invariant-audit registry over every component of every shard;
+  // null when ExperimentConfig::audit is off.
+  audit::Auditor* auditor() { return auditor_.get(); }
 
   // Shard `shard`'s telemetry recorder; null unless some TelemetrySpec
   // output is set, or when shard >= shards. Extra sinks may be attached
@@ -292,7 +286,8 @@ class Experiment {
            sim::Time drain = 2 * sim::kMsec);
 
   // Registers a callback invoked every `interval` of simulated time during
-  // run() (e.g. to sample p_admit or outstanding gauges).
+  // run(), between events, while traffic is generated (e.g. to sample
+  // p_admit or outstanding gauges).
   void sample_every(sim::Time interval, std::function<void(sim::Time)> fn);
 
   // Aggregate utilization of all host downlinks over [0, now].
@@ -301,9 +296,7 @@ class Experiment {
  private:
   std::unique_ptr<transport::MessageTransport> make_transport(
       net::HostId id);
-  void schedule_sampler(std::size_t index, sim::Time at);
   void register_audit_checks();
-  void schedule_audit(std::size_t k, sim::Time at, sim::Time end);
   void wire_telemetry();
   // Per-shard wiring; a serial run is shard 0 of one, on sim_ and metrics_.
   sim::Simulator& shard_sim(std::size_t k) {
@@ -322,11 +315,10 @@ class Experiment {
   rpc::RpcMetrics& host_metrics(net::HostId id) {
     return sharded_ ? *shard_metrics_[shard_of(id)] : *metrics_;
   }
-  void schedule_telemetry_tick(sim::Time at, sim::Time end);
   void start_profiling();
   void finish_profiling();
   std::vector<obs::WindowStats::GaugeStat> sample_admission_gauges() const;
-  void fill_watchdog_defaults(obs::WatchdogConfig& config) const;
+  obs::WatchdogConfig watchdog_config() const;
   void on_anomaly(const obs::Anomaly& anomaly);
   // Last-gasp hook (sim/assert.h): dumps the flight recorder and recent
   // timeseries rows before an assert/audit failure aborts the process.
@@ -342,8 +334,8 @@ class Experiment {
   std::vector<std::unique_ptr<rpc::RpcMetrics>> shard_metrics_;
   bool ran_ = false;
   topo::Network network_;
-  // One per shard when enabled (audit / any telemetry output); else empty.
-  std::vector<std::unique_ptr<audit::Auditor>> auditors_;
+  std::unique_ptr<audit::Auditor> auditor_;  // null unless config_.audit
+  // One per shard when any telemetry output is set; else empty.
   std::vector<std::unique_ptr<obs::Recorder>> recorders_;
   obs::TimeseriesSink* timeseries_ = nullptr;  // owned by recorders_[0]
   obs::FlightRecorder* flight_ = nullptr;      // owned by recorders_[0]
@@ -359,12 +351,16 @@ class Experiment {
   std::vector<std::unique_ptr<rpc::RpcStack>> stacks_;
   std::vector<std::unique_ptr<workload::TrafficGenerator>> generators_;
   std::vector<std::unique_ptr<workload::SizeDistribution>> owned_dists_;
-  struct Sampler {
+  // The audit sweep, the telemetry tick and the samplers: run() stops the
+  // executive before each instant start + k * interval and calls fn there.
+  // Samplers stop before the end of generation, the others after the drain.
+  struct Observer {
     sim::Time interval;
+    bool through_drain;
     std::function<void(sim::Time)> fn;
+    sim::Time next = 0.0;
   };
-  std::vector<Sampler> samplers_;
-  sim::Time run_end_ = 0.0;
+  std::vector<Observer> observers_;
 
   // Live profiling state for the current run() (config_.prof non-empty):
   // the main-thread collector (serial loop, or the sharded coordinator's

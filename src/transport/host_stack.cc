@@ -1,5 +1,6 @@
 #include "transport/host_stack.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/prof/profiler.h"
@@ -77,17 +78,22 @@ void HostStack::handle_data(const net::Packet& packet) {
   const std::uint64_t before = r.next_expected;
 
   if (end > r.next_expected) {
+    auto& held = r.out_of_order;
     if (begin <= r.next_expected) {
       r.next_expected = end;
       // Absorb buffered segments now contiguous.
-      auto it = r.out_of_order.begin();
-      while (it != r.out_of_order.end() && it->first <= r.next_expected) {
+      auto it = held.begin();
+      for (; it != held.end() && it->first <= r.next_expected; ++it) {
         r.next_expected = std::max(r.next_expected, it->second);
-        it = r.out_of_order.erase(it);
       }
+      held.erase(held.begin(), it);
     } else {
-      auto [it, inserted] = r.out_of_order.emplace(begin, end);
-      if (!inserted) it->second = std::max(it->second, end);
+      auto it = std::lower_bound(held.begin(), held.end(), Segment{begin, 0});
+      if (it != held.end() && it->first == begin) {
+        it->second = std::max(it->second, end);
+      } else {
+        held.insert(it, {begin, end});
+      }
     }
   }
 

@@ -10,8 +10,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/host.h"
 #include "sim/assert.h"
@@ -86,9 +87,12 @@ class HostStack final : public MessageTransport {
   const TransportConfig& config() const { return config_; }
 
  private:
+  using Segment = std::pair<std::uint64_t, std::uint64_t>;  // [begin, end)
   struct ReceiverState {
     std::uint64_t next_expected = 0;
-    std::map<std::uint64_t, std::uint64_t> out_of_order;  // start -> end
+    // Sorted by begin, one per begin; a vector, as most receivers hold none
+    // and an empty one is 24 bytes.
+    std::vector<Segment> out_of_order;
   };
 
   void on_packet(const net::Packet& packet);

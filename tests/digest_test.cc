@@ -5,6 +5,7 @@
 //   * across repeated runs in one process,
 //   * across the heap and calendar scheduler backends,
 //   * across shard counts 1/2/4 (serial vs conservative-PDES executive),
+//   * with the observers (audit, windowed telemetry, samplers) on or off,
 // and must CHANGE when the seed changes. CI additionally diffs it across
 // two processes with different address-space layouts (the ASLR smoke step);
 // this file covers everything observable inside one process.
@@ -91,11 +92,17 @@ struct DigestRun {
   std::uint64_t canonical = 0;
   std::uint64_t ordered = 0;
   std::uint64_t count = 0;
+  std::uint64_t events = 0;
   std::uint64_t completed = 0;
+  std::uint64_t observations = 0;  // audit passes + windows + samples
 };
 
+// `observers` turns on the audit sweep and, serially (the only mode the
+// windowed telemetry and samplers support), the timeseries, the watchdog
+// and one sampler.
 DigestRun run_workload(std::size_t shards, sim::SchedulerBackend backend,
-                       std::uint64_t seed, bool digest = true) {
+                       std::uint64_t seed, bool digest = true,
+                       bool observers = true) {
   runner::ExperimentConfig config;
   config.scheduler_backend = backend;
   config.num_hosts = 8;
@@ -103,12 +110,8 @@ DigestRun run_workload(std::size_t shards, sim::SchedulerBackend backend,
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = shards;
-  // Audit ticks are per-executive events: a serial run schedules one audit
-  // sweep where a K-shard run schedules K, so the dispatched-event streams
-  // (and thus the digests) would legitimately differ. The digest contract
-  // is over the simulation schedule, so pin auditing off explicitly
-  // (AEQ_AUDIT CI builds flip the default on).
-  config.audit = false;
+  config.audit = observers;
+  config.telemetry.watchdog = observers && shards == 1;
   config.schedule_digest = digest;
   config.seed = seed;
 
@@ -123,6 +126,11 @@ DigestRun run_workload(std::size_t shards, sim::SchedulerBackend backend,
         {rpc::Priority::kBE, 0.3 * sim::gbps(100), sizes, 0.0}};
     experiment.add_generator(static_cast<net::HostId>(h), gen);
   }
+  std::uint64_t samples = 0;
+  if (observers && shards == 1) {
+    experiment.sample_every(30 * sim::kUsec,
+                            [&samples](sim::Time) { ++samples; });
+  }
   experiment.run(0.2 * sim::kMsec, 0.8 * sim::kMsec, 0.5 * sim::kMsec);
 
   const sim::ScheduleDigest d = experiment.schedule_digest();
@@ -130,7 +138,15 @@ DigestRun run_workload(std::size_t shards, sim::SchedulerBackend backend,
   result.canonical = d.canonical();
   result.ordered = d.ordered;
   result.count = d.count;
+  result.events = experiment.events_processed();
   result.completed = experiment.metrics().total_completed();
+  result.observations = samples;
+  if (experiment.auditor() != nullptr) {
+    result.observations += experiment.auditor()->passes();
+  }
+  if (experiment.timeseries() != nullptr) {
+    result.observations += experiment.timeseries()->windows_closed();
+  }
   return result;
 }
 
@@ -168,6 +184,24 @@ TEST_P(ShardDigestTest, ShardCountsOneTwoFourAgree) {
     const DigestRun sharded = run_workload(shards, backend, 42);
     EXPECT_EQ(sharded.canonical, serial.canonical) << shards << " shards";
     EXPECT_EQ(sharded.count, serial.count) << shards << " shards";
+  }
+}
+
+// Observers read the model at executive stops and never enter its event
+// schedule, so turning them on changes neither the digest nor the event
+// count: serially with the audit, timeseries, watchdog and a sampler, and
+// at 4 shards with the audit.
+TEST_P(ShardDigestTest, ObserversLeaveTheScheduleUnchanged) {
+  AEQ_REQUIRE_DIGEST_BUILD();
+  const auto backend = GetParam();
+  for (std::size_t shards : {1u, 4u}) {
+    const DigestRun off = run_workload(shards, backend, 42, true, false);
+    const DigestRun on = run_workload(shards, backend, 42, true, true);
+    ASSERT_EQ(off.observations, 0u);
+    ASSERT_GT(on.observations, 0u) << shards << " shards";
+    EXPECT_EQ(on.canonical, off.canonical) << shards << " shards";
+    EXPECT_EQ(on.events, off.events) << shards << " shards";
+    EXPECT_EQ(on.completed, off.completed) << shards << " shards";
   }
 }
 

@@ -480,9 +480,7 @@ PolicyRun run_policy_workload(const std::string& kind, std::size_t shards,
   config.admission.kind = kind;
   config.slo = make_slo();
   config.shards = shards;
-  // Audit ticks are per-executive events (see digest_test.cc): pin the
-  // audit off so the schedule digest is comparable across shard counts.
-  config.audit = false;
+  config.audit = true;
   config.schedule_digest = sim::kDigestBuildEnabled;
   config.seed = seed;
 

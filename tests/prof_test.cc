@@ -189,9 +189,7 @@ runner::ExperimentConfig workload_config(sim::SchedulerBackend backend,
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = shards;
-  // Audit ticks are per-executive events (see tests/digest_test.cc), so
-  // pin auditing off for cross-shard-count digest comparisons.
-  config.audit = false;
+  config.audit = true;
   config.schedule_digest = sim::kDigestBuildEnabled;
   config.seed = 42;
   return config;

@@ -6,15 +6,15 @@
 //    cross-shard handoff hooks (landing at window start, and before every
 //    return from run_until), a multi-window token-ring stress, and the
 //    balanced shard plan.
-//  * The determinism property (the PR's defining constraint): for a fixed
-//    seed, a 2- and 4-shard run produces RpcMetrics identical to the
-//    serial run — same sample multisets (percentiles, counts, maxima bit
-//    for bit), same byte/RPC accounting — on both scheduler backends,
-//    with invariant auditing enabled and clean.
-//  * Event-count identity: with audit and telemetry off, the sum of
-//    per-shard event counts equals the serial count (the cross-shard
-//    handoff costs one tx-end plus one arrival event per packet, exactly
-//    like the serial link pipeline).
+//  * The determinism property: for a fixed seed, a 2- and 4-shard run
+//    produces RpcMetrics identical to the serial run — same sample
+//    multisets (percentiles, counts, maxima bit for bit), same byte/RPC
+//    accounting — and the same event count (the cross-shard handoff costs
+//    one tx-end plus one arrival event per packet, exactly like the serial
+//    link pipeline), on both scheduler backends, with invariant auditing
+//    enabled and clean.
+//  * Event-count identity with audit off: the serial count equals the
+//    audited one and every shard count reproduces it.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -409,10 +409,8 @@ RunResult run_mixed_workload(std::size_t shards,
   if (experiment.shard_fabric() != nullptr) {
     result.cross_shard = experiment.shard_fabric()->cross_shard_packets();
   }
-  for (std::size_t k = 0; k < shards; ++k) {
-    if (experiment.auditor(k) != nullptr) {
-      result.audit_passes += experiment.auditor(k)->passes();
-    }
+  if (experiment.auditor() != nullptr) {
+    result.audit_passes = experiment.auditor()->passes();
   }
   return result;
 }
@@ -420,8 +418,12 @@ RunResult run_mixed_workload(std::size_t shards,
 class ShardDeterminismTest
     : public ::testing::TestWithParam<sim::SchedulerBackend> {};
 
-// The PR's defining constraint: same seed, any shard count, identical
-// metrics — with auditing on and clean (a violated invariant aborts).
+// The defining constraint: same seed, any shard count, identical metrics
+// and event counts — with auditing on and clean (a violated invariant
+// aborts). The sharded executive dispatches exactly the serial event
+// count: the handoff path costs one tx-end plus one arrival event per
+// packet, like the serial two-event link pipeline, and audit sweeps run
+// at executive stops, not as events.
 TEST_P(ShardDeterminismTest, SameSeedAnyShardCountSameMetrics) {
   const auto backend = GetParam();
   const RunResult serial = run_mixed_workload(1, backend, /*audit=*/true);
@@ -433,18 +435,24 @@ TEST_P(ShardDeterminismTest, SameSeedAnyShardCountSameMetrics) {
   for (std::size_t shards : {2u, 4u}) {
     const RunResult parallel = run_mixed_workload(shards, backend, true);
     expect_identical(serial.metrics, parallel.metrics, shards);
+    EXPECT_EQ(serial.events, parallel.events) << "shards=" << shards;
     EXPECT_GT(parallel.cross_shard, 0u)
         << "no cross-shard traffic: the test is not exercising the cut";
-    EXPECT_GT(parallel.audit_passes, 0u) << "shards=" << shards;
+    EXPECT_EQ(parallel.audit_passes, serial.audit_passes)
+        << "shards=" << shards;
   }
 }
 
-// With audit and telemetry off, the sharded executive dispatches exactly
-// the serial event count: the handoff path costs one tx-end plus one
-// arrival event per packet, like the serial two-event link pipeline.
+// With audit off, the sharded executive still dispatches exactly the serial
+// event count, and that count equals the audited one: audit sweeps add no
+// events at any shard count.
 TEST_P(ShardDeterminismTest, EventCountMatchesSerialWithAuditOff) {
   const auto backend = GetParam();
   const RunResult serial = run_mixed_workload(1, backend, /*audit=*/false);
+  EXPECT_EQ(serial.audit_passes, 0u);
+  const RunResult audited = run_mixed_workload(1, backend, /*audit=*/true);
+  EXPECT_EQ(serial.events, audited.events);
+  expect_identical(serial.metrics, audited.metrics, 1);
   for (std::size_t shards : {2u, 4u}) {
     const RunResult parallel = run_mixed_workload(shards, backend, false);
     EXPECT_EQ(serial.events, parallel.events) << "shards=" << shards;

@@ -113,6 +113,40 @@ TEST(HostStackDeathTest, ConfigIsImmutableOnceAFlowExists) {
                "TransportConfig is immutable once a flow exists");
 }
 
+// Receiver reassembly: a segment that arrives after its successor is
+// buffered in begin order (a repeat begin extends it), and the segment
+// that fills the hole absorbs every buffered segment it makes contiguous.
+// Each data packet gets one cumulative ACK, and bytes_delivered() counts
+// in-order bytes only.
+TEST(HostStackTest, ReassemblesOutOfOrderSegments) {
+  Harness h;
+  std::vector<std::uint64_t> acks;
+  h.network.host(0).set_delivery_handler(
+      [&acks](const net::Packet& packet) { acks.push_back(packet.ack_seq); });
+  const auto deliver = [&h](std::uint64_t seq, std::uint32_t bytes) {
+    net::Packet packet;
+    packet.src = 0;
+    packet.dst = 1;
+    packet.qos = 0;
+    packet.type = net::PacketType::kData;
+    packet.flow_id = h.stacks[0]->flow_to(1, 0).flow_id();
+    packet.seq = seq;
+    packet.size_bytes = bytes;
+    h.network.host(1).receive(packet);
+    return h.stacks[1]->bytes_delivered();
+  };
+  EXPECT_EQ(deliver(0, 1000), 1000u);
+  EXPECT_EQ(deliver(4000, 500), 1000u);
+  EXPECT_EQ(deliver(2000, 1000), 1000u);  // buffered ahead of [4000, 4500)
+  EXPECT_EQ(deliver(4000, 1000), 1000u);  // same begin: now [4000, 5000)
+  EXPECT_EQ(deliver(1000, 1000), 3000u);  // absorbs [2000, 3000) only
+  EXPECT_EQ(deliver(3000, 1000), 5000u);  // absorbs [4000, 5000)
+  EXPECT_EQ(deliver(0, 1000), 5000u);     // duplicate: nothing new
+  h.s.run();
+  EXPECT_EQ(acks, (std::vector<std::uint64_t>{1000, 1000, 1000, 1000, 3000,
+                                              5000, 5000}));
+}
+
 TEST(FlowTest, SingleMessageCompletes) {
   Harness h;
   std::vector<MessageCompletion> done;
