@@ -154,15 +154,28 @@ inline BenchArgs parse_args(int argc, char** argv) {
   return args;
 }
 
-// Exits 2 naming the first command-line flag the bench never read (a typo,
-// or a flag this bench does not honor), after printing `usage` if given.
-// Call once the bench has read all of its own flags.
-inline void reject_unknown_flags(const BenchArgs& args,
-                                 const char* usage = nullptr) {
-  const std::vector<std::string> unused = args.flags.unused();
-  if (unused.empty()) return;
-  std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
-  if (usage != nullptr) std::fprintf(stderr, "usage:\n%s\n", usage);
+// Exits 2 naming the first flag whose value did not parse ("--hosts=12x")
+// or, failing that, the first flag the bench never read (a typo, or a flag
+// this bench does not honor). Call once the bench has read all of its own
+// flags.
+inline void reject_unknown_flags(const BenchArgs& args) {
+  const std::string problem = args.flags.problem();
+  if (problem.empty()) return;
+  std::fprintf(stderr, "%s\n", problem.c_str());
+  std::exit(2);
+}
+
+// `--backend=heap|calendar`: the event-scheduler backend of every point
+// (default calendar). Both dispatch the same schedule, so the output is the
+// same either way. Exits 2 on any other value.
+inline sim::SchedulerBackend parse_backend(const BenchArgs& args) {
+  const std::string backend = args.flags.get("backend");
+  if (backend == "heap") return sim::SchedulerBackend::kHeap;
+  if (backend.empty() || backend == "calendar") {
+    return sim::SchedulerBackend::kCalendar;
+  }
+  std::fprintf(stderr, "unknown --backend \"%s\" (heap|calendar)\n",
+               backend.c_str());
   std::exit(2);
 }
 

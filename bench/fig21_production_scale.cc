@@ -17,6 +17,8 @@
 //                  intervals to bound wall-clock time
 //   --schedule-digest  print each point's canonical schedule digest
 //                  (sim/digest.h), identical for any K and backend
+//   --backend heap|calendar  event-scheduler backend (default calendar);
+//                  the output is the same on either
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -33,6 +35,7 @@ struct Fig21Params {
   double warmup_ms = 10.0;
   double run_ms = 12.0;
   bool schedule_digest = false;
+  sim::SchedulerBackend backend = sim::SchedulerBackend::kCalendar;
 };
 
 runner::PointResult run(const Fig21Params& params, bool with_aequitas,
@@ -41,6 +44,7 @@ runner::PointResult run(const Fig21Params& params, bool with_aequitas,
   runner::ExperimentConfig config;
   config.num_hosts = params.hosts;
   config.shards = params.shards;
+  config.scheduler_backend = params.backend;
   config.schedule_digest = params.schedule_digest;
   config.num_qos = 3;
   config.wfq_weights = {8.0, 4.0, 1.0};
@@ -102,6 +106,7 @@ int main(int argc, char** argv) {
   params.schedule_digest = args.flags.get_bool("schedule-digest", false);
   params.warmup_ms = args.flags.get_double("warmup-ms", params.warmup_ms);
   params.run_ms = args.flags.get_double("run-ms", params.run_ms);
+  params.backend = bench::parse_backend(args);
   bench::reject_unknown_flags(args);
 
   char title[160];

@@ -326,17 +326,8 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
-  // `--backend=heap|calendar` pins the event-scheduler backend of every
-  // point, in both modes (default calendar; the output is identical).
-  const std::string backend_flag = args.flags.get("backend");
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kCalendar;
-  if (backend_flag == "heap") {
-    backend = sim::SchedulerBackend::kHeap;
-  } else if (!backend_flag.empty() && backend_flag != "calendar") {
-    std::fprintf(stderr, "unknown --backend \"%s\" (heap|calendar)\n",
-                 backend_flag.c_str());
-    return 1;
-  }
+  // `--backend` pins the scheduler backend of every point, in both modes.
+  const sim::SchedulerBackend backend = bench::parse_backend(args);
   // `--controller=aequitas,ticket-pool,...` (or `all`) switches from the
   // related-work comparison to the admission-policy shoot-out: every named
   // registered policy on the identical stack, optionally swept across

@@ -45,14 +45,14 @@ Registry builtin_registry() {
   registry[kTicketPool] = [](const AdmissionSpec& spec,
                              const PolicyContext& context) {
     return wrap_rejections(
-        std::make_unique<TicketPoolController>(spec.ticket_pool,
+        std::make_unique<TicketPoolController>(TicketPoolConfig{},
                                                context.num_qos, context.slo),
         spec.drop_rejects);
   };
   registry[kBandit] = [](const AdmissionSpec& spec,
                          const PolicyContext& context) {
     return wrap_rejections(
-        std::make_unique<BanditController>(spec.bandit, context.num_qos,
+        std::make_unique<BanditController>(BanditConfig{}, context.num_qos,
                                            context.slo, context.rng),
         spec.drop_rejects);
   };
@@ -61,7 +61,7 @@ Registry builtin_registry() {
     // SWP rejects by dropping (or unpaced scavenger spillover) natively;
     // drop_rejects selects between the two inside the policy.
     return std::make_unique<SwpPacingController>(
-        spec.swp, context.num_qos, context.slo, context.link_rate,
+        SwpPacingConfig{}, context.num_qos, context.slo, context.link_rate,
         spec.drop_rejects);
   };
   return registry;

@@ -3,9 +3,10 @@
 // counterpart of ExperimentConfig::cc_kind + per-CC config blocks.
 //
 // A spec names a policy `kind` (a key in the policy registry,
-// policy/registry.h) plus one parameter block per built-in policy; only the
-// block matching `kind` is read. ExperimentConfig::admission is the only
-// way to choose or tune an experiment's admission policy.
+// policy/registry.h) plus the Aequitas AIMD knobs, read only when `kind` is
+// "aequitas". The other built-in policies run on their default configs
+// below. ExperimentConfig::admission is the only way to choose or tune an
+// experiment's admission policy.
 #pragma once
 
 #include <cstdint>
@@ -99,11 +100,8 @@ struct AdmissionSpec {
   // Other policies are installed through `factory`.
   std::string kind = kAequitas;
 
-  // Per-policy parameter blocks; only the block matching `kind` is read.
+  // Read only when `kind` is "aequitas".
   AequitasParams aequitas;
-  TicketPoolConfig ticket_pool;
-  BanditConfig bandit;
-  SwpPacingConfig swp;
 
   // Rejections become hard drops instead of scavenger downgrades (the
   // downgrade-vs-drop ablation): policies that natively downgrade are

@@ -9,7 +9,6 @@ RpcMetrics::RpcMetrics(std::size_t num_qos, const SloConfig& slo,
     : num_qos_(num_qos),
       slo_(slo),
       rnl_run_(num_qos),
-      rnl_requested_(num_qos),
       rnl_per_mtu_run_(num_qos),
       outstanding_(num_hosts, {0, 0}) {
   AEQ_CHECK_GE(num_qos, 2u);
@@ -70,7 +69,6 @@ void RpcMetrics::record(const RpcRecord& record) {
 
   if (record.issued >= warmup_end_) {
     rnl_run_[record.qos_run].add(record.rnl);
-    rnl_requested_[record.qos_requested].add(record.rnl);
     rnl_per_mtu_run_[record.qos_run].add(
         record.rnl / static_cast<double>(record.size_mtus));
   }
@@ -104,7 +102,6 @@ void RpcMetrics::merge(const RpcMetrics& other) {
   AEQ_CHECK_EQ(outstanding_.size(), other.outstanding_.size());
   for (std::size_t q = 0; q < num_qos_; ++q) {
     rnl_run_[q].merge(other.rnl_run_[q]);
-    rnl_requested_[q].merge(other.rnl_requested_[q]);
     rnl_per_mtu_run_[q].merge(other.rnl_per_mtu_run_[q]);
     bytes_requested_[q] += other.bytes_requested_[q];
     bytes_admitted_[q] += other.bytes_admitted_[q];

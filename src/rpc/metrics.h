@@ -1,8 +1,8 @@
 // Cluster-wide RPC metrics sink shared by all hosts in an experiment.
 //
-// Tracks, per QoS level: RNL percentiles (by the QoS the RPC ran at and by
-// the QoS it requested), admitted/downgraded counts and bytes, SLO
-// compliance, and outstanding-RPC gauges per destination (for Figure 13).
+// Tracks, per QoS level: RNL percentiles (by the QoS the RPC ran at, raw
+// and per MTU), admitted/downgraded counts and bytes, SLO compliance, and
+// outstanding-RPC gauges per destination (for Figure 13).
 #pragma once
 
 #include <array>
@@ -63,17 +63,12 @@ class alignas(64) RpcMetrics {
   // tests/alloc_test.cc).
   void reserve_samples(std::size_t n) {
     for (auto& t : rnl_run_) t.reserve(n);
-    for (auto& t : rnl_requested_) t.reserve(n);
     for (auto& t : rnl_per_mtu_run_) t.reserve(n);
   }
 
   // --- latency ---
   const stats::PercentileTracker& rnl_by_run_qos(net::QoSLevel qos) const {
     return rnl_run_[qos];
-  }
-  const stats::PercentileTracker& rnl_by_requested_qos(
-      net::QoSLevel qos) const {
-    return rnl_requested_[qos];
   }
   // RNL divided by size in MTUs (the normalized quantity SLOs are set on).
   const stats::PercentileTracker& rnl_per_mtu_by_run_qos(
@@ -148,7 +143,6 @@ class alignas(64) RpcMetrics {
   sim::Time warmup_end_ = 0.0;
 
   std::vector<stats::PercentileTracker> rnl_run_;
-  std::vector<stats::PercentileTracker> rnl_requested_;
   std::vector<stats::PercentileTracker> rnl_per_mtu_run_;
 
   // Levels at or past num_qos_ stay zero.

@@ -173,8 +173,7 @@ struct ExperimentConfig {
   // Schedule digest (sim/digest.h): when true, every dispatched event's
   // (time, tie-rank) is folded into a digest exposed by
   // Experiment::schedule_digest(). Read-only with respect to the run —
-  // results are bit-identical either way. Requires an AEQ_SCHED_DIGEST=ON
-  // build (the default).
+  // results are bit-identical either way.
   bool schedule_digest = false;
 
   std::uint64_t seed = 1;

@@ -24,10 +24,9 @@
 // derived from the commutative pair, so one number is comparable across
 // backends, shard counts, and processes.
 //
-// Compile gate: the AEQ_SCHED_DIGEST CMake option (default ON) compiles the
-// accumulation hook into Simulator::dispatch; runs still pay nothing unless
-// they opt in via ExperimentConfig::schedule_digest (one predictable branch
-// per event otherwise). With the option off the hook vanishes entirely.
+// Runs pay for the accumulation only when they opt in via
+// ExperimentConfig::schedule_digest; otherwise Simulator::dispatch spends
+// one predictable branch per event on it.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +36,6 @@
 #include "sim/units.h"
 
 namespace aeq::sim {
-
-// True when the library was compiled with -DAEQ_SCHED_DIGEST (CMake option
-// AEQ_SCHED_DIGEST, default ON).
-#ifdef AEQ_SCHED_DIGEST
-inline constexpr bool kDigestBuildEnabled = true;
-#else
-inline constexpr bool kDigestBuildEnabled = false;
-#endif
 
 inline constexpr std::uint64_t kFnv64Offset = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnv64Prime = 1099511628211ull;

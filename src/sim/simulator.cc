@@ -14,12 +14,6 @@ EventId Simulator::schedule_at(Time t, EventScheduler::Handler handler,
   return queue_->schedule(t, std::move(handler), rank);
 }
 
-void Simulator::enable_schedule_digest() {
-  AEQ_ASSERT_MSG(kDigestBuildEnabled,
-                 "schedule digests need an AEQ_SCHED_DIGEST=ON build");
-  digest_enabled_ = true;
-}
-
 void Simulator::dispatch(EventScheduler::Popped& popped) {
   AEQ_DCHECK(popped.time >= now_);
   now_ = popped.time;
@@ -27,11 +21,9 @@ void Simulator::dispatch(EventScheduler::Popped& popped) {
   // in the call tree below carry the simulated time.
   detail::g_sim_now = now_;
   ++events_processed_;
-#ifdef AEQ_SCHED_DIGEST
   if (digest_enabled_) {
     digest_.record(popped.time, tie_rank_of(popped.tie_key));
   }
-#endif
   // Root profiling region: every handler's cost lands under dispatch;
   // instrumented callees subtract themselves into their own buckets. One
   // thread-local load + branch when profiling is off (obs/prof/profiler.h).

@@ -62,11 +62,8 @@ class Simulator {
   std::uint64_t events_processed() const { return events_processed_; }
 
   // Schedule digest (sim/digest.h): when enabled, dispatch() folds every
-  // popped (time, tie-rank) into the digest. Requires the AEQ_SCHED_DIGEST
-  // build (default ON); enabling in a build without it is a fatal error
-  // rather than a silently empty digest.
-  void enable_schedule_digest();
-  bool schedule_digest_enabled() const { return digest_enabled_; }
+  // popped (time, tie-rank) into the digest.
+  void enable_schedule_digest() { digest_enabled_ = true; }
   const ScheduleDigest& schedule_digest() const { return digest_; }
 
   // Timestamp of the earliest pending event, +infinity when the queue is

@@ -12,6 +12,7 @@
 //   # Theory only: print the admissible region for the fabric envelope:
 //   aequitas_sim --theory --phi=4 --mu=0.8 --rho=1.4
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -26,10 +27,20 @@ namespace {
 
 using namespace aeq;
 
+// Exits 2 naming the first malformed value or unknown flag, as every bench
+// does; call once every flag of the chosen mode has been read.
+void reject_bad_flags(const tools::Flags& flags) {
+  const std::string problem = flags.problem();
+  if (problem.empty()) return;
+  std::fprintf(stderr, "error: %s (see --help)\n", problem.c_str());
+  std::exit(2);
+}
+
 int run_theory(const tools::Flags& flags) {
   analysis::TwoQosParams params{.phi = flags.get_double("phi", 4.0),
                                 .mu = flags.get_double("mu", 0.8),
                                 .rho = flags.get_double("rho", 1.4)};
+  reject_bad_flags(flags);
   std::printf("WFQ delay bounds, phi=%.1f mu=%.2f rho=%.2f\n", params.phi,
               params.mu, params.rho);
   std::printf("%-14s %-14s %-14s\n", "QoSh-share(%)", "Delay(QoSh)",
@@ -124,8 +135,8 @@ int main(int argc, char** argv) {
       std::max(1.0, rpc_kb * 1024 / config.transport.mtu_bytes);
   std::vector<double> slo_per_mtu =
       flags.get_list("slo-us-per-mtu", {});
+  const auto slo_abs = flags.get_list("slo-us", {25.0, 50.0});
   if (slo_per_mtu.empty()) {
-    const auto slo_abs = flags.get_list("slo-us", {25.0, 50.0});
     for (double s : slo_abs) slo_per_mtu.push_back(s / size_mtus);
   }
   std::vector<sim::Time> targets;
@@ -142,9 +153,11 @@ int main(int argc, char** argv) {
   const sim::Time warmup = flags.get_double("warmup-ms", 10.0) * sim::kMsec;
   const sim::Time duration =
       flags.get_double("duration-ms", 15.0) * sim::kMsec;
+  const std::string csv_path = flags.get("csv");
 
   const std::string trace_path = flags.get("trace");
   if (!trace_path.empty()) {
+    reject_bad_flags(flags);
     std::ifstream in(trace_path);
     if (!in) {
       std::fprintf(stderr, "error: cannot open trace '%s'\n",
@@ -169,6 +182,7 @@ int main(int argc, char** argv) {
     workload::GeneratorConfig gen_template;
     const double load = flags.get_double("load", 0.8);
     const double burst = flags.get_double("burst", 1.4);
+    reject_bad_flags(flags);
     gen_template.burst_over_avg = std::max(1.0, burst / load);
     const workload::SizeDistribution* fixed = nullptr;
     if (!production) {
@@ -214,7 +228,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(metrics.total_completed()),
               100 * experiment.mean_downlink_utilization());
 
-  const std::string csv_path = flags.get("csv");
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     for (std::size_t q = 0; q < config.num_qos; ++q) {
@@ -223,11 +236,6 @@ int main(int argc, char** argv) {
           out, metrics.rnl_by_run_qos(static_cast<net::QoSLevel>(q)));
     }
     std::printf("quantiles written to %s\n", csv_path.c_str());
-  }
-
-  for (const std::string& name : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s (see --help)\n",
-                 name.c_str());
   }
   return 0;
 }

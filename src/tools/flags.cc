@@ -1,6 +1,22 @@
 #include "tools/flags.h"
 
+#include <charconv>
+#include <sstream>
+
 namespace aeq::tools {
+
+namespace {
+
+// True when std::from_chars reads all of `text`: "12x", or "1e3" read as an
+// int, does not parse.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+}  // namespace
 
 bool Flags::parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -29,48 +45,42 @@ std::string Flags::get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+bool Flags::valid(const std::string& name, bool ok) const {
+  if (!has(name)) return false;
+  if (!ok) malformed_[name] = values_.at(name);
+  return ok;
+}
+
 double Flags::get_double(const std::string& name, double fallback) const {
-  const std::string value = get(name);
-  if (value.empty()) return fallback;
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  double out = 0.0;
+  return valid(name, parse_whole(get(name), out)) ? out : fallback;
 }
 
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
-  const std::string value = get(name);
-  if (value.empty()) return fallback;
-  try {
-    return std::stoll(value);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  std::int64_t out = 0;
+  return valid(name, parse_whole(get(name), out)) ? out : fallback;
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-  const std::string value = get(name);
-  if (value.empty()) return fallback;
-  return value == "1" || value == "true" || value == "yes" || value == "on";
+  const std::string v = get(name);
+  const bool yes = v == "1" || v == "true" || v == "yes" || v == "on";
+  const bool no = v == "0" || v == "false" || v == "no" || v == "off";
+  return valid(name, yes || no) ? yes : fallback;
 }
 
 std::vector<double> Flags::get_list(const std::string& name,
                                     std::vector<double> fallback) const {
-  const std::string value = get(name);
-  if (value.empty()) return fallback;
+  std::stringstream stream(get(name));
   std::vector<double> out;
-  std::stringstream stream(value);
   std::string token;
-  while (std::getline(stream, token, ',')) {
-    try {
-      out.push_back(std::stod(token));
-    } catch (const std::exception&) {
-      return fallback;
-    }
+  bool ok = true;
+  while (ok && std::getline(stream, token, ',')) {
+    double item = 0.0;
+    ok = parse_whole(token, item);
+    out.push_back(item);
   }
-  return out.empty() ? fallback : out;
+  return valid(name, ok && !out.empty()) ? out : fallback;
 }
 
 std::vector<std::string> Flags::unused() const {
@@ -80,6 +90,15 @@ std::vector<std::string> Flags::unused() const {
     if (!queried_.count(name)) out.push_back(name);
   }
   return out;
+}
+
+std::string Flags::problem() const {
+  if (!malformed_.empty()) {
+    const auto& [name, value] = *malformed_.begin();
+    return "malformed value for --" + name + ": \"" + value + "\"";
+  }
+  const std::vector<std::string> unknown = unused();
+  return unknown.empty() ? "" : "unknown flag --" + unknown.front();
 }
 
 }  // namespace aeq::tools

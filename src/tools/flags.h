@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,10 +16,13 @@ class Flags {
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 
+  // Typed getters also return `fallback` for a value that does not parse in
+  // full ("12x", "1e3" as an int), which problem() then reports.
   std::string get(const std::string& name,
                   const std::string& fallback = "") const;
   double get_double(const std::string& name, double fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  // 1/true/yes/on or 0/false/no/off (a bare --name is "true").
   bool get_bool(const std::string& name, bool fallback) const;
   // Comma-separated list of doubles, e.g. --mix=0.5,0.3,0.2.
   std::vector<double> get_list(const std::string& name,
@@ -29,11 +31,19 @@ class Flags {
   // Names seen on the command line but never queried — typo detection.
   std::vector<std::string> unused() const;
 
+  // Once every flag is read: the first malformed value, else the first
+  // unused flag, as a message naming it; empty when neither.
+  std::string problem() const;
+
   const std::string& error() const { return error_; }
 
  private:
+  // Whether flag `name` is present and `ok`; records it if not `ok`.
+  bool valid(const std::string& name, bool ok) const;
+
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> queried_;
+  mutable std::map<std::string, std::string> malformed_;  // name -> value
   std::string error_;
 };
 

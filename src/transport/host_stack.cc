@@ -54,7 +54,6 @@ void HostStack::send_message(const SendRequest& request,
 
 void HostStack::on_packet(const net::Packet& packet) {
   const obs::prof::ProfRegion prof(obs::prof::Region::kTransportRx);
-  if (control_handler_ && control_handler_(packet)) return;
   switch (packet.type) {
     case net::PacketType::kData:
       handle_data(packet);
@@ -66,7 +65,7 @@ void HostStack::on_packet(const net::Packet& packet) {
       break;
     }
     default:
-      // Control packets for protocol stacks that installed no handler.
+      // Grants and rate messages belong to the baseline transports.
       break;
   }
 }

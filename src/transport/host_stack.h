@@ -40,13 +40,6 @@ class HostStack final : public MessageTransport {
   // The flow used for (dst, qos); created on first use.
   Flow& flow_to(net::HostId dst, net::QoSLevel qos);
 
-  // Optional hook consuming control packets (grants, rate messages) before
-  // the default demux; return true when the packet was handled.
-  using ControlHandler = std::function<bool(const net::Packet&)>;
-  void set_control_handler(ControlHandler handler) {
-    control_handler_ = std::move(handler);
-  }
-
   // Attaches the telemetry recorder to every existing and future flow of
   // this stack (CwndUpdate emission). Null detaches.
   void set_observer(obs::Recorder* recorder) {
@@ -105,7 +98,6 @@ class HostStack final : public MessageTransport {
   TransportConfig config_;
   CcFactory cc_factory_;
   obs::Recorder* obs_ = nullptr;
-  ControlHandler control_handler_;
 
   MessageSlab messages_;  // declared before flows_: flows point into it
   util::FlatMap64<std::unique_ptr<Flow>> flows_;

@@ -78,16 +78,6 @@ TEST(ScheduleDigest, HexIsSixteenLowercaseDigits) {
 // End-to-end properties over a real admission-control workload
 // ---------------------------------------------------------------------------
 
-// The end-to-end tests need the dispatch hook compiled in; skip (rather
-// than fail the enable_schedule_digest assert) on AEQ_SCHED_DIGEST=OFF
-// builds.
-#define AEQ_REQUIRE_DIGEST_BUILD()                            \
-  do {                                                        \
-    if (!sim::kDigestBuildEnabled) {                          \
-      GTEST_SKIP() << "built with AEQ_SCHED_DIGEST=OFF";      \
-    }                                                         \
-  } while (false)
-
 struct DigestRun {
   std::uint64_t canonical = 0;
   std::uint64_t ordered = 0;
@@ -151,7 +141,6 @@ DigestRun run_workload(std::size_t shards, sim::SchedulerBackend backend,
 }
 
 TEST(ScheduleDigestRuns, SameSeedTwiceIsIdentical) {
-  AEQ_REQUIRE_DIGEST_BUILD();
   const DigestRun a = run_workload(1, sim::SchedulerBackend::kCalendar, 42);
   const DigestRun b = run_workload(1, sim::SchedulerBackend::kCalendar, 42);
   ASSERT_GT(a.count, 10000u) << "workload too light to mean anything";
@@ -161,7 +150,6 @@ TEST(ScheduleDigestRuns, SameSeedTwiceIsIdentical) {
 }
 
 TEST(ScheduleDigestRuns, HeapAndCalendarDispatchTheSameSchedule) {
-  AEQ_REQUIRE_DIGEST_BUILD();
   const DigestRun heap = run_workload(1, sim::SchedulerBackend::kHeap, 42);
   const DigestRun cal =
       run_workload(1, sim::SchedulerBackend::kCalendar, 42);
@@ -176,7 +164,6 @@ class ShardDigestTest
     : public ::testing::TestWithParam<sim::SchedulerBackend> {};
 
 TEST_P(ShardDigestTest, ShardCountsOneTwoFourAgree) {
-  AEQ_REQUIRE_DIGEST_BUILD();
   const auto backend = GetParam();
   const DigestRun serial = run_workload(1, backend, 42);
   ASSERT_GT(serial.count, 10000u);
@@ -192,7 +179,6 @@ TEST_P(ShardDigestTest, ShardCountsOneTwoFourAgree) {
 // count: serially with the audit, timeseries, watchdog and a sampler, and
 // at 4 shards with the audit.
 TEST_P(ShardDigestTest, ObserversLeaveTheScheduleUnchanged) {
-  AEQ_REQUIRE_DIGEST_BUILD();
   const auto backend = GetParam();
   for (std::size_t shards : {1u, 4u}) {
     const DigestRun off = run_workload(shards, backend, 42, true, false);
@@ -214,14 +200,12 @@ INSTANTIATE_TEST_SUITE_P(Backends, ShardDigestTest,
                          });
 
 TEST(ScheduleDigestRuns, DifferentSeedDiffers) {
-  AEQ_REQUIRE_DIGEST_BUILD();
   const DigestRun a = run_workload(1, sim::SchedulerBackend::kCalendar, 42);
   const DigestRun b = run_workload(1, sim::SchedulerBackend::kCalendar, 43);
   EXPECT_NE(a.canonical, b.canonical);
 }
 
 TEST(ScheduleDigestRuns, DigestDoesNotPerturbTheRun) {
-  AEQ_REQUIRE_DIGEST_BUILD();
   const DigestRun with = run_workload(1, sim::SchedulerBackend::kCalendar,
                                       42, /*digest=*/true);
   const DigestRun without = run_workload(1, sim::SchedulerBackend::kCalendar,

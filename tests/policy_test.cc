@@ -481,7 +481,7 @@ PolicyRun run_policy_workload(const std::string& kind, std::size_t shards,
   config.slo = make_slo();
   config.shards = shards;
   config.audit = true;
-  config.schedule_digest = sim::kDigestBuildEnabled;
+  config.schedule_digest = true;
   config.seed = seed;
 
   runner::Experiment experiment(config);
@@ -509,9 +509,7 @@ PolicyRun run_policy_workload(const std::string& kind, std::size_t shards,
   }
 
   PolicyRun result;
-  if (sim::kDigestBuildEnabled) {
-    result.digest = experiment.schedule_digest().canonical();
-  }
+  result.digest = experiment.schedule_digest().canonical();
   const auto& metrics = experiment.metrics();
   result.completed = metrics.total_completed();
   for (net::QoSLevel q = 0; q < 3; ++q) {

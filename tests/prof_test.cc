@@ -190,7 +190,7 @@ runner::ExperimentConfig workload_config(sim::SchedulerBackend backend,
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
   config.shards = shards;
   config.audit = true;
-  config.schedule_digest = sim::kDigestBuildEnabled;
+  config.schedule_digest = true;
   config.seed = 42;
   return config;
 }
@@ -250,9 +250,7 @@ TEST(ProfIdentityTest, ProfiledRunIsResultAndDigestIdentical) {
       ASSERT_GT(bare.completed, 0u);
       EXPECT_EQ(bare.completed, profiled.completed);
       EXPECT_EQ(bare.events, profiled.events);
-      if (sim::kDigestBuildEnabled) {
-        EXPECT_EQ(bare.digest, profiled.digest);
-      }
+      EXPECT_EQ(bare.digest, profiled.digest);
       for (std::size_t qos = 0; qos < bare.p999.size(); ++qos) {
         EXPECT_EQ(bare.p999[qos], profiled.p999[qos]);
       }
@@ -265,9 +263,6 @@ TEST(ProfIdentityTest, ProfiledRunIsResultAndDigestIdentical) {
 // contract) while profiled — sampling is per-thread, so this would catch a
 // collector perturbing the barrier protocol.
 TEST(ProfIdentityTest, ProfiledDigestAgreesAcrossShardCounts) {
-  if (!sim::kDigestBuildEnabled) {
-    GTEST_SKIP() << "built with AEQ_SCHED_DIGEST=OFF";
-  }
   const std::string base = ::testing::TempDir() + "prof_shards_";
   const RunResult serial =
       run_workload(sim::SchedulerBackend::kCalendar, 1, base + "1.json");

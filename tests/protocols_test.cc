@@ -287,7 +287,7 @@ BaselineRun run_baseline(CcKind kind, sim::SchedulerBackend backend,
   config.scheduler_backend = backend;
   config.audit = true;
   config.audit_interval = 20 * sim::kUsec;
-  config.schedule_digest = sim::kDigestBuildEnabled;
+  config.schedule_digest = true;
   config.seed = 11;
   // One path per case: ctest runs the cases as concurrent processes.
   const std::string base =
@@ -322,9 +322,7 @@ BaselineRun run_baseline(CcKind kind, sim::SchedulerBackend backend,
     run.bytes += metrics.bytes_completed(q);
     run.p999.push_back(metrics.rnl_by_run_qos(q).p999());
   }
-  if (sim::kDigestBuildEnabled) {
-    run.digest = experiment.schedule_digest().canonical();
-  }
+  run.digest = experiment.schedule_digest().canonical();
   run.audit_evaluations = experiment.auditor()->report().total_evaluations;
   if (telemetry) {
     std::remove((base + ".json").c_str());

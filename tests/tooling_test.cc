@@ -134,6 +134,32 @@ TEST(FlagsTest, ReportsUnusedAndErrors) {
   EXPECT_FALSE(broken.error().empty());
 }
 
+TEST(FlagsTest, MalformedValueIsAProblemNotItsPrefixOrDefault) {
+  const char* argv[] = {"prog",          "--hosts=12x",    "--seed=1e3junk",
+                        "--load=0.5.1",  "--mix=0.5,x",    "--aequitas=maybe",
+                        "--jobs=4",      "--rate=1e3"};
+  tools::Flags flags;
+  ASSERT_TRUE(flags.parse(8, const_cast<char**>(argv)));
+  // A value is only known to be malformed once a getter asks for a type.
+  EXPECT_EQ(flags.problem(), "unknown flag --aequitas");
+  EXPECT_EQ(flags.get_int("hosts", 144), 144);
+  EXPECT_EQ(flags.get_int("seed", 1), 1);
+  EXPECT_DOUBLE_EQ(flags.get_double("load", 0.8), 0.8);
+  EXPECT_EQ(flags.get_list("mix", {1.0}), std::vector<double>{1.0});
+  EXPECT_TRUE(flags.get_bool("aequitas", true));
+  EXPECT_EQ(flags.get_int("jobs", 0), 4);
+  EXPECT_DOUBLE_EQ(flags.get_double("rate", 0), 1000.0);
+  // Reported by name and value, first by name.
+  EXPECT_EQ(flags.problem(), "malformed value for --aequitas: \"maybe\"");
+  EXPECT_TRUE(flags.unused().empty());
+
+  const char* typo[] = {"prog", "--hosts=12", "--bogus=1"};
+  tools::Flags unknown;
+  ASSERT_TRUE(unknown.parse(3, const_cast<char**>(typo)));
+  EXPECT_EQ(unknown.get_int("hosts", 0), 12);
+  EXPECT_EQ(unknown.problem(), "unknown flag --bogus");
+}
+
 TEST(DctcpTest, CutProportionalToMarkedFraction) {
   transport::DctcpConfig config;
   config.initial_cwnd = 100.0;

@@ -76,9 +76,7 @@ DETERMINISTIC_DIRS = (
 # Per-rule whitelists: path suffixes where the rule does not apply. Keep
 # these short and justified — prefer an inline detlint:allow at the site.
 WHITELIST = {
-    # The perf speedometers genuinely measure wall-clock time; it never
-    # feeds back into the simulation.
-    "wall-clock": ("bench/perf_probe.cc",),
+    "wall-clock": (),
     "raw-rand": (),
     "unordered-iter": (),
     "pointer-order": (),
