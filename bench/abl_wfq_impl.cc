@@ -38,14 +38,16 @@ Point run_once(double x, bool dwrr) {
   recorder.sim = &s;
 
   const sim::Rate line_rate = sim::gbps(100);
+  util::BlockPool buffer;
   std::unique_ptr<net::QueueDiscipline> queue;
   if (dwrr) {
-    queue = std::make_unique<net::DwrrQueue>(std::vector<double>{4.0, 1.0},
-                                             0, 1500);
+    queue = std::make_unique<net::DwrrQueue>(
+        buffer, std::vector<double>{4.0, 1.0}, 0, 1500);
   } else {
-    queue = std::make_unique<net::WfqQueue>(std::vector<double>{4.0, 1.0});
+    queue = std::make_unique<net::WfqQueue>(buffer,
+                                            std::vector<double>{4.0, 1.0});
   }
-  net::Port port(s, line_rate, 0.0, std::move(queue));
+  net::Port port(s, buffer, line_rate, 0.0, std::move(queue));
   port.connect(&recorder);
 
   const sim::Time period = 500 * sim::kUsec;

@@ -136,11 +136,13 @@ inline BenchArgs parse_args(int argc, char** argv) {
   args.sweep.jobs = runner::resolve_jobs(args.flags.get_int("jobs", 0));
   args.sweep.base_seed =
       static_cast<std::uint64_t>(args.flags.get_int("seed", 1));
-  args.csv_path = args.flags.get("csv");
-  args.json_path = args.flags.get("json");
-  args.trace.trace = args.flags.get("trace");
-  args.trace.trace_csv = args.flags.get("trace-csv");
-  args.trace.timeseries = args.flags.get("timeseries");
+  // Path flags need a value: a bare `--prof` is an error, not a file
+  // named "true".
+  args.csv_path = args.flags.get_path("csv");
+  args.json_path = args.flags.get_path("json");
+  args.trace.trace = args.flags.get_path("trace");
+  args.trace.trace_csv = args.flags.get_path("trace-csv");
+  args.trace.timeseries = args.flags.get_path("timeseries");
   args.trace.timeseries_width_us =
       args.flags.get_double("timeseries-width", 100.0);
   // `--watchdog` alone parses as the bare-boolean value "true": enable the
@@ -148,8 +150,8 @@ inline BenchArgs parse_args(int argc, char** argv) {
   const std::string watchdog_arg = args.flags.get("watchdog");
   args.trace.watchdog = args.flags.has("watchdog");
   args.trace.watchdog_log = watchdog_arg == "true" ? "" : watchdog_arg;
-  args.trace.flight_recorder = args.flags.get("flight-recorder");
-  args.trace.prof = args.flags.get("prof");
+  args.trace.flight_recorder = args.flags.get_path("flight-recorder");
+  args.trace.prof = args.flags.get_path("prof");
   args.trace.point = static_cast<int>(args.flags.get_int("trace-point", 0));
   return args;
 }

@@ -41,8 +41,10 @@ SimPoint run_packet_sim(double x, double mu, double rho, double phi) {
   DelayRecorder recorder;
   recorder.now_fn_ = [&s] { return s.now(); };
   const sim::Rate line_rate = sim::gbps(100);
-  net::Port port(s, line_rate, 0.0,
-                 std::make_unique<net::WfqQueue>(std::vector<double>{phi, 1.0}));
+  util::BlockPool buffer;
+  net::Port port(s, buffer, line_rate, 0.0,
+                 std::make_unique<net::WfqQueue>(
+                     buffer, std::vector<double>{phi, 1.0}));
   port.connect(&recorder);
 
   const sim::Time period = 500 * sim::kUsec;

@@ -123,7 +123,8 @@ net::Packet make_packet(std::uint8_t qos, double priority = 0.0) {
 }
 
 void BM_WfqEnqueueDequeue(benchmark::State& state) {
-  net::WfqQueue queue({8.0, 4.0, 1.0});
+  util::BlockPool buffer;
+  net::WfqQueue queue(buffer, {8.0, 4.0, 1.0});
   sim::Rng rng(2);
   for (int i = 0; i < 64; ++i) {
     queue.enqueue(make_packet<net::WfqQueue>(
@@ -138,7 +139,8 @@ void BM_WfqEnqueueDequeue(benchmark::State& state) {
 BENCHMARK(BM_WfqEnqueueDequeue);
 
 void BM_DwrrEnqueueDequeue(benchmark::State& state) {
-  net::DwrrQueue queue({8.0, 4.0, 1.0});
+  util::BlockPool buffer;
+  net::DwrrQueue queue(buffer, {8.0, 4.0, 1.0});
   sim::Rng rng(3);
   for (int i = 0; i < 64; ++i) {
     queue.enqueue(make_packet<net::DwrrQueue>(
@@ -153,7 +155,8 @@ void BM_DwrrEnqueueDequeue(benchmark::State& state) {
 BENCHMARK(BM_DwrrEnqueueDequeue);
 
 void BM_SpqEnqueueDequeue(benchmark::State& state) {
-  net::SpqQueue queue(3);
+  util::BlockPool buffer;
+  net::SpqQueue queue(buffer, 3);
   sim::Rng rng(4);
   for (int i = 0; i < 64; ++i) {
     queue.enqueue(make_packet<net::SpqQueue>(

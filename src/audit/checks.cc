@@ -11,6 +11,7 @@
 #include "sim/simulator.h"
 #include "transport/flow.h"
 #include "transport/host_stack.h"
+#include "util/block_fifo.h"
 
 namespace aeq::audit {
 
@@ -101,6 +102,20 @@ void register_port_checks(Auditor& auditor, std::string component,
                      "port was busy longer than simulated time");
   });
   register_queue_checks(auditor, std::move(component), port.queue());
+}
+
+void register_buffer_checks(Auditor& auditor, std::string component,
+                            const util::BlockPool& buffer,
+                            std::vector<const net::Port*> ports) {
+  auditor.add_check(
+      std::move(component), "block-conservation",
+      [&buffer, ports = std::move(ports)] {
+        std::size_t held = 0;
+        for (const net::Port* port : ports) held += port->buffer_blocks();
+        AEQ_CHECK_EQ_MSG(buffer.blocks_owned(), buffer.blocks_free() + held,
+                         "packet buffer lost a block or handed one out "
+                         "twice");
+      });
 }
 
 void register_switch_checks(Auditor& auditor, std::string component,

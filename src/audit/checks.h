@@ -22,6 +22,10 @@
 //                                        invariants the per-QoS delay bound
 //                                        is derived from (§4, Appendix B).
 //   port/link-conservation               dequeued == delivered + in-flight.
+//   buffer/block-conservation            a shard's packet buffer owns
+//                                        exactly its free blocks plus the
+//                                        blocks its ports' FIFOs hold: no
+//                                        block leaked or handed out twice.
 //   port/busy-time-bounded               serialization time fits in [0, now]
 //                                        (utilization figures depend on it).
 //   switch/routing-conservation          every received packet was offered
@@ -64,6 +68,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "audit/audit.h"
 
@@ -82,6 +87,9 @@ class Simulator;
 namespace aeq::transport {
 class HostStack;
 }  // namespace aeq::transport
+namespace aeq::util {
+class BlockPool;
+}  // namespace aeq::util
 
 namespace aeq::audit {
 
@@ -99,6 +107,12 @@ void register_wfq_checks(Auditor& auditor, std::string component,
 // checks for its discipline.
 void register_port_checks(Auditor& auditor, std::string component,
                           const net::Port& port, const sim::Simulator& sim);
+
+// Block conservation of one packet buffer: `ports` must be every port
+// whose FIFOs live in it.
+void register_buffer_checks(Auditor& auditor, std::string component,
+                            const util::BlockPool& buffer,
+                            std::vector<const net::Port*> ports);
 
 // Routing conservation across the switch plus port checks for every egress.
 void register_switch_checks(Auditor& auditor, std::string component,

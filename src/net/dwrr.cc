@@ -5,16 +5,22 @@
 
 namespace aeq::net {
 
-DwrrQueue::DwrrQueue(std::vector<double> weights,
+DwrrQueue::DwrrQueue(util::BlockPool& buffer, std::vector<double> weights,
                      std::uint64_t capacity_bytes,
                      std::uint64_t quantum_scale)
     : capacity_bytes_(capacity_bytes) {
   AEQ_ASSERT(!weights.empty());
-  classes_.resize(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    AEQ_CHECK_GT(weights[i], 0.0);
-    classes_[i].quantum = weights[i] * static_cast<double>(quantum_scale);
+  classes_.reserve(weights.size());
+  for (const double weight : weights) {
+    AEQ_CHECK_GT(weight, 0.0);
+    classes_.emplace_back(weight * static_cast<double>(quantum_scale), buffer);
   }
+}
+
+std::size_t DwrrQueue::buffer_blocks() const {
+  std::size_t blocks = 0;
+  for (const ClassState& cls : classes_) blocks += cls.fifo.blocks();
+  return blocks;
 }
 
 bool DwrrQueue::enqueue(const Packet& packet) {

@@ -10,35 +10,35 @@
 #include <vector>
 
 #include "net/queue.h"
-#include "util/ring_buffer.h"
+#include "util/block_fifo.h"
 
 namespace aeq::net {
 
 class DwrrQueue final : public QueueDiscipline {
  public:
   // `quantum_scale` sets the quantum of a weight-1.0 class, in bytes; it
-  // should be at least one MTU for O(1) operation.
-  DwrrQueue(std::vector<double> weights, std::uint64_t capacity_bytes = 0,
+  // should be at least one MTU for O(1) operation. Packets queue in blocks
+  // of `buffer`, which must outlive the queue.
+  DwrrQueue(util::BlockPool& buffer, std::vector<double> weights,
+            std::uint64_t capacity_bytes = 0,
             std::uint64_t quantum_scale = 4096);
 
   bool enqueue(const Packet& packet) override;
   std::optional<Packet> dequeue() override;
 
-  void reserve_packets(std::size_t packets) override {
-    for (auto& cls : classes_) cls.fifo.reserve(packets);
-  }
-
   bool empty() const override { return backlog_packets_ == 0; }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }
   std::uint64_t backlog_packets() const override { return backlog_packets_; }
+  std::size_t buffer_blocks() const override;
 
  private:
   // Per-class backlog/drop counters live in the QueueDiscipline base; only
   // the round-robin scheduling state is kept here.
   struct ClassState {
-    double quantum = 0.0;
+    ClassState(double q, util::BlockPool& buffer) : quantum(q), fifo(buffer) {}
+    double quantum;
     double deficit = 0.0;
-    util::RingBuffer<Packet> fifo;
+    util::BlockFifo<Packet> fifo;
   };
 
   std::uint64_t capacity_bytes_;

@@ -22,10 +22,6 @@ class PfabricQueue final : public QueueDiscipline {
   bool enqueue(const Packet& packet) override;
   std::optional<Packet> dequeue() override;
 
-  void reserve_packets(std::size_t packets) override {
-    queue_.reserve(packets);
-  }
-
   bool empty() const override { return queue_.empty(); }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }
   std::uint64_t backlog_packets() const override { return queue_.size(); }

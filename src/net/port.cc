@@ -5,12 +5,14 @@
 
 namespace aeq::net {
 
-Port::Port(sim::Simulator& simulator, sim::Rate rate_bytes_per_sec,
-           sim::Time propagation_delay, std::unique_ptr<QueueDiscipline> queue)
+Port::Port(sim::Simulator& simulator, util::BlockPool& buffer,
+           sim::Rate rate_bytes_per_sec, sim::Time propagation_delay,
+           std::unique_ptr<QueueDiscipline> queue)
     : sim_(simulator),
       rate_(rate_bytes_per_sec),
       propagation_(propagation_delay),
-      queue_(std::move(queue)) {
+      queue_(std::move(queue)),
+      in_flight_(buffer) {
   AEQ_CHECK_GT(rate_, 0.0);
   AEQ_CHECK_GE(propagation_, 0.0);
   AEQ_ASSERT(queue_ != nullptr);

@@ -12,8 +12,8 @@
 #include "net/packet.h"
 #include "net/queue.h"
 #include "obs/recorder.h"
-#include "util/ring_buffer.h"
 #include "sim/simulator.h"
+#include "util/block_fifo.h"
 
 namespace aeq::net {
 
@@ -43,8 +43,11 @@ inline std::uint16_t delivery_tie_rank(HostId src) {
 
 class Port {
  public:
-  Port(sim::Simulator& simulator, sim::Rate rate_bytes_per_sec,
-       sim::Time propagation_delay, std::unique_ptr<QueueDiscipline> queue);
+  // Packets in flight on the link queue in blocks of `buffer`, the packet
+  // buffer `queue` was built on; it must outlive the port.
+  Port(sim::Simulator& simulator, util::BlockPool& buffer,
+       sim::Rate rate_bytes_per_sec, sim::Time propagation_delay,
+       std::unique_ptr<QueueDiscipline> queue);
 
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
@@ -80,15 +83,15 @@ class Port {
   // Enqueues a packet and starts transmitting if the link is idle.
   void send(const Packet& packet);
 
-  // Pre-sizes the in-flight ring (and forwards the hint to the queue
-  // discipline) so steady-state transmission never grows storage.
-  void reserve_packets(std::size_t packets) {
-    in_flight_.reserve(packets);
-    queue_->reserve_packets(packets);
-  }
-
   QueueDiscipline& queue() { return *queue_; }
   const QueueDiscipline& queue() const { return *queue_; }
+
+  // The packet buffer this port's link and queue FIFOs live in, and the
+  // blocks of it they hold (the buffer audit sums them).
+  const util::BlockPool& buffer() const { return in_flight_.pool(); }
+  std::size_t buffer_blocks() const {
+    return in_flight_.blocks() + queue_->buffer_blocks();
+  }
 
   sim::Rate rate() const { return rate_; }
   sim::Time propagation_delay() const { return propagation_; }
@@ -134,7 +137,7 @@ class Port {
   // Delivery events are scheduled in FIFO order with a constant propagation
   // delay, so the head is always the next to arrive; keeping the packets
   // here lets the hot-path events capture only `this` (no allocation).
-  util::RingBuffer<Packet> in_flight_;
+  util::BlockFifo<Packet> in_flight_;
 };
 
 }  // namespace aeq::net

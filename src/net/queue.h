@@ -2,7 +2,9 @@
 //
 // A discipline decides the order packets leave a port and which packets are
 // dropped when the (shared) buffer is full. Implementations: FIFO, WFQ
-// (virtual-time), DWRR, SPQ, and pFabric's priority queue.
+// (virtual-time), DWRR, SPQ, and pFabric's priority queue. All but pFabric
+// keep their packets in FIFOs over the port's packet buffer (a
+// util::BlockPool shared by every port of a topology shard).
 #pragma once
 
 #include <array>
@@ -62,11 +64,9 @@ class QueueDiscipline {
   }
   std::uint64_t ecn_threshold() const { return ecn_threshold_bytes_; }
 
-  // Pre-sizes internal per-class storage for about `packets` queued packets
-  // so enqueues below that depth never grow storage. A hint, not a cap:
-  // queues still grow past it on demand. Disciplines without pooled storage
-  // may ignore it.
-  virtual void reserve_packets(std::size_t packets) { (void)packets; }
+  // Blocks of the packet buffer (util::BlockPool) this discipline's FIFOs
+  // hold; the buffer audit sums them. pFabric keeps no FIFO there.
+  virtual std::size_t buffer_blocks() const { return 0; }
 
   virtual bool empty() const = 0;
   virtual std::uint64_t backlog_bytes() const = 0;

@@ -11,17 +11,19 @@ namespace aeq::net {
 
 namespace {
 
-std::unique_ptr<QueueDiscipline> make_queue_impl(const QueueConfig& config) {
+std::unique_ptr<QueueDiscipline> make_queue_impl(const QueueConfig& config,
+                                                 util::BlockPool& buffer) {
   switch (config.type) {
     case SchedulerType::kFifo:
-      return std::make_unique<FifoQueue>(config.capacity_bytes);
+      return std::make_unique<FifoQueue>(buffer, config.capacity_bytes);
     case SchedulerType::kWfq:
-      return std::make_unique<WfqQueue>(config.weights, config.capacity_bytes);
+      return std::make_unique<WfqQueue>(buffer, config.weights,
+                                        config.capacity_bytes);
     case SchedulerType::kDwrr:
-      return std::make_unique<DwrrQueue>(config.weights,
+      return std::make_unique<DwrrQueue>(buffer, config.weights,
                                          config.capacity_bytes);
     case SchedulerType::kSpq:
-      return std::make_unique<SpqQueue>(config.weights.size(),
+      return std::make_unique<SpqQueue>(buffer, config.weights.size(),
                                         config.capacity_bytes);
     case SchedulerType::kPfabric:
       AEQ_CHECK_GT_MSG(config.capacity_bytes, 0u,
@@ -34,13 +36,11 @@ std::unique_ptr<QueueDiscipline> make_queue_impl(const QueueConfig& config) {
 
 }  // namespace
 
-std::unique_ptr<QueueDiscipline> make_queue(const QueueConfig& config) {
-  auto queue = make_queue_impl(config);
+std::unique_ptr<QueueDiscipline> make_queue(const QueueConfig& config,
+                                            util::BlockPool& buffer) {
+  auto queue = make_queue_impl(config, buffer);
   if (queue && config.ecn_threshold_bytes != 0) {
     queue->set_ecn_threshold(config.ecn_threshold_bytes);
-  }
-  if (queue && config.reserve_packets != 0) {
-    queue->reserve_packets(config.reserve_packets);
   }
   return queue;
 }

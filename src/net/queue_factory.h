@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/queue.h"
+#include "util/block_fifo.h"
 
 namespace aeq::net {
 
@@ -25,13 +26,11 @@ struct QueueConfig {
   std::uint64_t capacity_bytes = 0;  // 0 = unbounded (except pFabric)
   // ECN marking threshold for DCTCP-style senders (0 = no marking).
   std::uint64_t ecn_threshold_bytes = 0;
-  // Pre-sizes each class's packet ring for this many queued packets, so a
-  // run whose queue depths stay below the hint performs no steady-state
-  // ring growth (see QueueDiscipline::reserve_packets and the allocation
-  // regression test). 0 = grow on demand.
-  std::size_t reserve_packets = 0;
 };
 
-std::unique_ptr<QueueDiscipline> make_queue(const QueueConfig& config);
+// The discipline of `config`, queueing its packets in blocks of `buffer`
+// (pFabric's priority queue does not use it).
+std::unique_ptr<QueueDiscipline> make_queue(const QueueConfig& config,
+                                            util::BlockPool& buffer);
 
 }  // namespace aeq::net

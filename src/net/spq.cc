@@ -5,11 +5,19 @@
 
 namespace aeq::net {
 
-SpqQueue::SpqQueue(std::size_t num_classes, std::uint64_t capacity_bytes)
+SpqQueue::SpqQueue(util::BlockPool& buffer, std::size_t num_classes,
+                   std::uint64_t capacity_bytes)
     : capacity_bytes_(capacity_bytes) {
   AEQ_CHECK_GT(num_classes, 0u);
   AEQ_CHECK_LE(num_classes, kMaxQoSLevels);
-  classes_.resize(num_classes);
+  classes_.reserve(num_classes);
+  for (std::size_t i = 0; i < num_classes; ++i) classes_.emplace_back(buffer);
+}
+
+std::size_t SpqQueue::buffer_blocks() const {
+  std::size_t blocks = 0;
+  for (const auto& fifo : classes_) blocks += fifo.blocks();
+  return blocks;
 }
 
 bool SpqQueue::enqueue(const Packet& packet) {

@@ -7,31 +7,30 @@
 #include <vector>
 
 #include "net/queue.h"
-#include "util/ring_buffer.h"
+#include "util/block_fifo.h"
 
 namespace aeq::net {
 
 class SpqQueue final : public QueueDiscipline {
  public:
-  SpqQueue(std::size_t num_classes, std::uint64_t capacity_bytes = 0);
+  // Packets queue in blocks of `buffer`, which must outlive the queue.
+  SpqQueue(util::BlockPool& buffer, std::size_t num_classes,
+           std::uint64_t capacity_bytes = 0);
 
   bool enqueue(const Packet& packet) override;
   std::optional<Packet> dequeue() override;
 
-  void reserve_packets(std::size_t packets) override {
-    for (auto& cls : classes_) cls.reserve(packets);
-  }
-
   bool empty() const override { return backlog_packets_ == 0; }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }
   std::uint64_t backlog_packets() const override { return backlog_packets_; }
+  std::size_t buffer_blocks() const override;
 
  private:
   // Per-class backlog/drop counters live in the QueueDiscipline base.
   std::uint64_t capacity_bytes_;
   std::uint64_t backlog_bytes_ = 0;
   std::uint64_t backlog_packets_ = 0;
-  std::vector<util::RingBuffer<Packet>> classes_;
+  std::vector<util::BlockFifo<Packet>> classes_;
 };
 
 }  // namespace aeq::net

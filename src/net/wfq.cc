@@ -8,14 +8,15 @@
 
 namespace aeq::net {
 
-WfqQueue::WfqQueue(std::vector<double> weights, std::uint64_t capacity_bytes)
+WfqQueue::WfqQueue(util::BlockPool& buffer, std::vector<double> weights,
+                   std::uint64_t capacity_bytes)
     : capacity_bytes_(capacity_bytes) {
   AEQ_ASSERT_MSG(!weights.empty(), "WFQ needs at least one class");
   AEQ_CHECK_LE(weights.size(), kMaxQoSLevels);
-  classes_.resize(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    AEQ_CHECK_GT_MSG(weights[i], 0.0, "WFQ weights must be positive");
-    classes_[i].weight = weights[i];
+  classes_.reserve(weights.size());
+  for (const double weight : weights) {
+    AEQ_CHECK_GT_MSG(weight, 0.0, "WFQ weights must be positive");
+    classes_.emplace_back(weight, buffer);
   }
 }
 
@@ -72,6 +73,12 @@ std::optional<Packet> WfqQueue::dequeue() {
   return tagged.packet;
 }
 
+std::size_t WfqQueue::buffer_blocks() const {
+  std::size_t blocks = 0;
+  for (const ClassState& cls : classes_) blocks += cls.fifo.blocks();
+  return blocks;
+}
+
 void WfqQueue::audit_tags() const {
   std::uint64_t pending_bytes = 0;
   std::uint64_t pending_packets = 0;
@@ -79,15 +86,14 @@ void WfqQueue::audit_tags() const {
     const ClassState& cls = classes_[i];
     std::uint64_t class_bytes = 0;
     double prev_finish = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < cls.fifo.size(); ++j) {
-      const Tagged& tagged = cls.fifo[j];
+    cls.fifo.for_each([&](const Tagged& tagged) {
       AEQ_CHECK_LE_MSG(tagged.start_tag, tagged.finish_tag,
                        "WFQ start tag past its finish tag");
       AEQ_CHECK_LE_MSG(prev_finish, tagged.finish_tag,
                        "WFQ finish tags out of order within a class");
       prev_finish = tagged.finish_tag;
       class_bytes += tagged.packet.size_bytes;
-    }
+    });
     if (!cls.fifo.empty()) {
       AEQ_CHECK_EQ_MSG(cls.last_finish, cls.fifo.back().finish_tag,
                        "WFQ last_finish does not match newest pending tag");

@@ -16,26 +16,25 @@
 #include <vector>
 
 #include "net/queue.h"
-#include "util/ring_buffer.h"
+#include "util/block_fifo.h"
 
 namespace aeq::net {
 
 class WfqQueue final : public QueueDiscipline {
  public:
   // `weights[i]` is the WFQ weight of QoS level i (i == 0 highest priority).
-  // capacity_bytes == 0 means unbounded.
-  WfqQueue(std::vector<double> weights, std::uint64_t capacity_bytes = 0);
+  // capacity_bytes == 0 means unbounded. Packets queue in blocks of
+  // `buffer`, which must outlive the queue.
+  WfqQueue(util::BlockPool& buffer, std::vector<double> weights,
+           std::uint64_t capacity_bytes = 0);
 
   bool enqueue(const Packet& packet) override;
   std::optional<Packet> dequeue() override;
 
-  void reserve_packets(std::size_t packets) override {
-    for (auto& cls : classes_) cls.fifo.reserve(packets);
-  }
-
   bool empty() const override { return backlog_packets_ == 0; }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }
   std::uint64_t backlog_packets() const override { return backlog_packets_; }
+  std::size_t buffer_blocks() const override;
 
   std::size_t num_classes() const { return classes_.size(); }
   double virtual_time() const { return virtual_time_; }
@@ -57,9 +56,10 @@ class WfqQueue final : public QueueDiscipline {
   // Per-class backlog and drop counters live in the QueueDiscipline base
   // (ClassCounters); only the scheduling state is per-discipline.
   struct ClassState {
-    double weight = 1.0;
+    ClassState(double w, util::BlockPool& buffer) : weight(w), fifo(buffer) {}
+    double weight;
     double last_finish = 0.0;  // finish tag of the newest packet in class
-    util::RingBuffer<Tagged> fifo;
+    util::BlockFifo<Tagged> fifo;
   };
 
   std::uint64_t capacity_bytes_;

@@ -40,7 +40,6 @@ Experiment::Experiment(const ExperimentConfig& config)
   queue.type = config_.scheduler;
   queue.weights = config_.wfq_weights;
   queue.capacity_bytes = config_.buffer_bytes;
-  queue.reserve_packets = config_.queue_reserve_packets;
   if (config_.cc_kind == ExperimentConfig::CcKind::kDctcp) {
     // DCTCP needs marking: ~20 MTUs, as in its paper's guidance.
     queue.ecn_threshold_bytes = 20ull * config_.transport.mtu_bytes;
@@ -89,18 +88,10 @@ Experiment::Experiment(const ExperimentConfig& config)
   }
 
   if (config_.queue_reserve_packets != 0) {
-    // make_queue already pre-sized each discipline's rings; extend the hint
-    // to every port's in-flight ring so links never grow storage either.
-    for (std::size_t i = 0; i < network_.num_hosts(); ++i) {
-      network_.host(static_cast<net::HostId>(i))
-          .egress()
-          .reserve_packets(config_.queue_reserve_packets);
-    }
-    for (std::size_t s = 0; s < network_.num_switches(); ++s) {
-      net::Switch& sw = network_.fabric_switch(s);
-      for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-        sw.port(p).reserve_packets(config_.queue_reserve_packets);
-      }
+    for (std::size_t k = 0; k < network_.num_buffers(); ++k) {
+      util::BlockPool& buffer = network_.buffer(k);
+      buffer.reserve(network_.ports_on(buffer).size() *
+                     config_.queue_reserve_packets);
     }
   }
 
@@ -579,6 +570,11 @@ void Experiment::register_audit_checks() {
     audit::register_switch_checks(auditor, network_.fabric_switch(s).name(),
                                   network_.fabric_switch(s),
                                   shard_sim(switch_shard(s)));
+  }
+  for (std::size_t k = 0; k < network_.num_buffers(); ++k) {
+    const util::BlockPool& buffer = network_.buffer(k);
+    audit::register_buffer_checks(auditor, "buffer" + std::to_string(k),
+                                  buffer, network_.ports_on(buffer));
   }
   observers_.push_back(Observer{config_.audit_interval, /*through_drain=*/true,
                                 [this](sim::Time) { auditor_->run_all(); }});

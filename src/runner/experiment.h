@@ -96,10 +96,10 @@ struct ExperimentConfig {
   std::vector<double> wfq_weights = {8.0, 4.0, 1.0};
   net::SchedulerType scheduler = net::SchedulerType::kWfq;
   std::uint64_t buffer_bytes = 8 * sim::kMiB;  // per port, shared
-  // Pre-sizes every port queue's per-class packet ring (see
-  // QueueConfig::reserve_packets): with a hint above the run's deepest
-  // backlog the event loop performs zero steady-state allocations, which
-  // the allocation regression test pins down. 0 = grow on demand.
+  // Stocks each shard's packet buffer with blocks for this many packets per
+  // port it serves (util::BlockPool::reserve): with a hint above the run's
+  // deepest backlog the event loop performs zero steady-state allocations,
+  // which the allocation regression test pins down. 0 = grow on demand.
   std::size_t queue_reserve_packets = 0;
   // Pre-sizes the event scheduler (arena/handle-table/heap or calendar
   // buckets) for this many concurrent pending events; same contract as

@@ -116,18 +116,31 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   const std::string scheduler = flags.get("scheduler", "wfq");
-  if (scheduler == "dwrr") {
+  if (scheduler == "wfq") {
+    config.scheduler = net::SchedulerType::kWfq;
+  } else if (scheduler == "dwrr") {
     config.scheduler = net::SchedulerType::kDwrr;
   } else if (scheduler == "spq") {
     config.scheduler = net::SchedulerType::kSpq;
   } else if (scheduler == "fifo") {
     config.scheduler = net::SchedulerType::kFifo;
+  } else {
+    std::fprintf(stderr,
+                 "error: unknown --scheduler \"%s\" (wfq|dwrr|spq|fifo)\n",
+                 scheduler.c_str());
+    return 2;
   }
   const std::string cc = flags.get("cc", "swift");
-  if (cc == "dctcp") {
+  if (cc == "swift") {
+    config.cc_kind = runner::ExperimentConfig::CcKind::kSwift;
+  } else if (cc == "dctcp") {
     config.cc_kind = runner::ExperimentConfig::CcKind::kDctcp;
   } else if (cc == "fixed") {
     config.cc_kind = runner::ExperimentConfig::CcKind::kFixedWindow;
+  } else {
+    std::fprintf(stderr, "error: unknown --cc \"%s\" (swift|dctcp|fixed)\n",
+                 cc.c_str());
+    return 2;
   }
 
   const double rpc_kb = flags.get_double("rpc-kb", 32.0);
@@ -153,9 +166,9 @@ int main(int argc, char** argv) {
   const sim::Time warmup = flags.get_double("warmup-ms", 10.0) * sim::kMsec;
   const sim::Time duration =
       flags.get_double("duration-ms", 15.0) * sim::kMsec;
-  const std::string csv_path = flags.get("csv");
+  const std::string csv_path = flags.get_path("csv");
 
-  const std::string trace_path = flags.get("trace");
+  const std::string trace_path = flags.get_path("trace");
   if (!trace_path.empty()) {
     reject_bad_flags(flags);
     std::ifstream in(trace_path);

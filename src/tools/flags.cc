@@ -27,12 +27,15 @@ bool Flags::parse(int argc, char** argv) {
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    bare_.erase(name);
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      values_[name] = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
+      values_[name] = argv[++i];
     } else {
-      values_[arg] = "true";  // bare boolean flag
+      values_[name] = "true";  // bare boolean flag
+      bare_.insert(name);
     }
   }
   return true;
@@ -43,6 +46,11 @@ std::string Flags::get(const std::string& name,
   queried_[name] = true;
   auto it = values_.find(name);
   return it == values_.end() ? fallback : it->second;
+}
+
+std::string Flags::get_path(const std::string& name) const {
+  const std::string value = get(name);
+  return valid(name, bare_.count(name) == 0) ? value : "";
 }
 
 bool Flags::valid(const std::string& name, bool ok) const {
@@ -95,6 +103,7 @@ std::vector<std::string> Flags::unused() const {
 std::string Flags::problem() const {
   if (!malformed_.empty()) {
     const auto& [name, value] = *malformed_.begin();
+    if (bare_.count(name) != 0) return "missing value for --" + name;
     return "malformed value for --" + name + ": \"" + value + "\"";
   }
   const std::vector<std::string> unknown = unused();

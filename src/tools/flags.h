@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,9 @@ class Flags {
   // full ("12x", "1e3" as an int), which problem() then reports.
   std::string get(const std::string& name,
                   const std::string& fallback = "") const;
+  // A flag that needs a value, such as a path: a bare --name reads as ""
+  // and problem() reports the missing value.
+  std::string get_path(const std::string& name) const;
   double get_double(const std::string& name, double fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   // 1/true/yes/on or 0/false/no/off (a bare --name is "true").
@@ -31,8 +35,8 @@ class Flags {
   // Names seen on the command line but never queried — typo detection.
   std::vector<std::string> unused() const;
 
-  // Once every flag is read: the first malformed value, else the first
-  // unused flag, as a message naming it; empty when neither.
+  // Once every flag is read: the first malformed or missing value, else the
+  // first unused flag, as a message naming it; empty when neither.
   std::string problem() const;
 
   const std::string& error() const { return error_; }
@@ -42,6 +46,7 @@ class Flags {
   bool valid(const std::string& name, bool ok) const;
 
   std::map<std::string, std::string> values_;
+  std::set<std::string> bare_;  // given without a value, so read "true"
   mutable std::map<std::string, bool> queried_;
   mutable std::map<std::string, std::string> malformed_;  // name -> value
   std::string error_;

@@ -11,10 +11,11 @@ namespace aeq::topo {
 namespace {
 
 std::unique_ptr<net::Port> make_port(sim::Simulator& simulator,
-                                     sim::Rate rate, sim::Time delay,
+                                     util::BlockPool& buffer, sim::Rate rate,
+                                     sim::Time delay,
                                      const net::QueueConfig& queue) {
-  return std::make_unique<net::Port>(simulator, rate, delay,
-                                     net::make_queue(queue));
+  return std::make_unique<net::Port>(simulator, buffer, rate, delay,
+                                     net::make_queue(queue, buffer));
 }
 
 }  // namespace
@@ -22,12 +23,13 @@ std::unique_ptr<net::Port> make_port(sim::Simulator& simulator,
 Network build_star(sim::Simulator& simulator, const StarConfig& config) {
   AEQ_CHECK_GE(config.num_hosts, 2u);
   Network network;
+  util::BlockPool& buffer = network.add_buffer();
   auto* fabric = network.add_switch(std::make_unique<net::Switch>("tor"));
 
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
-    auto uplink = make_port(simulator, config.link_rate, config.link_delay,
-                            config.host_queue);
+    auto uplink = make_port(simulator, buffer, config.link_rate,
+                            config.link_delay, config.host_queue);
     uplink->connect(fabric);
     // Host-NIC deliveries rank by source so the serial schedule is the one
     // a sharded run of the same seed reproduces (see Port).
@@ -36,8 +38,8 @@ Network build_star(sim::Simulator& simulator, const StarConfig& config) {
   }
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
-    auto downlink = make_port(simulator, config.link_rate, config.link_delay,
-                              config.switch_queue);
+    auto downlink = make_port(simulator, buffer, config.link_rate,
+                              config.link_delay, config.switch_queue);
     downlink->connect(&network.host(id));
     const std::size_t port = fabric->add_port(std::move(downlink));
     fabric->set_route(id, port);
@@ -52,6 +54,7 @@ Network build_leaf_spine(sim::Simulator& simulator,
   AEQ_CHECK_GE(config.num_leaves, 2u);
   AEQ_CHECK_GE(config.num_spines, 1u);
   Network network;
+  util::BlockPool& buffer = network.add_buffer();
   const std::size_t total_hosts = config.hosts_per_leaf * config.num_leaves;
 
   std::vector<net::Switch*> leaves;
@@ -68,8 +71,8 @@ Network build_leaf_spine(sim::Simulator& simulator,
   // Hosts and their uplinks into the owning leaf.
   for (std::size_t i = 0; i < total_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
-    auto uplink = make_port(simulator, config.edge_rate, config.link_delay,
-                            config.host_queue);
+    auto uplink = make_port(simulator, buffer, config.edge_rate,
+                            config.link_delay, config.host_queue);
     uplink->connect(leaves[i / config.hosts_per_leaf]);
     network.add_host(std::make_unique<net::Host>(id, std::move(uplink)));
   }
@@ -78,8 +81,8 @@ Network build_leaf_spine(sim::Simulator& simulator,
   for (std::size_t i = 0; i < total_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
     net::Switch* leaf = leaves[i / config.hosts_per_leaf];
-    auto downlink = make_port(simulator, config.edge_rate, config.link_delay,
-                              config.switch_queue);
+    auto downlink = make_port(simulator, buffer, config.edge_rate,
+                              config.link_delay, config.switch_queue);
     downlink->connect(&network.host(id));
     const std::size_t port = leaf->add_port(std::move(downlink));
     leaf->set_route(id, port);
@@ -90,13 +93,13 @@ Network build_leaf_spine(sim::Simulator& simulator,
   for (std::size_t l = 0; l < config.num_leaves; ++l) {
     std::vector<std::size_t> uplink_ports;
     for (std::size_t s = 0; s < config.num_spines; ++s) {
-      auto up = make_port(simulator, config.fabric_rate, config.link_delay,
-                          config.switch_queue);
+      auto up = make_port(simulator, buffer, config.fabric_rate,
+                          config.link_delay, config.switch_queue);
       up->connect(spines[s]);
       uplink_ports.push_back(leaves[l]->add_port(std::move(up)));
 
-      auto down = make_port(simulator, config.fabric_rate, config.link_delay,
-                            config.switch_queue);
+      auto down = make_port(simulator, buffer, config.fabric_rate,
+                            config.link_delay, config.switch_queue);
       down->connect(leaves[l]);
       const std::size_t spine_port = spines[s]->add_port(std::move(down));
       // The spine routes every host under leaf l out of this port.

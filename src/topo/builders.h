@@ -5,6 +5,8 @@
 // 20-node, 33-node and 144-node setups are all stars in our reproduction).
 // `build_leaf_spine` provides a two-tier fabric with ECMP so overloads can
 // also form on uplinks (paper §2.2.2 stresses that overloads occur anywhere).
+// Both run on one simulator, so every port's packets share one packet buffer
+// (Network::buffer(0)).
 #pragma once
 
 #include <cstddef>

@@ -44,6 +44,7 @@ Network build_sharded_star(const std::vector<sim::Simulator*>& sims,
   std::vector<net::Switch*> switches;
   switches.reserve(plan.num_shards);
   for (std::size_t k = 0; k < plan.num_shards; ++k) {
+    network.add_buffer();
     switches.push_back(network.add_switch(std::make_unique<net::Switch>(
         "tor-shard" + std::to_string(k))));
     fabric.set_local_switch(k, switches.back());
@@ -55,9 +56,10 @@ Network build_sharded_star(const std::vector<sim::Simulator*>& sims,
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
     const std::uint32_t shard = plan.shard_of(id);
+    util::BlockPool& buffer = network.buffer(shard);
     auto uplink = std::make_unique<net::Port>(
-        *sims[shard], config.link_rate, config.link_delay,
-        net::make_queue(config.host_queue));
+        *sims[shard], buffer, config.link_rate, config.link_delay,
+        net::make_queue(config.host_queue, buffer));
     uplink->connect(fabric.nic_link(shard));
     network.add_host(std::make_unique<net::Host>(id, std::move(uplink)));
   }
@@ -68,9 +70,10 @@ Network build_sharded_star(const std::vector<sim::Simulator*>& sims,
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
     const std::uint32_t shard = plan.shard_of(id);
+    util::BlockPool& buffer = network.buffer(shard);
     auto downlink = std::make_unique<net::Port>(
-        *sims[shard], config.link_rate, config.link_delay,
-        net::make_queue(config.switch_queue));
+        *sims[shard], buffer, config.link_rate, config.link_delay,
+        net::make_queue(config.switch_queue, buffer));
     downlink->connect(&network.host(id));
     const std::size_t port = switches[shard]->add_port(std::move(downlink));
     switches[shard]->set_route(id, port);

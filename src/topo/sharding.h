@@ -40,6 +40,9 @@ ShardPlan make_shard_plan(const StarConfig& config, std::size_t num_shards);
 // Builds the star of `config` partitioned per `plan`: shard k's hosts get
 // their NIC ports on sims[k] connected to fabric.nic_link(k), and a
 // shard-local switch "tor-shard<k>" (on sims[k]) carries their downlinks.
+// Shard k's ports queue their packets in packet buffer k
+// (Network::buffer(k)), which only the thread running shard k's window
+// touches.
 // Host ids, downlink registration order, and per-host wiring match
 // build_star exactly, so everything indexed by host id (metrics, audits,
 // telemetry port names) is shard-count independent.

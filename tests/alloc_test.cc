@@ -3,8 +3,8 @@
 // The hot-path overhaul (DESIGN.md §10) promises an allocation-free event
 // loop once every pool has reached its high-water mark: event nodes live in
 // the EventArena, handlers in fixed InlineFunction buffers, packets in
-// RingBuffers, channel state in FlatMap64s, and percentile samples in
-// pre-reserved vectors. This binary overrides global operator new/delete
+// blocks of each shard's packet buffer, channel state in FlatMap64s, and
+// percentile samples in pre-reserved vectors. This binary overrides global operator new/delete
 // with counting shims and proves the promise end to end: a fig03-style
 // Aequitas run (WFQ, 3 QoS, Poisson all-to-all load) performs ZERO heap
 // allocations during its post-warmup measurement window, on both scheduler

@@ -13,11 +13,14 @@
 #include "audit/checks.h"
 #include "net/fifo_queue.h"
 #include "net/pfabric_queue.h"
+#include "net/port.h"
 #include "net/queue.h"
 #include "net/wfq.h"
 #include "runner/experiment.h"
+#include "sim/simulator.h"
 #include "transport/dctcp.h"
 #include "transport/swift.h"
+#include "util/block_fifo.h"
 
 namespace aeq {
 namespace {
@@ -166,11 +169,37 @@ TEST(AuditorDeathTest, LeakyQueueTripsConservation) {
                "leaky/conservation-packets.*queue lost or invented packets");
 }
 
+// A block taken from a packet buffer outside any FIFO is exactly what a FIFO
+// that forgets to give back a spent block leaves behind.
+TEST(AuditorDeathTest, LeakedBufferBlockTripsBlockConservation) {
+  struct Discard final : net::PacketSink {
+    void receive(const net::Packet&) override {}
+  } sink;
+  sim::Simulator sim;
+  util::BlockPool buffer;
+  net::Port port(sim, buffer, sim::gbps(100), 1 * sim::kUsec,
+                 std::make_unique<net::WfqQueue>(
+                     buffer, std::vector<double>{4.0, 1.0}));
+  port.connect(&sink);
+  audit::Auditor auditor;
+  audit::register_buffer_checks(auditor, "buffer0", buffer, {&port});
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    port.send(make_packet(1500, static_cast<net::QoSLevel>(i % 2), i));
+  }
+  sim.run_until(5 * sim::kUsec);  // some packets in flight, most queued
+  ASSERT_GT(port.in_flight_packets(), 0u);
+  auditor.run_all();
+  buffer.take();
+  EXPECT_DEATH(auditor.run_all(),
+               "buffer0/block-conservation.*packet buffer lost a block");
+}
+
 // --- Catalogue over real components ---------------------------------------
 
 TEST(Checks, WellBehavedQueuesPassConservation) {
-  net::FifoQueue fifo(64 * 1024);
-  net::WfqQueue wfq({4.0, 1.0}, 64 * 1024);
+  util::BlockPool buffer;
+  net::FifoQueue fifo(buffer, 64 * 1024);
+  net::WfqQueue wfq(buffer, {4.0, 1.0}, 64 * 1024);
   net::PfabricQueue pfabric(16 * 1024);
 
   audit::Auditor auditor;
@@ -268,6 +297,16 @@ TEST(AuditedRuns, EveryDisciplineOnBothBackendsRunsClean) {
       // post-drain pass.
       EXPECT_GT(experiment.auditor()->passes(), 10u);
       EXPECT_GT(experiment.auditor()->report().total_evaluations, 0u);
+      // The packet buffer's block conservation was evaluated every pass.
+      bool buffer_checked = false;
+      for (const auto& entry : experiment.auditor()->report().entries) {
+        if (entry.component == "buffer0" &&
+            entry.name == "block-conservation") {
+          buffer_checked =
+              entry.evaluations == experiment.auditor()->passes();
+        }
+      }
+      EXPECT_TRUE(buffer_checked);
     }
   }
 }

@@ -38,8 +38,9 @@ TEST(PortTest, DeliversAfterSerializationPlusPropagation) {
   sim::Simulator s;
   Collector sink;
   // 12500 bytes at 100Gbps = 1us serialization; 0.5us propagation.
-  Port port(s, sim::gbps(100), 0.5 * sim::kUsec,
-            std::make_unique<FifoQueue>());
+  util::BlockPool buffer;
+  Port port(s, buffer, sim::gbps(100), 0.5 * sim::kUsec,
+            std::make_unique<FifoQueue>(buffer));
   port.connect(&sink);
   port.send(data_packet(0, 1, 12500));
   s.run();
@@ -53,7 +54,9 @@ TEST(PortTest, BusyTimeMidTransmissionCountsOnlyElapsedTime) {
   sim::Simulator s;
   Collector sink;
   // 12500 bytes at 100Gbps = 1us serialization.
-  Port port(s, sim::gbps(100), 0.0, std::make_unique<FifoQueue>());
+  util::BlockPool buffer;
+  Port port(s, buffer, sim::gbps(100), 0.0,
+            std::make_unique<FifoQueue>(buffer));
   port.connect(&sink);
   s.schedule_at(0.0, [&] { port.send(data_packet(0, 1, 12500)); });
   // Mid-transmission the port must report only the elapsed busy time —
@@ -70,7 +73,9 @@ TEST(PortTest, BusyTimeMidTransmissionCountsOnlyElapsedTime) {
 TEST(PortTest, UtilizationNeverExceedsOneMidBurst) {
   sim::Simulator s;
   Collector sink;
-  Port port(s, sim::gbps(100), 0.0, std::make_unique<FifoQueue>());
+  util::BlockPool buffer;
+  Port port(s, buffer, sim::gbps(100), 0.0,
+            std::make_unique<FifoQueue>(buffer));
   port.connect(&sink);
   // Queue a 10-packet burst, then sample utilization at odd times while
   // the port drains it.
@@ -89,7 +94,9 @@ TEST(PortTest, UtilizationNeverExceedsOneMidBurst) {
 TEST(PortTest, BackToBackPacketsSerializeSequentially) {
   sim::Simulator s;
   Collector sink;
-  Port port(s, sim::gbps(100), 0.0, std::make_unique<FifoQueue>());
+  util::BlockPool buffer;
+  Port port(s, buffer, sim::gbps(100), 0.0,
+            std::make_unique<FifoQueue>(buffer));
   port.connect(&sink);
   for (int i = 0; i < 3; ++i) port.send(data_packet(0, 1, 12500));
   s.run();
@@ -101,8 +108,10 @@ TEST(PortTest, BackToBackPacketsSerializeSequentially) {
 TEST(PortTest, WfqOrderingUnderBacklog) {
   sim::Simulator s;
   Collector sink;
-  Port port(s, sim::gbps(100), 0.0,
-            std::make_unique<WfqQueue>(std::vector<double>{4.0, 1.0}));
+  util::BlockPool buffer;
+  Port port(s, buffer, sim::gbps(100), 0.0,
+            std::make_unique<WfqQueue>(buffer,
+                                       std::vector<double>{4.0, 1.0}));
   port.connect(&sink);
   // Interleave enqueues while the port is busy with the first packet.
   port.send(data_packet(0, 1, 1000, 0));
@@ -123,13 +132,14 @@ TEST(PortTest, WfqOrderingUnderBacklog) {
 
 TEST(SwitchTest, RoutesByDestination) {
   sim::Simulator s;
+  util::BlockPool buffer;
   Switch sw("sw");
   Collector sink0, sink1;
-  auto p0 = std::make_unique<Port>(s, sim::gbps(100), 0.0,
-                                   std::make_unique<FifoQueue>());
+  auto p0 = std::make_unique<Port>(s, buffer, sim::gbps(100), 0.0,
+                                   std::make_unique<FifoQueue>(buffer));
   p0->connect(&sink0);
-  auto p1 = std::make_unique<Port>(s, sim::gbps(100), 0.0,
-                                   std::make_unique<FifoQueue>());
+  auto p1 = std::make_unique<Port>(s, buffer, sim::gbps(100), 0.0,
+                                   std::make_unique<FifoQueue>(buffer));
   p1->connect(&sink1);
   sw.set_route(0, sw.add_port(std::move(p0)));
   sw.set_route(1, sw.add_port(std::move(p1)));
@@ -144,12 +154,13 @@ TEST(SwitchTest, RoutesByDestination) {
 
 TEST(SwitchTest, EcmpKeepsFlowOnOnePath) {
   sim::Simulator s;
+  util::BlockPool buffer;
   Switch sw("sw");
   Collector sinks[2];
   std::vector<std::size_t> ports;
   for (auto& sink : sinks) {
-    auto p = std::make_unique<Port>(s, sim::gbps(100), 0.0,
-                                    std::make_unique<FifoQueue>());
+    auto p = std::make_unique<Port>(s, buffer, sim::gbps(100), 0.0,
+                                    std::make_unique<FifoQueue>(buffer));
     p->connect(&sink);
     ports.push_back(sw.add_port(std::move(p)));
   }
@@ -163,12 +174,13 @@ TEST(SwitchTest, EcmpKeepsFlowOnOnePath) {
 
 TEST(SwitchTest, EcmpSpreadsDistinctFlows) {
   sim::Simulator s;
+  util::BlockPool buffer;
   Switch sw("sw");
   Collector sinks[2];
   std::vector<std::size_t> ports;
   for (auto& sink : sinks) {
-    auto p = std::make_unique<Port>(s, sim::gbps(100), 0.0,
-                                    std::make_unique<FifoQueue>());
+    auto p = std::make_unique<Port>(s, buffer, sim::gbps(100), 0.0,
+                                    std::make_unique<FifoQueue>(buffer));
     p->connect(&sink);
     ports.push_back(sw.add_port(std::move(p)));
   }

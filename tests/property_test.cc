@@ -100,9 +100,10 @@ TEST_P(WfqDelayBoundProperty, PacketSimMatchesTheory) {
   } recorder;
   recorder.sim = &s;
 
-  net::Port port(s, line_rate, 0.0,
+  util::BlockPool buffer;
+  net::Port port(s, buffer, line_rate, 0.0,
                  std::make_unique<net::WfqQueue>(
-                     std::vector<double>{phi, 1.0}));
+                     buffer, std::vector<double>{phi, 1.0}));
   port.connect(&recorder);
   for (int cycle = 0; cycle < 2; ++cycle) {
     for (int cls = 0; cls < 2; ++cls) {

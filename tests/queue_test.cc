@@ -1,6 +1,7 @@
 // Queue-discipline tests: FIFO/SPQ basics, WFQ bandwidth shares and
-// work-conservation properties, DWRR shares, and pFabric's priority
-// dequeue/eviction rules.
+// work-conservation properties, DWRR shares, pFabric's priority
+// dequeue/eviction rules, and block reuse across queues on one packet
+// buffer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +28,8 @@ Packet make_packet(QoSLevel qos, std::uint32_t size, std::uint64_t seq = 0) {
 }
 
 TEST(FifoQueueTest, FifoOrderAndTailDrop) {
-  FifoQueue q(/*capacity_bytes=*/2000);
+  util::BlockPool buffer;
+  FifoQueue q(buffer, /*capacity_bytes=*/2000);
   EXPECT_TRUE(q.enqueue(make_packet(0, 1000, 1)));
   EXPECT_TRUE(q.enqueue(make_packet(0, 1000, 2)));
   EXPECT_FALSE(q.enqueue(make_packet(0, 1, 3)));  // full
@@ -38,7 +40,8 @@ TEST(FifoQueueTest, FifoOrderAndTailDrop) {
 }
 
 TEST(SpqQueueTest, StrictPriorityOrder) {
-  SpqQueue q(3);
+  util::BlockPool buffer;
+  SpqQueue q(buffer, 3);
   ASSERT_TRUE(q.enqueue(make_packet(2, 100, 1)));
   ASSERT_TRUE(q.enqueue(make_packet(0, 100, 2)));
   ASSERT_TRUE(q.enqueue(make_packet(1, 100, 3)));
@@ -48,7 +51,8 @@ TEST(SpqQueueTest, StrictPriorityOrder) {
 }
 
 TEST(SpqQueueTest, LowPriorityStarvesUnderHighLoad) {
-  SpqQueue q(2);
+  util::BlockPool buffer;
+  SpqQueue q(buffer, 2);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(q.enqueue(make_packet(1, 100)));
     ASSERT_TRUE(q.enqueue(make_packet(0, 100)));
@@ -63,7 +67,8 @@ class WfqShareTest : public ::testing::TestWithParam<std::vector<double>> {};
 
 TEST_P(WfqShareTest, BandwidthShareMatchesWeights) {
   const std::vector<double> weights = GetParam();
-  WfqQueue q(weights);
+  util::BlockPool buffer;
+  WfqQueue q(buffer, weights);
   const std::uint32_t pkt = 1000;
   const int per_class = 400;
   for (int i = 0; i < per_class; ++i) {
@@ -99,7 +104,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<double>{16.0, 8.0, 4.0, 2.0, 1.0}));
 
 TEST(WfqQueueTest, WorkConservingWhenOneClassIdle) {
-  WfqQueue q({4.0, 1.0});
+  util::BlockPool buffer;
+  WfqQueue q(buffer, {4.0, 1.0});
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.enqueue(make_packet(1, 1000)));
   // Only the low class has traffic: it gets the full link.
   for (int i = 0; i < 10; ++i) {
@@ -111,7 +117,8 @@ TEST(WfqQueueTest, WorkConservingWhenOneClassIdle) {
 }
 
 TEST(WfqQueueTest, NewlyBackloggedClassGetsNoIdleCredit) {
-  WfqQueue q({1.0, 1.0});
+  util::BlockPool buffer;
+  WfqQueue q(buffer, {1.0, 1.0});
   // Class 1 builds a backlog while class 0 is idle.
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(q.enqueue(make_packet(1, 1000)));
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(q.dequeue().has_value());
@@ -128,7 +135,8 @@ TEST(WfqQueueTest, NewlyBackloggedClassGetsNoIdleCredit) {
 }
 
 TEST(WfqQueueTest, PerClassFifoOrder) {
-  WfqQueue q({4.0, 1.0});
+  util::BlockPool buffer;
+  WfqQueue q(buffer, {4.0, 1.0});
   for (std::uint64_t i = 1; i <= 5; ++i) {
     ASSERT_TRUE(q.enqueue(make_packet(0, 1000, i)));
   }
@@ -140,7 +148,8 @@ TEST(WfqQueueTest, PerClassFifoOrder) {
 }
 
 TEST(WfqQueueTest, SharedBufferTailDrop) {
-  WfqQueue q({4.0, 1.0}, /*capacity_bytes=*/2500);
+  util::BlockPool buffer;
+  WfqQueue q(buffer, {4.0, 1.0}, /*capacity_bytes=*/2500);
   EXPECT_TRUE(q.enqueue(make_packet(0, 1000)));
   EXPECT_TRUE(q.enqueue(make_packet(1, 1000)));
   EXPECT_FALSE(q.enqueue(make_packet(0, 1000)));  // would exceed 2500
@@ -150,7 +159,8 @@ TEST(WfqQueueTest, SharedBufferTailDrop) {
 }
 
 TEST(WfqQueueTest, PerClassDropCountersAttributeSharedBufferDrops) {
-  WfqQueue q({4.0, 1.0}, /*capacity_bytes=*/2500);
+  util::BlockPool buffer;
+  WfqQueue q(buffer, {4.0, 1.0}, /*capacity_bytes=*/2500);
   ASSERT_TRUE(q.enqueue(make_packet(0, 1000)));
   ASSERT_TRUE(q.enqueue(make_packet(1, 1000)));
   // Shared buffer is full: the drop is charged to the arriving class, even
@@ -170,7 +180,8 @@ TEST(WfqQueueTest, PerClassDropCountersAttributeSharedBufferDrops) {
 }
 
 TEST(SpqQueueTest, PerClassDropCounters) {
-  SpqQueue q(2, /*capacity_bytes=*/2000);
+  util::BlockPool buffer;
+  SpqQueue q(buffer, 2, /*capacity_bytes=*/2000);
   ASSERT_TRUE(q.enqueue(make_packet(0, 1000)));
   ASSERT_TRUE(q.enqueue(make_packet(1, 1000)));
   EXPECT_FALSE(q.enqueue(make_packet(1, 500)));
@@ -181,7 +192,9 @@ TEST(SpqQueueTest, PerClassDropCounters) {
 }
 
 TEST(DwrrQueueTest, PerClassDropCounters) {
-  DwrrQueue q({4.0, 1.0}, /*capacity_bytes=*/2000, /*quantum_scale=*/1000);
+  util::BlockPool buffer;
+  DwrrQueue q(buffer, {4.0, 1.0}, /*capacity_bytes=*/2000,
+              /*quantum_scale=*/1000);
   ASSERT_TRUE(q.enqueue(make_packet(0, 1000)));
   ASSERT_TRUE(q.enqueue(make_packet(1, 1000)));
   EXPECT_FALSE(q.enqueue(make_packet(0, 700)));
@@ -192,7 +205,8 @@ TEST(DwrrQueueTest, PerClassDropCounters) {
 }
 
 TEST(WfqQueueTest, VirtualTimeMonotone) {
-  WfqQueue q({2.0, 1.0});
+  util::BlockPool buffer;
+  WfqQueue q(buffer, {2.0, 1.0});
   double last_vt = 0.0;
   for (int round = 0; round < 20; ++round) {
     ASSERT_TRUE(q.enqueue(make_packet(0, 1000)));
@@ -204,7 +218,8 @@ TEST(WfqQueueTest, VirtualTimeMonotone) {
 }
 
 TEST(DwrrQueueTest, ShareMatchesWeights) {
-  DwrrQueue q({4.0, 1.0}, 0, 1000);
+  util::BlockPool buffer;
+  DwrrQueue q(buffer, {4.0, 1.0}, 0, 1000);
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(q.enqueue(make_packet(0, 1000)));
     ASSERT_TRUE(q.enqueue(make_packet(1, 1000)));
@@ -220,7 +235,8 @@ TEST(DwrrQueueTest, ShareMatchesWeights) {
 }
 
 TEST(DwrrQueueTest, WorkConservingAndDrainsFully) {
-  DwrrQueue q({8.0, 4.0, 1.0});
+  util::BlockPool buffer;
+  DwrrQueue q(buffer, {8.0, 4.0, 1.0});
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(q.enqueue(make_packet(static_cast<QoSLevel>(i % 3), 700)));
   }
@@ -288,6 +304,36 @@ TEST(PfabricQueueTest, FifoAmongEqualPriorities) {
   for (std::uint64_t i = 1; i <= 4; ++i) EXPECT_EQ(q.dequeue()->seq, i);
 }
 
+// The memory property of one packet buffer per shard: storage follows what
+// its queues hold at once, not the sum of each queue's peak.
+TEST(PacketBufferTest, QueuesOnOneBufferReuseEachOthersBlocks) {
+  util::BlockPool buffer;
+  WfqQueue a(buffer, {4.0, 1.0});
+  SpqQueue b(buffer, 2);
+  constexpr std::uint64_t kPackets = 2000;
+  for (std::uint64_t i = 0; i < kPackets; ++i) {
+    ASSERT_TRUE(a.enqueue(make_packet(static_cast<QoSLevel>(i % 2), 1500, i)));
+  }
+  const std::size_t peak = buffer.blocks_owned();
+  EXPECT_EQ(a.buffer_blocks(), peak);
+  while (a.dequeue()) {
+  }
+  EXPECT_EQ(a.buffer_blocks(), 0u);
+  EXPECT_EQ(buffer.blocks_free(), peak);
+  for (std::uint64_t i = 0; i < kPackets; ++i) {
+    ASSERT_TRUE(b.enqueue(make_packet(static_cast<QoSLevel>(i % 2), 1500, i)));
+  }
+  // B grew on the blocks A gave back: the buffer owns blocks for about
+  // kPackets packets (one partial block per class), not 2 * kPackets.
+  EXPECT_EQ(buffer.blocks_owned(), peak);
+  const std::size_t blocks_for_n =
+      kPackets * util::BlockPool::kMaxElementBytes /
+          sizeof(util::BlockPool::Block::slots) +
+      2;
+  EXPECT_LE(buffer.blocks_owned(), blocks_for_n);
+  EXPECT_EQ(buffer.blocks_owned(), buffer.blocks_free() + b.buffer_blocks());
+}
+
 TEST(QueueFactoryTest, BuildsEveryType) {
   for (auto type : {SchedulerType::kFifo, SchedulerType::kWfq,
                     SchedulerType::kDwrr, SchedulerType::kSpq,
@@ -295,7 +341,8 @@ TEST(QueueFactoryTest, BuildsEveryType) {
     QueueConfig config;
     config.type = type;
     config.capacity_bytes = 1 << 20;
-    auto q = make_queue(config);
+    util::BlockPool buffer;
+    auto q = make_queue(config, buffer);
     ASSERT_NE(q, nullptr);
     EXPECT_TRUE(q->enqueue(make_packet(0, 100)));
     EXPECT_EQ(q->backlog_packets(), 1u);

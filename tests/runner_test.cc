@@ -84,12 +84,14 @@ TEST(ExperimentTest, UniformPickerNeverSelectsSelf) {
 using ContractDeathTest = ::testing::Test;
 
 TEST(ContractDeathTest, WfqRejectsEmptyWeights) {
-  EXPECT_DEATH(net::WfqQueue(std::vector<double>{}),
+  util::BlockPool buffer;
+  EXPECT_DEATH(net::WfqQueue(buffer, std::vector<double>{}),
                "at least one class");
 }
 
 TEST(ContractDeathTest, WfqRejectsNonPositiveWeight) {
-  EXPECT_DEATH(net::WfqQueue(std::vector<double>{4.0, 0.0}),
+  util::BlockPool buffer;
+  EXPECT_DEATH(net::WfqQueue(buffer, std::vector<double>{4.0, 0.0}),
                "weights must be positive");
 }
 

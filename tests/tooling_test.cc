@@ -160,6 +160,29 @@ TEST(FlagsTest, MalformedValueIsAProblemNotItsPrefixOrDefault) {
   EXPECT_EQ(unknown.problem(), "unknown flag --bogus");
 }
 
+TEST(FlagsTest, BarePathFlagIsAMissingValueNotAFileNamedTrue) {
+  const char* argv[] = {"prog", "--prof", "--trace=run.json", "--watchdog",
+                        "--csv", "out.csv"};
+  tools::Flags flags;
+  ASSERT_TRUE(flags.parse(6, const_cast<char**>(argv)));
+  EXPECT_EQ(flags.get_path("prof"), "");
+  EXPECT_EQ(flags.get_path("trace"), "run.json");
+  EXPECT_EQ(flags.get_path("csv"), "out.csv");
+  EXPECT_EQ(flags.get_path("timeseries"), "");  // absent: no problem
+  // A flag that may stand bare still reads as the boolean "true".
+  EXPECT_EQ(flags.get("watchdog"), "true");
+  EXPECT_EQ(flags.problem(), "missing value for --prof");
+
+  // `--prof=true` is a file the user named, and a later value replaces an
+  // earlier bare flag.
+  const char* named[] = {"prog", "--prof=true", "--trace", "--trace=t.json"};
+  tools::Flags explicit_flags;
+  ASSERT_TRUE(explicit_flags.parse(4, const_cast<char**>(named)));
+  EXPECT_EQ(explicit_flags.get_path("prof"), "true");
+  EXPECT_EQ(explicit_flags.get_path("trace"), "t.json");
+  EXPECT_EQ(explicit_flags.problem(), "");
+}
+
 TEST(DctcpTest, CutProportionalToMarkedFraction) {
   transport::DctcpConfig config;
   config.initial_cwnd = 100.0;
@@ -191,7 +214,8 @@ TEST(DctcpTest, AlphaDecaysWithoutMarks) {
 }
 
 TEST(EcnTest, QueueMarksPastThreshold) {
-  net::FifoQueue queue;
+  util::BlockPool buffer;
+  net::FifoQueue queue(buffer);
   queue.set_ecn_threshold(3000);
   net::Packet p;
   p.size_bytes = 1000;

@@ -1,100 +1,135 @@
 // Unit and model-based tests for the src/util containers: the hot-path
-// building blocks (RingBuffer, FlatMap64, InlineFunction). These types
-// back the event loop, so their edge cases (wraparound, backward-shift
-// erase, capacity budget) get direct coverage here in addition to the
-// allocation/bit-identity suites that exercise them indirectly.
+// building blocks (BlockFifo over a BlockPool, FlatMap64, InlineFunction).
+// These types back the event loop, so their edge cases (block boundaries,
+// block reuse, backward-shift erase, capacity budget) get direct coverage
+// here in addition to the allocation/bit-identity suites that exercise
+// them indirectly.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/rng.h"
+#include "util/block_fifo.h"
 #include "util/flat_map.h"
 #include "util/inline_function.h"
-#include "util/ring_buffer.h"
 
 namespace aeq {
 namespace {
 
 // ---------------------------------------------------------------------------
-// util::RingBuffer
+// util::BlockFifo / util::BlockPool
 // ---------------------------------------------------------------------------
 
-TEST(RingBufferTest, FifoAcrossWraparound) {
-  util::RingBuffer<int> ring;
-  // Interleave pushes and pops so head_ laps the storage several times.
+using IntFifo = util::BlockFifo<int>;
+constexpr int kSlots = static_cast<int>(IntFifo::kSlotsPerBlock);
+
+TEST(BlockFifoTest, OrderHoldsAcrossBlockBoundaries) {
+  util::BlockPool pool;
+  IntFifo fifo(pool);
+  // Interleave pushes and pops so the head and the tail each cross several
+  // block boundaries, and so the head block is spent mid-run.
   int next_in = 0;
   int next_out = 0;
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 5; ++i) ring.push_back(next_in++);
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_EQ(ring.front(), next_out++);
-      ring.pop_front();
+  for (int round = 0; round < 7; ++round) {
+    for (int i = 0; i < kSlots; ++i) fifo.push_back(next_in++);
+    for (int i = 0; i < kSlots / 2 + 1; ++i) {
+      ASSERT_EQ(fifo.front(), next_out++);
+      fifo.pop_front();
     }
+    ASSERT_EQ(fifo.back(), next_in - 1);
   }
-  // 100 rounds x (5 in - 4 out) leaves 100 elements, oldest first.
-  EXPECT_EQ(ring.size(), 100u);
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    EXPECT_EQ(ring[i], next_out + static_cast<int>(i));
+  ASSERT_EQ(fifo.size(), static_cast<std::size_t>(next_in - next_out));
+  std::vector<int> visited;
+  fifo.for_each([&visited](int v) { visited.push_back(v); });
+  ASSERT_EQ(visited.size(), fifo.size());
+  for (std::size_t i = 0; i < visited.size(); ++i) {
+    EXPECT_EQ(visited[i], next_out + static_cast<int>(i));
   }
-  EXPECT_EQ(ring.back(), next_in - 1);
+  // The FIFO holds exactly the blocks its elements span; everything else
+  // the pool owns is free.
+  EXPECT_EQ(pool.blocks_owned(), pool.blocks_free() + fifo.blocks());
+  while (!fifo.empty()) {
+    ASSERT_EQ(fifo.front(), next_out++);
+    fifo.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
 }
 
-TEST(RingBufferTest, GrowthPreservesOrderWhenWrapped) {
-  util::RingBuffer<int> ring;
-  // Fill past the minimum capacity, drain half, refill until growth
-  // happens with head_ in the middle of the storage.
-  for (int i = 0; i < 8; ++i) ring.push_back(i);
-  for (int i = 0; i < 4; ++i) ring.pop_front();
-  for (int i = 8; i < 40; ++i) ring.push_back(i);
-  ASSERT_EQ(ring.size(), 36u);
-  for (int i = 0; i < 36; ++i) {
-    EXPECT_EQ(ring.front(), i + 4);
-    ring.pop_front();
+TEST(BlockFifoTest, LastPopReturnsItsBlock) {
+  util::BlockPool pool;
+  IntFifo fifo(pool);
+  fifo.push_back(1);
+  fifo.push_back(2);
+  EXPECT_EQ(fifo.blocks(), 1u);
+  EXPECT_EQ(pool.blocks_owned(), 1u);
+  EXPECT_EQ(pool.blocks_free(), 0u);
+  fifo.pop_front();
+  EXPECT_EQ(pool.blocks_free(), 0u);  // one element still queued
+  fifo.pop_front();
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(fifo.blocks(), 0u);
+  EXPECT_EQ(pool.blocks_free(), 1u);
+  // Refilling an empty FIFO takes the block back; no new allocation.
+  fifo.push_back(3);
+  EXPECT_EQ(fifo.front(), 3);
+  EXPECT_EQ(pool.blocks_owned(), 1u);
+  EXPECT_EQ(pool.blocks_free(), 0u);
+}
+
+TEST(BlockFifoTest, FifosOnOnePoolReuseEachOthersBlocks) {
+  util::BlockPool pool;
+  IntFifo a(pool);
+  IntFifo b(pool);
+  const int n = 5 * kSlots;
+  for (int i = 0; i < n; ++i) a.push_back(i);
+  const std::size_t peak = pool.blocks_owned();
+  EXPECT_EQ(peak, 5u);
+  while (!a.empty()) a.pop_front();
+  EXPECT_EQ(pool.blocks_free(), peak);
+  // b grows to the same depth on the blocks a gave back.
+  for (int i = 0; i < n; ++i) b.push_back(-i);
+  EXPECT_EQ(pool.blocks_owned(), peak);
+  EXPECT_EQ(pool.blocks_free(), 0u);
+  {
+    // A FIFO destroyed with elements queued gives its blocks back too.
+    IntFifo c(pool);
+    for (int i = 0; i < kSlots + 1; ++i) c.push_back(i);
+    EXPECT_EQ(c.blocks(), 2u);
   }
-  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(pool.blocks_free(), 2u);
+  EXPECT_EQ(b.front(), 0);
+  EXPECT_EQ(b.back(), -(n - 1));
 }
 
-TEST(RingBufferTest, ReserveRoundsUpAndKeepsContents) {
-  util::RingBuffer<std::string> ring;
-  ring.push_back("a");
-  ring.push_back("b");
-  ring.reserve(100);  // rounds to a power of two >= 100
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.front(), "a");
-  EXPECT_EQ(ring.back(), "b");
-  // After the reserve, 100 pushes must not disturb FIFO order.
-  for (int i = 0; i < 100; ++i) ring.push_back(std::to_string(i));
-  ring.pop_front();
-  ring.pop_front();
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(ring.front(), std::to_string(i));
-    ring.pop_front();
+TEST(BlockFifoTest, ReservedPoolDoesNotAllocate) {
+  util::BlockPool pool;
+  const std::size_t elements = 1000;
+  pool.reserve(elements);
+  const std::size_t stocked = pool.blocks_owned();
+  EXPECT_EQ(pool.blocks_free(), stocked);
+  // The reserve is sized for the largest element a FIFO may store, so it
+  // covers `elements` of them in one FIFO...
+  struct Largest {
+    std::byte bytes[util::BlockPool::kMaxElementBytes];
+  };
+  {
+    util::BlockFifo<Largest> fifo(pool);
+    for (std::size_t i = 0; i < elements; ++i) fifo.push_back(Largest{});
+    EXPECT_EQ(pool.blocks_owned(), stocked);
   }
-}
-
-TEST(RingBufferTest, ClearReleasesSlotsAndResets) {
-  util::RingBuffer<std::shared_ptr<int>> ring;
-  auto tracked = std::make_shared<int>(7);
-  ring.push_back(tracked);
-  ring.push_back(tracked);
-  EXPECT_EQ(tracked.use_count(), 3);
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(tracked.use_count(), 1);  // slots really released their refs
-  ring.push_back(tracked);
-  EXPECT_EQ(*ring.front(), 7);
-}
-
-TEST(RingBufferTest, PopFrontReleasesSlotResource) {
-  util::RingBuffer<std::shared_ptr<int>> ring;
-  auto tracked = std::make_shared<int>(1);
-  ring.push_back(tracked);
-  ring.pop_front();
-  EXPECT_EQ(tracked.use_count(), 1);
+  // ...and the same count of smaller elements split over several FIFOs.
+  std::vector<IntFifo> fifos;
+  fifos.reserve(4);
+  for (int f = 0; f < 4; ++f) fifos.emplace_back(pool);
+  for (std::size_t i = 0; i < elements; ++i) fifos[i % 4].push_back(1);
+  EXPECT_EQ(pool.blocks_owned(), stocked);
+  // A second reserve below what is free already stocks nothing.
+  pool.reserve(elements / 2);
+  EXPECT_EQ(pool.blocks_owned(), stocked);
 }
 
 // ---------------------------------------------------------------------------
