@@ -7,11 +7,10 @@
 
 #include "core/aequitas.h"
 #include "net/dwrr.h"
-#include "sim/calendar_queue.h"
 #include "net/pfabric_queue.h"
 #include "net/spq.h"
 #include "net/wfq.h"
-#include "sim/event_queue.h"
+#include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
 #include "topo/builders.h"
@@ -22,91 +21,69 @@ namespace {
 
 using namespace aeq;
 
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  sim::EventQueue queue;
+// The event core as the simulation drives it: Simulator::schedule_at builds
+// each handler in its slot and dispatch runs it there. Every event
+// schedules its successor one gap later and stops the run, so one
+// iteration is exactly one schedule_at plus one dispatch, over a standing
+// population of 1000 pending events. items/s is events/sec.
+struct Hop {
+  sim::Simulator* sim;
+  sim::Rng* rng;
+  double (*gap)(sim::Rng&);
+  void operator()() const {
+    sim->schedule_in(gap(*rng), *this);
+    sim->stop();
+  }
+};
+
+void run_event_stream(benchmark::State& state, sim::SchedulerBackend backend,
+                      double (*gap)(sim::Rng&)) {
+  sim::Simulator s(backend);
   sim::Rng rng(1);
-  double t = 0.0;
-  int dummy = 0;
-  for (int i = 0; i < 1000; ++i) {
-    queue.schedule(t + rng.uniform(), [&dummy] { ++dummy; });
-  }
-  for (auto _ : state) {
-    auto popped = queue.pop();
-    t = popped.time;
-    popped.handler();
-    queue.schedule(t + rng.uniform(), [&dummy] { ++dummy; });
-  }
-  benchmark::DoNotOptimize(dummy);
-  state.SetItemsProcessed(state.iterations());  // items/s == events/sec
+  const Hop hop{&s, &rng, gap};
+  for (int i = 0; i < 1000; ++i) s.schedule_in(gap(rng), hop);
+  for (auto _ : state) s.run();
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_EventQueueScheduleAndPop(benchmark::State& state) {
+  run_event_stream(state, sim::SchedulerBackend::kHeap,
+                   [](sim::Rng& rng) { return rng.uniform(); });
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);
 
 void BM_CalendarQueueScheduleAndPop(benchmark::State& state) {
-  sim::CalendarQueue queue;
-  sim::Rng rng(1);
-  double t = 0.0;
-  int dummy = 0;
-  for (int i = 0; i < 1000; ++i) {
-    queue.schedule(t + rng.uniform(0, 1e-3), [&dummy] { ++dummy; });
-  }
-  for (auto _ : state) {
-    auto popped = queue.pop();
-    t = popped.time;
-    popped.handler();
-    queue.schedule(t + rng.uniform(0, 1e-3), [&dummy] { ++dummy; });
-  }
-  benchmark::DoNotOptimize(dummy);
-  state.SetItemsProcessed(state.iterations());
+  run_event_stream(state, sim::SchedulerBackend::kCalendar,
+                   [](sim::Rng& rng) { return rng.uniform(0, 1e-3); });
 }
 BENCHMARK(BM_CalendarQueueScheduleAndPop);
 
-// Both backends through the EventScheduler interface, exactly as Simulator
-// drives them (virtual dispatch included), on the dense short-horizon event
-// profile a packet simulation produces. items/s is events/sec.
+// Both backends on the dense short-horizon event profile a packet
+// simulation produces.
 void BM_SchedulerScheduleAndPop(benchmark::State& state) {
   const auto backend = static_cast<sim::SchedulerBackend>(state.range(0));
   state.SetLabel(sim::backend_name(backend));
-  auto queue = sim::make_scheduler(backend);
-  sim::Rng rng(1);
-  double t = 0.0;
-  int dummy = 0;
-  for (int i = 0; i < 1000; ++i) {
-    queue->schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
-  }
-  for (auto _ : state) {
-    auto popped = queue->pop();
-    t = popped.time;
-    popped.handler();
-    queue->schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
-  }
-  benchmark::DoNotOptimize(dummy);
-  state.SetItemsProcessed(state.iterations());
+  run_event_stream(state, backend,
+                   [](sim::Rng& rng) { return rng.exponential(2e-6); });
 }
 BENCHMARK(BM_SchedulerScheduleAndPop)
     ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kHeap))
     ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kCalendar));
 
 // Timer-heavy profile: most scheduled events are cancelled before firing
-// (retransmission timers, deadline guards). Exercises the generation-stamped
-// tombstone path of both backends.
+// (retransmission timers, deadline guards). Exercises the store's
+// tombstone path on both backends.
 void BM_SchedulerScheduleCancelPop(benchmark::State& state) {
   const auto backend = static_cast<sim::SchedulerBackend>(state.range(0));
   state.SetLabel(sim::backend_name(backend));
-  auto queue = sim::make_scheduler(backend);
+  sim::Simulator s(backend);
   sim::Rng rng(1);
-  double t = 0.0;
-  int dummy = 0;
   for (auto _ : state) {
-    const auto id =
-        queue->schedule(t + rng.exponential(5e-6), [&dummy] { ++dummy; });
-    queue->schedule(t + rng.exponential(2e-6), [&dummy] { ++dummy; });
-    queue->cancel(id);  // the "timer" never fires
-    auto popped = queue->pop();
-    t = popped.time;
-    popped.handler();
+    const sim::EventId timer = s.schedule_in(rng.exponential(5e-6), [] {});
+    s.schedule_in(rng.exponential(2e-6), [&s] { s.stop(); });
+    s.cancel(timer);  // the "timer" never fires
+    s.run();
   }
-  while (!queue->empty()) queue->pop();
-  benchmark::DoNotOptimize(dummy);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerScheduleCancelPop)

@@ -21,6 +21,9 @@ std::string num(double v) {
   return buffer;
 }
 
+// Floor of the RNL histograms' range (TimeseriesConfig::rnl_max is the top).
+constexpr double kRnlMin = 0.1 * sim::kUsec;
+
 // (src, dst, qos) channel key; hosts are small nonnegative ids.
 std::uint64_t channel_key(net::HostId src, net::HostId dst,
                           net::QoSLevel qos) {
@@ -69,7 +72,7 @@ void TimeseriesSink::init_streams() {
   qos_.assign(config_.num_qos, QosAccum{});
   rnl_.reserve(config_.num_qos);
   for (std::size_t q = 0; q < config_.num_qos; ++q) {
-    rnl_.emplace_back(config_.rnl_min, config_.rnl_max, config_.precision);
+    rnl_.emplace_back(kRnlMin, config_.rnl_max, config_.precision);
   }
   if (csv_ != nullptr) *csv_ << csv_header() << '\n';
   if (json_ != nullptr) {
@@ -237,16 +240,21 @@ WindowStats TimeseriesSink::harvest(sim::Time end) {
   window.downgrades = downgrades_;
   window.admission_drops = admission_drops_;
   if (!channels_.empty()) {
+    channel_means_.clear();
+    // Sorted by the unique channel key below. detlint:allow(unordered-iter)
+    channels_.for_each([this](std::uint64_t key, const ChannelAccum& channel) {
+      channel_means_.emplace_back(
+          key, channel.p_admit_sum / static_cast<double>(channel.decisions));
+    });
+    std::sort(channel_means_.begin(), channel_means_.end());  // unique keys
     double sum = 0.0;
     double min = 1.0;
-    for (const auto& [key, channel] : channels_) {
+    for (const auto& [key, mean] : channel_means_) {
       (void)key;
-      const double mean =
-          channel.p_admit_sum / static_cast<double>(channel.decisions);
       sum += mean;
       min = std::min(min, mean);
     }
-    window.p_admit_mean = sum / static_cast<double>(channels_.size());
+    window.p_admit_mean = sum / static_cast<double>(channel_means_.size());
     window.p_admit_min = min;
   }
 

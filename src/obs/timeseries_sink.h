@@ -23,13 +23,14 @@
 #include <deque>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/recorder.h"
 #include "stats/log_histogram.h"
+#include "util/flat_map.h"
 
 namespace aeq::obs {
 
@@ -42,8 +43,7 @@ struct TimeseriesConfig {
   // recorder's "recent timeseries rows" dump and for tests.
   std::size_t recent_capacity = 128;
   // RNL histogram shape: percentiles carry <= `precision` relative error
-  // within [rnl_min, rnl_max] (values clamp outside).
-  double rnl_min = 0.1 * sim::kUsec;
+  // within [0.1 us, rnl_max] (values clamp outside).
   double rnl_max = 1.0;  // seconds
   double precision = 0.02;
 };
@@ -208,8 +208,12 @@ class TimeseriesSink : public Sink {
     double p_admit_sum = 0.0;
     std::uint64_t decisions = 0;
   };
-  // Ordered map => deterministic fold order for the floating-point means.
-  std::map<std::uint64_t, ChannelAccum> channels_;
+  // This window's channels by channel key. Cleared, not freed, per window,
+  // so it stops allocating once it has held the busiest window.
+  util::FlatMap64<ChannelAccum> channels_;
+  // Harvest scratch: (channel key, mean p_admit), sorted by key so the
+  // floating-point fold runs in a deterministic order.
+  std::vector<std::pair<std::uint64_t, double>> channel_means_;
   std::uint64_t admits_ = 0;
   std::uint64_t downgrades_ = 0;
   std::uint64_t admission_drops_ = 0;

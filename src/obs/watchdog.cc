@@ -7,6 +7,13 @@
 
 namespace aeq::obs {
 
+namespace {
+
+// Anomalies retained in Watchdog::anomalies().
+constexpr std::size_t kMaxAnomalyLog = 1024;
+
+}  // namespace
+
 const char* kind_name(Anomaly::Kind kind) {
   switch (kind) {
     case Anomaly::Kind::kSloCompliance:
@@ -60,7 +67,7 @@ bool Watchdog::step(RuleState& state, bool bad, std::size_t needed) {
 }
 
 void Watchdog::emit(Anomaly anomaly) {
-  if (anomalies_.size() < config_.max_log) anomalies_.push_back(anomaly);
+  if (anomalies_.size() < kMaxAnomalyLog) anomalies_.push_back(anomaly);
   for (const auto& callback : callbacks_) callback(anomaly);
 }
 

@@ -68,8 +68,6 @@ struct WatchdogConfig {
   // p_admit = 1) looks exactly like an overload and should not alarm. The
   // experiment raises this to its metrics warmup.
   sim::Time quiet_until = 0.0;
-
-  std::size_t max_log = 1024;  // anomalies retained in anomalies()
 };
 
 struct Anomaly {
@@ -107,6 +105,7 @@ class Watchdog {
   //       [w](const WindowStats& s) { w->on_window(s); });
   void on_window(const WindowStats& window);
 
+  // The first kMaxAnomalyLog (1024) anomalies; callbacks see every one.
   const std::vector<Anomaly>& anomalies() const { return anomalies_; }
   std::uint64_t windows_seen() const { return windows_seen_; }
   const WatchdogConfig& config() const { return config_; }

@@ -7,13 +7,18 @@
 
 namespace aeq::protocols {
 
+namespace {
+
+// Unscheduled window: the first RTTbytes of a message go out ungranted.
+constexpr std::uint64_t kRttBytes = 64 * 1024;
+
+}  // namespace
+
 HomaTransport::HomaTransport(sim::Simulator& simulator, net::Host& host,
                              const HomaConfig& config)
     : BaseTransport(simulator, host, config.base), config_(config) {
-  AEQ_ASSERT(config_.num_levels >= 2 &&
-             config_.num_levels <= net::kMaxQoSLevels);
-  AEQ_ASSERT(config_.unscheduled_cutoffs.size() + 1 < config_.num_levels);
-  AEQ_ASSERT(config_.rtt_bytes >= config_.base.mtu_bytes);
+  AEQ_ASSERT(config_.unscheduled_cutoffs.size() + 1 < kHomaLevels);
+  AEQ_ASSERT(kRttBytes >= config_.base.mtu_bytes);
 }
 
 net::QoSLevel HomaTransport::unscheduled_level(
@@ -30,7 +35,7 @@ net::QoSLevel HomaTransport::scheduled_level(std::size_t srpt_rank) const {
   // Scheduled data rides below all unscheduled levels; the SRPT leader gets
   // the better of the remaining classes.
   const std::size_t base = config_.unscheduled_cutoffs.size() + 1;
-  const std::size_t level = std::min(base + srpt_rank, config_.num_levels - 1);
+  const std::size_t level = std::min(base + srpt_rank, kHomaLevels - 1);
   return static_cast<net::QoSLevel>(level);
 }
 
@@ -41,7 +46,7 @@ net::QoSLevel HomaTransport::packet_qos(const OutMessage& message) const {
   const std::uint64_t offset =
       static_cast<std::uint64_t>(message.next_unsent) *
       config_.base.mtu_bytes;
-  if (offset < config_.rtt_bytes) {
+  if (offset < kRttBytes) {
     return unscheduled_level(message.request.bytes);
   }
   return static_cast<net::QoSLevel>(message.granted_rate);
@@ -49,7 +54,7 @@ net::QoSLevel HomaTransport::packet_qos(const OutMessage& message) const {
 
 void HomaTransport::on_message_start(OutMessage& message) {
   message.grant_limit_bytes =
-      std::min<std::uint64_t>(config_.rtt_bytes, message.request.bytes);
+      std::min<std::uint64_t>(kRttBytes, message.request.bytes);
   message.granted_rate = scheduled_level(1);  // until a grant says otherwise
   pump(message);
 }
@@ -73,7 +78,7 @@ void HomaTransport::on_receiver_data(const net::Packet& data,
     rx.msg_bytes = data.cold.msg_bytes;
     rx.num_pkts = state.num_pkts;
     rx.src = data.src;
-    rx.granted = std::min<std::uint64_t>(config_.rtt_bytes, rx.msg_bytes);
+    rx.granted = std::min<std::uint64_t>(kRttBytes, rx.msg_bytes);
   }
   rx.received_pkts = state.received_count;
   if (state.complete()) {

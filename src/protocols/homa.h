@@ -6,7 +6,7 @@
 // the receiver grants it, one MTU per received data packet, to the active
 // message with the smallest remaining bytes (SRPT); grants carry the
 // scheduled priority level derived from the message's SRPT rank. The
-// network runs strict priority queuing over `num_levels` classes.
+// network runs strict priority queuing over kHomaLevels classes.
 //
 // Simplifications vs the full protocol: no overcommitment degree beyond the
 // single SRPT grantee per incoming packet, no cutoff recomputation from
@@ -24,10 +24,12 @@
 
 namespace aeq::protocols {
 
+// SPQ classes in the fabric: ExperimentConfig::wfq_weights lists one each.
+inline constexpr std::size_t kHomaLevels = 8;
+static_assert(kHomaLevels >= 2 && kHomaLevels <= net::kMaxQoSLevels);
+
 struct HomaConfig {
   BaseTransportConfig base;
-  std::uint64_t rtt_bytes = 64 * 1024;  // unscheduled window
-  std::size_t num_levels = 8;           // SPQ classes in the fabric
   // Message-size upper bounds for unscheduled levels 0..k; larger messages
   // use level k+1. Scheduled grants use the remaining (lower) levels.
   std::vector<std::uint64_t> unscheduled_cutoffs = {16 * 1024, 64 * 1024,

@@ -17,7 +17,6 @@ namespace aeq::protocols {
 
 struct PfabricConfig {
   BaseTransportConfig base;
-  std::uint32_t window_packets = 16;  // ~1 BDP at 100G / 5us RTT
 };
 
 class PfabricTransport final : public BaseTransport {
@@ -46,10 +45,12 @@ class PfabricTransport final : public BaseTransport {
   }
 
  private:
+  // Packets in flight per message: ~1 BDP at 100G / 5us RTT.
+  static constexpr std::uint32_t kWindowPackets = 16;
+
   void pump(OutMessage& message) {
     while (message.next_unsent < message.num_pkts &&
-           message.next_unsent - message.acked_count <
-               config_.window_packets) {
+           message.next_unsent - message.acked_count < kWindowPackets) {
       emit_packet(message, message.next_unsent);
       ++message.next_unsent;
     }

@@ -32,7 +32,7 @@ Experiment::Experiment(const ExperimentConfig& config)
                  "baseline-protocol cc_kind (pFabric/QJump/Homa/D3/PDQ)");
   AEQ_ASSERT_MSG(config_.cc_kind != ExperimentConfig::CcKind::kHoma ||
                      config_.wfq_weights.size() >=
-                         protocols::HomaConfig{}.num_levels,
+                         protocols::kHomaLevels,
                  "ExperimentConfig::wfq_weights must list one class per "
                  "Homa priority level (8) when cc_kind is kHoma");
 

@@ -101,9 +101,9 @@ struct ExperimentConfig {
   // deepest backlog the event loop performs zero steady-state allocations,
   // which the allocation regression test pins down. 0 = grow on demand.
   std::size_t queue_reserve_packets = 0;
-  // Pre-sizes the event scheduler (arena/handle-table/heap or calendar
-  // buckets) for this many concurrent pending events; same contract as
-  // queue_reserve_packets. 0 = grow on demand.
+  // Pre-sizes the event store (keys, handler nodes, and the heap or the
+  // calendar buckets) for this many concurrent pending events; same
+  // contract as queue_reserve_packets. 0 = grow on demand.
   std::size_t reserve_events = 0;
 
   // Intra-run parallelism: partition the (star) topology into this many

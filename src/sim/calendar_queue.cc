@@ -1,198 +1,114 @@
 #include "sim/calendar_queue.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <utility>
 
 namespace aeq::sim {
 
 CalendarQueue::CalendarQueue(Time initial_bucket_width,
                              std::size_t initial_buckets)
-    : buckets_(initial_buckets, EventArena::kNil),
-      width_(initial_bucket_width) {
+    : buckets_(initial_buckets, kNoSlot),
+      width_(initial_bucket_width),
+      inv_width_(1.0 / initial_bucket_width),
+      mask_(initial_buckets - 1) {
   AEQ_ASSERT(initial_bucket_width > 0.0 && initial_buckets >= 2);
+  AEQ_ASSERT_MSG((initial_buckets & mask_) == 0,
+                 "bucket count must be a power of two");
 }
 
-void CalendarQueue::reserve_events(std::size_t n) {
-  if (n == 0) return;
-  handles_.reserve(n);
-  arena_.ensure(static_cast<std::uint32_t>(n - 1));
+void CalendarQueue::reserve(std::size_t n) {
   scratch_times_.reserve(n);
-  // Bucket counts track the live-event count (maybe_resize keeps them
-  // within [live/2, 4*live]), so reserving both layout vectors at the hint
-  // makes later resizes allocation-free up to `n` live events.
+  // Bucket counts track the key count (maybe_resize keeps them within
+  // [count/4, 2*count]), so reserving both layout vectors at the hint
+  // makes later resizes allocation-free up to `n` keys.
   std::size_t max_buckets = buckets_.size();
   while (max_buckets < 2 * n && max_buckets < (1u << 20)) max_buckets *= 2;
   buckets_.reserve(max_buckets);
   scratch_buckets_.reserve(max_buckets);
 }
 
-EventId CalendarQueue::schedule(Time t, Handler handler,
-                                std::uint16_t rank) {
-  AEQ_ASSERT(handler != nullptr);
-  AEQ_ASSERT_MSG(std::isfinite(t), "event time must be finite");
-  AEQ_ASSERT_MSG(t >= floor_time_, "cannot schedule into the past");
-  const EventId id = handles_.acquire();
-  const std::uint32_t index = HandleTable::slot_index(id);
-  arena_.ensure(index);
-  EventArena::Node& node = arena_.at(index);
-  node.t = t;
-  node.seq = pack_tie_key(rank, next_seq_++);
-  node.id = id;
-  node.handler = std::move(handler);
-  insert(index);
-  ++live_;
-  maybe_resize();
-  return id;
-}
-
-void CalendarQueue::insert(std::uint32_t index) {
-  EventArena::Node& node = arena_.at(index);
-  // Keep chains sorted by (t, seq): they are short by design, so the linear
-  // scan stays cheap and take_earliest can inspect heads only.
-  std::uint32_t* link = &buckets_[bucket_of(node.t)];
-  while (*link != EventArena::kNil) {
-    const EventArena::Node& cur = arena_.at(*link);
-    if (cur.t > node.t || (cur.t == node.t && cur.seq > node.seq)) break;
-    link = &arena_.at(*link).next;
+void CalendarQueue::push(EventKey* keys, std::uint32_t slot) {
+  const Time t = keys[slot].t;
+  // A key below the cursor's window (scheduled before the last popped time,
+  // or after a peek popped tombstones past the clock) pulls the cursor and
+  // the resize anchor back to it.
+  if (t < floor_time_) floor_time_ = t;
+  const std::uint64_t window = slot_of(t);
+  if (window < slot_) {
+    slot_ = window;
+    cursor_ = static_cast<std::size_t>(window & mask_);
   }
-  node.next = *link;
-  *link = index;
+  insert(keys, slot);
+  ++count_;
+  maybe_resize(keys);
 }
 
-bool CalendarQueue::cancel(EventId id) {
-  // Lazy: the node stays in its bucket as a tombstone and is reclaimed when
-  // drained. Generation validation makes cancel of a fired or already
-  // cancelled id a reliable no-op.
-  if (!handles_.cancel(id)) return false;
-  AEQ_ASSERT(live_ > 0);
-  --live_;
-  return true;
+void CalendarQueue::insert(EventKey* keys, std::uint32_t slot) {
+  EventKey& key = keys[slot];
+  // Keep chains sorted by (t, tie): they are short by design, so the linear
+  // scan stays cheap and find_earliest can inspect heads only.
+  std::uint32_t* link = &buckets_[bucket_of(key.t)];
+  while (*link != kNoSlot) {
+    const EventKey& cur = keys[*link];
+    if (cur.t > key.t || (cur.t == key.t && cur.tie > key.tie)) break;
+    link = &keys[*link].next;
+  }
+  key.next = *link;
+  *link = slot;
 }
 
-void CalendarQueue::discard_tombstone(std::uint32_t index) {
-  EventArena::Node& node = arena_.at(index);
-  // Destroy the callback (it may own resources) before the slot — and with
-  // it the arena node — goes back on the free list.
-  node.handler = nullptr;
-  node.next = EventArena::kNil;
-  handles_.release(node.id);
-}
-
-std::uint32_t CalendarQueue::take_earliest() {
-  // Scan buckets from the cursor; an event belongs to the current rotation
-  // when its slot index (the same computation that placed it in its bucket,
-  // see slot_of) has been reached by the cursor's slot.
-  for (std::size_t scanned = 0; scanned <= buckets_.size(); ++scanned) {
-    std::uint32_t* head = &buckets_[cursor_];
-    while (*head != EventArena::kNil) {
-      const std::uint32_t index = *head;
-      EventArena::Node& node = arena_.at(index);
-      if (slot_of(node.t) > slot_) break;  // future rotation
-      *head = node.next;  // unlink the chain head
-      node.next = EventArena::kNil;
-      if (!handles_.live(node.id)) {  // tombstone: reclaim and skip
-        discard_tombstone(index);
-        continue;
-      }
-      // Re-anchor at the popped event so the cursor never runs ahead of
-      // simulated time (resizes can leave it misaligned).
-      slot_ = slot_of(node.t);
-      cursor_ = bucket_of(node.t);
-      return index;
+std::size_t CalendarQueue::find_earliest(const EventKey* keys) {
+  AEQ_DCHECK(count_ > 0);
+  // Scan buckets from the cursor; a head belongs to the current rotation
+  // when its window (the same computation that placed it in its bucket,
+  // see slot_of) has been reached by the cursor's window.
+  for (std::size_t scanned = 0; scanned <= mask_ + 1; ++scanned) {
+    const std::uint32_t head = buckets_[cursor_];
+    if (head != kNoSlot && slot_of(keys[head].t) <= slot_) {
+      AEQ_DCHECK(slot_of(keys[head].t) == slot_);
+      return cursor_;
     }
-    cursor_ = (cursor_ + 1) % buckets_.size();
+    cursor_ = (cursor_ + 1) & mask_;
     ++slot_;
   }
   // A full rotation found nothing in-window: events are sparse. Jump the
-  // calendar to the earliest event anywhere (direct search).
+  // cursor to the earliest head anywhere (direct search); chains are
+  // sorted, so it is the minimum key, at the head of its own bucket.
   Time best = std::numeric_limits<Time>::infinity();
-  for (std::uint32_t& head : buckets_) {
-    // Drop tombstoned heads so the scan sees live minima.
-    while (head != EventArena::kNil && !handles_.live(arena_.at(head).id)) {
-      const std::uint32_t dead = head;
-      head = arena_.at(dead).next;
-      discard_tombstone(dead);
-    }
-    if (head != EventArena::kNil) best = std::min(best, arena_.at(head).t);
+  for (const std::uint32_t head : buckets_) {
+    if (head != kNoSlot) best = std::min(best, keys[head].t);
   }
-  AEQ_ASSERT_MSG(best < std::numeric_limits<Time>::infinity(),
-                 "take_earliest on empty calendar");
   slot_ = slot_of(best);
-  cursor_ = bucket_of(best);
-  return take_earliest();
+  cursor_ = static_cast<std::size_t>(slot_ & mask_);
+  return cursor_;
 }
 
-bool CalendarQueue::pop_if_at_most(Time t_limit, Popped& out) {
-  if (live_ == 0) return false;
-  // Save the scan anchor: when the earliest event is past the limit it goes
-  // back in, and the cursor must not have committed the epoch advance (see
-  // next_time()).
-  const std::uint64_t saved_slot = slot_;
-  const std::size_t saved_cursor = cursor_;
-  const std::uint32_t index = take_earliest();
-  EventArena::Node& node = arena_.at(index);
-  const Time t = node.t;
-  if (t > t_limit) {
-    insert(index);  // put it back; its handle stays live
-    slot_ = saved_slot;
-    cursor_ = saved_cursor;
-    return false;
-  }
-  const std::uint64_t seq = node.seq;
-  out.time = t;
-  out.tie_key = seq;
-  out.handler = std::move(node.handler);
-  handles_.release(node.id);
-  --live_;
+std::uint32_t CalendarQueue::pop_at_most(EventKey* keys, Time limit) {
+  if (count_ == 0) return kNoSlot;
+  // The cursor may stay on a key past the limit: that key is the minimum,
+  // so no key lies below the cursor's window.
+  std::uint32_t& head = buckets_[find_earliest(keys)];
+  const std::uint32_t slot = head;
+  const Time t = keys[slot].t;
+  if (t > limit) return kNoSlot;
+  head = keys[slot].next;
+  --count_;
   floor_time_ = t;
-  maybe_resize();
-  // Scheduler contract shared with EventQueue: pops leave in strictly
-  // increasing (time, insertion-sequence) order, the property the
-  // backend-equivalence guarantee rests on.
-  AEQ_AUDIT_ONLY({
-    AEQ_CHECK_GE_MSG(t, last_popped_t_, "event popped out of time order");
-    if (t == last_popped_t_) {
-      AEQ_CHECK_GT_MSG(seq, last_popped_seq_,
-                       "tied events popped out of insertion order");
-    }
-    last_popped_t_ = t;
-    last_popped_seq_ = seq;
-  });
-  return true;
+  maybe_resize(keys);
+  return slot;
 }
 
-CalendarQueue::Popped CalendarQueue::pop() {
-  Popped out;
-  const bool popped =
-      pop_if_at_most(std::numeric_limits<Time>::infinity(), out);
-  AEQ_ASSERT_MSG(popped, "pop() on empty calendar queue");
-  return out;
+std::uint32_t CalendarQueue::peek(EventKey* keys) {
+  if (count_ == 0) return kNoSlot;
+  return buckets_[find_earliest(keys)];
 }
 
-Time CalendarQueue::next_time() {
-  AEQ_ASSERT(live_ > 0);
-  // Peek without committing the epoch advance: take_earliest re-anchors
-  // the cursor at the earliest event, which may lie arbitrarily far in the
-  // future — a later schedule() between this peek and the next pop() must
-  // still be allowed at any t >= the last *popped* time.
-  const std::uint64_t saved_slot = slot_;
-  const std::size_t saved_cursor = cursor_;
-  const std::uint32_t index = take_earliest();
-  const Time t = arena_.at(index).t;
-  insert(index);  // put it back; its handle stays live
-  slot_ = saved_slot;
-  cursor_ = saved_cursor;
-  return t;
-}
-
-void CalendarQueue::maybe_resize() {
+void CalendarQueue::maybe_resize(EventKey* keys) {
   const std::size_t n = buckets_.size();
-  if (live_ > 2 * n && n < (1u << 20)) {
-    resize(n * 2);
-  } else if (live_ < n / 4 && n > 256) {
-    resize(n / 2);
+  if (count_ > 2 * n && n < (1u << 20)) {
+    resize(keys, n * 2);
+  } else if (count_ < n / 4 && n > 256) {
+    resize(keys, n / 2);
   }
 }
 
@@ -201,16 +117,13 @@ void CalendarQueue::maybe_resize() {
 // drain spreads across many buckets (short sorted-insert scans) instead of
 // piling into one. Falls back to the current width when the sample is too
 // small or degenerate (e.g. all events at the same instant).
-Time CalendarQueue::estimate_width(
-    const std::vector<std::uint32_t>& old_heads) {
+Time CalendarQueue::estimate_width(const EventKey* keys) {
   std::vector<Time>& times = scratch_times_;
   times.clear();
-  times.reserve(live_);
-  for (std::uint32_t head : old_heads) {
-    for (std::uint32_t i = head; i != EventArena::kNil;
-         i = arena_.at(i).next) {
-      const EventArena::Node& node = arena_.at(i);
-      if (handles_.live(node.id)) times.push_back(node.t);
+  times.reserve(count_);
+  for (const std::uint32_t head : buckets_) {
+    for (std::uint32_t i = head; i != kNoSlot; i = keys[i].next) {
+      times.push_back(keys[i].t);
     }
   }
   const std::size_t k = std::min<std::size_t>(times.size(), 64);
@@ -222,28 +135,24 @@ Time CalendarQueue::estimate_width(
   return std::max(3.0 * span / static_cast<Time>(k - 1), 1e-12);
 }
 
-void CalendarQueue::resize(std::size_t new_buckets) {
+void CalendarQueue::resize(EventKey* keys, std::size_t new_buckets) {
   // Estimate against the intact old layout, then swap it into the scratch
   // vector: both directions reuse the scratch's capacity, so recurring
   // grow/shrink cycles cost no allocator traffic.
-  width_ = estimate_width(buckets_);
-  scratch_buckets_.assign(new_buckets, EventArena::kNil);
+  width_ = estimate_width(keys);
+  inv_width_ = 1.0 / width_;
+  scratch_buckets_.assign(new_buckets, kNoSlot);
   buckets_.swap(scratch_buckets_);
-  const std::vector<std::uint32_t>& old = scratch_buckets_;
-  // Re-anchor at the last popped time: every live event is at or after it,
-  // so its slot (under the new width) is a valid scan start.
+  mask_ = new_buckets - 1;
+  // Re-anchor at the floor: every key is at or after it, so its window
+  // (under the new width) is a valid scan start.
   slot_ = slot_of(floor_time_);
-  cursor_ = static_cast<std::size_t>(slot_ % new_buckets);
-  for (std::uint32_t head : old) {
+  cursor_ = static_cast<std::size_t>(slot_ & mask_);
+  for (const std::uint32_t head : scratch_buckets_) {
     std::uint32_t i = head;
-    while (i != EventArena::kNil) {
-      const std::uint32_t next = arena_.at(i).next;
-      arena_.at(i).next = EventArena::kNil;
-      if (!handles_.live(arena_.at(i).id)) {  // purge tombstones wholesale
-        discard_tombstone(i);
-      } else {
-        insert(i);
-      }
+    while (i != kNoSlot) {
+      const std::uint32_t next = keys[i].next;
+      insert(keys, i);
       i = next;
     }
   }

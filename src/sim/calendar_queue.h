@@ -1,30 +1,26 @@
 // Calendar queue (Brown 1988): an O(1)-amortized scheduler backend for
 // workloads whose event horizon is short and dense — exactly a packet
-// simulator's profile. Selectable behind Simulator alongside the binary-heap
-// EventQueue; both pop in identical (time, sequence) order.
+// simulator's profile. Selectable behind Simulator alongside the heap
+// EventQueue; both pop in identical (time, tie key) order.
 //
 // Buckets cover `bucket_width` of simulated time each and wrap around a
-// ring of `num_buckets`; events further than one rotation ahead sit in their
-// modulo bucket and are reached via a lazy sparse-jump scan. The structure
-// resizes itself (doubling/halving buckets) when occupancy drifts far from
-// one event per bucket, and each resize re-estimates the bucket width from
-// the gaps between the earliest pending events (Brown's sampling rule) so a
-// dense head cluster spreads across many buckets instead of piling into
-// one. Cancellation is validated by the generation-stamped HandleTable;
-// tombstones are reclaimed when their bucket position is drained, and a
-// resize purges them wholesale.
+// ring of `num_buckets` (always a power of two); events further than one
+// rotation ahead sit in their modulo bucket and are reached via a lazy
+// sparse-jump scan. The structure resizes itself (doubling/halving
+// buckets) when occupancy drifts far from one event per bucket, and each
+// resize re-estimates the bucket width from the gaps between the earliest
+// pending events (Brown's sampling rule) so a dense head cluster spreads
+// across many buckets instead of piling into one.
 //
-// A bucket is just a head index into the shared EventArena; nodes chain
-// through their intrusive `next` links in (time, seq) order. Insert, pop,
-// and resize relink indices without moving nodes, so the steady-state event
-// loop performs no allocation (the old std::list backend allocated a list
-// node per event).
+// A bucket is just a head slot; keys chain through their `next` links in
+// the store's dense key array, sorted by (t, tie). Insert, scan and resize
+// read and relink 24-byte keys only — never a handler — and allocate
+// nothing in steady state.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/assert.h"
 #include "sim/scheduler.h"
 #include "sim/units.h"
 
@@ -32,19 +28,14 @@ namespace aeq::sim {
 
 class CalendarQueue final : public EventScheduler {
  public:
+  // `initial_buckets` must be a power of two >= 2.
   explicit CalendarQueue(Time initial_bucket_width = 1 * kUsec,
                          std::size_t initial_buckets = 256);
 
-  EventId schedule(Time t, Handler handler,
-                   std::uint16_t rank = kTieRankDefault) override;
-  bool cancel(EventId id) override;
-  Popped pop() override;
-  bool pop_if_at_most(Time t_limit, Popped& out) override;
-  void reserve_events(std::size_t n) override;
-
-  bool empty() const override { return live_ == 0; }
-  std::size_t size() const override { return live_; }
-  Time next_time() override;  // not const: may compact tombstones
+  void push(EventKey* keys, std::uint32_t slot) override;
+  std::uint32_t pop_at_most(EventKey* keys, Time limit) override;
+  std::uint32_t peek(EventKey* keys) override;
+  void reserve(std::size_t n) override;
 
   std::size_t num_buckets() const { return buckets_.size(); }
 
@@ -58,41 +49,35 @@ class CalendarQueue final : public EventScheduler {
   // on every pass — it only resurfaces, late and out of order, via the
   // sparse-jump fallback once the calendar drains.
   std::uint64_t slot_of(Time t) const {
-    return static_cast<std::uint64_t>(t / width_);
+    return static_cast<std::uint64_t>(t * inv_width_);
   }
   std::size_t bucket_of(Time t) const {
-    return static_cast<std::size_t>(slot_of(t) % buckets_.size());
+    return static_cast<std::size_t>(slot_of(t) & mask_);
   }
-  // Chains the arena node `index` into its bucket in (t, seq) order.
-  void insert(std::uint32_t index);
-  // Destroys a cancelled node's callback and reclaims its handle slot.
-  void discard_tombstone(std::uint32_t index);
-  void maybe_resize();
-  void resize(std::size_t new_buckets);
-  Time estimate_width(const std::vector<std::uint32_t>& old_heads);
-  // Advances cursor_ to the bucket holding the earliest event; returns the
-  // node's index (unlinked from its bucket, handle still held) — the core
-  // calendar scan.
-  std::uint32_t take_earliest();
+  // Chains keys[slot] into its bucket in (t, tie) order.
+  void insert(EventKey* keys, std::uint32_t slot);
+  void maybe_resize(EventKey* keys);
+  void resize(EventKey* keys, std::size_t new_buckets);
+  Time estimate_width(const EventKey* keys);
+  // Advances the cursor to the bucket whose head is the minimum key and
+  // returns that bucket. Precondition: count_ > 0.
+  std::size_t find_earliest(const EventKey* keys);
 
-  std::vector<std::uint32_t> buckets_;  // head node index, kNil when empty
+  std::vector<std::uint32_t> buckets_;  // head slot, kNoSlot when empty
   // Scratch storage reused across resizes (bucket layout swap and the
   // width-estimation sample): capacity persists, so steady-state resizes
   // allocate only when the calendar outgrows every previous record.
   std::vector<std::uint32_t> scratch_buckets_;
   std::vector<Time> scratch_times_;
-  EventArena arena_;
   Time width_;
-  std::uint64_t slot_ = 0;  // slot index of the cursor bucket's window
-  Time floor_time_ = 0.0;   // last popped time: no event may precede it
-  std::size_t cursor_ = 0;  // bucket being drained
-  std::size_t live_ = 0;
-  std::uint64_t next_seq_ = 1;
-  HandleTable handles_;
-  // Last popped (time, seq), consulted only by the AEQ_AUDIT build's
-  // pop-order check: both backends promise strictly increasing order.
-  Time last_popped_t_ = -1.0;
-  std::uint64_t last_popped_seq_ = 0;
+  Time inv_width_;          // 1 / width_: slot_of multiplies
+  std::uint64_t mask_;      // buckets_.size() - 1
+  // The cursor: bucket cursor_ is scanned for keys of window slot_. No key
+  // lies in a window below slot_ — a push below it moves the cursor back.
+  std::uint64_t slot_ = 0;
+  std::size_t cursor_ = 0;
+  Time floor_time_ = 0.0;   // no key lies below it: resizes anchor here
+  std::size_t count_ = 0;   // keys held, tombstones included
 };
 
 }  // namespace aeq::sim

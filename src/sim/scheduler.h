@@ -1,11 +1,12 @@
-// The event-scheduler concept behind the simulation executive.
+// The event store and the scheduler-backend concept behind the simulation
+// executive.
 //
-// Two backends implement it: the binary-heap EventQueue (robust default for
-// arbitrary horizons) and the O(1)-amortized CalendarQueue (Brown 1988,
-// faster for the dense short-horizon profile of a packet simulator). Both
-// pop events in strictly increasing (time, tie-rank, insertion-sequence)
-// order, so a run is bit-identical on either backend for a fixed seed; the
-// scheduler-equivalence property test enforces this.
+// Two backends order pending events: the 4-ary-heap EventQueue (robust
+// default for arbitrary horizons) and the O(1)-amortized CalendarQueue
+// (Brown 1988, faster for the dense short-horizon profile of a packet
+// simulator). Both pop events in strictly increasing (time, tie-rank,
+// insertion-sequence) order, so a run is bit-identical on either backend
+// for a fixed seed; the scheduler-equivalence property test enforces this.
 //
 // The tie rank exists for the sharded (PDES) executive. Equal-timestamp
 // events are common (zero-delay chains, phase-locked ack-clocking), and
@@ -21,22 +22,25 @@
 // kTieRankDefault (sorts after every ranked event at the same timestamp)
 // and keep pure insertion order among themselves.
 //
-// Cancellation is generation-stamped rather than hash-based: an EventId
-// packs a slot index and a generation counter, and a HandleTable validates
-// ids in O(1) with no per-event unordered_set traffic. Cancelled events stay
-// in the backend's structure as tombstones and are skipped (and their slots
-// reclaimed) lazily when drained.
+// Everything but the ordering lives once, in the EventStore both backends
+// share. A pending event owns one slot: its 24-byte EventKey (time, packed
+// tie key, the calendar's chain link, generation stamp) in one dense key
+// array, and its handler in a 64-byte node of a chunked arena that never
+// moves. A backend orders slots by their keys and never touches a handler.
+// Handlers are built in their node (InlineFunction::emplace) and run there.
 //
-// Event storage is allocation-free in steady state: handlers are
-// InlineFunctions (fixed inline capture buffer, no heap fallback) living in
-// an EventArena whose node indices are the HandleTable's slot indices, so
-// the handle free list doubles as the node free list and schedule/pop/cancel
-// recycle storage without touching the allocator once the live-event
-// high-water mark stops rising.
+// Cancellation is generation-stamped rather than hash-based: an EventId
+// packs a slot index and the slot's generation, so the store validates ids
+// in O(1). A cancelled event stays in its backend as a tombstone; the store
+// destroys and frees it when the backend hands it back. Storage is
+// allocation-free in steady state: freed slots go on a free list, so once
+// the live-event high-water mark stops rising, schedule/dispatch/cancel
+// recycle slots without touching the allocator.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/assert.h"
@@ -48,7 +52,8 @@ namespace aeq::sim {
 // Inline capture budget for event callbacks. 48 bytes covers every capture
 // in the tree (the largest — trace replay's [stack, record] — is exactly
 // 48); oversized captures fail to compile rather than silently allocating.
-// Raising this inflates every arena node, so prefer shrinking captures.
+// With the two function pointers this makes a handler exactly one 64-byte
+// arena node, so prefer shrinking captures to raising it.
 inline constexpr std::size_t kHandlerInlineBytes = 48;
 
 using EventHandler = util::InlineFunction<void(), kHandlerInlineBytes>;
@@ -73,220 +78,196 @@ inline std::uint16_t tie_rank_of(std::uint64_t tie_key) {
   return static_cast<std::uint16_t>(tie_key >> 48);
 }
 
-// Opaque handle to a scheduled event; value 0 means "no event".
+// Opaque handle to a scheduled event; value 0 means "no event". The high
+// 32 bits are the slot's generation (>= 1), the low 32 the slot index.
 struct EventId {
   std::uint64_t value = 0;
   explicit operator bool() const { return value != 0; }
   friend bool operator==(EventId a, EventId b) { return a.value == b.value; }
 };
 
-// Generation-stamped slot table shared by the scheduler backends.
-//
-// acquire() hands out an id whose high 32 bits are the slot's current
-// generation (>= 1, so packed ids are never 0) and whose low 32 bits are the
-// slot index. cancel() and live() validate the generation, which makes
-// cancel-after-fire and double-cancel reliable no-ops without any hashing:
-// release() bumps the generation when the event's node is drained from the
-// owning structure, instantly invalidating stale ids even after the slot is
-// reused.
-class HandleTable {
- public:
-  EventId acquire() {
-    std::uint32_t index;
-    if (!free_.empty()) {
-      index = free_.back();
-      free_.pop_back();
-    } else {
-      index = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(Slot{1, false});
-    }
-    // Fresh and recycled slots converge here under the same invariants:
-    // release() reclaims slots clean (cancelled false, generation bumped but
-    // never wrapped to 0), so a handed-out id can never pack to 0.
-    const Slot& slot = slots_[index];
-    AEQ_DCHECK(slot.generation >= 1);
-    AEQ_DCHECK(!slot.cancelled);
-    return EventId{pack(index, slot.generation)};
-  }
+// "No slot": an empty bucket, the end of a chain, or nothing to pop.
+inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  // Pending -> cancelled. False when the id already fired, was already
-  // cancelled, or is invalid.
-  bool cancel(EventId id) {
-    const std::uint32_t index = index_of(id);
-    if (index >= slots_.size()) return false;
-    Slot& slot = slots_[index];
-    if (slot.generation != generation_of(id) || slot.cancelled) return false;
-    slot.cancelled = true;
-    return true;
-  }
+// A pending event's ordering key, one per store slot.
+struct EventKey {
+  // Top bit of `stamp`: the event was cancelled and is a tombstone.
+  static constexpr std::uint32_t kCancelled = 0x80000000u;
 
-  // True while the event is pending (not fired, not cancelled).
-  bool live(EventId id) const {
-    const std::uint32_t index = index_of(id);
-    return index < slots_.size() &&
-           slots_[index].generation == generation_of(id) &&
-           !slots_[index].cancelled;
-  }
-
-  // Reclaims the slot once the owning structure drains the event's node
-  // (fired or tombstone). Must be called exactly once per acquire(): a
-  // double or stale release would put the slot on the free list twice and
-  // corrupt every id handed out from it afterwards, so validity is checked
-  // — fatally in debug builds, and under AEQ_AUDIT in any build type.
-  void release(EventId id) {
-    const std::uint32_t index = index_of(id);
-    AEQ_DCHECK_MSG(index < slots_.size(),
-                   "release() of out-of-range event id");
-    AEQ_AUDIT_ONLY(AEQ_CHECK_LT_MSG(index, slots_.size(),
-                                    "release() of out-of-range event id"));
-    Slot& slot = slots_[index];
-    AEQ_DCHECK_MSG(slot.generation == generation_of(id),
-                   "double release() or release() of a reused slot");
-    AEQ_AUDIT_ONLY(
-        AEQ_CHECK_EQ_MSG(slot.generation, generation_of(id),
-                         "double release() or release() of a reused slot"));
-    if (++slot.generation == 0) slot.generation = 1;  // keep ids nonzero
-    slot.cancelled = false;  // reclaimed slots are handed out clean
-    free_.push_back(index);
-  }
-
-  // Slot index packed into an id — also the event's EventArena node index.
-  static std::uint32_t slot_index(EventId id) { return index_of(id); }
-
-  // Pre-sizes the slot and free-list vectors for `n` concurrent events so
-  // later acquire/release traffic below that mark never grows them.
-  void reserve(std::size_t n) {
-    slots_.reserve(n);
-    free_.reserve(n);
-  }
-
- private:
-  struct Slot {
-    std::uint32_t generation;
-    bool cancelled;
-  };
-
-  static std::uint64_t pack(std::uint32_t index, std::uint32_t generation) {
-    return (static_cast<std::uint64_t>(generation) << 32) | index;
-  }
-  static std::uint32_t index_of(EventId id) {
-    return static_cast<std::uint32_t>(id.value);
-  }
-  static std::uint32_t generation_of(EventId id) {
-    return static_cast<std::uint32_t>(id.value >> 32);
-  }
-
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;
+  Time t = 0.0;
+  std::uint64_t tie = 0;        // pack_tie_key(rank, insertion counter)
+  std::uint32_t next = kNoSlot;  // calendar bucket chain link
+  // The slot's generation in the low 31 bits (never 0, so ids are never
+  // 0), kCancelled on top. An id is pending exactly while its generation
+  // equals the whole stamp.
+  std::uint32_t stamp = 1;
 };
+static_assert(sizeof(EventKey) == 24, "keys are three words");
 
-// Chunked, index-stable event-node storage shared by both scheduler
-// backends. A node's index IS its HandleTable slot index, so the handle
-// table's free list doubles as the node free list: once the table reaches
-// its high-water mark, schedule/pop/cancel recycle nodes with zero
-// allocator traffic. Chunks are never freed or moved, so Node references
-// stay valid across growth and the calendar's intrusive `next` links can
-// be plain indices.
-class EventArena {
- public:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  struct Node {
-    Time t = 0.0;
-    std::uint64_t seq = 0;
-    EventId id{};
-    std::uint32_t next = kNil;  // intrusive chain link (calendar buckets)
-    EventHandler handler;
-  };
-
-  Node& at(std::uint32_t index) {
-    AEQ_DCHECK((index >> kChunkShift) < chunks_.size());
-    return chunks_[index >> kChunkShift][index & kChunkMask];
-  }
-  const Node& at(std::uint32_t index) const {
-    AEQ_DCHECK((index >> kChunkShift) < chunks_.size());
-    return chunks_[index >> kChunkShift][index & kChunkMask];
-  }
-
-  // Grows (by whole chunks) until `index` is addressable. This is the only
-  // allocation site — reached only while the live-event high-water mark is
-  // still rising, i.e. during warmup.
-  void ensure(std::uint32_t index) {
-    const std::size_t chunk = index >> kChunkShift;
-    while (chunks_.size() <= chunk) {
-      chunks_.push_back(std::make_unique<Node[]>(kChunkSize));
-    }
-  }
-
- private:
-  static constexpr std::uint32_t kChunkShift = 9;  // 512 nodes per chunk
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-  static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
-
-  std::vector<std::unique_ptr<Node[]>> chunks_;
-};
-
-// The scheduler concept: what Simulator needs from an event structure.
+// A scheduler backend: an ordering over the store's keys, minimum first by
+// (t, tie). `keys` is the store's key array, indexed by slot; a backend
+// reads keys (the calendar also writes `next`) and never sees a handler.
+// Tombstones are ordered like any key — the store skips them.
 class EventScheduler {
  public:
-  using Handler = EventHandler;
-
-  struct Popped {
-    Time time;
-    // The event's packed (rank, insertion-seq) ordering key — what broke
-    // ties at this timestamp. Consumed by the schedule digest
-    // (sim/digest.h); rank lives in the top 16 bits (tie_rank_of).
-    std::uint64_t tie_key;
-    Handler handler;
-  };
-
   virtual ~EventScheduler() = default;
 
-  // Schedules `handler` to run at absolute time `t`. `t` must not be in the
-  // past relative to the last popped event. `rank` breaks equal-timestamp
-  // ties before insertion order does (see the header comment); the default
-  // preserves pure insertion-order semantics.
-  virtual EventId schedule(Time t, Handler handler,
-                           std::uint16_t rank = kTieRankDefault) = 0;
+  // Orders the key at keys[slot], whatever its time: below the last popped
+  // key's too (Simulator forbids scheduling into the past, but a peek may
+  // have popped tombstones past its clock).
+  virtual void push(EventKey* keys, std::uint32_t slot) = 0;
 
-  // Cancels a pending event. Returns false if the event already ran, was
-  // already cancelled, or the id is invalid.
-  virtual bool cancel(EventId id) = 0;
+  // Removes and returns the slot of the minimum key if its time is
+  // <= `limit`; kNoSlot (nothing removed) otherwise or when empty.
+  virtual std::uint32_t pop_at_most(EventKey* keys, Time limit) = 0;
 
-  // Pre-sizes internal storage (arena chunks, handle table, heap/buckets)
-  // for `n` concurrent pending events, so a run whose live-event count
-  // stays below `n` performs no steady-state allocations. A hint: the
-  // structure still grows past it on demand.
-  virtual void reserve_events(std::size_t n) = 0;
+  // The slot of the minimum key, not removed; kNoSlot when empty.
+  virtual std::uint32_t peek(EventKey* keys) = 0;
 
-  // Pops the earliest pending (non-cancelled) event. Precondition: !empty().
-  virtual Popped pop() = 0;
-
-  // Pops the earliest live event into `out` if its time is <= t_limit;
-  // returns false (structure untouched) when the queue is empty or the
-  // earliest event is later. The executive's dispatch loop uses this
-  // instead of next_time()+pop(): one head scan per event instead of two
-  // (for the calendar backend next_time() is a full pop-and-reinsert).
-  virtual bool pop_if_at_most(Time t_limit, Popped& out) = 0;
-
-  // True when no live (non-cancelled) events remain.
-  virtual bool empty() const = 0;
-
-  // Number of live events.
-  virtual std::size_t size() const = 0;
-
-  // Time of the earliest live event; non-const because the calendar backend
-  // may compact tombstones while scanning. Precondition: !empty().
-  virtual Time next_time() = 0;
+  // Pre-sizes internal storage (heap entries, calendar buckets) for `n`
+  // keys. A hint: the structure still grows past it on demand.
+  virtual void reserve(std::size_t n) = 0;
 };
 
 enum class SchedulerBackend {
-  kHeap,      // binary-heap EventQueue
+  kHeap,      // 4-ary heap EventQueue
   kCalendar,  // CalendarQueue (Brown 1988)
 };
 
 const char* backend_name(SchedulerBackend backend);
 
 std::unique_ptr<EventScheduler> make_scheduler(SchedulerBackend backend);
+
+// The one event store: slots, handlers, ids, lazy cancellation and the
+// insertion counter, over whichever backend orders the keys.
+class EventStore {
+ public:
+  explicit EventStore(std::unique_ptr<EventScheduler> order);
+
+  EventStore(const EventStore&) = delete;
+  EventStore& operator=(const EventStore&) = delete;
+
+  // Builds `handler` in a free slot and orders it at (t, rank, insertion
+  // order). Any time is accepted; Simulator::schedule_at is what forbids
+  // the past, and checks the time and the handler.
+  template <typename F>
+  EventId schedule(Time t, F&& handler, std::uint16_t rank) {
+    const std::uint32_t slot = free_.empty() ? grow() : take_free();
+    handler_at(slot).emplace(std::forward<F>(handler));
+    EventKey& key = keys_[slot];
+    key.t = t;
+    key.tie = pack_tie_key(rank, next_seq_++);
+    const EventId id{(static_cast<std::uint64_t>(key.stamp) << 32) | slot};
+    ++live_;
+    order_->push(keys_.data(), slot);
+    // The pop-order floor follows an event scheduled below it.
+    AEQ_AUDIT_ONLY({
+      if (t < last_popped_t_) {
+        last_popped_t_ = t;
+        last_popped_tie_ = 0;
+      }
+    });
+    return id;
+  }
+
+  // Pending -> cancelled. False when the id already fired (or is firing),
+  // was already cancelled, or is invalid.
+  bool cancel(EventId id);
+
+  // Removes the earliest pending event at or before `limit` and retires its
+  // id (cancel() of it now returns false); returns its slot, or kNoSlot.
+  // Tombstones met on the way are destroyed and freed.
+  std::uint32_t pop_at_most(Time limit) {
+    while (size() != 0) {
+      const std::uint32_t slot = order_->pop_at_most(keys_.data(), limit);
+      if (slot == kNoSlot) break;
+      EventKey& key = keys_[slot];
+      if ((key.stamp & EventKey::kCancelled) != 0) {
+        discard(slot);
+        continue;
+      }
+      key.stamp = next_generation(key.stamp);
+      --live_;
+      // The backend contract: pops leave in strictly increasing (time,
+      // tie key) order, the property backend equivalence rests on.
+      AEQ_AUDIT_ONLY({
+        AEQ_CHECK_GE_MSG(key.t, last_popped_t_,
+                         "event popped out of time order");
+        if (key.t == last_popped_t_) {
+          AEQ_CHECK_GT_MSG(key.tie, last_popped_tie_,
+                           "tied events popped out of insertion order");
+        }
+        last_popped_t_ = key.t;
+        last_popped_tie_ = key.tie;
+      });
+      return slot;
+    }
+    return kNoSlot;
+  }
+
+  // The key of a popped slot (valid until run()).
+  const EventKey& key(std::uint32_t slot) const { return keys_[slot]; }
+
+  // Runs a popped event's handler where it lies, then destroys it and frees
+  // the slot. The node never moves: arena chunks stay put while the handler
+  // schedules more events.
+  void run(std::uint32_t slot) {
+    EventHandler& handler = handler_at(slot);
+    handler();
+    handler.reset();
+    free_.push_back(slot);
+  }
+
+  // Time of the earliest pending event, +infinity when none. Tombstones at
+  // the head are destroyed and freed.
+  Time next_time();
+
+  // Pending (scheduled, not fired, not cancelled) events.
+  std::size_t size() const { return live_; }
+
+  // Pre-sizes slots, handlers and the backend for `n` concurrent pending
+  // events, so a run whose live-event count stays below `n` performs no
+  // steady-state allocations. A hint: storage still grows past it.
+  void reserve(std::size_t n);
+
+ private:
+  // One arena node: exactly a handler, on its own cache line.
+  struct alignas(64) HandlerNode {
+    EventHandler handler;
+  };
+  static_assert(sizeof(HandlerNode) == 64, "a handler is one cache line");
+  static constexpr std::uint32_t kChunkShift = 9;  // 512 nodes per chunk
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
+
+  static std::uint32_t next_generation(std::uint32_t stamp) {
+    const std::uint32_t generation = (stamp + 1) & ~EventKey::kCancelled;
+    return generation == 0 ? 1 : generation;  // keep ids nonzero
+  }
+
+  EventHandler& handler_at(std::uint32_t slot) {
+    AEQ_DCHECK((slot >> kChunkShift) < chunks_.size());
+    return chunks_[slot >> kChunkShift][slot & kChunkMask].handler;
+  }
+  std::uint32_t take_free() {
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  // A fresh slot past the high-water mark: the only place storage grows.
+  std::uint32_t grow();
+  // Retires a tombstone's id and destroys and frees it.
+  void discard(std::uint32_t slot);
+
+  std::vector<EventKey> keys_;
+  std::vector<std::unique_ptr<HandlerNode[]>> chunks_;
+  std::vector<std::uint32_t> free_;
+  std::unique_ptr<EventScheduler> order_;
+  std::size_t live_ = 0;
+  std::uint64_t next_seq_ = 1;
+  // Last dispatched (time, tie), consulted only by the AEQ_AUDIT build's
+  // pop-order check.
+  Time last_popped_t_ = -1.0;
+  std::uint64_t last_popped_tie_ = 0;
+};
 
 }  // namespace aeq::sim

@@ -1,16 +1,18 @@
-// The simulation executive: a clock plus a pluggable event scheduler.
+// The simulation executive: a clock over the event store.
 //
 // A Simulator is an explicit object passed (by reference) to every component
 // that needs to schedule work; there is no global simulation state. The
-// scheduler backend (binary heap or calendar queue) is chosen at
-// construction; both dispatch events in identical order for a fixed seed,
-// so the choice is purely a performance knob.
+// scheduler backend (heap or calendar queue) is chosen at construction;
+// both dispatch events in identical order for a fixed seed, so the choice is
+// purely a performance knob.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <utility>
 
+#include "sim/assert.h"
 #include "sim/digest.h"
 #include "sim/scheduler.h"
 #include "sim/units.h"
@@ -20,7 +22,7 @@ namespace aeq::sim {
 class Simulator {
  public:
   explicit Simulator(SchedulerBackend backend = SchedulerBackend::kHeap)
-      : backend_(backend), queue_(make_scheduler(backend)) {}
+      : backend_(backend), store_(make_scheduler(backend)) {}
 
   // Current simulated time.
   Time now() const { return now_; }
@@ -28,28 +30,38 @@ class Simulator {
   // Which scheduler backend this executive runs on.
   SchedulerBackend backend() const { return backend_; }
 
-  // Schedules `handler` at absolute time `t` (must be >= now()). `rank`
-  // breaks equal-timestamp ties ahead of insertion order — see
-  // sim/scheduler.h; the default keeps plain insertion-order semantics.
-  EventId schedule_at(Time t, EventScheduler::Handler handler,
-                      std::uint16_t rank = kTieRankDefault);
-
-  // Schedules `handler` `dt` seconds from now (dt >= 0).
-  EventId schedule_in(Time dt, EventScheduler::Handler handler,
+  // Schedules `handler` (any callable whose capture fits the 48-byte
+  // budget) at absolute time `t` (finite, >= now()). The callable is built
+  // directly in its event slot. `rank` breaks equal-timestamp ties ahead of
+  // insertion order — see sim/scheduler.h; the default keeps plain
+  // insertion-order semantics.
+  template <typename F>
+  EventId schedule_at(Time t, F&& handler,
                       std::uint16_t rank = kTieRankDefault) {
-    return schedule_at(now_ + dt, std::move(handler), rank);
+    AEQ_CHECK_GE_MSG(t, now_, "cannot schedule into the past");
+    AEQ_ASSERT_MSG(std::isfinite(t), "event time must be finite");
+    AEQ_ASSERT_MSG(!util::is_null_callable(handler), "null event handler");
+    return store_.schedule(t, std::forward<F>(handler), rank);
   }
 
-  // Cancels a pending event; safe to call with an already-fired id.
-  void cancel(EventId id) { queue_->cancel(id); }
+  // Schedules `handler` `dt` seconds from now (dt >= 0).
+  template <typename F>
+  EventId schedule_in(Time dt, F&& handler,
+                      std::uint16_t rank = kTieRankDefault) {
+    return schedule_at(now_ + dt, std::forward<F>(handler), rank);
+  }
 
-  // Pre-sizes the scheduler for `n` concurrent pending events (see
-  // EventScheduler::reserve_events): below that mark the event loop
-  // performs no steady-state allocations.
-  void reserve_events(std::size_t n) { queue_->reserve_events(n); }
+  // Cancels a pending event; false (and harmless) when the id already
+  // fired, is firing, or was already cancelled.
+  bool cancel(EventId id) { return store_.cancel(id); }
+
+  // Pre-sizes the event store for `n` concurrent pending events (see
+  // EventStore::reserve): below that mark the event loop performs no
+  // steady-state allocations.
+  void reserve_events(std::size_t n) { store_.reserve(n); }
 
   // Runs until the event queue drains or stop() is called.
-  void run();
+  void run() { dispatch_until(std::numeric_limits<Time>::infinity()); }
 
   // Runs all events with time <= `t_end`; afterwards now() == t_end
   // (even if the queue drained earlier). Pending later events remain queued.
@@ -61,8 +73,8 @@ class Simulator {
   // Total events dispatched so far (for micro-benchmarks and sanity checks).
   std::uint64_t events_processed() const { return events_processed_; }
 
-  // Schedule digest (sim/digest.h): when enabled, dispatch() folds every
-  // popped (time, tie-rank) into the digest.
+  // Schedule digest (sim/digest.h): when enabled, dispatch folds every
+  // dispatched (time, tie-rank) into the digest.
   void enable_schedule_digest() { digest_enabled_ = true; }
   const ScheduleDigest& schedule_digest() const { return digest_; }
 
@@ -70,18 +82,16 @@ class Simulator {
   // empty. The sharded executive uses this to pick the next conservative
   // window; for the calendar backend it costs a head scan, so call it once
   // per window, not per event.
-  Time next_event_time() {
-    return queue_->empty() ? std::numeric_limits<Time>::infinity()
-                           : queue_->next_time();
-  }
+  Time next_event_time() { return store_.next_time(); }
 
-  std::size_t pending_events() const { return queue_->size(); }
+  std::size_t pending_events() const { return store_.size(); }
 
  private:
-  void dispatch(EventScheduler::Popped& popped);
+  // The one dispatch loop: runs events up to `limit` until stop().
+  void dispatch_until(Time limit);
 
   SchedulerBackend backend_;
-  std::unique_ptr<EventScheduler> queue_;
+  EventStore store_;
   Time now_ = 0.0;
   bool stopped_ = false;
   std::uint64_t events_processed_ = 0;

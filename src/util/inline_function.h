@@ -33,29 +33,7 @@ class InlineFunction<R(Args...), Capacity> {
                 !std::is_same_v<std::decay_t<F>, InlineFunction> &&
                 !std::is_same_v<std::decay_t<F>, std::nullptr_t>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
-                  "callable signature mismatch");
-    static_assert(sizeof(Fn) <= Capacity,
-                  "capture exceeds the inline-callback budget: shrink the "
-                  "capture (prefer `this` + indices over values) or raise "
-                  "the owner's declared Capacity");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned callable");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    invoke_ = [](void* s, Args... args) -> R {
-      return (*std::launder(reinterpret_cast<Fn*>(s)))(
-          std::forward<Args>(args)...);
-    };
-    // Trivially relocatable callables keep manage_ null and move by memcpy.
-    if constexpr (!(std::is_trivially_destructible_v<Fn> &&
-                    std::is_trivially_move_constructible_v<Fn>)) {
-      manage_ = [](void* dst, void* src) {
-        Fn* from = std::launder(reinterpret_cast<Fn*>(src));
-        if (dst != nullptr) ::new (dst) Fn(std::move(*from));
-        from->~Fn();
-      };
-    }
+    construct(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
@@ -90,11 +68,47 @@ class InlineFunction<R(Args...), Capacity> {
     manage_ = nullptr;
   }
 
+  // Destroys the held callable, if any, and builds `f` directly in this
+  // object's buffer: no temporary InlineFunction and no relocation. The
+  // event store builds every handler in its final slot this way.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    construct(std::forward<F>(f));
+  }
+
  private:
   using Invoke = R (*)(void*, Args...);
   // Move-constructs the callable into `dst` (destroy-only when dst is null)
   // and destroys the source. Null for trivially relocatable callables.
   using Manage = void (*)(void* dst, void* src);
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
+                  "callable signature mismatch");
+    static_assert(sizeof(Fn) <= Capacity,
+                  "capture exceeds the inline-callback budget: shrink the "
+                  "capture (prefer `this` + indices over values) or raise "
+                  "the owner's declared Capacity");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "over-aligned callable");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    invoke_ = [](void* s, Args... args) -> R {
+      return (*std::launder(reinterpret_cast<Fn*>(s)))(
+          std::forward<Args>(args)...);
+    };
+    // Trivially relocatable callables keep manage_ null and move by memcpy.
+    if constexpr (!(std::is_trivially_destructible_v<Fn> &&
+                    std::is_trivially_move_constructible_v<Fn>)) {
+      manage_ = [](void* dst, void* src) {
+        Fn* from = std::launder(reinterpret_cast<Fn*>(src));
+        if (dst != nullptr) ::new (dst) Fn(std::move(*from));
+        from->~Fn();
+      };
+    }
+  }
 
   void move_from(InlineFunction& other) noexcept {
     invoke_ = other.invoke_;
@@ -114,6 +128,21 @@ class InlineFunction<R(Args...), Capacity> {
   Invoke invoke_ = nullptr;
   Manage manage_ = nullptr;
 };
+
+// True when `f` is a callable that can be empty and is: a null function
+// pointer, or a wrapper with an explicit operator bool (std::function,
+// InlineFunction) that holds nothing. A closure is never null.
+template <typename F>
+bool is_null_callable(const F& f) {
+  if constexpr (std::is_pointer_v<F> || std::is_member_pointer_v<F>) {
+    return f == nullptr;
+  } else if constexpr (std::is_constructible_v<bool, const F&> &&
+                       !std::is_convertible_v<const F&, bool>) {
+    return !static_cast<bool>(f);
+  } else {
+    return false;
+  }
+}
 
 template <typename Sig, std::size_t Cap>
 bool operator==(const InlineFunction<Sig, Cap>& f, std::nullptr_t) {

@@ -1,8 +1,9 @@
 // Steady-state allocation regression test.
 //
 // The hot-path overhaul (DESIGN.md §10) promises an allocation-free event
-// loop once every pool has reached its high-water mark: event nodes live in
-// the EventArena, handlers in fixed InlineFunction buffers, packets in
+// loop once every pool has reached its high-water mark: events live in the
+// EventStore's key array and handler nodes, handlers in fixed
+// InlineFunction buffers, packets in
 // blocks of each shard's packet buffer, channel state in FlatMap64s, and
 // percentile samples in pre-reserved vectors. This binary overrides global operator new/delete
 // with counting shims and proves the promise end to end: a fig03-style

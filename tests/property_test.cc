@@ -1,5 +1,6 @@
 // Property-based suites tying the layers together:
-//  * model-based EventQueue check against a reference priority list,
+//  * model-based event-store check (both backends) against a reference
+//    priority list,
 //  * packet-level WFQ worst-case delay vs the closed-form bound across a
 //    (phi, rho, share) grid — the Figure-10 validation as a test,
 //  * fluid-model invariants (single class, symmetric classes),
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -15,7 +17,7 @@
 #include "analysis/wfq_delay.h"
 #include "net/port.h"
 #include "net/wfq.h"
-#include "sim/event_queue.h"
+#include "sim/scheduler.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "transport/swift.h"
@@ -23,55 +25,65 @@
 namespace aeq {
 namespace {
 
+// The event store over either backend against a reference priority list.
+// Times are drawn anywhere in [0, 100): the store, unlike Simulator, takes
+// events below the last popped time too, and must still pop the minimum.
 TEST(EventQueueModelTest, MatchesReferenceOrderUnderRandomOps) {
-  sim::EventQueue queue;
-  sim::Rng rng(99);
-  struct Ref {
-    double t;
-    std::uint64_t seq;
-    int id;
-  };
-  std::vector<Ref> reference;
-  std::vector<sim::EventId> ids;
-  std::vector<int> fired;
-  std::uint64_t seq = 0;
-  int next_id = 0;
+  for (const auto backend :
+       {sim::SchedulerBackend::kHeap, sim::SchedulerBackend::kCalendar}) {
+    SCOPED_TRACE(sim::backend_name(backend));
+    sim::EventStore queue(sim::make_scheduler(backend));
+    sim::Rng rng(99);
+    struct Ref {
+      double t;
+      std::uint64_t seq;
+      int id;
+    };
+    std::vector<Ref> reference;
+    std::vector<sim::EventId> ids;
+    std::vector<int> fired;
+    std::uint64_t seq = 0;
+    int next_id = 0;
 
-  for (int round = 0; round < 2000; ++round) {
-    const double action = rng.uniform();
-    if (action < 0.55 || queue.empty()) {
-      const double t = rng.uniform(0.0, 100.0);
-      const int id = next_id++;
-      ids.push_back(queue.schedule(t, [&fired, id] { fired.push_back(id); }));
-      reference.push_back(Ref{t, seq++, id});
-    } else if (action < 0.7 && !ids.empty()) {
-      // Cancel a random still-known event (may already have fired).
-      const std::size_t pick = rng.index(ids.size());
-      if (queue.cancel(ids[pick])) {
-        // Remove from the reference model by matching insertion order: the
-        // id at position `pick` corresponds to reference entry with id ==
-        // pick only if never fired; search by id.
-        auto it = std::find_if(
-            reference.begin(), reference.end(),
-            [&](const Ref& r) { return r.id == static_cast<int>(pick); });
-        ASSERT_NE(it, reference.end());
-        reference.erase(it);
+    for (int round = 0; round < 2000; ++round) {
+      const double action = rng.uniform();
+      if (action < 0.55 || queue.size() == 0) {
+        const double t = rng.uniform(0.0, 100.0);
+        const int id = next_id++;
+        ids.push_back(queue.schedule(
+            t, [&fired, id] { fired.push_back(id); }, sim::kTieRankDefault));
+        reference.push_back(Ref{t, seq++, id});
+      } else if (action < 0.7 && !ids.empty()) {
+        // Cancel a random still-known event (may already have fired).
+        const std::size_t pick = rng.index(ids.size());
+        if (queue.cancel(ids[pick])) {
+          // Remove from the reference model by matching insertion order:
+          // the id at position `pick` corresponds to reference entry with
+          // id == pick only if never fired; search by id.
+          auto it = std::find_if(
+              reference.begin(), reference.end(),
+              [&](const Ref& r) { return r.id == static_cast<int>(pick); });
+          ASSERT_NE(it, reference.end());
+          reference.erase(it);
+        }
+      } else {
+        const std::uint32_t slot =
+            queue.pop_at_most(std::numeric_limits<double>::infinity());
+        ASSERT_NE(slot, sim::kNoSlot);
+        queue.run(slot);
+        // Reference: smallest (t, seq).
+        auto best = std::min_element(reference.begin(), reference.end(),
+                                     [](const Ref& a, const Ref& b) {
+                                       return std::tie(a.t, a.seq) <
+                                              std::tie(b.t, b.seq);
+                                     });
+        ASSERT_NE(best, reference.end());
+        ASSERT_FALSE(fired.empty());
+        EXPECT_EQ(fired.back(), best->id);
+        reference.erase(best);
       }
-    } else {
-      auto popped = queue.pop();
-      popped.handler();
-      // Reference: smallest (t, seq).
-      auto best = std::min_element(reference.begin(), reference.end(),
-                                   [](const Ref& a, const Ref& b) {
-                                     return std::tie(a.t, a.seq) <
-                                            std::tie(b.t, b.seq);
-                                   });
-      ASSERT_NE(best, reference.end());
-      ASSERT_FALSE(fired.empty());
-      EXPECT_EQ(fired.back(), best->id);
-      reference.erase(best);
+      ASSERT_EQ(queue.size(), reference.size());
     }
-    ASSERT_EQ(queue.size(), reference.size());
   }
 }
 

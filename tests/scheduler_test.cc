@@ -1,12 +1,15 @@
-// Scheduler-backend tests: the heap/calendar equivalence property (same
-// seed => identical event order and identical experiment stats), the
-// generation-stamped cancellation contract, and CalendarQueue edge cases
-// (overflow cancellation, resize in both directions, tie-breaking,
-// next_time() purity).
+// Event-core tests: the heap/calendar equivalence property (same seed =>
+// identical event order and identical experiment stats), the EventStore's
+// slot, handler and generation-stamped cancellation contract on both
+// backends, and CalendarQueue edge cases (overflow cancellation, resize in
+// both directions, tie-breaking, next_time() purity).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,9 +26,30 @@
 namespace aeq {
 namespace {
 
-// Same random schedule/cancel/pop trace applied to both backends through
-// the EventScheduler interface: every pop must return the same time, every
-// cancel the same verdict, and the fired-handler order must be identical.
+constexpr double kForever = std::numeric_limits<double>::infinity();
+
+// Dispatches the earliest pending event of `store` and returns its time.
+double pop_and_run(sim::EventStore& store) {
+  const std::uint32_t slot = store.pop_at_most(kForever);
+  EXPECT_NE(slot, sim::kNoSlot);
+  if (slot == sim::kNoSlot) return -1.0;
+  const double t = store.key(slot).t;
+  store.run(slot);
+  return t;
+}
+
+template <typename F>
+sim::EventId schedule(sim::EventStore& store, double t, F&& handler) {
+  return store.schedule(t, std::forward<F>(handler), sim::kTieRankDefault);
+}
+
+std::uint32_t slot_of(sim::EventId id) {
+  return static_cast<std::uint32_t>(id.value);
+}
+
+// Same random schedule/cancel/pop trace applied to the event store over
+// both backends: every pop must return the same time, every cancel the
+// same verdict, and the fired-handler order must be identical.
 TEST(SchedulerEquivalenceTest, IdenticalEventOrderUnderRandomOps) {
   const auto backends = {sim::SchedulerBackend::kHeap,
                          sim::SchedulerBackend::kCalendar};
@@ -34,7 +58,7 @@ TEST(SchedulerEquivalenceTest, IdenticalEventOrderUnderRandomOps) {
   std::vector<std::vector<char>> verdicts_per_backend;
   std::vector<std::vector<std::size_t>> sizes_per_backend;
   for (const auto backend : backends) {
-    auto queue = sim::make_scheduler(backend);
+    sim::EventStore queue(sim::make_scheduler(backend));
     sim::Rng rng(2024);  // same seed: same op trace for both backends
     std::vector<sim::EventId> ids;
     std::vector<int> fired;
@@ -45,31 +69,25 @@ TEST(SchedulerEquivalenceTest, IdenticalEventOrderUnderRandomOps) {
     int next_label = 0;
     for (int round = 0; round < 30000; ++round) {
       const double action = rng.uniform();
-      if (action < 0.5 || queue->empty()) {
+      if (action < 0.5 || queue.size() == 0) {
         // Mixed horizons: dense near-term, sparse far-future (overflow).
         const double t =
             now + (rng.bernoulli(0.9) ? rng.exponential(2e-6)
                                       : rng.uniform(1e-3, 5e-3));
         const int label = next_label++;
-        ids.push_back(
-            queue->schedule(t, [&fired, label] { fired.push_back(label); }));
+        ids.push_back(schedule(queue, t,
+                               [&fired, label] { fired.push_back(label); }));
       } else if (action < 0.65 && !ids.empty()) {
         // Cancel a random known id (may have fired or been cancelled
         // already); both backends must agree on the verdict.
-        verdicts.push_back(queue->cancel(ids[rng.index(ids.size())]) ? 1 : 0);
+        verdicts.push_back(queue.cancel(ids[rng.index(ids.size())]) ? 1 : 0);
       } else {
-        auto event = queue->pop();
-        popped.push_back(event.time);
-        now = event.time;
-        event.handler();
+        now = pop_and_run(queue);
+        popped.push_back(now);
       }
-      sizes.push_back(queue->size());
+      sizes.push_back(queue.size());
     }
-    while (!queue->empty()) {
-      auto event = queue->pop();
-      popped.push_back(event.time);
-      event.handler();
-    }
+    while (queue.size() != 0) popped.push_back(pop_and_run(queue));
     fired_per_backend.push_back(std::move(fired));
     popped_per_backend.push_back(std::move(popped));
     verdicts_per_backend.push_back(std::move(verdicts));
@@ -161,76 +179,209 @@ TEST(SimulatorBackendTest, ReportsConfiguredBackend) {
   }
 }
 
-// --- generation-stamped cancellation contract -----------------------------
-
-TEST(HandleTableTest, StaleIdAfterSlotReuseIsRejected) {
-  sim::HandleTable table;
-  const sim::EventId first = table.acquire();
-  table.release(first);                     // fired: slot goes back
-  const sim::EventId reused = table.acquire();  // same slot, new generation
-  EXPECT_NE(first.value, reused.value);
-  EXPECT_FALSE(table.cancel(first));  // stale generation: reliable no-op
-  EXPECT_TRUE(table.live(reused));
-  EXPECT_TRUE(table.cancel(reused));
-  EXPECT_FALSE(table.cancel(reused));  // double cancel
+// The always-on checks of Simulator::schedule_at (the past is covered by
+// ContractDeathTest.SimulatorRejectsPastScheduling).
+TEST(SimulatorDeathTest, RejectsNullHandlersAndNonFiniteTimes) {
+  sim::Simulator s;
+  const std::function<void()> empty;
+  EXPECT_DEATH(s.schedule_at(1.0, empty), "null event handler");
+  void (*const null_fn)() = nullptr;
+  EXPECT_DEATH(s.schedule_at(1.0, null_fn), "null event handler");
+  EXPECT_DEATH(s.schedule_at(kForever, [] {}), "must be finite");
 }
 
-// release() must be called exactly once per acquire(): a double or stale
-// release would push the slot onto the free list twice and corrupt every id
-// handed out from it afterwards. The validation is AEQ_DCHECK (debug) plus
-// AEQ_CHECK under AEQ_AUDIT, so it compiles out of plain release builds.
-#if !defined(NDEBUG) || AEQ_AUDIT_ENABLED
-TEST(HandleTableDeathTest, DoubleReleaseIsFatal) {
-  sim::HandleTable table;
-  const sim::EventId id = table.acquire();
-  table.release(id);
-  EXPECT_DEATH(table.release(id),
-               "double release\\(\\) or release\\(\\) of a reused slot");
+// --- the event store on both backends ------------------------------------
+
+// Tallies the copies of a capture: how many were ever built and how many
+// are alive.
+struct Census {
+  int built = 0;
+  int live = 0;
+};
+
+struct Counted {
+  explicit Counted(Census* c) : census(c) { ++census->built, ++census->live; }
+  Counted(const Counted& other) : census(other.census) {
+    ++census->built, ++census->live;
+  }
+  Counted(Counted&& other) noexcept : census(other.census) {
+    ++census->built, ++census->live;
+  }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { --census->live; }
+  Census* census;
+};
+
+class EventCoreTest
+    : public ::testing::TestWithParam<sim::SchedulerBackend> {};
+
+TEST_P(EventCoreTest, FiredCaptureIsBuiltInPlaceAndDestroyedOnce) {
+  Census census;
+  sim::Simulator s(GetParam());
+  int live_while_running = -1;
+  s.schedule_at(1.0, [counted = Counted(&census), &live_while_running] {
+    live_while_running = counted.census->live;
+  });
+  // Built at the call site, moved once into its slot; the temporary is gone.
+  EXPECT_EQ(census.built, 2);
+  EXPECT_EQ(census.live, 1);
+  s.run();
+  EXPECT_EQ(live_while_running, 1);  // alive while it runs
+  EXPECT_EQ(census.live, 0);         // destroyed once it returned
+  EXPECT_EQ(census.built, 2);        // run where it lay: never moved again
 }
 
-TEST(HandleTableDeathTest, ReleaseAfterSlotReuseIsFatal) {
-  sim::HandleTable table;
-  const sim::EventId stale = table.acquire();
-  table.release(stale);
-  const sim::EventId reused = table.acquire();  // same slot, new generation
-  ASSERT_TRUE(table.live(reused));
-  // Releasing the stale id would invalidate `reused` out from under its
-  // owner and double-free the slot.
-  EXPECT_DEATH(table.release(stale),
-               "double release\\(\\) or release\\(\\) of a reused slot");
+TEST_P(EventCoreTest, CancelledCaptureIsDestroyedOnceWhenDrained) {
+  Census census;
+  sim::Simulator s(GetParam());
+  bool ran = false;
+  const sim::EventId id =
+      s.schedule_at(1.0, [counted = Counted(&census), &ran] { ran = true; });
+  s.schedule_at(2.0, [] {});
+  EXPECT_TRUE(s.cancel(id));
+  EXPECT_EQ(census.live, 1);  // a tombstone until its backend hands it back
+  s.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(census.live, 0);
+  EXPECT_EQ(census.built, 2);
 }
 
-TEST(HandleTableDeathTest, ReleaseOfOutOfRangeIdIsFatal) {
-  sim::HandleTable table;
-  (void)table.acquire();
-  const sim::EventId bogus{(std::uint64_t{1} << 32) | 0x00ffffffu};
-  EXPECT_DEATH(table.release(bogus), "out-of-range event id");
+// Resizes move keys only: a tombstone rides through the calendar's growth
+// and shrinkage and is destroyed once, when drained.
+TEST_P(EventCoreTest, CancelledCaptureSurvivesResizeAndIsDestroyedOnce) {
+  Census census;
+  sim::Simulator s(GetParam());
+  const sim::EventId id =
+      s.schedule_at(0.5e-3, [counted = Counted(&census)] {});
+  ASSERT_TRUE(s.cancel(id));
+  sim::Rng rng(5);
+  int fired = 0;
+  for (int i = 0; i < 3000; ++i) {  // 256 -> 2048 buckets, then back
+    s.schedule_at(rng.uniform(0.0, 1e-3), [&fired] { ++fired; });
+  }
+  EXPECT_EQ(census.live, 1);
+  s.run();
+  EXPECT_EQ(fired, 3000);
+  EXPECT_EQ(census.live, 0);
+  EXPECT_EQ(census.built, 2);
 }
-#endif  // !defined(NDEBUG) || AEQ_AUDIT_ENABLED
+
+TEST_P(EventCoreTest, PendingCaptureIsDestroyedOnceWithTheSimulator) {
+  Census census;
+  {
+    sim::Simulator s(GetParam());
+    s.schedule_at(1.0, [counted = Counted(&census)] {});
+    const sim::EventId cancelled =
+        s.schedule_at(2.0, [counted = Counted(&census)] {});
+    ASSERT_TRUE(s.cancel(cancelled));
+    s.run_until(0.5);
+    EXPECT_EQ(census.live, 2);
+  }
+  EXPECT_EQ(census.live, 0);
+  EXPECT_EQ(census.built, 4);
+}
+
+// The id retires before the handler runs, and the slot is freed only after
+// it returns: an event scheduled from inside cannot land on (and overwrite)
+// the running handler.
+TEST_P(EventCoreTest, HandlerCancellingItsOwnIdGetsFalse) {
+  sim::Simulator s(GetParam());
+  sim::EventId self;
+  bool verdict = true;
+  std::uint32_t inner_slot = sim::kNoSlot;
+  int tag_after = 0;
+  self = s.schedule_at(1.0, [&s, &self, &verdict, &inner_slot, &tag_after,
+                             tag = 42] {
+    verdict = s.cancel(self);
+    inner_slot = slot_of(s.schedule_at(2.0, [] {}));
+    tag_after = tag;
+  });
+  s.run_until(1.5);
+  EXPECT_FALSE(verdict);
+  EXPECT_NE(inner_slot, slot_of(self));
+  EXPECT_EQ(tag_after, 42);
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_FALSE(s.cancel(self));  // fired
+}
+
+// A handler that schedules past the arena's current chunks (512 nodes
+// each) and grows the key array still reads intact captures afterwards:
+// nodes never move. Meaningful under ASan, which CI runs.
+TEST_P(EventCoreTest, HandlerGrowingTheArenaKeepsItsCaptures) {
+  struct Run {
+    sim::Simulator sim;
+    std::array<std::uint64_t, 4> seen{};
+    int fired = 0;
+  } run{sim::Simulator(GetParam())};
+  const std::array<std::uint64_t, 4> expected = {0x1111, 0x2222, 0x3333,
+                                                 0x4444};
+  run.sim.schedule_at(1.0, [r = &run, values = expected] {
+    for (int i = 0; i < 2000; ++i) {
+      r->sim.schedule_in(1.0 + i, [r] { ++r->fired; });
+    }
+    r->seen = values;
+  });
+  run.sim.run();
+  EXPECT_EQ(run.seen, expected);
+  EXPECT_EQ(run.fired, 2000);
+  EXPECT_EQ(run.sim.events_processed(), 2001u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothBackends, EventCoreTest,
+                         ::testing::Values(sim::SchedulerBackend::kHeap,
+                                           sim::SchedulerBackend::kCalendar),
+                         [](const auto& param_info) {
+                           return std::string(
+                               sim::backend_name(param_info.param));
+                         });
+
+// A slot reused after firing gets a new id; the stale id is a reliable
+// no-op and cannot cancel the reuser.
+TEST(EventStoreTest, StaleIdAfterSlotReuseIsRejected) {
+  for (const auto backend :
+       {sim::SchedulerBackend::kHeap, sim::SchedulerBackend::kCalendar}) {
+    SCOPED_TRACE(sim::backend_name(backend));
+    sim::Simulator s(backend);
+    const sim::EventId first = s.schedule_at(1.0, [] {});
+    s.run();  // fired: the slot goes back
+    bool ran = false;
+    const sim::EventId reused = s.schedule_at(2.0, [&ran] { ran = true; });
+    EXPECT_EQ(slot_of(first), slot_of(reused));  // same slot, new generation
+    EXPECT_NE(first.value, reused.value);
+    EXPECT_FALSE(s.cancel(first));  // stale generation: reliable no-op
+    EXPECT_EQ(s.pending_events(), 1u);
+    s.run();
+    EXPECT_TRUE(ran);
+    const sim::EventId again = s.schedule_at(3.0, [] {});
+    EXPECT_TRUE(s.cancel(again));
+    EXPECT_FALSE(s.cancel(again));  // double cancel
+    EXPECT_FALSE(s.cancel(sim::EventId{}));
+  }
+}
 
 TEST(EventQueueTest, StaleCancelAfterSlotReuseLeavesNewEventLive) {
-  sim::EventQueue q;
-  const sim::EventId old_id = q.schedule(1.0, [] {});
-  q.pop();  // fires the event, freeing its slot for reuse
+  sim::EventStore q(std::make_unique<sim::EventQueue>());
+  const sim::EventId old_id = schedule(q, 1.0, [] {});
+  pop_and_run(q);  // fires the event, freeing its slot for reuse
   bool ran = false;
-  q.schedule(2.0, [&] { ran = true; });  // reuses the slot
-  EXPECT_FALSE(q.cancel(old_id));        // stale id must not kill the reuser
+  schedule(q, 2.0, [&] { ran = true; });  // reuses the slot
+  EXPECT_FALSE(q.cancel(old_id));         // stale id must not kill the reuser
   EXPECT_EQ(q.size(), 1u);
-  q.pop().handler();
+  pop_and_run(q);
   EXPECT_TRUE(ran);
 }
 
 TEST(CalendarQueueTest, CancelAfterFireIsHarmlessNoOp) {
-  sim::CalendarQueue q;
-  const sim::EventId fired = q.schedule(1e-6, [] {});
-  q.schedule(2e-6, [] {});
-  q.pop().handler();
+  sim::EventStore q(std::make_unique<sim::CalendarQueue>());
+  const sim::EventId fired = schedule(q, 1e-6, [] {});
+  schedule(q, 2e-6, [] {});
+  pop_and_run(q);
   // With hash-set bookkeeping this used to corrupt the live count; the
   // generation stamp makes it a reliable no-op.
   EXPECT_FALSE(q.cancel(fired));
   EXPECT_EQ(q.size(), 1u);
-  q.pop().handler();
-  EXPECT_TRUE(q.empty());
+  pop_and_run(q);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 // --- CalendarQueue edge cases ---------------------------------------------
@@ -238,25 +389,25 @@ TEST(CalendarQueueTest, CancelAfterFireIsHarmlessNoOp) {
 TEST(CalendarQueueTest, CancelOfOverflowEventIsSkipped) {
   // 8 buckets x 1us: one rotation covers 8us; 1s is far in the overflow
   // region reached only via the sparse-jump scan.
-  sim::CalendarQueue q(1e-6, 8);
+  sim::EventStore q(std::make_unique<sim::CalendarQueue>(1e-6, 8));
   std::vector<int> order;
-  const sim::EventId far = q.schedule(1.0, [&] { order.push_back(99); });
-  q.schedule(1e-6, [&] { order.push_back(1); });
-  q.schedule(3e-6, [&] { order.push_back(3); });
+  const sim::EventId far = schedule(q, 1.0, [&] { order.push_back(99); });
+  schedule(q, 1e-6, [&] { order.push_back(1); });
+  schedule(q, 3e-6, [&] { order.push_back(3); });
   EXPECT_TRUE(q.cancel(far));
   EXPECT_FALSE(q.cancel(far));
   EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().handler();
+  while (q.size() != 0) pop_and_run(q);
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(CalendarQueueTest, OverflowEventStillFiresAfterNearTermDrain) {
-  sim::CalendarQueue q(1e-6, 8);
+  sim::EventStore q(std::make_unique<sim::CalendarQueue>(1e-6, 8));
   std::vector<double> popped;
-  q.schedule(0.5, [] {});     // beyond many rotations
-  q.schedule(2.0, [] {});     // even further
-  q.schedule(2e-6, [] {});
-  while (!q.empty()) popped.push_back(q.pop().time);
+  schedule(q, 0.5, [] {});   // beyond many rotations
+  schedule(q, 2.0, [] {});   // even further
+  schedule(q, 2e-6, [] {});
+  while (q.size() != 0) popped.push_back(pop_and_run(q));
   EXPECT_EQ(popped, (std::vector<double>{2e-6, 0.5, 2.0}));
 }
 
@@ -267,44 +418,46 @@ TEST(CalendarQueueTest, SlotBoundaryTruncatedEventIsNotStranded) {
   // skipped it as "future rotation" forever and it surfaced late — and out
   // of order — via the sparse-jump fallback, silently regressing simulated
   // time. Placement and window membership must share one slot computation.
-  sim::CalendarQueue q;  // 1us buckets, 256 of them
+  sim::EventStore q(std::make_unique<sim::CalendarQueue>());
   std::vector<double> expected;
-  q.schedule(0.0018, [] {});
+  schedule(q, 0.0018, [] {});
   expected.push_back(0.0018);
   for (int k = 1; k <= 300; ++k) {
     const double t = 0.0018 + k * 0.7e-6;  // mid-slot, spans > one rotation
-    q.schedule(t, [] {});
+    schedule(q, t, [] {});
     expected.push_back(t);
   }
   std::vector<double> popped;
-  while (!q.empty()) popped.push_back(q.pop().time);
+  while (q.size() != 0) popped.push_back(pop_and_run(q));
   EXPECT_EQ(popped, expected);  // already sorted: strictly increasing input
 }
 
 TEST(CalendarQueueTest, ResizeBothDirectionsPreservesOrderAndNextTime) {
-  sim::CalendarQueue q;  // 256 buckets initially
+  auto calendar = std::make_unique<sim::CalendarQueue>();
+  const sim::CalendarQueue& layout = *calendar;  // 256 buckets initially
+  sim::EventStore q(std::move(calendar));
   sim::Rng rng(31);
-  const std::size_t initial_buckets = q.num_buckets();
-  for (int i = 0; i < 3000; ++i) q.schedule(rng.uniform(0.0, 1e-3), [] {});
-  const std::size_t grown = q.num_buckets();
+  const std::size_t initial_buckets = layout.num_buckets();
+  for (int i = 0; i < 3000; ++i) schedule(q, rng.uniform(0.0, 1e-3), [] {});
+  const std::size_t grown = layout.num_buckets();
   EXPECT_GT(grown, initial_buckets);  // doubling triggered
   std::size_t smallest = grown;
   double last = -1.0;
-  while (!q.empty()) {
+  while (q.size() != 0) {
     // next_time() must agree with the following pop and be monotone.
     const double peek = q.next_time();
-    const double t = q.pop().time;
+    const double t = pop_and_run(q);
     EXPECT_DOUBLE_EQ(peek, t);
     EXPECT_GE(t, last);
     last = t;
-    smallest = std::min(smallest, q.num_buckets());
+    smallest = std::min(smallest, layout.num_buckets());
   }
   EXPECT_LT(smallest, grown);  // halving triggered on the way down
 }
 
 TEST(CalendarQueueTest, TieBreakBySequenceMatchesEventQueue) {
-  sim::CalendarQueue calendar(1e-6, 4);
-  sim::EventQueue heap;
+  sim::EventStore calendar(std::make_unique<sim::CalendarQueue>(1e-6, 4));
+  sim::EventStore heap(std::make_unique<sim::EventQueue>());
   std::vector<std::string> calendar_order, heap_order;
   std::vector<sim::EventId> calendar_ids, heap_ids;
   // Three batches at the same instant, interleaved with batches at another
@@ -314,39 +467,36 @@ TEST(CalendarQueueTest, TieBreakBySequenceMatchesEventQueue) {
       const double t = (batch % 2 == 0) ? 5e-6 : 2e-6;
       const std::string label =
           std::to_string(batch) + ":" + std::to_string(i);
-      calendar_ids.push_back(calendar.schedule(
-          t, [&calendar_order, label] { calendar_order.push_back(label); }));
-      heap_ids.push_back(heap.schedule(
-          t, [&heap_order, label] { heap_order.push_back(label); }));
+      calendar_ids.push_back(schedule(calendar, t, [&calendar_order, label] {
+        calendar_order.push_back(label);
+      }));
+      heap_ids.push_back(schedule(
+          heap, t, [&heap_order, label] { heap_order.push_back(label); }));
     }
   }
   for (std::size_t k = 0; k < calendar_ids.size(); k += 3) {
     EXPECT_EQ(calendar.cancel(calendar_ids[k]), heap.cancel(heap_ids[k]));
   }
-  while (!heap.empty()) {
-    ASSERT_FALSE(calendar.empty());
-    auto ch = calendar.pop();
-    auto hh = heap.pop();
-    ASSERT_DOUBLE_EQ(ch.time, hh.time);
-    ch.handler();
-    hh.handler();
+  while (heap.size() != 0) {
+    ASSERT_NE(calendar.size(), 0u);
+    ASSERT_DOUBLE_EQ(pop_and_run(calendar), pop_and_run(heap));
   }
-  EXPECT_TRUE(calendar.empty());
+  EXPECT_EQ(calendar.size(), 0u);
   EXPECT_EQ(calendar_order, heap_order);
 }
 
-// Regression: next_time() must not commit the epoch advance it scans with —
-// scheduling between a peek at a far-future event and the next pop used to
-// trip the "cannot schedule into the past" contract.
+// Regression: scheduling between a peek at a far-future event and the next
+// pop used to trip the "cannot schedule into the past" contract. A peek
+// leaves the cursor on the far event; the earlier key pulls it back.
 TEST(CalendarQueueTest, ScheduleAfterNextTimePeekOfFarEvent) {
-  sim::CalendarQueue q(1e-6, 8);
+  sim::EventStore q(std::make_unique<sim::CalendarQueue>(1e-6, 8));
   std::vector<double> popped;
-  q.schedule(100e-6, [] {});
+  schedule(q, 100e-6, [] {});
   EXPECT_DOUBLE_EQ(q.next_time(), 100e-6);
   // Still allowed: 1us is in the peeked event's past but not the clock's.
-  q.schedule(1e-6, [] {});
+  schedule(q, 1e-6, [] {});
   EXPECT_DOUBLE_EQ(q.next_time(), 1e-6);
-  while (!q.empty()) popped.push_back(q.pop().time);
+  while (q.size() != 0) popped.push_back(pop_and_run(q));
   EXPECT_EQ(popped, (std::vector<double>{1e-6, 100e-6}));
 }
 

@@ -2,9 +2,9 @@
 // cancellation, clock semantics, and RNG behaviour.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/units.h"
@@ -13,63 +13,63 @@ namespace aeq::sim {
 namespace {
 
 TEST(EventQueueTest, PopsInTimeOrder) {
-  EventQueue q;
+  Simulator q(SchedulerBackend::kHeap);
   std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().handler();
+  q.schedule_at(3.0, [&] { order.push_back(3); });
+  q.schedule_at(1.0, [&] { order.push_back(1); });
+  q.schedule_at(2.0, [&] { order.push_back(2); });
+  q.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TieBreaksByInsertionOrder) {
-  EventQueue q;
+  Simulator q(SchedulerBackend::kHeap);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    q.schedule(1.0, [&order, i] { order.push_back(i); });
+    q.schedule_at(1.0, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().handler();
+  q.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q;
+  Simulator q(SchedulerBackend::kHeap);
   bool ran = false;
-  EventId id = q.schedule(1.0, [&] { ran = true; });
-  q.schedule(2.0, [] {});
+  EventId id = q.schedule_at(1.0, [&] { ran = true; });
+  q.schedule_at(2.0, [] {});
   EXPECT_TRUE(q.cancel(id));
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().handler();
+  EXPECT_EQ(q.pending_events(), 1u);
+  q.run();
   EXPECT_FALSE(ran);
 }
 
 TEST(EventQueueTest, CancelTwiceReturnsFalse) {
-  EventQueue q;
-  EventId id = q.schedule(1.0, [] {});
+  Simulator q(SchedulerBackend::kHeap);
+  EventId id = q.schedule_at(1.0, [] {});
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
   EXPECT_FALSE(q.cancel(EventId{}));
 }
 
 TEST(EventQueueTest, CancelAfterFireIsHarmlessNoOp) {
-  EventQueue q;
-  EventId fired = q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
-  q.pop().handler();
+  Simulator q(SchedulerBackend::kHeap);
+  EventId fired = q.schedule_at(1.0, [] {});
+  q.schedule_at(2.0, [] {});
+  q.run_until(1.0);  // fires the first event only
   // Cancelling the already-fired event must not disturb live accounting.
   EXPECT_FALSE(q.cancel(fired));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_FALSE(q.empty());
-  q.pop().handler();
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending_events(), 1u);
+  q.run();
+  EXPECT_EQ(q.pending_events(), 0u);
+  EXPECT_EQ(q.events_processed(), 2u);
 }
 
 TEST(EventQueueTest, NextTimeSkipsCancelledHead) {
-  EventQueue q;
-  EventId early = q.schedule(1.0, [] {});
-  q.schedule(5.0, [] {});
+  Simulator q(SchedulerBackend::kHeap);
+  EventId early = q.schedule_at(1.0, [] {});
+  q.schedule_at(5.0, [] {});
   q.cancel(early);
-  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
+  EXPECT_DOUBLE_EQ(q.next_event_time(), 5.0);
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
