@@ -138,6 +138,6 @@ int main(int argc, char** argv) {
               "so ~50%% of offered bytes can complete at best — downgrading "
               "keeps the link busy delivering rejected traffic on the "
               "scavenger class, dropping destroys it outright.\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

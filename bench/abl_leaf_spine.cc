@@ -99,6 +99,6 @@ int main(int argc, char** argv) {
   std::printf("\nAequitas never learns where the bottleneck is — RNL "
               "feedback alone relocates the admission decision to whatever "
               "path segment is overloaded.\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

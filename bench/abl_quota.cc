@@ -78,8 +78,7 @@ Result run(bool with_quota, std::uint64_t seed,
       holder->keepalive = *server;
       holder->inner = std::make_unique<core::QuotaController>(
           simulator, **server, tenant,
-          std::make_unique<core::AequitasController>(aeq, rng),
-          core::QuotaControllerConfig{});
+          std::make_unique<core::AequitasController>(aeq, rng));
       return holder;
     };
   } else {
@@ -144,6 +143,6 @@ int main(int argc, char** argv) {
   bench::emit(table, args);
   std::printf("\nThe quota server turns per-channel fairness into weighted "
               "per-tenant guarantees without touching the latency SLO.\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -132,6 +132,6 @@ int main(int argc, char** argv) {
   std::printf("\nPer-destination state confines downgrades to the hotspot; "
               "global state collaterally downgrades traffic to idle "
               "destinations.\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -118,6 +118,6 @@ int main(int argc, char** argv) {
   std::printf("\nmax |WFQ - DWRR| worst-case delay: %.4f of the period — "
               "the delay analysis is implementation-agnostic.\n",
               worst_gap);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -11,6 +11,7 @@
 // byte-identical to `--jobs 1`.
 #pragma once
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,8 +35,6 @@ inline void print_header(const char* figure, const char* title) {
   std::printf("%s — %s\n", figure, title);
   std::printf("==============================================================\n");
 }
-
-inline void print_footer() { std::printf("\n"); }
 
 // Selects which simulation point of a bench gets telemetry attached.
 // Benches run many independent experiments (sweep points, calibration
@@ -65,6 +64,15 @@ struct TraceRequest {
   std::string prof;
   int point = 0;  // --trace-point N: which apply() site fires
 
+  // Shared by every copy (sweep closures carry the request to worker
+  // threads): how many apply() sites the run offered, and whether the
+  // requested one fired.
+  struct Outcome {
+    std::atomic<int> offered{0};
+    std::atomic<bool> taken{false};
+  };
+  std::shared_ptr<Outcome> outcome = std::make_shared<Outcome>();
+
   bool enabled() const {
     return !trace.empty() || !trace_csv.empty() || !timeseries.empty() ||
            watchdog || !flight_recorder.empty() || !prof.empty();
@@ -89,7 +97,12 @@ struct TraceRequest {
   // Call once per candidate experiment, numbering them 0, 1, ... in the
   // order they are submitted/constructed.
   void apply(runner::Experiment& experiment, int point_index = 0) const {
+    int offered = outcome->offered.load();
+    while (offered <= point_index &&
+           !outcome->offered.compare_exchange_weak(offered, point_index + 1)) {
+    }
     if (!enabled() || point_index != point) return;
+    outcome->taken = true;
     const runner::TelemetrySpec telemetry = spec();
     if (telemetry.any()) experiment.enable_telemetry(telemetry);
     if (!prof.empty()) {
@@ -97,12 +110,21 @@ struct TraceRequest {
           point == 0 ? prof : prof + ".point" + std::to_string(point));
     }
   }
+
+  // Exits 2 when a telemetry request was made but no apply() site took
+  // it, naming --trace-point and how many points the run offered.
+  void require_taken() const {
+    if (!enabled() || outcome->taken) return;
+    std::fprintf(stderr,
+                 "--trace-point=%d matches no point: the run offered %d\n",
+                 point, outcome->offered.load());
+    std::exit(2);
+  }
 };
 
 // Command line shared by every figure/ablation bench:
-//   --jobs N        worker threads for the sweep (default: AEQ_JOBS env,
-//                   else hardware concurrency); results are identical for
-//                   any N
+//   --jobs N        worker threads for the sweep (default: hardware
+//                   concurrency); results are identical for any N
 //   --seed S        base seed; per-point seeds derive from (S, point index)
 //   --csv PATH      append each rendered table as CSV ("-" = stdout)
 //   --json PATH     append each rendered table as JSON ("-" = stdout)
@@ -115,7 +137,8 @@ struct TraceRequest {
 //   --prof PATH     execution profile for one point: per-component JSON
 //                   report at PATH (+ `.trace.json` flame rows, stderr
 //                   summary); observe-only, stdout stays byte-identical
-//   --trace-point N which point gets the telemetry (default 0, the first)
+//   --trace-point N which point gets the telemetry (default 0, the first);
+//                   a negative N, or one no point matches, exits 2
 // A bench reads its own flags from `flags` and then calls
 // reject_unknown_flags(), so a flag it does not read is an error.
 struct BenchArgs {
@@ -153,7 +176,19 @@ inline BenchArgs parse_args(int argc, char** argv) {
   args.trace.flight_recorder = args.flags.get_path("flight-recorder");
   args.trace.prof = args.flags.get_path("prof");
   args.trace.point = static_cast<int>(args.flags.get_int("trace-point", 0));
+  if (args.trace.point < 0) {
+    std::fprintf(stderr, "%s: --trace-point must be >= 0 (got %d)\n",
+                 argv[0], args.trace.point);
+    std::exit(2);
+  }
   return args;
+}
+
+// Ends every bench's output; exits 2 if the telemetry request (--trace,
+// --prof, ...) matched none of the points the run offered.
+inline void print_footer(const BenchArgs& args) {
+  std::printf("\n");
+  args.trace.require_taken();
 }
 
 // Exits 2 naming the first flag whose value did not parse ("--hosts=12x")

@@ -77,6 +77,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\nNote: PC's p99.9 is far above its median — large "
               "performance-critical RPCs exist, so size != priority.\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -137,6 +137,6 @@ int main(int argc, char** argv) {
   std::printf("\nWithout admission control the shared QoS_h channels queue "
               "behind the surge; with Aequitas the admitted PC tail stays "
               "flat and the surge (plus excess PC) is downgraded.\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

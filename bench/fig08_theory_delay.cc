@@ -38,6 +38,6 @@ int main(int argc, char** argv) {
               boundary * 100.0);
   std::printf("Numeric admissible-region edge: QoSh-share = %.1f%%\n",
               analysis::max_admissible_share(params) * 100.0);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

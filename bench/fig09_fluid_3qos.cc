@@ -50,6 +50,6 @@ int main(int argc, char** argv) {
       "Figure 9", "Simulated WFQ worst-case delay, 3 QoS levels (fluid)");
   run_panel("a", {8.0, 4.0, 1.0}, args);
   run_panel("b", {50.0, 4.0, 1.0}, args);
-  aeq::bench::print_footer();
+  aeq::bench::print_footer(args);
   return 0;
 }

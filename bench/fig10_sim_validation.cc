@@ -113,6 +113,6 @@ int main(int argc, char** argv) {
   std::printf("\nmax |sim - theory| across the sweep: %.4f "
               "(normalized to the period)\n",
               worst_gap);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

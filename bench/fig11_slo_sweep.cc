@@ -62,6 +62,6 @@ int main(int argc, char** argv) {
                       {"QoSh-share(%)", 16, 1}});
   for (const auto& point : sweep.run()) table.add_rows(point.rows);
   bench::emit(table, args);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

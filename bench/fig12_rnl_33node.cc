@@ -71,6 +71,6 @@ int main(int argc, char** argv) {
     bench::emit(table, args);
   }
   std::printf("\nSLO: QoS_h 25us, QoS_m 50us (p99.9, 32KB RPCs)\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

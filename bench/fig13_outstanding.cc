@@ -84,6 +84,6 @@ int main(int argc, char** argv) {
   print_cdf("QoS_h + QoS_m outstanding RPCs:", cdfs[0].high, cdfs[1].high,
             args);
   print_cdf("QoS_l outstanding RPCs:", cdfs[0].low, cdfs[1].low, args);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

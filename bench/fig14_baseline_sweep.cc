@@ -52,6 +52,6 @@ int main(int argc, char** argv) {
                       {"QoSl p999(us)", 14, 1}});
   for (const auto& point : sweep.run()) table.add_rows(point.rows);
   bench::emit(table, args);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -108,6 +108,6 @@ int main(int argc, char** argv) {
                       {"QoSh p99.9 (us)", 18, 1}});
   for (const auto& point : sweep.run()) table.add_rows(point.rows);
   bench::emit(table, args);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -66,6 +66,6 @@ int main(int argc, char** argv) {
   std::printf("\nfitted C = %.3f; admitted share is ~inversely proportional "
               "to burstiness\n",
               C);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -29,6 +29,6 @@ int main(int argc, char** argv) {
               "ratio is 2.0)\n",
               r.steady_p_admit[0], r.steady_p_admit[1],
               r.steady_p_admit[1] / r.steady_p_admit[0]);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -28,6 +28,6 @@ int main(int argc, char** argv) {
   std::printf("  channel A p_admit: mean %.3f, 1st-percentile %.3f "
               "(paper: 0.82)\n",
               r.steady_p_admit[0], r.p_admit_samples[0].percentile(1.0));
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

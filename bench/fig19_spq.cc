@@ -83,6 +83,6 @@ int main(int argc, char** argv) {
                    spq.at("m_p999"), aeq.at("m_p999")});
   }
   bench::emit(table, args);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -111,6 +111,6 @@ int main(int argc, char** argv) {
               100 * baseline.shares[0], 100 * baseline.shares[1],
               100 * baseline.shares[2], 100 * aequitas.shares[0],
               100 * aequitas.shares[1], 100 * aequitas.shares[2]);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -147,6 +147,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
     for (const auto& line : digest_lines) std::printf("%s\n", line.c_str());
   }
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

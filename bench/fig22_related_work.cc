@@ -318,7 +318,7 @@ int run_shootout(bench::BenchArgs& args, const std::string& controller,
                       {"gauges (host 0)", 20}});
   for (const auto& result : sweep.run()) table.add_rows(result.rows);
   bench::emit(table, args);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }
 
@@ -387,6 +387,6 @@ int main(int argc, char** argv) {
                       {"killed%", 10, 1}});
   for (const auto& result : sweep.run()) table.add_rows(result.rows);
   bench::emit(table, args);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

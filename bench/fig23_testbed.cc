@@ -109,6 +109,6 @@ int main(int argc, char** argv) {
   bench::emit(table, args);
   std::printf("\n(RNL normalized per class to the target-mix calibration "
               "run, as in the paper's footnote 7)\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

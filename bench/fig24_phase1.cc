@@ -189,6 +189,6 @@ int main(int argc, char** argv) {
   std::printf("\nmean change %+.1f%%, best %+.1f%%, clusters improved "
               "%d/50\n",
               mean / 50.0, changes.front(), improved);
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

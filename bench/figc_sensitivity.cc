@@ -69,6 +69,6 @@ int main(int argc, char** argv) {
   bench::emit(table, args);
   std::printf("\nsmaller beta: smoother p_admit (higher p1, lower stddev) "
               "at looser SLO-compliance\n");
-  bench::print_footer();
+  bench::print_footer(args);
   return 0;
 }

@@ -63,8 +63,7 @@ int main() {
     controller->keepalive = *server;
     controller->inner = std::make_unique<core::QuotaController>(
         simulator, **server, tenant,
-        std::make_unique<core::AequitasController>(aeq, rng),
-        core::QuotaControllerConfig{});
+        std::make_unique<core::AequitasController>(aeq, rng));
     return controller;
   };
   runner::Experiment experiment(config);

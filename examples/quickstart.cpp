@@ -25,8 +25,8 @@ int main() {
   // per MTU. The lowest QoS is a scavenger class (no SLO).
   const double kSloSeconds = 15 * sim::kUsec;
   const std::uint64_t kRpcBytes = 32 * sim::kKiB;
-  const double size_mtus = static_cast<double>(
-      rpc::size_in_mtus(kRpcBytes, config.transport.mtu_bytes));
+  const double size_mtus =
+      static_cast<double>(rpc::size_in_mtus(kRpcBytes));
   config.slo = rpc::SloConfig::make({kSloSeconds / size_mtus, 0.0}, 99.9);
 
   runner::Experiment experiment(config);

@@ -7,10 +7,15 @@
 
 namespace aeq::core {
 
+namespace {
+// Token bucket burst allowance of a QuotaController, as a multiple of one
+// allocation interval at the granted rate.
+constexpr double kBurstIntervals = 2.0;
+}  // namespace
+
 QuotaServer::QuotaServer(sim::Simulator& simulator,
                          const QuotaServerConfig& config)
     : sim_(simulator), config_(config) {
-  AEQ_CHECK_GT(config_.allocation_interval, 0.0);
   AEQ_ASSERT(!config_.qos_budget_bytes_per_sec.empty());
 }
 
@@ -62,7 +67,7 @@ double QuotaServer::allocation(TenantId tenant, net::QoSLevel qos) const {
 void QuotaServer::arm() {
   if (armed_) return;
   armed_ = true;
-  sim_.schedule_in(config_.allocation_interval, [this] {
+  sim_.schedule_in(kAllocationInterval, [this] {
     armed_ = false;
     allocate();
     if (!tenants_.empty()) arm();
@@ -83,7 +88,7 @@ void QuotaServer::allocate() {
     std::vector<bool> unbounded(tenants_.size(), false);
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
       demand[t] = 1.25 * tenants_[t].demand_bytes[q] /
-                  config_.allocation_interval;
+                  kAllocationInterval;
     }
     // Max-min by weight with demand caps == GPS water-filling.
     const std::vector<double> alloc = analysis::gps_allocate(
@@ -121,13 +126,11 @@ void QuotaServer::audit_invariants() const {
 QuotaController::QuotaController(
     sim::Simulator& simulator, QuotaServer& server,
     QuotaServer::TenantId tenant,
-    std::unique_ptr<AequitasController> aequitas,
-    const QuotaControllerConfig& config)
+    std::unique_ptr<AequitasController> aequitas)
     : sim_(simulator),
       server_(server),
       tenant_(tenant),
-      aequitas_(std::move(aequitas)),
-      config_(config) {
+      aequitas_(std::move(aequitas)) {
   AEQ_ASSERT(aequitas_ != nullptr);
   buckets_.resize(server_.config().qos_budget_bytes_per_sec.size());
 }
@@ -137,8 +140,7 @@ bool QuotaController::take_tokens(sim::Time now, net::QoSLevel qos,
   if (qos >= buckets_.size()) return true;  // no quota on this level
   Bucket& bucket = buckets_[qos];
   const double rate = server_.allocation(tenant_, qos);
-  const double cap =
-      config_.burst_intervals * rate * server_.config().allocation_interval;
+  const double cap = kBurstIntervals * rate * QuotaServer::kAllocationInterval;
   bucket.tokens = std::min(
       cap, bucket.tokens + rate * (now - bucket.last_refill));
   bucket.last_refill = now;
@@ -162,9 +164,6 @@ rpc::AdmissionDecision QuotaController::admit(sim::Time now,
   if (!aequitas_->config().slo.has_slo(decision.qos_run)) return decision;
   if (!take_tokens(now, decision.qos_run, static_cast<double>(bytes))) {
     ++over_quota_;
-    if (config_.drop_over_quota) {
-      return {decision.qos_run, false, true, decision.p_admit};
-    }
     return {lowest_qos(), true, false, decision.p_admit};
   }
   return decision;

@@ -11,8 +11,8 @@
 //
 // QuotaController: wraps a tenant's AequitasController. RPCs pass the
 // Aequitas coin flip first; an admitted RPC must then also fit the tenant's
-// token bucket for that QoS, otherwise it is downgraded (or dropped when
-// `drop_over_quota` is set). Completion feedback still flows to Aequitas.
+// token bucket for that QoS, otherwise it is downgraded. Completion
+// feedback still flows to Aequitas.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 namespace aeq::core {
 
 struct QuotaServerConfig {
-  sim::Time allocation_interval = 1 * sim::kMsec;
   // Admitted-byte budget per QoS level (bytes/sec); index 0 = QoS_h.
   // Typically the admissible rate the operator read off the Figure-14-style
   // profile for the configured SLO.
@@ -37,6 +36,9 @@ struct QuotaServerConfig {
 class QuotaServer {
  public:
   using TenantId = std::uint32_t;
+
+  // How often the server re-divides the budget.
+  static constexpr sim::Time kAllocationInterval = 1 * sim::kMsec;
 
   QuotaServer(sim::Simulator& simulator, const QuotaServerConfig& config);
 
@@ -78,20 +80,11 @@ class QuotaServer {
   bool allocated_once_ = false;  // guards mid-run registration (see .cc)
 };
 
-struct QuotaControllerConfig {
-  // Token bucket burst allowance, as a multiple of one allocation interval
-  // at the granted rate.
-  double burst_intervals = 2.0;
-  // Over-quota RPCs are dropped instead of downgraded.
-  bool drop_over_quota = false;
-};
-
 class QuotaController final : public rpc::AdmissionController {
  public:
   QuotaController(sim::Simulator& simulator, QuotaServer& server,
                   QuotaServer::TenantId tenant,
-                  std::unique_ptr<AequitasController> aequitas,
-                  const QuotaControllerConfig& config);
+                  std::unique_ptr<AequitasController> aequitas);
 
   rpc::AdmissionDecision admit(sim::Time now, net::HostId src,
                                net::HostId dst, net::QoSLevel qos_requested,
@@ -128,7 +121,6 @@ class QuotaController final : public rpc::AdmissionController {
   QuotaServer& server_;
   QuotaServer::TenantId tenant_;
   std::unique_ptr<AequitasController> aequitas_;
-  QuotaControllerConfig config_;
   std::vector<Bucket> buckets_;
   std::uint64_t over_quota_ = 0;
 };

@@ -24,6 +24,12 @@ inline constexpr QoSLevel kQoSMid = 1;
 inline constexpr QoSLevel kQoSLow = 2;
 inline constexpr std::size_t kMaxQoSLevels = 8;
 
+// Every stack segments messages into packets of at most kMtuBytes (the
+// paper's 4 KB MTU; RPC sizes are normalized by it) and acknowledges with
+// header-only packets of kAckBytes.
+inline constexpr std::uint32_t kMtuBytes = 4096;
+inline constexpr std::uint32_t kAckBytes = 64;
+
 enum class PacketType : std::uint8_t {
   kData,         // payload-carrying segment
   kAck,          // transport acknowledgment

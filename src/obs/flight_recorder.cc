@@ -19,14 +19,12 @@ struct Slot {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(const FlightRecorderConfig& config)
-    : config_(config) {
-  AEQ_CHECK_GE(config_.capacity, 1u);
-  generated_.reset(config_.capacity);
-  admissions_.reset(config_.capacity);
-  packets_.reset(config_.capacity);
-  cwnds_.reset(config_.capacity);
-  completions_.reset(config_.capacity);
+FlightRecorder::FlightRecorder() {
+  generated_.reset(kCapacity);
+  admissions_.reset(kCapacity);
+  packets_.reset(kCapacity);
+  cwnds_.reset(kCapacity);
+  completions_.reset(kCapacity);
 }
 
 void FlightRecorder::on_port_registered(std::uint32_t port,
@@ -84,13 +82,8 @@ void FlightRecorder::dump(std::ostream& out, const Anomaly* anomaly) {
   std::vector<Slot> slots;
   slots.reserve(events_retained());
 
-  const sim::Time horizon =
-      (anomaly != nullptr && config_.lookback > 0.0)
-          ? anomaly->t - config_.lookback
-          : -1.0;
   const auto stage = [&](auto& staged, std::uint8_t category,
                          const auto& event) {
-    if (event.t < horizon) return;
     Slot slot;
     slot.t = event.t;
     slot.category = category;

@@ -22,18 +22,13 @@
 
 namespace aeq::obs {
 
-struct FlightRecorderConfig {
-  // Events retained per category. The five rings are independent so a
-  // packet storm cannot evict the (much rarer) RPC lifecycle events.
-  std::size_t capacity = 4096;
-  // When dumping for an anomaly, keep only events within `lookback` of the
-  // anomaly time (0 = keep everything retained).
-  sim::Time lookback = 0.0;
-};
-
 class FlightRecorder : public Sink {
  public:
-  explicit FlightRecorder(const FlightRecorderConfig& config);
+  // Events retained per category. The five rings are independent so a
+  // packet storm cannot evict the (much rarer) RPC lifecycle events.
+  static constexpr std::size_t kCapacity = 4096;
+
+  FlightRecorder();
 
   void on_port_registered(std::uint32_t port,
                           const std::string& name) override;
@@ -44,15 +39,13 @@ class FlightRecorder : public Sink {
   void on_rpc_complete(const RpcComplete& event) override;
 
   // Writes a Chrome-trace snapshot of the retained events. `anomaly` (may
-  // be null) is rendered as a global instant labelled with describe() and
-  // bounds the snapshot to config().lookback before it.
+  // be null) is rendered as a global instant labelled with describe().
   void dump(std::ostream& out, const Anomaly* anomaly = nullptr);
   void dump(const std::string& path, const Anomaly* anomaly = nullptr);
 
   std::uint64_t events_seen() const { return events_seen_; }
   std::size_t events_retained() const;
   std::uint64_t dumps() const { return dumps_; }
-  const FlightRecorderConfig& config() const { return config_; }
 
  private:
   // Fixed-capacity ring of POD events; push overwrites the oldest.
@@ -87,7 +80,6 @@ class FlightRecorder : public Sink {
     std::size_t size_ = 0;
   };
 
-  FlightRecorderConfig config_;
   std::vector<std::string> port_names_;  // indexed by port id
   Ring<RpcGenerated> generated_;
   Ring<AdmissionDecision> admissions_;

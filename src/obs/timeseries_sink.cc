@@ -21,8 +21,11 @@ std::string num(double v) {
   return buffer;
 }
 
-// Floor of the RNL histograms' range (TimeseriesConfig::rnl_max is the top).
+// RNL histogram shape: percentiles carry <= kRnlPrecision relative error
+// within [kRnlMin, kRnlMax] (values clamp outside).
 constexpr double kRnlMin = 0.1 * sim::kUsec;
+constexpr double kRnlMax = 1.0;  // seconds
+constexpr double kRnlPrecision = 0.02;
 
 // (src, dst, qos) channel key; hosts are small nonnegative ids.
 std::uint64_t channel_key(net::HostId src, net::HostId dst,
@@ -72,7 +75,7 @@ void TimeseriesSink::init_streams() {
   qos_.assign(config_.num_qos, QosAccum{});
   rnl_.reserve(config_.num_qos);
   for (std::size_t q = 0; q < config_.num_qos; ++q) {
-    rnl_.emplace_back(kRnlMin, config_.rnl_max, config_.precision);
+    rnl_.emplace_back(kRnlMin, kRnlMax, kRnlPrecision);
   }
   if (csv_ != nullptr) *csv_ << csv_header() << '\n';
   if (json_ != nullptr) {
@@ -380,7 +383,7 @@ void TimeseriesSink::close_window(sim::Time end) {
   if (csv_ != nullptr) write_csv_rows(window, *csv_);
   if (json_ != nullptr) write_json_window(window);
   recent_.push_back(window);
-  while (recent_.size() > config_.recent_capacity) recent_.pop_front();
+  while (recent_.size() > kRecentCapacity) recent_.pop_front();
   ++windows_closed_;
   ++window_index_;
   reset_accumulators();

@@ -39,13 +39,6 @@ struct TimeseriesConfig {
   std::size_t num_qos = 3;
   std::string csv_path;   // "" = no CSV output
   std::string json_path;  // "" = no JSON output
-  // How many closed windows to retain in memory (recent()) for the flight
-  // recorder's "recent timeseries rows" dump and for tests.
-  std::size_t recent_capacity = 128;
-  // RNL histogram shape: percentiles carry <= `precision` relative error
-  // within [0.1 us, rnl_max] (values clamp outside).
-  double rnl_max = 1.0;  // seconds
-  double precision = 0.02;
 };
 
 // One closed window, fully aggregated. All RPC-level stats (completions,
@@ -121,6 +114,10 @@ struct WindowStats {
 
 class TimeseriesSink : public Sink {
  public:
+  // How many closed windows recent() retains, for the flight recorder's
+  // "recent timeseries rows" dump.
+  static constexpr std::size_t kRecentCapacity = 128;
+
   explicit TimeseriesSink(const TimeseriesConfig& config);
   // Streams into caller-owned streams (tests); either may be null.
   TimeseriesSink(const TimeseriesConfig& config, std::ostream* csv,

@@ -12,6 +12,15 @@ namespace {
 // Anomalies retained in Watchdog::anomalies().
 constexpr std::size_t kMaxAnomalyLog = 1024;
 
+// Consecutive windows each rule's condition must hold before it fires.
+constexpr std::size_t kComplianceWindows = 3;
+constexpr std::size_t kPAdmitWindows = 2;
+constexpr std::size_t kSaturationWindows = 2;
+constexpr std::size_t kStallWindows = 2;
+// Windows with fewer completions than this don't advance compliance
+// streaks in either direction.
+constexpr std::uint64_t kComplianceMinCompletions = 16;
+
 }  // namespace
 
 const char* kind_name(Anomaly::Kind kind) {
@@ -83,9 +92,9 @@ void Watchdog::on_window(const WindowStats& window) {
     const WindowStats::QosStats& qos = window.qos[q];
     const double target = config_.compliance_target[q];
     if (target <= 0.0) continue;
-    if (qos.completed < config_.compliance_min_completions) continue;
+    if (qos.completed < kComplianceMinCompletions) continue;
     if (step(compliance_[q], qos.slo_compliance < target,
-             config_.compliance_windows)) {
+             kComplianceWindows)) {
       Anomaly anomaly;
       anomaly.kind = Anomaly::Kind::kSloCompliance;
       anomaly.t = window.end;
@@ -103,7 +112,7 @@ void Watchdog::on_window(const WindowStats& window) {
   if (config_.p_admit_floor > 0.0 &&
       (window.admits + window.downgrades + window.admission_drops) > 0) {
     if (step(p_admit_, window.p_admit_min < config_.p_admit_floor,
-             config_.p_admit_windows)) {
+             kPAdmitWindows)) {
       Anomaly anomaly;
       anomaly.kind = Anomaly::Kind::kPAdmitCollapse;
       anomaly.t = window.end;
@@ -123,7 +132,7 @@ void Watchdog::on_window(const WindowStats& window) {
     for (std::size_t p = 0; p < window.ports.size(); ++p) {
       const bool bad = window.ports[p].qlen_max_bytes >
                        config_.saturation_qlen_bytes;
-      if (step(saturation_[p], bad, config_.saturation_windows)) {
+      if (step(saturation_[p], bad, kSaturationWindows)) {
         Anomaly anomaly;
         anomaly.kind = Anomaly::Kind::kPortSaturation;
         anomaly.t = window.end;
@@ -140,11 +149,10 @@ void Watchdog::on_window(const WindowStats& window) {
   // Stall: work outstanding but the event stream has gone completely quiet.
   // Empty windows only exist because the experiment calls advance_to every
   // window, so this rule turns that clock into a liveness check.
-  if (config_.stall_windows > 0 &&
-      (config_.stall_horizon < 0.0 || window.end <= config_.stall_horizon)) {
+  if (config_.stall_horizon < 0.0 || window.end <= config_.stall_horizon) {
     const bool outstanding = window.cum_generated > window.cum_finished;
     if (step(stall_, outstanding && window.events == 0,
-             config_.stall_windows)) {
+             kStallWindows)) {
       Anomaly anomaly;
       anomaly.kind = Anomaly::Kind::kStall;
       anomaly.t = window.end;

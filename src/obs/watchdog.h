@@ -6,17 +6,16 @@
 // windows. Rules (all per-window, all O(qos + ports) per evaluation):
 //
 //  - kSloCompliance: a QoS class's compliance rate stayed below its target
-//    for `compliance_windows` consecutive windows (ignoring windows with
-//    fewer than `compliance_min_completions` completions, which carry no
-//    statistical weight).
+//    for 3 consecutive windows (ignoring windows with fewer than 16
+//    completions, which carry no statistical weight).
 //  - kPAdmitCollapse: the worst channel's mean p_admit stayed below
-//    `p_admit_floor` for `p_admit_windows` windows — the admission plane
-//    has throttled some channel to (near) zero.
+//    `p_admit_floor` for 2 windows — the admission plane has throttled
+//    some channel to (near) zero.
 //  - kPortSaturation: some port's max queue depth stayed above
-//    `saturation_qlen_bytes` for `saturation_windows` windows.
-//  - kStall: RPCs are outstanding (cum_generated > cum_finished) but
-//    `stall_windows` consecutive windows saw no events at all — the
-//    simulation is wedged, not idle.
+//    `saturation_qlen_bytes` for 2 windows.
+//  - kStall: RPCs are outstanding (cum_generated > cum_finished) but 2
+//    consecutive windows saw no events at all — the simulation is wedged,
+//    not idle.
 //
 // Each (rule, subject) pair keeps its own consecutive-window streak and a
 // latch: the callback fires once when the streak first reaches K and cannot
@@ -39,10 +38,6 @@ struct WatchdogConfig {
   // experiment fills this from the configured SLOs (with an alarm margin
   // below the target percentile, so normal jitter stays silent).
   std::vector<double> compliance_target;
-  std::size_t compliance_windows = 3;
-  // Windows with fewer completions than this don't advance compliance
-  // streaks in either direction.
-  std::uint64_t compliance_min_completions = 16;
 
   // Alarm when the worst channel's window-mean p_admit sits below this.
   // <= 0 disables the rule; the experiment auto-fills a negative value to
@@ -50,12 +45,9 @@ struct WatchdogConfig {
   // pinned at the floor", which separates pathological collapse from
   // ordinary heavy throttling.
   double p_admit_floor = -1.0;
-  std::size_t p_admit_windows = 2;
 
   std::uint64_t saturation_qlen_bytes = 0;  // 0 disables the rule
-  std::size_t saturation_windows = 2;
 
-  std::size_t stall_windows = 2;  // 0 disables the rule
   // The stall rule only evaluates windows ending at or before this time:
   // during the post-run drain the event stream legitimately goes quiet
   // while overload residue (RPCs whose packets were dropped) stays

@@ -6,10 +6,20 @@
 
 namespace aeq::policy {
 
+namespace {
+constexpr double kEpsilonDecay = 0.99;  // per closed window
+constexpr double kLearningRate = 0.2;
+constexpr double kRejectPenalty = 0.5;  // reward -= penalty * rejected share
+// Optimistic initial action value: explore every (state, action) once.
+constexpr double kQInit = 1.0;
+static_assert(kLearningRate > 0.0 && kLearningRate <= 1.0);
+static_assert(kEpsilonDecay > 0.0 && kEpsilonDecay <= 1.0);
+}  // namespace
+
 BanditController::BanditController(const BanditConfig& config,
                                    std::size_t num_qos, rpc::SloConfig slo,
                                    sim::Rng rng)
-    : WindowedController(num_qos, slo, config.window),
+    : WindowedController(num_qos, slo),
       config_(config),
       rng_(rng),
       epsilon_(config.epsilon0) {
@@ -19,11 +29,6 @@ BanditController::BanditController(const BanditConfig& config,
     AEQ_ASSERT_MSG(action >= 0.0 && action <= 1.0,
                    "bandit actions are admit probabilities in [0, 1]");
   }
-  AEQ_ASSERT_MSG(
-      config_.learning_rate > 0.0 && config_.learning_rate <= 1.0,
-      "bandit learning_rate must be in (0, 1]");
-  AEQ_ASSERT_MSG(config_.epsilon_decay > 0.0 && config_.epsilon_decay <= 1.0,
-                 "bandit epsilon_decay must be in (0, 1]");
   AEQ_ASSERT_MSG(config_.epsilon_min <= config_.epsilon0 &&
                      config_.epsilon0 <= 1.0 && config_.epsilon_min >= 0.0,
                  "bandit epsilon must satisfy 0 <= min <= initial <= 1");
@@ -35,7 +40,7 @@ BanditController::BanditController(const BanditConfig& config,
         min_target_per_mtu_ == 0.0 ? target
                                    : std::min(min_target_per_mtu_, target);
   }
-  q_.assign(kStates * config_.actions.size(), config_.q_init);
+  q_.assign(kStates * config_.actions.size(), kQInit);
   // Start on the most permissive action: the empty-state prior is "admit",
   // matching every other policy's cold start.
   action_ = config_.actions.size() - 1;
@@ -104,9 +109,9 @@ void BanditController::on_window(const obs::WindowStats& window) {
                            static_cast<double>(decisions);
   if (completed > 0 || decisions > 0) {
     const double reward =
-        worst_compliance - config_.reject_penalty * rejected_share;
+        worst_compliance - kRejectPenalty * rejected_share;
     double& value = q(state_, action_);
-    value += config_.learning_rate * (reward - value);
+    value += kLearningRate * (reward - value);
   }
 
   // 2. Observe the next state and pick the next action.
@@ -123,14 +128,14 @@ void BanditController::on_window(const obs::WindowStats& window) {
       if (q(state_, a) > q(state_, action_)) action_ = a;
     }
   }
-  epsilon_ = std::max(epsilon_ * config_.epsilon_decay, config_.epsilon_min);
+  epsilon_ = std::max(epsilon_ * kEpsilonDecay, config_.epsilon_min);
 }
 
 std::vector<rpc::Gauge> BanditController::gauges() const {
-  // Rewards live in [-reject_penalty, 1]; Q-values are convex combinations
-  // of rewards and q_init, so they stay inside the hull of both.
-  const double q_lo = std::min(-config_.reject_penalty, config_.q_init);
-  const double q_hi = std::max(1.0, config_.q_init);
+  // Rewards live in [-kRejectPenalty, 1]; Q-values are convex combinations
+  // of rewards and kQInit, so they stay inside the hull of both.
+  const double q_lo = std::min(-kRejectPenalty, kQInit);
+  const double q_hi = std::max(1.0, kQInit);
   return {
       {"p_admit_action", config_.actions[action_], 0.0, 1.0},
       {"epsilon", epsilon_, config_.epsilon_min, config_.epsilon0},
@@ -141,8 +146,8 @@ std::vector<rpc::Gauge> BanditController::gauges() const {
 }
 
 void BanditController::audit_invariants(sim::Time /*now*/) const {
-  const double q_lo = std::min(-config_.reject_penalty, config_.q_init);
-  const double q_hi = std::max(1.0, config_.q_init);
+  const double q_lo = std::min(-kRejectPenalty, kQInit);
+  const double q_hi = std::max(1.0, kQInit);
   for (double value : q_) {
     AEQ_CHECK_GE_MSG(value, q_lo, "bandit Q-value below the reward hull");
     AEQ_CHECK_LE_MSG(value, q_hi, "bandit Q-value above the reward hull");

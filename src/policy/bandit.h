@@ -12,8 +12,8 @@
 //     low (< 0.4), mid ([0.4, 0.7)), high (>= 0.7).
 // Action: the admit probability applied to SLO-class requests until the
 // next window closes. Reward: the window's worst SLO-class compliance
-// minus `reject_penalty` times the rejected share. Q-learning without a
-// bootstrap term (a bandit, not full RL): Q += lr * (r - Q).
+// minus a penalty (kRejectPenalty) times the rejected share. Q-learning
+// without a bootstrap term (a bandit, not full RL): Q += lr * (r - Q).
 //
 // All randomness (Bernoulli admit draws, epsilon exploration) comes from
 // the controller's own forked sim::Rng stream, so runs are reproducible

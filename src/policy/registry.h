@@ -28,7 +28,6 @@ struct PolicyContext {
   std::size_t num_qos = 3;
   rpc::SloConfig slo;
   sim::Rate link_rate = 0.0;
-  std::uint32_t mtu_bytes = 4096;
   sim::Rng rng{0};
 };
 

@@ -51,12 +51,6 @@ struct AequitasParams {
 struct TicketPoolConfig {
   double initial_concurrency = 32.0;
   double min_concurrency = 4.0;
-  double max_concurrency = 4096.0;
-  double probe_step = 0.125;  // relative probe size per window
-  double ema_weight = 0.3;    // goodput moving-average weight (newest obs)
-  // Relative goodput improvement a probe must show to be adopted.
-  double adopt_margin = 0.02;
-  sim::Time window = kDefaultPolicyWindow;
 };
 
 // Tabular epsilon-greedy bandit over (window RNL band, qos-mix band) state
@@ -66,14 +60,8 @@ struct TicketPoolConfig {
 struct BanditConfig {
   // Discrete admit-probability actions, lowest to highest.
   std::vector<double> actions = {0.25, 0.5, 0.75, 1.0};
-  double epsilon0 = 0.2;        // initial exploration rate
-  double epsilon_decay = 0.99;  // per closed window
+  double epsilon0 = 0.2;  // initial exploration rate
   double epsilon_min = 0.02;
-  double learning_rate = 0.2;
-  double reject_penalty = 0.5;  // reward -= penalty * rejected share
-  // Optimistic initial action value: explore every (state, action) once.
-  double q_init = 1.0;
-  sim::Time window = kDefaultPolicyWindow;
 };
 
 // SWP-style workload-aware pacing without priorities (Zhao et al.,
@@ -83,15 +71,6 @@ struct BanditConfig {
 // the tightest SLO, additive increase otherwise.
 struct SwpPacingConfig {
   double initial_rate_fraction = 0.9;  // of the host link rate
-  double min_rate_fraction = 0.05;
-  double max_rate_fraction = 1.0;
-  double increase_per_window = 0.01;   // additive
-  double decrease_factor = 0.8;        // multiplicative on violation
-  double burst_windows = 2.0;          // bucket depth, in windows at rate
-  // The single class all admitted traffic runs on. Everything shares one
-  // queue — SWP's "no priorities" premise expressed inside a QoS fabric.
-  net::QoSLevel run_qos = net::kQoSHigh;
-  sim::Time window = kDefaultPolicyWindow;
 };
 
 struct AdmissionSpec {

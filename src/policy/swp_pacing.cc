@@ -12,6 +12,22 @@ namespace {
 constexpr double kNormRnlMin = 0.01 * sim::kUsec;
 constexpr double kNormRnlMax = 10.0 * sim::kMsec;
 constexpr double kNormRnlPrecision = 0.02;
+
+// Pacing AIMD on the fraction of the host link rate.
+constexpr double kMinRateFraction = 0.05;
+constexpr double kMaxRateFraction = 1.0;
+constexpr double kIncreasePerWindow = 0.01;  // additive
+constexpr double kDecreaseFactor = 0.8;      // multiplicative on violation
+constexpr double kBurstWindows = 2.0;  // bucket depth, in windows at rate
+static_assert(kMinRateFraction > 0.0 && kMinRateFraction <= kMaxRateFraction &&
+              kMaxRateFraction <= 1.0);
+static_assert(kDecreaseFactor > 0.0 && kDecreaseFactor < 1.0);
+static_assert(kBurstWindows > 0.0);
+
+// The single class all admitted traffic runs on. Everything shares one
+// queue — SWP's "no priorities" premise expressed inside a QoS fabric. It
+// is never the scavenger class, which over-budget RPCs spill onto.
+constexpr net::QoSLevel kRunQos = net::kQoSHigh;
 }  // namespace
 
 SwpPacingController::SwpPacingController(const SwpPacingConfig& config,
@@ -19,29 +35,15 @@ SwpPacingController::SwpPacingController(const SwpPacingConfig& config,
                                          rpc::SloConfig slo,
                                          sim::Rate link_rate,
                                          bool drop_rejects)
-    : WindowedController(num_qos, slo, config.window),
-      config_(config),
+    : WindowedController(num_qos, slo),
       link_rate_(link_rate),
       drop_rejects_(drop_rejects),
       rate_fraction_(config.initial_rate_fraction),
       norm_rnl_(kNormRnlMin, kNormRnlMax, kNormRnlPrecision) {
   AEQ_CHECK_GT(link_rate_, 0.0);
-  AEQ_ASSERT_MSG(config_.min_rate_fraction > 0.0 &&
-                     config_.min_rate_fraction <=
-                         config_.max_rate_fraction &&
-                     config_.max_rate_fraction <= 1.0,
-                 "swp rate fractions must satisfy 0 < min <= max <= 1");
-  AEQ_ASSERT_MSG(config_.decrease_factor > 0.0 &&
-                     config_.decrease_factor < 1.0,
-                 "swp decrease_factor must be in (0, 1)");
-  AEQ_CHECK_GT(config_.burst_windows, 0.0);
-  AEQ_ASSERT_MSG(this->slo().has_slo(config_.run_qos) ||
-                     config_.run_qos ==
-                         static_cast<net::QoSLevel>(num_qos - 1),
-                 "swp run_qos must be a valid QoS level");
   rate_fraction_ = std::min(
-      std::max(rate_fraction_, config_.min_rate_fraction),
-      config_.max_rate_fraction);
+      std::max(rate_fraction_, kMinRateFraction),
+      kMaxRateFraction);
   min_target_per_mtu_ = 0.0;
   for (std::size_t q = 0; q + 1 < this->slo().num_qos(); ++q) {
     const double target = this->slo().latency_target_per_mtu[q];
@@ -54,11 +56,11 @@ SwpPacingController::SwpPacingController(const SwpPacingConfig& config,
 }
 
 double SwpPacingController::bucket_capacity() const {
-  // Bucket depth: `burst_windows` windows' worth of bytes at the current
+  // Bucket depth: kBurstWindows windows' worth of bytes at the current
   // pacing rate — deep enough to absorb one burst period, shallow enough
   // that sustained overload hits the gate within a few windows.
-  return config_.burst_windows * rate_fraction_ * link_rate_ *
-         window_width();
+  return kBurstWindows * rate_fraction_ * link_rate_ *
+         kDefaultPolicyWindow;
 }
 
 void SwpPacingController::refill(sim::Time now) {
@@ -80,18 +82,13 @@ rpc::AdmissionDecision SwpPacingController::decide(
     // One class for everything: the no-priority collapse. `downgraded` is
     // reserved for actual rejections so admitted-share accounting reads
     // "paced in" vs "paced out", not the class remap.
-    return {config_.run_qos, false, false, rate_fraction_};
+    return {kRunQos, false, false, rate_fraction_};
   }
   if (drop_rejects_) {
     return {qos_requested, false, true, rate_fraction_};
   }
   // Over budget without drops: spill onto the true scavenger class.
-  if (config_.run_qos != lowest_qos()) {
-    return {lowest_qos(), true, false, rate_fraction_};
-  }
-  // Degenerate setup (run_qos IS the scavenger): nothing lower exists, so
-  // pacing can only shed by dropping.
-  return {qos_requested, false, true, rate_fraction_};
+  return {lowest_qos(), true, false, rate_fraction_};
 }
 
 void SwpPacingController::on_feedback(sim::Time /*now*/, net::HostId /*dst*/,
@@ -101,7 +98,7 @@ void SwpPacingController::on_feedback(sim::Time /*now*/, net::HostId /*dst*/,
                                       bool /*slo_met*/) {
   // Pace against what the paced class actually delivers; scavenger
   // spillover is already outside the budget.
-  if (qos_run != config_.run_qos) return;
+  if (qos_run != kRunQos) return;
   norm_rnl_.add(rnl / static_cast<double>(size_mtus));
 }
 
@@ -111,22 +108,22 @@ void SwpPacingController::on_window(const obs::WindowStats& /*window*/) {
   norm_rnl_.reset();
   if (violating) {
     ++violating_windows_;
-    rate_fraction_ = std::max(rate_fraction_ * config_.decrease_factor,
-                              config_.min_rate_fraction);
+    rate_fraction_ = std::max(rate_fraction_ * kDecreaseFactor,
+                              kMinRateFraction);
     // Shrink the bucket with the rate: stale burst credit must not carry
     // the old rate into the new window.
     tokens_ = std::min(tokens_, bucket_capacity());
   } else {
     rate_fraction_ = std::min(
-        rate_fraction_ + config_.increase_per_window,
-        config_.max_rate_fraction);
+        rate_fraction_ + kIncreasePerWindow,
+        kMaxRateFraction);
   }
 }
 
 std::vector<rpc::Gauge> SwpPacingController::gauges() const {
   return {
-      {"rate_fraction", rate_fraction_, config_.min_rate_fraction,
-       config_.max_rate_fraction},
+      {"rate_fraction", rate_fraction_, kMinRateFraction,
+       kMaxRateFraction},
       {"bucket_tokens", tokens_, 0.0, rpc::kGaugeUnbounded},
       {"violating_windows", static_cast<double>(violating_windows_), 0.0,
        rpc::kGaugeUnbounded},
@@ -134,9 +131,9 @@ std::vector<rpc::Gauge> SwpPacingController::gauges() const {
 }
 
 void SwpPacingController::audit_invariants(sim::Time now) const {
-  AEQ_CHECK_GE_MSG(rate_fraction_, config_.min_rate_fraction,
+  AEQ_CHECK_GE_MSG(rate_fraction_, kMinRateFraction,
                    "pacing rate below its floor");
-  AEQ_CHECK_LE_MSG(rate_fraction_, config_.max_rate_fraction,
+  AEQ_CHECK_LE_MSG(rate_fraction_, kMaxRateFraction,
                    "pacing rate above its ceiling");
   AEQ_CHECK_GE_MSG(tokens_, 0.0, "negative token balance");
   AEQ_CHECK_LE_MSG(last_refill_, now, "token refill timestamp in the future");

@@ -4,8 +4,8 @@
 // SWP's premise is that microsecond-scale SLOs are achievable without any
 // priority fabric if hosts pace what they inject. Expressed inside this
 // simulator's QoS machinery: every admitted RPC, whatever it requested,
-// runs on ONE class (`run_qos`, default the top class, so the whole fabric
-// degenerates to a single queue), and admission is a token bucket over
+// runs on ONE class (the top class, so the whole fabric degenerates to a
+// single queue), and admission is a token bucket over
 // payload bytes refilled at `rate_fraction * link_rate`. The rate adapts
 // per window — AIMD on the pacing fraction: multiplicative decrease when
 // the window's p99 size-normalized RNL violates the tightest configured
@@ -49,7 +49,6 @@ class SwpPacingController final : public WindowedController {
   double bucket_capacity() const;
   void refill(sim::Time now);
 
-  SwpPacingConfig config_;
   sim::Rate link_rate_;
   bool drop_rejects_;
   double min_target_per_mtu_;  // tightest SLO-class per-MTU target

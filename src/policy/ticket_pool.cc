@@ -6,25 +6,32 @@
 
 namespace aeq::policy {
 
+namespace {
+constexpr double kMaxConcurrency = 4096.0;
+constexpr double kProbeStep = 0.125;  // relative probe size per window
+constexpr double kEmaWeight = 0.3;    // goodput moving-average weight (newest)
+// Relative goodput improvement a probe must show to be adopted.
+constexpr double kAdoptMargin = 0.02;
+static_assert(kProbeStep > 0.0);
+static_assert(kEmaWeight > 0.0 && kEmaWeight <= 1.0);
+}  // namespace
+
 TicketPoolController::TicketPoolController(const TicketPoolConfig& config,
                                            std::size_t num_qos,
                                            rpc::SloConfig slo)
-    : WindowedController(num_qos, std::move(slo), config.window),
+    : WindowedController(num_qos, std::move(slo)),
       config_(config),
       limit_(config.initial_concurrency),
       stable_limit_(config.initial_concurrency) {
   AEQ_CHECK_GT(config_.min_concurrency, 0.0);
-  AEQ_CHECK_GE(config_.max_concurrency, config_.min_concurrency);
-  AEQ_CHECK_GT(config_.probe_step, 0.0);
-  AEQ_ASSERT_MSG(config_.ema_weight > 0.0 && config_.ema_weight <= 1.0,
-                 "ticket-pool ema_weight must be in (0, 1]");
+  AEQ_CHECK_GE(kMaxConcurrency, config_.min_concurrency);
   limit_ = clamp_limit(limit_);
   stable_limit_ = limit_;
 }
 
 double TicketPoolController::clamp_limit(double limit) const {
   return std::min(std::max(limit, config_.min_concurrency),
-                  config_.max_concurrency);
+                  kMaxConcurrency);
 }
 
 rpc::AdmissionDecision TicketPoolController::decide(
@@ -64,35 +71,35 @@ void TicketPoolController::on_feedback(sim::Time /*now*/,
 void TicketPoolController::on_window(const obs::WindowStats& /*window*/) {
   const double observed = static_cast<double>(ticketed_completions_);
   ticketed_completions_ = 0;
-  goodput_ema_ = config_.ema_weight * observed +
-                 (1.0 - config_.ema_weight) * goodput_ema_;
+  goodput_ema_ = kEmaWeight * observed +
+                 (1.0 - kEmaWeight) * goodput_ema_;
 
   switch (probe_) {
     case Probe::kStable:
       // Launch an upward probe from the adopted limit.
       best_goodput_ = goodput_ema_;
-      limit_ = clamp_limit(stable_limit_ * (1.0 + config_.probe_step));
+      limit_ = clamp_limit(stable_limit_ * (1.0 + kProbeStep));
       probe_ = limit_ > stable_limit_ ? Probe::kUp : Probe::kDown;
       if (probe_ == Probe::kDown) {
         // Already pinned at max: probe downward instead.
-        limit_ = clamp_limit(stable_limit_ * (1.0 - config_.probe_step));
+        limit_ = clamp_limit(stable_limit_ * (1.0 - kProbeStep));
       }
       break;
     case Probe::kUp:
-      if (goodput_ema_ > best_goodput_ * (1.0 + config_.adopt_margin)) {
+      if (goodput_ema_ > best_goodput_ * (1.0 + kAdoptMargin)) {
         // More concurrency bought more goodput: adopt and keep climbing.
         stable_limit_ = limit_;
         best_goodput_ = goodput_ema_;
-        limit_ = clamp_limit(stable_limit_ * (1.0 + config_.probe_step));
+        limit_ = clamp_limit(stable_limit_ * (1.0 + kProbeStep));
         if (limit_ == stable_limit_) probe_ = Probe::kStable;
       } else {
         // No improvement: try shedding concurrency below the stable point.
-        limit_ = clamp_limit(stable_limit_ * (1.0 - config_.probe_step));
+        limit_ = clamp_limit(stable_limit_ * (1.0 - kProbeStep));
         probe_ = limit_ < stable_limit_ ? Probe::kDown : Probe::kStable;
       }
       break;
     case Probe::kDown:
-      if (goodput_ema_ >= best_goodput_ * (1.0 - config_.adopt_margin)) {
+      if (goodput_ema_ >= best_goodput_ * (1.0 - kAdoptMargin)) {
         // Same goodput with fewer tickets: the smaller pool wins (less
         // in-flight work, same throughput — MongoDB's adopt-down rule).
         stable_limit_ = limit_;
@@ -108,7 +115,7 @@ void TicketPoolController::on_window(const obs::WindowStats& /*window*/) {
 std::vector<rpc::Gauge> TicketPoolController::gauges() const {
   return {
       {"tickets_limit", limit_, config_.min_concurrency,
-       config_.max_concurrency},
+       kMaxConcurrency},
       {"tickets_in_flight", static_cast<double>(in_flight_), 0.0,
        rpc::kGaugeUnbounded},
       {"goodput_ema", goodput_ema_, 0.0, rpc::kGaugeUnbounded},
@@ -121,7 +128,7 @@ void TicketPoolController::audit_invariants(sim::Time /*now*/) const {
   AEQ_CHECK_GE_MSG(in_flight_, 0, "ticket pool released more than it took");
   AEQ_CHECK_GE_MSG(limit_, config_.min_concurrency,
                    "concurrency limit below its floor");
-  AEQ_CHECK_LE_MSG(limit_, config_.max_concurrency,
+  AEQ_CHECK_LE_MSG(limit_, kMaxConcurrency,
                    "concurrency limit above its ceiling");
   AEQ_CHECK_GE_MSG(goodput_ema_, 0.0, "negative goodput average");
 }

@@ -4,12 +4,12 @@
 // whose size (the concurrency limit) is not fixed but *probed*: each closed
 // window measures ticketed goodput (completions of RPCs that held a
 // ticket), folds it into an exponential moving average, and a three-state
-// machine — stable / probing up / probing down — moves the limit by
-// `probe_step` and keeps the probe only if the measured goodput improved
-// (up) or at least did not degrade (down). When the pool is empty the RPC
-// is rejected to the scavenger class (or dropped under drop_rejects), so
-// the pool bounds host-local in-flight SLO work the way MongoDB's
-// execution control bounds storage-engine concurrency.
+// machine — stable / probing up / probing down — moves the limit by a
+// relative step (kProbeStep) and keeps the probe only if the measured
+// goodput improved (up) or at least did not degrade (down). When the pool
+// is empty the RPC is rejected to the scavenger class (or dropped under
+// drop_rejects), so the pool bounds host-local in-flight SLO work the way
+// MongoDB's execution control bounds storage-engine concurrency.
 //
 // Scavenger-requested RPCs bypass the pool entirely: tickets exist to
 // protect the SLO classes, and a downgraded RPC holds no ticket (its

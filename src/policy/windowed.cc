@@ -15,12 +15,10 @@ constexpr double kRnlPrecision = 0.02;
 }  // namespace
 
 WindowedController::WindowedController(std::size_t num_qos,
-                                       rpc::SloConfig slo,
-                                       sim::Time window_width)
-    : num_qos_(num_qos), slo_(std::move(slo)), width_(window_width) {
+                                       rpc::SloConfig slo)
+    : num_qos_(num_qos), slo_(std::move(slo)) {
   AEQ_CHECK_GE(num_qos_, 2u);
   AEQ_CHECK_EQ(slo_.num_qos(), num_qos_);
-  AEQ_CHECK_GT(width_, 0.0);
   qos_.resize(num_qos_);
   rnl_.reserve(num_qos_);
   for (std::size_t q = 0; q < num_qos_; ++q) {
@@ -32,7 +30,8 @@ void WindowedController::roll_to(sim::Time now) {
   // Close every window whose end is <= now, delivering each (including
   // empty ones across idle gaps) so window-indexed adaptation tracks
   // simulated time.
-  while (now >= static_cast<double>(window_index_ + 1) * width_) {
+  while (now >=
+         static_cast<double>(window_index_ + 1) * kDefaultPolicyWindow) {
     close_window();
   }
 }
@@ -40,8 +39,8 @@ void WindowedController::roll_to(sim::Time now) {
 void WindowedController::close_window() {
   obs::WindowStats window;
   window.index = window_index_;
-  window.start = static_cast<double>(window_index_) * width_;
-  window.end = static_cast<double>(window_index_ + 1) * width_;
+  window.start = static_cast<double>(window_index_) * kDefaultPolicyWindow;
+  window.end = static_cast<double>(window_index_ + 1) * kDefaultPolicyWindow;
   window.qos.resize(num_qos_);
   for (std::size_t q = 0; q < num_qos_; ++q) {
     obs::WindowStats::QosStats& out = window.qos[q];

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "obs/timeseries_sink.h"
+#include "policy/spec.h"
 #include "rpc/admission.h"
 #include "rpc/slo.h"
 #include "stats/log_histogram.h"
@@ -34,8 +35,8 @@ namespace aeq::policy {
 
 class WindowedController : public rpc::AdmissionController {
  public:
-  WindowedController(std::size_t num_qos, rpc::SloConfig slo,
-                     sim::Time window_width);
+  // Windows are kDefaultPolicyWindow wide.
+  WindowedController(std::size_t num_qos, rpc::SloConfig slo);
 
   rpc::AdmissionDecision admit(sim::Time now, net::HostId src,
                                net::HostId dst, net::QoSLevel qos_requested,
@@ -46,7 +47,6 @@ class WindowedController : public rpc::AdmissionController {
                      sim::Time rnl, std::uint64_t size_mtus) final;
 
   std::uint64_t windows_closed() const { return window_index_; }
-  sim::Time window_width() const { return width_; }
 
  protected:
   // The per-RPC decision, called after every window up to `now` has been
@@ -78,9 +78,9 @@ class WindowedController : public rpc::AdmissionController {
 
   std::size_t num_qos_;
   rpc::SloConfig slo_;
-  sim::Time width_;
 
-  // Accumulators of the currently open window [window_index_ * width_, ...).
+  // Accumulators of the currently open window
+  // [window_index_ * kDefaultPolicyWindow, ...).
   std::uint64_t window_index_ = 0;
   struct QosAccum {
     std::uint64_t completed = 0;  // by requested QoS

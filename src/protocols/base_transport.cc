@@ -11,7 +11,6 @@ namespace aeq::protocols {
 BaseTransport::BaseTransport(sim::Simulator& simulator, net::Host& host,
                              const BaseTransportConfig& config)
     : sim_(simulator), host_(host), config_(config) {
-  AEQ_ASSERT(config_.mtu_bytes > 0);
   host_.set_delivery_handler(
       [this](const net::Packet& packet) { on_packet(packet); });
 }
@@ -25,7 +24,7 @@ void BaseTransport::send_message(const transport::SendRequest& request,
   message.on_complete = std::move(on_complete);
   message.issued = sim_.now();
   message.num_pkts = static_cast<std::uint32_t>(
-      (request.bytes + config_.mtu_bytes - 1) / config_.mtu_bytes);
+      (request.bytes + net::kMtuBytes - 1) / net::kMtuBytes);
   message.acked.assign(message.num_pkts, false);
   auto [it, inserted] = outgoing_.emplace(request.rpc_id, std::move(message));
   AEQ_ASSERT_MSG(inserted, "duplicate rpc id");
@@ -37,9 +36,9 @@ std::uint32_t BaseTransport::payload_of(const OutMessage& message,
                                         std::uint32_t index) const {
   AEQ_ASSERT(index < message.num_pkts);
   const std::uint64_t offset =
-      static_cast<std::uint64_t>(index) * config_.mtu_bytes;
+      static_cast<std::uint64_t>(index) * net::kMtuBytes;
   return static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      config_.mtu_bytes, message.request.bytes - offset));
+      net::kMtuBytes, message.request.bytes - offset));
 }
 
 void BaseTransport::emit_packet(OutMessage& message, std::uint32_t index) {
@@ -102,7 +101,7 @@ void BaseTransport::handle_data(const net::Packet& packet) {
   InMessage& in = incoming_[packet.rpc_id];
   if (in.num_pkts == 0) {
     in.num_pkts = static_cast<std::uint32_t>(
-        (packet.cold.msg_bytes + config_.mtu_bytes - 1) / config_.mtu_bytes);
+        (packet.cold.msg_bytes + net::kMtuBytes - 1) / net::kMtuBytes);
     in.received.assign(in.num_pkts, false);
     in.msg_bytes = packet.cold.msg_bytes;
     in.src = packet.src;
@@ -119,7 +118,7 @@ void BaseTransport::handle_data(const net::Packet& packet) {
   net::Packet ack;
   ack.src = host_.id();
   ack.dst = packet.src;
-  ack.size_bytes = config_.ack_bytes;
+  ack.size_bytes = net::kAckBytes;
   ack.qos = packet.qos;
   ack.type = net::PacketType::kAck;
   ack.rpc_id = packet.rpc_id;

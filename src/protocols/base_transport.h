@@ -20,8 +20,6 @@
 namespace aeq::protocols {
 
 struct BaseTransportConfig {
-  std::uint32_t mtu_bytes = 4096;
-  std::uint32_t ack_bytes = 64;
   sim::Time rto = 500 * sim::kUsec;
 };
 
@@ -54,9 +52,10 @@ class BaseTransport : public transport::MessageTransport {
     // Unacked payload bytes (approximating acked bytes as acked_count MTUs;
     // exact except for the final short packet, which is immaterial for
     // priority stamps).
-    std::uint64_t remaining_bytes(std::uint32_t mtu) const {
+    std::uint64_t remaining_bytes() const {
       const auto acked_bytes = std::min<std::uint64_t>(
-          request.bytes, static_cast<std::uint64_t>(acked_count) * mtu);
+          request.bytes,
+          static_cast<std::uint64_t>(acked_count) * net::kMtuBytes);
       return request.bytes - acked_bytes;
     }
   };
@@ -116,7 +115,6 @@ class BaseTransport : public transport::MessageTransport {
 
   sim::Simulator& sim() { return sim_; }
   net::Host& host() { return host_; }
-  const BaseTransportConfig& config() const { return config_; }
   std::unordered_map<std::uint64_t, OutMessage>& outgoing() {
     return outgoing_;
   }

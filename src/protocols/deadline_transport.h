@@ -40,7 +40,7 @@ class DeadlineTransport final : public BaseTransport {
 
   void on_message_acked(OutMessage& message) override {
     fabric_.update_remaining(message.request.rpc_id,
-                             message.remaining_bytes(config().mtu_bytes));
+                             message.remaining_bytes());
   }
 
   void on_message_finished(std::uint64_t rpc_id) override {

@@ -3,38 +3,34 @@
 #include <algorithm>
 #include <limits>
 
-#include "sim/assert.h"
-
 namespace aeq::protocols {
 
 namespace {
 
 // Unscheduled window: the first RTTbytes of a message go out ungranted.
 constexpr std::uint64_t kRttBytes = 64 * 1024;
+static_assert(kRttBytes >= net::kMtuBytes);
 
 }  // namespace
 
 HomaTransport::HomaTransport(sim::Simulator& simulator, net::Host& host,
-                             const HomaConfig& config)
-    : BaseTransport(simulator, host, config.base), config_(config) {
-  AEQ_ASSERT(config_.unscheduled_cutoffs.size() + 1 < kHomaLevels);
-  AEQ_ASSERT(kRttBytes >= config_.base.mtu_bytes);
-}
+                             const BaseTransportConfig& config)
+    : BaseTransport(simulator, host, config) {}
 
 net::QoSLevel HomaTransport::unscheduled_level(
     std::uint64_t msg_bytes) const {
-  for (std::size_t i = 0; i < config_.unscheduled_cutoffs.size(); ++i) {
-    if (msg_bytes <= config_.unscheduled_cutoffs[i]) {
+  for (std::size_t i = 0; i < kUnscheduledCutoffs.size(); ++i) {
+    if (msg_bytes <= kUnscheduledCutoffs[i]) {
       return static_cast<net::QoSLevel>(i);
     }
   }
-  return static_cast<net::QoSLevel>(config_.unscheduled_cutoffs.size());
+  return static_cast<net::QoSLevel>(kUnscheduledCutoffs.size());
 }
 
 net::QoSLevel HomaTransport::scheduled_level(std::size_t srpt_rank) const {
   // Scheduled data rides below all unscheduled levels; the SRPT leader gets
   // the better of the remaining classes.
-  const std::size_t base = config_.unscheduled_cutoffs.size() + 1;
+  const std::size_t base = kUnscheduledCutoffs.size() + 1;
   const std::size_t level = std::min(base + srpt_rank, kHomaLevels - 1);
   return static_cast<net::QoSLevel>(level);
 }
@@ -44,8 +40,7 @@ net::QoSLevel HomaTransport::packet_qos(const OutMessage& message) const {
   // `granted_rate` (see on_control_packet); unscheduled prefix uses the
   // static size-based level.
   const std::uint64_t offset =
-      static_cast<std::uint64_t>(message.next_unsent) *
-      config_.base.mtu_bytes;
+      static_cast<std::uint64_t>(message.next_unsent) * net::kMtuBytes;
   if (offset < kRttBytes) {
     return unscheduled_level(message.request.bytes);
   }
@@ -63,8 +58,7 @@ void HomaTransport::on_message_acked(OutMessage& message) { pump(message); }
 
 void HomaTransport::pump(OutMessage& message) {
   while (message.next_unsent < message.num_pkts &&
-         static_cast<std::uint64_t>(message.next_unsent) *
-                 config_.base.mtu_bytes <
+         static_cast<std::uint64_t>(message.next_unsent) * net::kMtuBytes <
              message.grant_limit_bytes) {
     emit_packet(message, message.next_unsent);
     ++message.next_unsent;
@@ -101,7 +95,7 @@ void HomaTransport::on_receiver_data(const net::Packet& data,
     const std::uint64_t remaining =
         candidate.msg_bytes - static_cast<std::uint64_t>(
                                   candidate.received_pkts) *
-                                  config_.base.mtu_bytes;
+                                  net::kMtuBytes;
     if (remaining < best_remaining ||
         (remaining == best_remaining && id < best_id)) {
       best_remaining = remaining;
@@ -115,11 +109,11 @@ void HomaTransport::on_receiver_data(const net::Packet& data,
 
 void HomaTransport::send_grant(std::uint64_t rpc_id, RxMessage& rx,
                                std::size_t srpt_rank) {
-  rx.granted = std::min<std::uint64_t>(rx.granted + config_.base.mtu_bytes,
-                                       rx.msg_bytes);
+  rx.granted =
+      std::min<std::uint64_t>(rx.granted + net::kMtuBytes, rx.msg_bytes);
   net::Packet grant;
   grant.dst = rx.src;
-  grant.size_bytes = config_.base.ack_bytes;
+  grant.size_bytes = net::kAckBytes;
   grant.qos = 0;  // control rides the top class
   grant.type = net::PacketType::kGrant;
   grant.rpc_id = rpc_id;

@@ -16,9 +16,9 @@
 // measures.
 #pragma once
 
-#include <map>
+#include <array>
+#include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "protocols/base_transport.h"
 
@@ -28,18 +28,16 @@ namespace aeq::protocols {
 inline constexpr std::size_t kHomaLevels = 8;
 static_assert(kHomaLevels >= 2 && kHomaLevels <= net::kMaxQoSLevels);
 
-struct HomaConfig {
-  BaseTransportConfig base;
-  // Message-size upper bounds for unscheduled levels 0..k; larger messages
-  // use level k+1. Scheduled grants use the remaining (lower) levels.
-  std::vector<std::uint64_t> unscheduled_cutoffs = {16 * 1024, 64 * 1024,
-                                                    256 * 1024};
-};
+// Message-size upper bounds for unscheduled levels 0..k; larger messages
+// use level k+1. Scheduled grants use the remaining (lower) levels.
+inline constexpr std::array<std::uint64_t, 3> kUnscheduledCutoffs = {
+    16 * 1024, 64 * 1024, 256 * 1024};
+static_assert(kUnscheduledCutoffs.size() + 1 < kHomaLevels);
 
 class HomaTransport final : public BaseTransport {
  public:
   HomaTransport(sim::Simulator& simulator, net::Host& host,
-                const HomaConfig& config);
+                const BaseTransportConfig& config);
 
  protected:
   void on_message_start(OutMessage& message) override;
@@ -63,7 +61,6 @@ class HomaTransport final : public BaseTransport {
                   std::size_t srpt_rank);
   void pump(OutMessage& message);
 
-  HomaConfig config_;
   std::unordered_map<std::uint64_t, RxMessage> rx_;  // by rpc_id
 };
 

@@ -15,23 +15,18 @@
 
 namespace aeq::protocols {
 
-struct PfabricConfig {
-  BaseTransportConfig base;
-};
-
 class PfabricTransport final : public BaseTransport {
  public:
   PfabricTransport(sim::Simulator& simulator, net::Host& host,
-                   const PfabricConfig& config)
-      : BaseTransport(simulator, host, config.base), config_(config) {}
+                   const BaseTransportConfig& config)
+      : BaseTransport(simulator, host, config) {}
 
  protected:
   void on_message_start(OutMessage& message) override { pump(message); }
   void on_message_acked(OutMessage& message) override { pump(message); }
 
   double packet_priority(const OutMessage& message) const override {
-    return static_cast<double>(
-        message.remaining_bytes(config_.base.mtu_bytes));
+    return static_cast<double>(message.remaining_bytes());
   }
 
   // All pFabric traffic shares one queue class; urgency lives in priority.
@@ -55,8 +50,6 @@ class PfabricTransport final : public BaseTransport {
       ++message.next_unsent;
     }
   }
-
-  PfabricConfig config_;
 };
 
 }  // namespace aeq::protocols

@@ -16,7 +16,6 @@ RpcStack::RpcStack(sim::Simulator& simulator, net::HostId host_id,
       metrics_(metrics),
       config_(config) {
   AEQ_CHECK_GE(config_.num_qos, 2u);
-  AEQ_CHECK_GT(config_.mtu_bytes, 0u);
 }
 
 std::uint64_t RpcStack::issue(net::HostId dst, Priority priority,
@@ -76,7 +75,7 @@ std::uint64_t RpcStack::issue(net::HostId dst, Priority priority,
     record.qos_run = decision.qos_run;
     record.downgraded = decision.downgraded;
     record.bytes = bytes;
-    record.size_mtus = size_in_mtus(bytes, config_.mtu_bytes);
+    record.size_mtus = size_in_mtus(bytes);
     record.issued = sim_.now();
     record.terminated = true;
     record.completed = record.issued;
@@ -125,7 +124,7 @@ void RpcStack::finish(const transport::MessageCompletion& done,
   record.qos_run = done.qos;
   record.downgraded = downgraded;
   record.bytes = done.bytes;
-  record.size_mtus = size_in_mtus(done.bytes, config_.mtu_bytes);
+  record.size_mtus = size_in_mtus(done.bytes);
   record.issued = done.issued;
   record.completed = done.completed;
   record.rnl = done.rnl();

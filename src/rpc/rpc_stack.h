@@ -21,7 +21,6 @@ namespace aeq::rpc {
 
 struct RpcStackConfig {
   std::size_t num_qos = 3;
-  std::uint32_t mtu_bytes = 4096;
 };
 
 class RpcStack {

@@ -45,10 +45,8 @@ struct SloConfig {
 };
 
 // RPC size in MTUs, as used by Algorithm 1 (minimum 1).
-inline std::uint64_t size_in_mtus(std::uint64_t bytes,
-                                  std::uint32_t mtu_bytes) {
-  AEQ_CHECK_GT(mtu_bytes, 0u);
-  return bytes == 0 ? 1 : (bytes + mtu_bytes - 1) / mtu_bytes;
+inline std::uint64_t size_in_mtus(std::uint64_t bytes) {
+  return bytes == 0 ? 1 : (bytes + net::kMtuBytes - 1) / net::kMtuBytes;
 }
 
 }  // namespace aeq::rpc

@@ -42,7 +42,7 @@ Experiment::Experiment(const ExperimentConfig& config)
   queue.capacity_bytes = config_.buffer_bytes;
   if (config_.cc_kind == ExperimentConfig::CcKind::kDctcp) {
     // DCTCP needs marking: ~20 MTUs, as in its paper's guidance.
-    queue.ecn_threshold_bytes = 20ull * config_.transport.mtu_bytes;
+    queue.ecn_threshold_bytes = 20ull * net::kMtuBytes;
   }
   // A queue may carry more classes than the RPC QoS space (Homa's levels).
   AEQ_ASSERT(config_.scheduler == net::SchedulerType::kPfabric ||
@@ -61,7 +61,6 @@ Experiment::Experiment(const ExperimentConfig& config)
     topo::StarConfig star;
     star.num_hosts = config_.num_hosts;
     star.link_rate = config_.link_rate;
-    star.link_delay = config_.link_delay;
     star.host_queue = queue;
     star.switch_queue = queue;
     if (config_.shards == 1) {
@@ -109,7 +108,6 @@ Experiment::Experiment(const ExperimentConfig& config)
   sim::Rng seeder(config_.seed);
   rpc::RpcStackConfig stack_config;
   stack_config.num_qos = config_.num_qos;
-  stack_config.mtu_bytes = config_.transport.mtu_bytes;
 
   if (config_.cc_kind == ExperimentConfig::CcKind::kD3 ||
       config_.cc_kind == ExperimentConfig::CcKind::kPdq) {
@@ -133,7 +131,6 @@ Experiment::Experiment(const ExperimentConfig& config)
       context.num_qos = config_.num_qos;
       context.slo = config_.slo;
       context.link_rate = config_.link_rate;
-      context.mtu_bytes = config_.transport.mtu_bytes;
       context.rng = seeder.fork();
       controllers_.push_back(
           policy::make_controller(config_.admission, std::move(context)));
@@ -164,14 +161,10 @@ std::unique_ptr<transport::MessageTransport> Experiment::make_transport(
   sim::Simulator& sim = host_simulator(id);
   net::Host& host = network_.host(id);
   protocols::BaseTransportConfig base;
-  base.mtu_bytes = config_.transport.mtu_bytes;
   switch (config_.cc_kind) {
-    case CcKind::kPfabric: {
-      protocols::PfabricConfig pf;
-      pf.base = base;
-      pf.base.rto = 100 * sim::kUsec;  // aggressive, per pFabric's design
-      return std::make_unique<protocols::PfabricTransport>(sim, host, pf);
-    }
+    case CcKind::kPfabric:
+      base.rto = 100 * sim::kUsec;  // aggressive, per pFabric's design
+      return std::make_unique<protocols::PfabricTransport>(sim, host, base);
     case CcKind::kQjump: {
       protocols::QjumpConfig qj;
       qj.base = base;
@@ -181,11 +174,8 @@ std::unique_ptr<transport::MessageTransport> Experiment::make_transport(
       }
       return std::make_unique<protocols::QjumpTransport>(sim, host, qj);
     }
-    case CcKind::kHoma: {
-      protocols::HomaConfig homa;
-      homa.base = base;
-      return std::make_unique<protocols::HomaTransport>(sim, host, homa);
-    }
+    case CcKind::kHoma:
+      return std::make_unique<protocols::HomaTransport>(sim, host, base);
     case CcKind::kD3:
     case CcKind::kPdq:
       base.rto = 1 * sim::kMsec;  // rate-paced; recovery is rare
@@ -202,12 +192,13 @@ std::unique_ptr<transport::MessageTransport> Experiment::make_transport(
           config_.fixed_window_packets);
     }
     if (config_.cc_kind == CcKind::kDctcp) {
-      return std::make_unique<transport::DctcpCC>(config_.dctcp);
+      return std::make_unique<transport::DctcpCC>(transport::DctcpConfig{});
     }
     return std::make_unique<transport::SwiftCC>(config_.swift);
   };
   return std::make_unique<transport::HostStack>(
-      sim, host, network_.num_hosts(), config_.transport, cc_factory);
+      sim, host, network_.num_hosts(), transport::TransportConfig{},
+      cc_factory);
 }
 
 transport::HostStack& Experiment::host_stack(net::HostId id) {
@@ -227,10 +218,10 @@ void Experiment::enable_telemetry(const TelemetrySpec& spec) {
 
 void Experiment::enable_profiling(const std::string& path) {
   if (path.empty()) return;
-  AEQ_ASSERT_MSG(config_.prof.empty() || config_.prof == path,
+  AEQ_ASSERT_MSG(prof_.empty() || prof_ == path,
                  "profiling is already enabled with a different path");
   AEQ_ASSERT_MSG(prof_run_ == nullptr, "enable_profiling must precede run()");
-  config_.prof = path;
+  prof_ = path;
 }
 
 // --- Execution profiling (DESIGN.md §14) ----------------------------------
@@ -346,8 +337,8 @@ void Experiment::finish_profiling() {
     report.denominator_cycles = share_denominator(prof_run_->main, envelope);
   }
 
-  obs::prof::write_json(report, config_.prof);
-  obs::prof::write_chrome_tracks(report, config_.prof + ".trace.json");
+  obs::prof::write_json(report, prof_);
+  obs::prof::write_chrome_tracks(report, prof_ + ".trace.json");
   obs::prof::write_text_summary(report, std::cerr);
   prof_run_.reset();
 }
@@ -477,7 +468,7 @@ void Experiment::wire_telemetry() {
   obs::Recorder& recorder = *recorders_[0];
   if (!spec.flight_recorder.empty()) {
     flight_ = static_cast<obs::FlightRecorder*>(recorder.own_sink(
-        std::make_unique<obs::FlightRecorder>(obs::FlightRecorderConfig{})));
+        std::make_unique<obs::FlightRecorder>()));
     // Arm the last-gasp hook: an assert/audit failure dumps the ring
     // before aborting.
     detail::g_failure_sink = &Experiment::failure_dump;
@@ -630,7 +621,7 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
     watchdog_->set_quiet_until(warmup);
     watchdog_->set_stall_horizon(run_end);
   }
-  if (!config_.prof.empty()) start_profiling();
+  if (!prof_.empty()) start_profiling();
   const sim::Time start = now();
   for (auto& generator : generators_) {
     generator->run(start, run_end);

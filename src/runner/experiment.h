@@ -86,8 +86,7 @@ struct ExperimentConfig {
 
   // Topology (single-switch star unless use_leaf_spine).
   std::size_t num_hosts = 3;
-  sim::Rate link_rate = sim::gbps(100);
-  sim::Time link_delay = 0.5 * sim::kUsec;
+  sim::Rate link_rate = sim::gbps(100);  // every link delays topo::kLinkDelay
   bool use_leaf_spine = false;
   topo::LeafSpineConfig leaf_spine;  // consulted when use_leaf_spine
 
@@ -122,14 +121,15 @@ struct ExperimentConfig {
   // `buffer_bytes` and `wfq_weights` (whose size is the class count):
   // pFabric -> kPfabric, QJump -> kSpq, Homa -> kSpq with one class per
   // priority level (8), D3/PDQ -> kFifo. Baselines run serial only.
+  // HostStack flows run on the default transport::TransportConfig, and
+  // DCTCP on the default transport::DctcpConfig (every queue marks ECN
+  // past 20 MTUs).
   enum class CcKind {
     kSwift, kDctcp, kFixedWindow,
     kPfabric, kQjump, kHoma, kD3, kPdq
   };
-  transport::TransportConfig transport;
   CcKind cc_kind = CcKind::kSwift;
   transport::SwiftConfig swift;
-  transport::DctcpConfig dctcp;  // every queue marks ECN past 20 MTUs
   double fixed_window_packets = 64.0;
   // QJump's per-QoS-level host rate limit as a fraction of link_rate;
   // 0 = unthrottled.
@@ -161,14 +161,6 @@ struct ExperimentConfig {
 
   // Telemetry (src/obs/): see TelemetrySpec.
   TelemetrySpec telemetry;
-
-  // Execution profiling (src/obs/prof/, DESIGN.md §14): when non-empty,
-  // run() attributes cycle cost per component into this JSON report path
-  // (plus `<prof>.trace.json` Chrome-trace flame rows and a text summary
-  // on stderr). Observe-only: schedules and stdout/artifact bytes are
-  // identical with profiling on or off, on both backends at any shard
-  // count (tests/prof_test.cc pins this).
-  std::string prof;
 
   // Schedule digest (sim/digest.h): when true, every dispatched event's
   // (time, tie-rank) is folded into a digest exposed by
@@ -264,8 +256,13 @@ class Experiment {
   // already enable telemetry.
   void enable_telemetry(const TelemetrySpec& spec);
 
-  // Post-construction equivalent of setting ExperimentConfig::prof. Must
-  // be called before run(); at most one profile path per experiment.
+  // Execution profiling (src/obs/prof/, DESIGN.md §14): run() attributes
+  // cycle cost per component into the JSON report at `path` (plus
+  // `<path>.trace.json` Chrome-trace flame rows and a text summary on
+  // stderr). Observe-only: schedules and stdout/artifact bytes are
+  // identical with profiling on or off, on both backends at any shard
+  // count (tests/prof_test.cc pins this). Must be called before run(); at
+  // most one profile path per experiment; "" is a no-op.
   void enable_profiling(const std::string& path);
 
   // Registers and owns a size distribution for the experiment's lifetime.
@@ -361,7 +358,9 @@ class Experiment {
   };
   std::vector<Observer> observers_;
 
-  // Live profiling state for the current run() (config_.prof non-empty):
+  // The profile report path (enable_profiling); "" = no profiling.
+  std::string prof_;
+  // Live profiling state for the current run() (prof_ non-empty):
   // the main-thread collector (serial loop, or the sharded coordinator's
   // work outside shard 0's windows), one collector per shard, the
   // opening calibration point, and the executive's cumulative window

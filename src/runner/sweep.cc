@@ -1,7 +1,6 @@
 #include "runner/sweep.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <thread>
@@ -15,10 +14,6 @@
 namespace aeq::runner {
 
 std::size_t default_jobs() {
-  if (const char* env = std::getenv("AEQ_JOBS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

@@ -30,8 +30,7 @@
 
 namespace aeq::runner {
 
-// Worker-pool width: `flag_value` (a --jobs flag) when > 0, else the
-// AEQ_JOBS environment variable when set and positive, else
+// Worker-pool width: `flag_value` (a --jobs flag) when > 0, else
 // std::thread::hardware_concurrency() (at least 1).
 std::size_t default_jobs();
 std::size_t resolve_jobs(std::int64_t flag_value);

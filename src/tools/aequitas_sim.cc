@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
 
   const double rpc_kb = flags.get_double("rpc-kb", 32.0);
   const double size_mtus =
-      std::max(1.0, rpc_kb * 1024 / config.transport.mtu_bytes);
+      std::max(1.0, rpc_kb * 1024 / net::kMtuBytes);
   std::vector<double> slo_per_mtu =
       flags.get_list("slo-us-per-mtu", {});
   const auto slo_abs = flags.get_list("slo-us", {25.0, 50.0});

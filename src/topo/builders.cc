@@ -12,9 +12,8 @@ namespace {
 
 std::unique_ptr<net::Port> make_port(sim::Simulator& simulator,
                                      util::BlockPool& buffer, sim::Rate rate,
-                                     sim::Time delay,
                                      const net::QueueConfig& queue) {
-  return std::make_unique<net::Port>(simulator, buffer, rate, delay,
+  return std::make_unique<net::Port>(simulator, buffer, rate, kLinkDelay,
                                      net::make_queue(queue, buffer));
 }
 
@@ -29,7 +28,7 @@ Network build_star(sim::Simulator& simulator, const StarConfig& config) {
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
     auto uplink = make_port(simulator, buffer, config.link_rate,
-                            config.link_delay, config.host_queue);
+                            config.host_queue);
     uplink->connect(fabric);
     // Host-NIC deliveries rank by source so the serial schedule is the one
     // a sharded run of the same seed reproduces (see Port).
@@ -39,7 +38,7 @@ Network build_star(sim::Simulator& simulator, const StarConfig& config) {
   for (std::size_t i = 0; i < config.num_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
     auto downlink = make_port(simulator, buffer, config.link_rate,
-                              config.link_delay, config.switch_queue);
+                              config.switch_queue);
     downlink->connect(&network.host(id));
     const std::size_t port = fabric->add_port(std::move(downlink));
     fabric->set_route(id, port);
@@ -72,7 +71,7 @@ Network build_leaf_spine(sim::Simulator& simulator,
   for (std::size_t i = 0; i < total_hosts; ++i) {
     const auto id = static_cast<net::HostId>(i);
     auto uplink = make_port(simulator, buffer, config.edge_rate,
-                            config.link_delay, config.host_queue);
+                            config.host_queue);
     uplink->connect(leaves[i / config.hosts_per_leaf]);
     network.add_host(std::make_unique<net::Host>(id, std::move(uplink)));
   }
@@ -82,7 +81,7 @@ Network build_leaf_spine(sim::Simulator& simulator,
     const auto id = static_cast<net::HostId>(i);
     net::Switch* leaf = leaves[i / config.hosts_per_leaf];
     auto downlink = make_port(simulator, buffer, config.edge_rate,
-                              config.link_delay, config.switch_queue);
+                              config.switch_queue);
     downlink->connect(&network.host(id));
     const std::size_t port = leaf->add_port(std::move(downlink));
     leaf->set_route(id, port);
@@ -94,12 +93,12 @@ Network build_leaf_spine(sim::Simulator& simulator,
     std::vector<std::size_t> uplink_ports;
     for (std::size_t s = 0; s < config.num_spines; ++s) {
       auto up = make_port(simulator, buffer, config.fabric_rate,
-                          config.link_delay, config.switch_queue);
+                          config.switch_queue);
       up->connect(spines[s]);
       uplink_ports.push_back(leaves[l]->add_port(std::move(up)));
 
       auto down = make_port(simulator, buffer, config.fabric_rate,
-                            config.link_delay, config.switch_queue);
+                            config.switch_queue);
       down->connect(leaves[l]);
       const std::size_t spine_port = spines[s]->add_port(std::move(down));
       // The spine routes every host under leaf l out of this port.

@@ -18,10 +18,13 @@
 
 namespace aeq::topo {
 
+// Propagation delay of every link in every topology. The sharded star's
+// lookahead is this delay (topo/sharding.h).
+inline constexpr sim::Time kLinkDelay = 0.5 * sim::kUsec;
+
 struct StarConfig {
   std::size_t num_hosts = 3;
   sim::Rate link_rate = sim::gbps(100);
-  sim::Time link_delay = 0.5 * sim::kUsec;
   net::QueueConfig host_queue;    // host NIC egress discipline
   net::QueueConfig switch_queue;  // switch egress (downlink) discipline
 };
@@ -36,7 +39,6 @@ struct LeafSpineConfig {
   sim::Rate fabric_rate = sim::gbps(100);  // per uplink; oversubscription =
                                            // hosts_per_leaf*edge /
                                            // (num_spines*fabric)
-  sim::Time link_delay = 0.5 * sim::kUsec;
   net::QueueConfig host_queue;
   net::QueueConfig switch_queue;
 };

@@ -1,7 +1,6 @@
 #include "topo/sharding.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,14 +21,12 @@ ShardPlan make_shard_plan(const StarConfig& config, std::size_t num_shards) {
         static_cast<std::uint32_t>(h * num_shards / config.num_hosts);
   }
   // Min-latency cut: the cut edges are exactly the host<->switch hops, and
-  // the star wires every one of them with config.link_delay, so the minimum
-  // is the uniform delay itself. (A topology with heterogeneous cut delays
-  // must take the min over its cut edges here.)
-  const sim::Time min_cut = config.link_delay;
-  AEQ_ASSERT_MSG(min_cut > 0.0 &&
-                     min_cut < std::numeric_limits<sim::Time>::infinity(),
-                 "sharding requires a positive cross-shard link delay");
-  plan.lookahead = min_cut;
+  // the star wires every one of them with kLinkDelay, so the minimum is the
+  // uniform delay itself. (A topology with heterogeneous cut delays must
+  // take the min over its cut edges here.)
+  static_assert(kLinkDelay > 0.0,
+                "sharding requires a positive cross-shard link delay");
+  plan.lookahead = kLinkDelay;
   return plan;
 }
 
@@ -58,7 +55,7 @@ Network build_sharded_star(const std::vector<sim::Simulator*>& sims,
     const std::uint32_t shard = plan.shard_of(id);
     util::BlockPool& buffer = network.buffer(shard);
     auto uplink = std::make_unique<net::Port>(
-        *sims[shard], buffer, config.link_rate, config.link_delay,
+        *sims[shard], buffer, config.link_rate, kLinkDelay,
         net::make_queue(config.host_queue, buffer));
     uplink->connect(fabric.nic_link(shard));
     network.add_host(std::make_unique<net::Host>(id, std::move(uplink)));
@@ -72,7 +69,7 @@ Network build_sharded_star(const std::vector<sim::Simulator*>& sims,
     const std::uint32_t shard = plan.shard_of(id);
     util::BlockPool& buffer = network.buffer(shard);
     auto downlink = std::make_unique<net::Port>(
-        *sims[shard], buffer, config.link_rate, config.link_delay,
+        *sims[shard], buffer, config.link_rate, kLinkDelay,
         net::make_queue(config.switch_queue, buffer));
     downlink->connect(&network.host(id));
     const std::size_t port = switches[shard]->add_port(std::move(downlink));

@@ -6,6 +6,10 @@
 
 namespace aeq::transport {
 
+namespace {
+constexpr double kAlphaGain = 0.0625;  // EWMA gain g for alpha
+}  // namespace
+
 void DctcpCC::clamp() {
   cwnd_ = std::clamp(cwnd_, config_.min_cwnd, config_.max_cwnd);
 }
@@ -13,7 +17,7 @@ void DctcpCC::clamp() {
 void DctcpCC::end_window(sim::Time /*now*/) {
   const double fraction =
       window_acked_ > 0.0 ? window_marked_ / window_acked_ : 0.0;
-  alpha_ = (1.0 - config_.g) * alpha_ + config_.g * fraction;
+  alpha_ = (1.0 - kAlphaGain) * alpha_ + kAlphaGain * fraction;
   if (window_marked_ > 0.0) {
     cwnd_ *= 1.0 - alpha_ / 2.0;  // the DCTCP cut
   }

@@ -16,7 +16,6 @@
 namespace aeq::transport {
 
 struct DctcpConfig {
-  double g = 0.0625;        // EWMA gain for alpha
   double min_cwnd = 1.0;    // packets
   double max_cwnd = 256.0;  // packets
   double initial_cwnd = 16.0;

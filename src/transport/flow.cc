@@ -20,7 +20,6 @@ Flow::Flow(sim::Simulator& simulator, net::Host& src_host, net::HostId dst,
       cc_(std::move(cc)),
       slab_(messages) {
   AEQ_ASSERT(cc_ != nullptr);
-  AEQ_ASSERT(config_->mtu_bytes > 0);
 }
 
 void Flow::send_message(std::uint64_t bytes, std::uint64_t rpc_id,
@@ -56,10 +55,10 @@ void Flow::try_send() {
     const PendingMessage& msg = slab_[send_];
     const std::uint64_t rpc_id = msg.rpc_id;
     const auto payload = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        config_->mtu_bytes, msg.end_offset - next_seq_));
+        net::kMtuBytes, msg.end_offset - next_seq_));
     if (cwnd_pkts >= 1.0) {
       const double cwnd_bytes =
-          cwnd_pkts * static_cast<double>(config_->mtu_bytes);
+          cwnd_pkts * static_cast<double>(net::kMtuBytes);
       if (in_flight > 0 &&
           static_cast<double>(in_flight + payload) > cwnd_bytes) {
         break;
@@ -182,7 +181,7 @@ void Flow::handle_ack(const net::Packet& ack) {
     update_srtt(rtt);
     cc_->on_ack(sim_.now(), rtt,
                 static_cast<double>(advanced) /
-                    static_cast<double>(config_->mtu_bytes),
+                    static_cast<double>(net::kMtuBytes),
                 ack.ecn_echo);
     emit_cwnd();
     complete_messages();

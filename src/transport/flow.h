@@ -23,8 +23,6 @@
 namespace aeq::transport {
 
 struct TransportConfig {
-  std::uint32_t mtu_bytes = 4096;
-  std::uint32_t ack_bytes = 64;
   sim::Time initial_rtt = 10 * sim::kUsec;  // seeds pacing/RTO before samples
   sim::Time min_rto = 200 * sim::kUsec;
   double rto_srtt_multiplier = 4.0;
@@ -36,8 +34,7 @@ struct TransportConfig {
 class Flow {
  public:
   // `config` is shared, not copied: it must outlive the flow (HostStack
-  // owns the one instance all of its flows point at) and stay immutable
-  // once any flow exists — HostStack::mutable_config() enforces that.
+  // owns the one instance all of its flows point at, fixed at construction).
   // `messages` is the host's slab the flow queues its messages in; it too
   // must outlive the flow.
   Flow(sim::Simulator& simulator, net::Host& src_host, net::HostId dst,

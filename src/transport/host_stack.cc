@@ -103,7 +103,7 @@ void HostStack::handle_data(const net::Packet& packet) {
   net::Packet ack;
   ack.src = host_.id();
   ack.dst = packet.src;
-  ack.size_bytes = config_.ack_bytes;
+  ack.size_bytes = net::kAckBytes;
   ack.qos = packet.qos;
   ack.type = net::PacketType::kAck;
   ack.flow_id = packet.flow_id;

@@ -69,15 +69,6 @@ class HostStack final : public MessageTransport {
     });
   }
 
-  // The one TransportConfig instance every flow of this stack aliases.
-  // Writable only before the first flow is created: flows keep a pointer to
-  // it, so a later mutation would silently change behavior mid-run.
-  TransportConfig& mutable_config() {
-    AEQ_ASSERT_MSG(flows_.empty(),
-                   "TransportConfig is immutable once a flow exists");
-    return config_;
-  }
-  const TransportConfig& config() const { return config_; }
 
  private:
   using Segment = std::pair<std::uint64_t, std::uint64_t>;  // [begin, end)
@@ -95,7 +86,9 @@ class HostStack final : public MessageTransport {
   sim::Simulator& sim_;
   net::Host& host_;
   std::size_t num_hosts_;
-  TransportConfig config_;
+  // The one instance every flow of this stack aliases, fixed at
+  // construction.
+  const TransportConfig config_;
   CcFactory cc_factory_;
   obs::Recorder* obs_ = nullptr;
 

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/quota.h"
 #include "policy/adapters.h"
 #include "policy/bandit.h"
 #include "policy/registry.h"
@@ -171,36 +170,6 @@ TEST(DropContract, DroppedRpcsGenerateNoCompletionFeedback) {
   EXPECT_EQ(experiment.metrics().completed(net::kQoSHigh), 0u);
 }
 
-TEST(DropContract, QuotaDropLeavesInnerAimdStateUntouched) {
-  // QuotaController with drop_over_quota: an over-quota drop must not feed
-  // the inner Aequitas AIMD (the RPC never ran, so there is nothing to
-  // learn from) — and per the contract the stack never calls on_completion
-  // for it either. Verify the decision shape and that inner p_admit stays
-  // at its initial value after drops.
-  sim::Simulator simulator;
-  core::QuotaServerConfig server_config;
-  server_config.qos_budget_bytes_per_sec = {1.0, sim::gbps(100), 0.0};
-  core::QuotaServer server(simulator, server_config);
-  const auto tenant = server.register_tenant(1.0);
-  core::AequitasConfig aequitas_config;
-  aequitas_config.slo = make_slo();
-  core::QuotaControllerConfig quota_config;
-  quota_config.drop_over_quota = true;
-  core::QuotaController controller(
-      simulator, server, tenant,
-      std::make_unique<core::AequitasController>(aequitas_config,
-                                                 sim::Rng(1)),
-      quota_config);
-  // The ~zero QoS_h budget forces over-quota drops immediately.
-  int drops = 0;
-  for (int i = 0; i < 50; ++i) {
-    const auto decision = controller.admit(0.0, 0, 1, net::kQoSHigh, 4096);
-    if (decision.dropped) ++drops;
-  }
-  EXPECT_GT(drops, 0);
-  EXPECT_DOUBLE_EQ(controller.aequitas().p_admit(1, net::kQoSHigh), 1.0);
-}
-
 TEST(DropContract, RejectionAdapterConvertsDowngradesOnly) {
   auto inner = std::make_unique<DropAllSloClasses>(make_slo());
   // Wrap a policy that *downgrades* nothing: drops pass through untouched.
@@ -232,8 +201,8 @@ TEST(DropContract, RejectionAdapterConvertsDowngradesOnly) {
 
 class WindowProbe final : public policy::WindowedController {
  public:
-  WindowProbe(std::size_t num_qos, rpc::SloConfig slo, sim::Time width)
-      : WindowedController(num_qos, std::move(slo), width) {}
+  WindowProbe(std::size_t num_qos, rpc::SloConfig slo)
+      : WindowedController(num_qos, std::move(slo)) {}
 
   void on_window(const obs::WindowStats& window) override {
     windows.push_back(window);
@@ -250,7 +219,7 @@ class WindowProbe final : public policy::WindowedController {
 };
 
 TEST(WindowedController, ClosesEmptyWindowsAcrossIdleGaps) {
-  WindowProbe probe(3, make_slo(), 100 * sim::kUsec);
+  WindowProbe probe(3, make_slo());  // 100us windows
   probe.admit(0.0, 0, 1, net::kQoSHigh, 4096);
   // A long idle gap: the next call first closes every window in between,
   // so window-indexed adaptation sees simulated time, not call counts.
@@ -266,8 +235,8 @@ TEST(WindowedController, ClosesEmptyWindowsAcrossIdleGaps) {
 }
 
 TEST(WindowedController, WindowStatsAttributeRequestedQosAndSloVerdict) {
-  const sim::Time width = 100 * sim::kUsec;
-  WindowProbe probe(3, make_slo(), width);
+  const sim::Time width = policy::kDefaultPolicyWindow;
+  WindowProbe probe(3, make_slo());
   probe.admit(0.0, 0, 1, net::kQoSHigh, 4096);
   probe.admit(0.0, 0, 1, net::kQoSHigh, 4096);
   // One on-time completion (target 2us/MTU => 8 MTUs budget 16us) and one
@@ -323,7 +292,6 @@ TEST(TicketPool, RejectsWhenThePoolIsEmptyAndReleasesOnCompletion) {
 TEST(TicketPool, ProbesUpWhenGoodputKeepsImproving) {
   policy::TicketPoolConfig config;
   config.initial_concurrency = 8;
-  config.window = 100 * sim::kUsec;
   policy::TicketPoolController pool(config, 3, make_slo());
   const double initial = pool.concurrency_limit();
   // Feed windows of ever-increasing ticketed goodput: each probe-up is
@@ -337,7 +305,7 @@ TEST(TicketPool, ProbesUpWhenGoodputKeepsImproving) {
                          1 * sim::kUsec, 1);
     }
     per_window += 2;
-    now += config.window;
+    now += policy::kDefaultPolicyWindow;
   }
   pool.admit(now, 0, 1, net::kQoSHigh, 4096);  // close the last window
   EXPECT_GT(pool.concurrency_limit(), initial);
@@ -350,7 +318,6 @@ TEST(TicketPool, ProbesUpWhenGoodputKeepsImproving) {
 
 TEST(Bandit, EpsilonDecaysToItsFloorAndActionStaysInRange) {
   policy::BanditConfig config;
-  config.window = 100 * sim::kUsec;
   policy::BanditController bandit(config, 3, make_slo(), sim::Rng(7));
   EXPECT_DOUBLE_EQ(bandit.epsilon(), config.epsilon0);
   sim::Time now = 0.0;
@@ -358,7 +325,7 @@ TEST(Bandit, EpsilonDecaysToItsFloorAndActionStaysInRange) {
     bandit.admit(now, 0, 1, net::kQoSHigh, 4096);
     bandit.on_completion(now, 0, 1, net::kQoSHigh, net::kQoSHigh,
                          1 * sim::kUsec, 1);
-    now += config.window;
+    now += policy::kDefaultPolicyWindow;
   }
   EXPECT_DOUBLE_EQ(bandit.epsilon(), config.epsilon_min);
   bool found = false;
@@ -398,7 +365,6 @@ TEST(BanditDeathTest, RejectsMalformedActionSets) {
 TEST(SwpPacing, CollapsesAdmittedTrafficToOneClassAndSpillsOverBudget) {
   policy::SwpPacingConfig config;
   config.initial_rate_fraction = 0.5;
-  config.window = 100 * sim::kUsec;
   policy::SwpPacingController swp(config, 3, make_slo(), sim::gbps(100),
                                   /*drop_rejects=*/false);
   // In budget: every class runs on the single paced class (QoS_h), even a
@@ -409,8 +375,8 @@ TEST(SwpPacing, CollapsesAdmittedTrafficToOneClassAndSpillsOverBudget) {
   const auto low = swp.admit(0.0, 0, 1, net::kQoSLow, 4096);
   EXPECT_EQ(low.qos_run, net::kQoSHigh);
 
-  // Exhaust the token bucket at t=0 (capacity = burst_windows * rate *
-  // width): over-budget issues spill to the scavenger class as downgrades.
+  // Exhaust the token bucket at t=0 (capacity = two windows at the pacing
+  // rate): over-budget issues spill to the scavenger class as downgrades.
   bool spilled = false;
   for (int i = 0; i < 100000 && !spilled; ++i) {
     const auto decision = swp.admit(0.0, 0, 1, net::kQoSHigh, 64 * 1024);
@@ -440,7 +406,6 @@ TEST(SwpPacing, DropVariantDropsInsteadOfSpilling) {
 TEST(SwpPacing, SlowsDownUnderSustainedSloViolations) {
   policy::SwpPacingConfig config;
   config.initial_rate_fraction = 0.9;
-  config.window = 100 * sim::kUsec;
   policy::SwpPacingController swp(config, 3, make_slo(), sim::gbps(100),
                                   false);
   sim::Time now = 0.0;
@@ -451,11 +416,11 @@ TEST(SwpPacing, SlowsDownUnderSustainedSloViolations) {
       swp.on_completion(now, 0, 1, net::kQoSHigh, net::kQoSHigh,
                         1 * sim::kMsec, 1);
     }
-    now += config.window;
+    now += policy::kDefaultPolicyWindow;
   }
   swp.admit(now, 0, 1, net::kQoSHigh, 4096);
   EXPECT_LT(swp.rate_fraction(), config.initial_rate_fraction);
-  EXPECT_GE(swp.rate_fraction(), config.min_rate_fraction);
+  EXPECT_GE(swp.rate_fraction(), 0.05);  // the pacing floor
   swp.audit_invariants(now);
 }
 

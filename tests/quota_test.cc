@@ -19,7 +19,6 @@ AequitasConfig aeq_config() {
 
 QuotaServerConfig server_config(double budget = 1e9) {
   QuotaServerConfig config;
-  config.allocation_interval = 1 * sim::kMsec;
   config.qos_budget_bytes_per_sec = {budget, budget};
   return config;
 }
@@ -99,8 +98,7 @@ TEST(QuotaControllerTest, WithinQuotaPassesThrough) {
   const auto tenant = server.register_tenant(1.0);
   QuotaController controller(
       s, server, tenant,
-      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)),
-      QuotaControllerConfig{});
+      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   const auto decision = controller.admit(1e-3, 0, 1, 0, 4096);
   EXPECT_EQ(decision.qos_run, 0);
   EXPECT_FALSE(decision.downgraded);
@@ -114,8 +112,7 @@ TEST(QuotaControllerTest, OverQuotaDowngrades) {
   const auto tenant = server.register_tenant(1.0);
   QuotaController controller(
       s, server, tenant,
-      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)),
-      QuotaControllerConfig{});
+      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   int downgrades = 0;
   for (int i = 0; i < 50; ++i) {
     const auto decision =
@@ -129,30 +126,13 @@ TEST(QuotaControllerTest, OverQuotaDowngrades) {
   EXPECT_GT(controller.over_quota_count(), 0u);
 }
 
-TEST(QuotaControllerTest, OverQuotaDropsWhenConfigured) {
-  sim::Simulator s;
-  QuotaServer server(s, server_config(4096.0));
-  const auto tenant = server.register_tenant(1.0);
-  QuotaControllerConfig qc;
-  qc.drop_over_quota = true;
-  QuotaController controller(
-      s, server, tenant,
-      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)), qc);
-  int drops = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (controller.admit(1e-3 + i * 1e-6, 0, 1, 0, 4096).dropped) ++drops;
-  }
-  EXPECT_GT(drops, 40);
-}
-
 TEST(QuotaControllerTest, ScavengerClassNeverGated) {
   sim::Simulator s;
   QuotaServer server(s, server_config(1.0));  // essentially zero budget
   const auto tenant = server.register_tenant(1.0);
   QuotaController controller(
       s, server, tenant,
-      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)),
-      QuotaControllerConfig{});
+      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   for (int i = 0; i < 20; ++i) {
     const auto decision = controller.admit(1e-3, 0, 1, 2, 1 << 20);
     EXPECT_EQ(decision.qos_run, 2);
@@ -165,18 +145,17 @@ TEST(QuotaControllerTest, TokensRefillOverTime) {
   // Budget fits one 4KB RPC per millisecond.
   QuotaServer server(s, server_config(4096.0 * 1000));
   const auto tenant = server.register_tenant(1.0);
-  QuotaControllerConfig qc;
-  qc.burst_intervals = 1.0;
   QuotaController controller(
       s, server, tenant,
-      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)), qc);
+      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   // Exhaust the bucket...
   int admitted_burst = 0;
   for (int i = 0; i < 10; ++i) {
     if (!controller.admit(1e-3, 0, 1, 0, 4096).downgraded) ++admitted_burst;
   }
   EXPECT_LT(admitted_burst, 10);
-  // ...then wait 5ms: ~5 more RPCs worth of tokens accrue.
+  // ...then wait 5ms: 5 RPCs worth of tokens accrue, up to the bucket's
+  // burst cap of two allocation intervals (2 RPCs).
   int admitted_later = 0;
   for (int i = 0; i < 10; ++i) {
     if (!controller.admit(6e-3, 0, 1, 0, 4096).downgraded) ++admitted_later;
@@ -193,8 +172,7 @@ TEST(QuotaControllerDeathTest, AuditCatchesNegativeDemandReport) {
   const auto tenant = server.register_tenant(1.0);
   QuotaController controller(
       s, server, tenant,
-      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)),
-      QuotaControllerConfig{});
+      std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   controller.audit_invariants(0.0);  // a clean server passes
   EXPECT_DEATH(
       {

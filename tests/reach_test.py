@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Self-test for tools/reach.py: the name normalisation on demangled
-symbols, and the whole lint on a two-file fixture library linked the way the
-real check links the tree (-O0 -ffunction-sections, --gc-sections).
+symbols, the whole lint on a two-file fixture library linked the way the
+real check links the tree (-O0 -ffunction-sections, --gc-sections), and the
+field lint (--fields) on a fixture source tree.
 
 Usage: tests/reach_test.py CXX_COMPILER
 """
@@ -166,6 +167,145 @@ class FixtureLintTest(unittest.TestCase):
             FIXTURE_ALLOWLIST + [(r"^aeq::fixture::used\(", "stale")])
         self.assertEqual(status, 1, out)
         self.assertIn("STALE", out)
+
+
+# A source tree for --fields. Two structs have a field named mtu_bytes;
+# only StackConfig's is set (from TransportConfig's), so TransportConfig::
+# mtu_bytes is unset although a grep on the name finds writes. Each of
+# seed, weights and depth has exactly one write, of one form.
+FIELD_TREE = {
+    "src/fixture/config.h": """
+#include <vector>
+namespace aeq::fixture {
+struct TransportConfig {
+  unsigned mtu_bytes = 4096;
+  double min_rto = 1.0;
+};
+struct StackConfig {
+  unsigned mtu_bytes = 4096;
+  int num_qos = 3;
+};
+struct QueueSpec {
+  std::vector<double> weights;
+  int depth = 0;
+};
+struct RunConfig {
+  TransportConfig transport;
+  StackConfig stack;
+  QueueSpec queue;
+  int seed = 1;
+  int unused = 0;
+  int test_only = 0;
+  int run() const { return seed; }
+};
+}  // namespace aeq::fixture
+""",
+    "src/fixture/run.cc": """
+#include "fixture/config.h"
+namespace aeq::fixture {
+StackConfig stack_of(const RunConfig& config) {
+  StackConfig stack;
+  stack.mtu_bytes = config.transport.mtu_bytes;  // "mtu_bytes =" in a grep
+  return stack;
+}
+}  // namespace aeq::fixture
+""",
+    "bench/app.cc": """
+#include "fixture/config.h"
+int main() {
+  aeq::fixture::RunConfig config;
+  config.seed = 7;
+  config.transport.min_rto += 1.0;
+  config.queue.weights.push_back(1.0);
+  aeq::fixture::QueueSpec spec{.depth = 4};
+  aeq::fixture::StackConfig stack;
+  stack.num_qos = 2;
+  config.stack = stack;
+  return config.run() + spec.depth;
+}
+""",
+    "tests/config_test.cc": """
+#include "fixture/config.h"
+void seam() {
+  aeq::fixture::RunConfig config;
+  config.test_only = 1;
+  config.unused = 0;  // a test write: not enough
+}
+""",
+}
+
+FIELD_FIXTURE_ALLOWLIST = [
+    (r"^RunConfig::unused$", "fixture"),
+    (r"^RunConfig::test_only$", "fixture"),
+    (r"^TransportConfig::mtu_bytes$", "fixture"),
+]
+
+
+class FieldLintTest(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        cls.tmp = tempfile.TemporaryDirectory()
+        for path, text in FIELD_TREE.items():
+            full = os.path.join(cls.tmp.name, path)
+            os.makedirs(os.path.dirname(full), exist_ok=True)
+            with open(full, "w") as fh:
+                fh.write(text)
+
+    @classmethod
+    def tearDownClass(cls):
+        cls.tmp.cleanup()
+
+    def lint(self, allowlist):
+        saved = reach.FIELD_ALLOWLIST
+        reach.FIELD_ALLOWLIST = allowlist
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                status = reach.main(["--fields", self.tmp.name])
+        finally:
+            reach.FIELD_ALLOWLIST = saved
+        return status, out.getvalue()
+
+    def test_clean_when_every_unset_field_is_allowed(self):
+        status, out = self.lint(FIELD_FIXTURE_ALLOWLIST)
+        self.assertEqual(status, 0, out)
+        self.assertIn("4 structs, 12 fields, 0 unset, 3 allowed", out)
+
+    def test_reports_a_field_nothing_writes(self):
+        status, out = self.lint(FIELD_FIXTURE_ALLOWLIST[1:])
+        self.assertEqual(status, 1, out)
+        self.assertIn("UNSET      src/fixture/config.h:21  RunConfig::unused  "
+                      "(written only by tests/config_test.cc:6)", out)
+
+    def test_reports_a_field_only_tests_write(self):
+        status, out = self.lint(FIELD_FIXTURE_ALLOWLIST[:1] +
+                                FIELD_FIXTURE_ALLOWLIST[2:])
+        self.assertEqual(status, 1, out)
+        self.assertIn("UNSET      src/fixture/config.h:22  "
+                      "RunConfig::test_only  "
+                      "(written only by tests/config_test.cc:5)", out)
+
+    def test_assignment_push_back_and_designated_initializer_clear(self):
+        _, out = self.lint([])
+        for field in ("RunConfig::seed", "QueueSpec::weights",
+                      "QueueSpec::depth", "TransportConfig::min_rto",
+                      "StackConfig::num_qos", "RunConfig::transport",
+                      "RunConfig::queue", "RunConfig::stack"):
+            self.assertNotIn(field, out)
+
+    def test_name_collision_resolves_through_declared_types(self):
+        status, out = self.lint(FIELD_FIXTURE_ALLOWLIST[:2])
+        self.assertEqual(status, 1, out)
+        self.assertIn("UNSET      src/fixture/config.h:5  "
+                      "TransportConfig::mtu_bytes", out)
+        self.assertNotIn("StackConfig::mtu_bytes", out)
+
+    def test_fires_on_a_stale_allowlist_entry(self):
+        status, out = self.lint(FIELD_FIXTURE_ALLOWLIST +
+                                [(r"^RunConfig::seed$", "stale")])
+        self.assertEqual(status, 1, out)
+        self.assertIn("STALE      field allowlist entry matches no unset "
+                      "field: ^RunConfig::seed$", out)
 
 
 if __name__ == "__main__":

@@ -27,11 +27,11 @@ TEST(PriorityTest, TwoQosCollapsesLowClasses) {
 }
 
 TEST(SloTest, SizeInMtus) {
-  EXPECT_EQ(size_in_mtus(1, 4096), 1u);
-  EXPECT_EQ(size_in_mtus(4096, 4096), 1u);
-  EXPECT_EQ(size_in_mtus(4097, 4096), 2u);
-  EXPECT_EQ(size_in_mtus(32768, 4096), 8u);
-  EXPECT_EQ(size_in_mtus(0, 4096), 1u);
+  EXPECT_EQ(size_in_mtus(1), 1u);
+  EXPECT_EQ(size_in_mtus(4096), 1u);
+  EXPECT_EQ(size_in_mtus(4097), 2u);
+  EXPECT_EQ(size_in_mtus(32768), 8u);
+  EXPECT_EQ(size_in_mtus(0), 1u);
 }
 
 TEST(SloTest, HasSloForAllButLowest) {

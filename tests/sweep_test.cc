@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -71,21 +70,13 @@ TEST(SeedDerivationTest, StreamsDiverge) {
 
 // --- jobs resolution -------------------------------------------------------
 
+// The --jobs flag is the only way to size the pool: a positive value wins,
+// and a non-positive one means the hardware concurrency (at least 1).
 TEST(JobsResolutionTest, FlagWinsOverEnvironment) {
-  ::setenv("AEQ_JOBS", "3", 1);
   EXPECT_EQ(resolve_jobs(5), 5u);
-  EXPECT_EQ(resolve_jobs(0), 3u);   // falls through to the env var
-  EXPECT_EQ(resolve_jobs(-1), 3u);  // non-positive flag = unset
-  ::unsetenv("AEQ_JOBS");
-  EXPECT_GE(resolve_jobs(0), 1u);   // hardware concurrency, at least 1
-}
-
-TEST(JobsResolutionTest, GarbageEnvironmentIgnored) {
-  ::setenv("AEQ_JOBS", "zero", 1);
-  EXPECT_GE(resolve_jobs(0), 1u);
-  ::setenv("AEQ_JOBS", "-4", 1);
-  EXPECT_GE(resolve_jobs(0), 1u);
-  ::unsetenv("AEQ_JOBS");
+  EXPECT_EQ(resolve_jobs(0), default_jobs());
+  EXPECT_EQ(resolve_jobs(-1), default_jobs());
+  EXPECT_GE(default_jobs(), 1u);
 }
 
 // --- sweep runner ----------------------------------------------------------

@@ -27,7 +27,6 @@ obs::TimeseriesConfig small_config() {
   obs::TimeseriesConfig config;
   config.window = 5 * sim::kUsec;
   config.num_qos = 2;
-  config.recent_capacity = 8;
   return config;
 }
 
@@ -237,14 +236,15 @@ TEST(TimeseriesSinkTest, AdvanceClosesEmptyWindowsAndFlushIsIdempotent) {
 }
 
 TEST(TimeseriesSinkTest, RecentRingIsBoundedAndRendersStandaloneCsv) {
-  auto config = small_config();
-  config.recent_capacity = 4;
+  const auto config = small_config();
+  constexpr std::size_t kCapacity = obs::TimeseriesSink::kRecentCapacity;
   obs::TimeseriesSink sink(config, nullptr, nullptr);
-  sink.advance_to(10 * config.window + config.window / 2);
-  EXPECT_EQ(sink.windows_closed(), 10u);
-  ASSERT_EQ(sink.recent().size(), 4u);
+  sink.advance_to(static_cast<double>(kCapacity + 6) * config.window +
+                  config.window / 2);
+  EXPECT_EQ(sink.windows_closed(), kCapacity + 6);
+  ASSERT_EQ(sink.recent().size(), kCapacity);
   EXPECT_EQ(sink.recent().front().index, 6u);
-  EXPECT_EQ(sink.recent().back().index, 9u);
+  EXPECT_EQ(sink.recent().back().index, kCapacity + 5);
 
   std::ostringstream out;
   sink.write_recent_csv(out);
@@ -291,13 +291,8 @@ obs::WindowStats make_window(std::uint64_t index) {
 obs::WatchdogConfig strict_config() {
   obs::WatchdogConfig config;
   config.compliance_target = {0.9, 0.0};  // qos1: no alarm
-  config.compliance_windows = 3;
-  config.compliance_min_completions = 16;
   config.p_admit_floor = 0.05;
-  config.p_admit_windows = 2;
   config.saturation_qlen_bytes = 1000;
-  config.saturation_windows = 2;
-  config.stall_windows = 2;
   return config;
 }
 
@@ -456,10 +451,9 @@ TEST(WatchdogTest, StallNeedsOutstandingWorkAndRespectsHorizon) {
 // --- flight recorder -------------------------------------------------------
 
 TEST(FlightRecorderTest, RingRetainsOnlyTheLastNPerCategory) {
-  obs::FlightRecorderConfig config;
-  config.capacity = 4;
-  obs::FlightRecorder flight(config);
-  for (std::uint64_t i = 0; i < 10; ++i) {
+  constexpr std::uint64_t kCapacity = obs::FlightRecorder::kCapacity;
+  obs::FlightRecorder flight;
+  for (std::uint64_t i = 0; i < kCapacity + 6; ++i) {
     obs::RpcGenerated generated;
     generated.t = static_cast<double>(i) * sim::kUsec;
     generated.rpc_id = i;
@@ -467,26 +461,26 @@ TEST(FlightRecorderTest, RingRetainsOnlyTheLastNPerCategory) {
     generated.dst = 1;
     flight.on_rpc_generated(generated);
   }
-  EXPECT_EQ(flight.events_seen(), 10u);
-  EXPECT_EQ(flight.events_retained(), 4u);
+  EXPECT_EQ(flight.events_seen(), kCapacity + 6);
+  EXPECT_EQ(flight.events_retained(), kCapacity);
 
   std::ostringstream out;
   flight.dump(out);
   const std::string dump = out.str();
   EXPECT_EQ(flight.dumps(), 1u);
-  // Wraparound kept exactly rpc ids 6..9.
+  // Wraparound kept exactly rpc ids 6..kCapacity+5.
   for (std::uint64_t i = 0; i < 6; ++i) {
     EXPECT_EQ(dump.find("\"rpc_id\":" + std::to_string(i) + ","),
               std::string::npos);
   }
-  for (std::uint64_t i = 6; i < 10; ++i) {
+  for (std::uint64_t i = 6; i < kCapacity + 6; ++i) {
     EXPECT_NE(dump.find("\"rpc_id\":" + std::to_string(i) + ","),
               std::string::npos);
   }
 }
 
 TEST(FlightRecorderTest, DumpMergesCategoriesNamesPortsAndMarksAnomaly) {
-  obs::FlightRecorder flight(obs::FlightRecorderConfig{});
+  obs::FlightRecorder flight;
   obs::Recorder recorder;
   recorder.add_sink(&flight);
   replay_lifecycle(recorder);
@@ -516,19 +510,6 @@ TEST(FlightRecorderTest, DumpMergesCategoriesNamesPortsAndMarksAnomaly) {
   EXPECT_NE(dump.find("kind=slo_compliance qos=0"), std::string::npos);
   EXPECT_LT(dump.find(R"("name":"rpc_generated")"),
             dump.find(R"("cat":"transport")"));
-
-  // Lookback bounds the snapshot to events near the anomaly.
-  obs::FlightRecorderConfig bounded_config;
-  bounded_config.lookback = 3 * sim::kUsec;  // keeps t >= 7us only
-  obs::FlightRecorder bounded(bounded_config);
-  obs::Recorder bounded_recorder;
-  bounded_recorder.add_sink(&bounded);
-  replay_lifecycle(bounded_recorder);
-  std::ostringstream bounded_out;
-  bounded.dump(bounded_out, &anomaly);
-  EXPECT_EQ(bounded_out.str().find(R"("name":"rpc_generated")"),
-            std::string::npos);
-  EXPECT_NE(bounded_out.str().find(R"("name":"rpc")"), std::string::npos);
 }
 
 // --- assert-failure hook ---------------------------------------------------

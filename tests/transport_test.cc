@@ -94,25 +94,6 @@ struct Harness {
   }
 };
 
-// The stack's TransportConfig is shared by reference across all of its
-// flows (a flow holds a pointer, not a copy), so mutating it once any flow
-// exists would change transport behaviour mid-run. mutable_config() permits
-// setup-time tuning and traps everything after the first flow.
-TEST(HostStackDeathTest, ConfigIsImmutableOnceAFlowExists) {
-  Harness h;
-  h.stacks[0]->mutable_config().min_rto = 1 * sim::kMsec;  // fine: no flows
-  SendRequest request;
-  request.dst = 1;
-  request.qos = 0;
-  request.bytes = 1000;
-  request.rpc_id = 1;
-  h.stacks[0]->send_message(request, [](const MessageCompletion&) {});
-  h.s.run();
-  EXPECT_EQ(h.stacks[0]->config().min_rto, 1 * sim::kMsec);
-  EXPECT_DEATH((void)h.stacks[0]->mutable_config(),
-               "TransportConfig is immutable once a flow exists");
-}
-
 // Receiver reassembly: a segment that arrives after its successor is
 // buffered in begin order (a repeat begin extends it), and the segment
 // that fills the hole absorbs every buffered segment it makes contiguous.

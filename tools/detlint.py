@@ -44,8 +44,7 @@ Rules (see DESIGN.md §12 for the catalogue rationale):
                     net/shard_fabric, sim/assert's failure hook) — simulation
                     logic must stay single-threaded-per-shard.
   env-read          no std::getenv in simulation code: environment must not
-                    influence results (AEQ_JOBS in runner/sweep only sizes
-                    the worker pool, never the schedule).
+                    influence results.
 
 Suppression: a `detlint:allow(rule)` (comma-list accepted) inside a comment
 on the offending line or the line directly above silences that rule there.
@@ -91,9 +90,7 @@ WHITELIST = {
         "src/util/mutex.h", "src/util/thread_annotations.h",
         "src/sim/assert.h",
     ),
-    # AEQ_JOBS sizes the sweep worker pool; results are identical for any
-    # value (sweep determinism contract), so it is not a schedule input.
-    "env-read": ("src/runner/sweep.cc",),
+    "env-read": (),
 }
 
 RULES = {
