@@ -55,6 +55,7 @@ runner::PointResult run(const Fig21Params& params, bool with_aequitas,
   // per RPC.
   config.slo = rpc::SloConfig::make(
       {4.0 * sim::kUsec, 12.0 * sim::kUsec, 0.0}, 99.9);
+  config.rnl_per_mtu = true;  // the table prints per-MTU percentiles
   // Favor SLO-compliance over stability at this scale (§6.6).
   config.admission.aequitas.alpha = 0.002;
   config.admission.aequitas.beta_per_mtu = 0.05;

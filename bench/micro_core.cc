@@ -25,7 +25,7 @@ using namespace aeq;
 // each handler in its slot and dispatch runs it there. Every event
 // schedules its successor one gap later and stops the run, so one
 // iteration is exactly one schedule_at plus one dispatch, over a standing
-// population of 1000 pending events. items/s is events/sec.
+// population of `population` pending events. items/s is events/sec.
 struct Hop {
   sim::Simulator* sim;
   sim::Rng* rng;
@@ -37,11 +37,11 @@ struct Hop {
 };
 
 void run_event_stream(benchmark::State& state, sim::SchedulerBackend backend,
-                      double (*gap)(sim::Rng&)) {
+                      double (*gap)(sim::Rng&), int population = 1000) {
   sim::Simulator s(backend);
   sim::Rng rng(1);
   const Hop hop{&s, &rng, gap};
-  for (int i = 0; i < 1000; ++i) s.schedule_in(gap(rng), hop);
+  for (int i = 0; i < population; ++i) s.schedule_in(gap(rng), hop);
   for (auto _ : state) s.run();
   state.SetItemsProcessed(state.iterations());
 }
@@ -67,6 +67,21 @@ void BM_SchedulerScheduleAndPop(benchmark::State& state) {
                    [](sim::Rng& rng) { return rng.exponential(2e-6); });
 }
 BENCHMARK(BM_SchedulerScheduleAndPop)
+    ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kHeap))
+    ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kCalendar));
+
+// A small steady population packed inside one initial calendar bucket: 300
+// pending events at 0-1 us gaps, as a few hosts' packet events are. It
+// never crosses the calendar's doubling or halving marks, so only the
+// walk-triggered width re-estimate adapts the calendar to it.
+void BM_SchedulerSmallDensePopulation(benchmark::State& state) {
+  const auto backend = static_cast<sim::SchedulerBackend>(state.range(0));
+  state.SetLabel(sim::backend_name(backend));
+  run_event_stream(
+      state, backend, [](sim::Rng& rng) { return rng.uniform(0, 1e-6); },
+      300);
+}
+BENCHMARK(BM_SchedulerSmallDensePopulation)
     ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kHeap))
     ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kCalendar));
 

@@ -22,6 +22,7 @@ int main() {
   // Normalized SLOs: 6us per MTU for PC, 18us per MTU for NC, at p99.9.
   config.slo = rpc::SloConfig::make(
       {6 * sim::kUsec, 18 * sim::kUsec, 0.0}, 99.9);
+  config.rnl_per_mtu = true;  // the table prints p99.9 per MTU
   // Favor SLO-compliance (§6.6): heavy-tailed sizes at low per-channel
   // rates need a stronger decrease to hold the tail.
   config.admission.aequitas.alpha = 0.003;

@@ -152,7 +152,6 @@ class TimeseriesSink : public Sink {
 
   std::uint64_t windows_closed() const { return windows_closed_; }
   const std::deque<WindowStats>& recent() const { return recent_; }
-  const TimeseriesConfig& config() const { return config_; }
 
   // Re-renders the retained windows as one standalone CSV (header + rows):
   // the "recent timeseries rows" half of a flight-recorder dump.

@@ -100,7 +100,6 @@ class Watchdog {
   // The first kMaxAnomalyLog (1024) anomalies; callbacks see every one.
   const std::vector<Anomaly>& anomalies() const { return anomalies_; }
   std::uint64_t windows_seen() const { return windows_seen_; }
-  const WatchdogConfig& config() const { return config_; }
 
   // Extends (never shortens) the initial quiet period.
   void set_quiet_until(sim::Time t) {

@@ -1,15 +1,17 @@
 #include "rpc/metrics.h"
 
+#include <utility>
+
 #include "sim/assert.h"
 
 namespace aeq::rpc {
 
 RpcMetrics::RpcMetrics(std::size_t num_qos, const SloConfig& slo,
-                       std::size_t num_hosts)
+                       std::size_t num_hosts, bool rnl_per_mtu)
     : num_qos_(num_qos),
       slo_(slo),
       rnl_run_(num_qos),
-      rnl_per_mtu_run_(num_qos),
+      rnl_per_mtu_run_(rnl_per_mtu ? num_qos : 0),
       outstanding_(num_hosts, {0, 0}) {
   AEQ_CHECK_GE(num_qos, 2u);
   AEQ_CHECK_LE(num_qos, net::kMaxQoSLevels);
@@ -69,9 +71,20 @@ void RpcMetrics::record(const RpcRecord& record) {
 
   if (record.issued >= warmup_end_) {
     rnl_run_[record.qos_run].add(record.rnl);
-    rnl_per_mtu_run_[record.qos_run].add(
-        record.rnl / static_cast<double>(record.size_mtus));
+    if (!rnl_per_mtu_run_.empty()) {
+      rnl_per_mtu_run_[record.qos_run].add(
+          record.rnl / static_cast<double>(record.size_mtus));
+    }
   }
+}
+
+const stats::PercentileTracker& RpcMetrics::rnl_per_mtu_by_run_qos(
+    net::QoSLevel qos) const {
+  AEQ_ASSERT_MSG(!rnl_per_mtu_run_.empty(),
+                 "RpcMetrics::rnl_per_mtu_by_run_qos needs "
+                 "ExperimentConfig::rnl_per_mtu (per-MTU RNL samples are "
+                 "kept only on request)");
+  return rnl_per_mtu_run_[qos];
 }
 
 double RpcMetrics::admitted_share(net::QoSLevel qos) const {
@@ -97,12 +110,15 @@ double RpcMetrics::slo_met_fraction_bytes(
                   : 0.0;
 }
 
-void RpcMetrics::merge(const RpcMetrics& other) {
+void RpcMetrics::merge(RpcMetrics&& other) {
   AEQ_CHECK_EQ(num_qos_, other.num_qos_);
   AEQ_CHECK_EQ(outstanding_.size(), other.outstanding_.size());
+  AEQ_CHECK_EQ(rnl_per_mtu_run_.size(), other.rnl_per_mtu_run_.size());
+  for (std::size_t q = 0; q < rnl_per_mtu_run_.size(); ++q) {
+    rnl_per_mtu_run_[q].merge(std::move(other.rnl_per_mtu_run_[q]));
+  }
   for (std::size_t q = 0; q < num_qos_; ++q) {
-    rnl_run_[q].merge(other.rnl_run_[q]);
-    rnl_per_mtu_run_[q].merge(other.rnl_per_mtu_run_[q]);
+    rnl_run_[q].merge(std::move(other.rnl_run_[q]));
     bytes_requested_[q] += other.bytes_requested_[q];
     bytes_admitted_[q] += other.bytes_admitted_[q];
     bytes_completed_[q] += other.bytes_completed_[q];

@@ -1,8 +1,8 @@
 // Cluster-wide RPC metrics sink shared by all hosts in an experiment.
 //
-// Tracks, per QoS level: RNL percentiles (by the QoS the RPC ran at, raw
-// and per MTU), admitted/downgraded counts and bytes, SLO compliance, and
-// outstanding-RPC gauges per destination (for Figure 13).
+// Tracks, per QoS level: RNL percentiles (by the QoS the RPC ran at; per
+// MTU too, on request), admitted/downgraded counts and bytes, SLO
+// compliance, and outstanding-RPC gauges per destination (for Figure 13).
 #pragma once
 
 #include <array>
@@ -40,8 +40,10 @@ struct RpcRecord {
 // blocks whose placement depends on allocation order.
 class alignas(64) RpcMetrics {
  public:
-  RpcMetrics(std::size_t num_qos, const SloConfig& slo,
-             std::size_t num_hosts);
+  // `rnl_per_mtu` also keeps every RNL divided by the RPC's size in MTUs
+  // (a second exact sample per RPC), for rnl_per_mtu_by_run_qos.
+  RpcMetrics(std::size_t num_qos, const SloConfig& slo, std::size_t num_hosts,
+             bool rnl_per_mtu);
 
   // Called by RpcStack when an RPC is issued / completes. Traffic-mix
   // accounting (requested/admitted bytes) happens at issue time so the
@@ -71,10 +73,9 @@ class alignas(64) RpcMetrics {
     return rnl_run_[qos];
   }
   // RNL divided by size in MTUs (the normalized quantity SLOs are set on).
+  // Kept only when constructed with `rnl_per_mtu`; aborts otherwise.
   const stats::PercentileTracker& rnl_per_mtu_by_run_qos(
-      net::QoSLevel qos) const {
-    return rnl_per_mtu_run_[qos];
-  }
+      net::QoSLevel qos) const;
 
   // --- traffic mix ---
   std::uint64_t bytes_requested(net::QoSLevel qos) const {
@@ -129,13 +130,15 @@ class alignas(64) RpcMetrics {
   std::uint64_t total_completed() const;
   const SloConfig& slo() const { return slo_; }
 
-  // Folds another sink (same num_qos / num_hosts shape) into this one. All
-  // counters sum and the percentile trackers merge sample-exactly (each
-  // shard of a sharded run records its own hosts' RPCs into a private sink;
-  // the runner merges them in shard-id order afterwards). Percentiles and
-  // counts of the merged sink equal the serial run's bit-for-bit; only
-  // mean() can differ in the last ulp, since summation order changes.
-  void merge(const RpcMetrics& other);
+  // Folds another sink (same num_qos / num_hosts / rnl_per_mtu shape) into
+  // this one. All counters sum and the percentile trackers merge
+  // sample-exactly (each shard of a sharded run records its own hosts' RPCs
+  // into a private sink; the runner merges them in shard-id order
+  // afterwards). `other`'s samples move here: its trackers are left empty,
+  // its counters as they were. Percentiles and counts of the merged sink
+  // equal the serial run's bit-for-bit; only mean() can differ in the last
+  // ulp, since summation order changes.
+  void merge(RpcMetrics&& other);
 
  private:
   std::size_t num_qos_;
@@ -143,7 +146,7 @@ class alignas(64) RpcMetrics {
   sim::Time warmup_end_ = 0.0;
 
   std::vector<stats::PercentileTracker> rnl_run_;
-  std::vector<stats::PercentileTracker> rnl_per_mtu_run_;
+  std::vector<stats::PercentileTracker> rnl_per_mtu_run_;  // empty when off
 
   // Levels at or past num_qos_ stay zero.
   using PerQos = std::array<std::uint64_t, net::kMaxQoSLevels>;

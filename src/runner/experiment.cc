@@ -94,14 +94,15 @@ Experiment::Experiment(const ExperimentConfig& config)
     }
   }
 
-  metrics_ = std::make_unique<rpc::RpcMetrics>(config_.num_qos, config_.slo,
-                                               network_.num_hosts());
+  metrics_ = std::make_unique<rpc::RpcMetrics>(
+      config_.num_qos, config_.slo, network_.num_hosts(), config_.rnl_per_mtu);
   if (sharded_) {
     // Each shard records its own hosts' RPCs into a private sink; run()
     // folds them into metrics_ in shard-id order (sample-exact merge).
     for (std::size_t k = 0; k < config_.shards; ++k) {
       shard_metrics_.push_back(std::make_unique<rpc::RpcMetrics>(
-          config_.num_qos, config_.slo, network_.num_hosts()));
+          config_.num_qos, config_.slo, network_.num_hosts(),
+          config_.rnl_per_mtu));
     }
   }
 
@@ -672,9 +673,10 @@ void Experiment::run(sim::Time warmup, sim::Time duration, sim::Time drain) {
     AEQ_ASSERT_MSG(fabric_->idle(),
                    "cross-shard outboxes still hold packets after drain");
     // Fold the per-shard metric sinks into the global one in shard-id
-    // order (sample-exact; see rpc::RpcMetrics::merge).
+    // order (sample-exact; see rpc::RpcMetrics::merge). Each sink's samples
+    // move, so the fold never holds every sample twice.
     for (auto& shard_metrics : shard_metrics_) {
-      metrics_->merge(*shard_metrics);
+      metrics_->merge(std::move(*shard_metrics));
     }
   }
   for (auto& recorder : recorders_) recorder->flush(now());

@@ -148,6 +148,10 @@ struct ExperimentConfig {
   policy::AdmissionSpec admission;
 
   rpc::SloConfig slo;  // required (also drives SLO-met accounting)
+  // Also keep each post-warmup RNL divided by its RPC's size in MTUs, for
+  // metrics().rnl_per_mtu_by_run_qos: one more exact sample per RPC, so it
+  // is off unless the caller prints per-MTU percentiles.
+  bool rnl_per_mtu = false;
 
   // Invariant auditing (src/audit/): when set, the experiment registers the
   // full check catalogue over its components and evaluates it every

@@ -5,6 +5,15 @@
 
 namespace aeq::sim {
 
+namespace {
+
+// Mean links an insert may walk, over a window of one push per bucket,
+// before the width is re-estimated. A width that fits its population walks
+// about 2.
+constexpr std::size_t kMaxMeanWalk = 4;
+
+}  // namespace
+
 CalendarQueue::CalendarQueue(Time initial_bucket_width,
                              std::size_t initial_buckets)
     : buckets_(initial_buckets, kNoSlot),
@@ -38,23 +47,27 @@ void CalendarQueue::push(EventKey* keys, std::uint32_t slot) {
     slot_ = window;
     cursor_ = static_cast<std::size_t>(window & mask_);
   }
-  insert(keys, slot);
+  walked_ += insert(keys, slot);
+  ++pushes_;
   ++count_;
   maybe_resize(keys);
 }
 
-void CalendarQueue::insert(EventKey* keys, std::uint32_t slot) {
+std::size_t CalendarQueue::insert(EventKey* keys, std::uint32_t slot) {
   EventKey& key = keys[slot];
   // Keep chains sorted by (t, tie): they are short by design, so the linear
   // scan stays cheap and find_earliest can inspect heads only.
   std::uint32_t* link = &buckets_[bucket_of(key.t)];
+  std::size_t walked = 0;
   while (*link != kNoSlot) {
     const EventKey& cur = keys[*link];
     if (cur.t > key.t || (cur.t == key.t && cur.tie > key.tie)) break;
     link = &keys[*link].next;
+    ++walked;
   }
   key.next = *link;
   *link = slot;
+  return walked;
 }
 
 std::size_t CalendarQueue::find_earliest(const EventKey* keys) {
@@ -109,6 +122,14 @@ void CalendarQueue::maybe_resize(EventKey* keys) {
     resize(keys, n * 2);
   } else if (count_ < n / 4 && n > 256) {
     resize(keys, n / 2);
+  } else if (pushes_ >= n) {
+    // One check per n pushes bounds the re-layout at O(1) per push even
+    // when a fresh width cannot shorten the walks (e.g. equal times).
+    if (walked_ > kMaxMeanWalk * pushes_) {
+      resize(keys, n);
+    } else {
+      pushes_ = walked_ = 0;
+    }
   }
 }
 
@@ -141,6 +162,7 @@ void CalendarQueue::resize(EventKey* keys, std::size_t new_buckets) {
   // grow/shrink cycles cost no allocator traffic.
   width_ = estimate_width(keys);
   inv_width_ = 1.0 / width_;
+  pushes_ = walked_ = 0;
   scratch_buckets_.assign(new_buckets, kNoSlot);
   buckets_.swap(scratch_buckets_);
   mask_ = new_buckets - 1;

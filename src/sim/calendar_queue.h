@@ -10,7 +10,11 @@
 // buckets) when occupancy drifts far from one event per bucket, and each
 // resize re-estimates the bucket width from the gaps between the earliest
 // pending events (Brown's sampling rule) so a dense head cluster spreads
-// across many buckets instead of piling into one.
+// across many buckets instead of piling into one. A population that stays
+// between the doubling and halving marks but whose spacing drifts from the
+// width shows up as long sorted-insert walks: when the inserts since the
+// last resize walk more than kMaxMeanWalk links each on average, the queue
+// re-lays itself out at the same bucket count and a fresh width.
 //
 // A bucket is just a head slot; keys chain through their `next` links in
 // the store's dense key array, sorted by (t, tie). Insert, scan and resize
@@ -38,6 +42,7 @@ class CalendarQueue final : public EventScheduler {
   void reserve(std::size_t n) override;
 
   std::size_t num_buckets() const { return buckets_.size(); }
+  Time bucket_width() const { return width_; }
 
  private:
   // Slot index = which `width_`-wide window an event belongs to. Window
@@ -54,8 +59,9 @@ class CalendarQueue final : public EventScheduler {
   std::size_t bucket_of(Time t) const {
     return static_cast<std::size_t>(slot_of(t) & mask_);
   }
-  // Chains keys[slot] into its bucket in (t, tie) order.
-  void insert(EventKey* keys, std::uint32_t slot);
+  // Chains keys[slot] into its bucket in (t, tie) order; returns the number
+  // of links it walked past.
+  std::size_t insert(EventKey* keys, std::uint32_t slot);
   void maybe_resize(EventKey* keys);
   void resize(EventKey* keys, std::size_t new_buckets);
   Time estimate_width(const EventKey* keys);
@@ -78,6 +84,9 @@ class CalendarQueue final : public EventScheduler {
   std::size_t cursor_ = 0;
   Time floor_time_ = 0.0;   // no key lies below it: resizes anchor here
   std::size_t count_ = 0;   // keys held, tombstones included
+  // Pushes since the last resize, and the links their inserts walked.
+  std::size_t pushes_ = 0;
+  std::size_t walked_ = 0;
 };
 
 }  // namespace aeq::sim

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "rpc/metrics.h"
 #include "rpc/priority.h"
 #include "rpc/slo.h"
 #include "runner/experiment.h"
+#include "sim/rng.h"
+#include "stats/percentile.h"
 #include "workload/size_dist.h"
 
 namespace aeq::rpc {
@@ -45,7 +48,7 @@ TEST(SloTest, HasSloForAllButLowest) {
 
 TEST(MetricsTest, MixSharesAndSloAccounting) {
   const auto slo = SloConfig::make({10 * sim::kUsec, 0.0}, 99.9);
-  RpcMetrics metrics(2, slo, 4);
+  RpcMetrics metrics(2, slo, 4, /*rnl_per_mtu=*/false);
 
   RpcRecord record;
   record.dst = 1;
@@ -80,7 +83,7 @@ TEST(MetricsTest, MixSharesAndSloAccounting) {
 
 TEST(MetricsTest, TerminatedCountsAsSloMiss) {
   const auto slo = SloConfig::make({10 * sim::kUsec, 0.0}, 99.9);
-  RpcMetrics metrics(2, slo, 2);
+  RpcMetrics metrics(2, slo, 2, /*rnl_per_mtu=*/false);
   RpcRecord record;
   record.dst = 1;
   record.qos_requested = 0;
@@ -99,7 +102,7 @@ TEST(MetricsTest, TerminatedCountsAsSloMiss) {
 TEST(MetricsTest, OutstandingGaugeTracksIssueAndCompletion) {
   const auto slo =
       SloConfig::make({15 * sim::kUsec, 25 * sim::kUsec, 0.0}, 99.9);
-  RpcMetrics metrics(3, slo, 3);
+  RpcMetrics metrics(3, slo, 3, /*rnl_per_mtu=*/false);
   metrics.on_issue(2, 0, 0, 100);
   metrics.on_issue(2, 1, 1, 100);
   metrics.on_issue(2, 2, 2, 100);
@@ -117,7 +120,7 @@ TEST(MetricsTest, OutstandingGaugeTracksIssueAndCompletion) {
 
 TEST(MetricsTest, WarmupExcludedFromLatencyButNotTraffic) {
   const auto slo = SloConfig::make({10 * sim::kUsec, 0.0}, 99.9);
-  RpcMetrics metrics(2, slo, 2);
+  RpcMetrics metrics(2, slo, 2, /*rnl_per_mtu=*/false);
   metrics.set_warmup(1.0);
   RpcRecord record;
   record.dst = 1;
@@ -241,7 +244,8 @@ TEST(RpcStackTest, DowngradeVisibleToApplication) {
 
 TEST(RpcMetricsTest, DowngradeAttributionByRequestedAndDelivered) {
   RpcMetrics metrics(3, SloConfig::make({15 * sim::kUsec, 25 * sim::kUsec,
-                                         0.0}, 99.9), 4);
+                                         0.0}, 99.9), 4,
+                     /*rnl_per_mtu=*/false);
   auto downgrade = [&](net::HostId src, net::HostId dst,
                        net::QoSLevel from, net::QoSLevel to) {
     metrics.on_issue(dst, from, to, 4096);
@@ -271,13 +275,88 @@ TEST(RpcMetricsTest, DowngradeAttributionByRequestedAndDelivered) {
 }
 
 TEST(RpcMetricsTest, AdmissionDropCountsRequestedButNotAdmittedBytes) {
-  RpcMetrics metrics(2, SloConfig::make({15 * sim::kUsec, 0.0}, 99.9), 2);
+  RpcMetrics metrics(2, SloConfig::make({15 * sim::kUsec, 0.0}, 99.9), 2,
+                     /*rnl_per_mtu=*/false);
   metrics.on_issue(1, net::kQoSHigh, net::kQoSHigh, 1000);
   metrics.on_issue(1, net::kQoSHigh, net::kQoSHigh, 3000,
                    /*admission_dropped=*/true);
   EXPECT_EQ(metrics.bytes_requested(net::kQoSHigh), 4000u);
   EXPECT_EQ(metrics.bytes_requested(1), 0u);
   EXPECT_EQ(metrics.bytes_admitted(net::kQoSHigh), 1000u);
+}
+
+// Records one completed post-warmup RPC of `size_mtus` MTUs from host 0 to
+// host 1 on `qos`.
+void record_completed(RpcMetrics& metrics, net::QoSLevel qos,
+                      std::uint64_t size_mtus, sim::Time rnl) {
+  const std::uint64_t bytes = size_mtus * 4096;
+  metrics.on_issue(1, qos, qos, bytes);
+  RpcRecord record;
+  record.src = 0;
+  record.dst = 1;
+  record.qos_requested = qos;
+  record.qos_run = qos;
+  record.bytes = bytes;
+  record.size_mtus = size_mtus;
+  record.rnl = rnl;
+  metrics.record(record);
+}
+
+TEST(RpcMetricsDeathTest, PerMtuReadWithoutTheFlagAborts) {
+  RpcMetrics metrics(2, SloConfig::make({15 * sim::kUsec, 0.0}, 99.9), 2,
+                     /*rnl_per_mtu=*/false);
+  record_completed(metrics, net::kQoSHigh, 4, 20 * sim::kUsec);
+  EXPECT_EQ(metrics.rnl_by_run_qos(net::kQoSHigh).count(), 1u);
+  EXPECT_DEATH(metrics.rnl_per_mtu_by_run_qos(net::kQoSHigh),
+               "needs ExperimentConfig::rnl_per_mtu");
+}
+
+TEST(RpcMetricsTest, PerMtuSamplesAreRnlOverSizeWhenRequested) {
+  RpcMetrics metrics(2, SloConfig::make({15 * sim::kUsec, 0.0}, 99.9), 2,
+                     /*rnl_per_mtu=*/true);
+  sim::Rng rng(5);
+  stats::PercentileTracker expected;
+  for (int i = 0; i < 1500; ++i) {
+    const std::uint64_t size_mtus = 1 + rng.index(64);
+    const sim::Time rnl = rng.uniform(1.0, 500.0) * sim::kUsec;
+    record_completed(metrics, net::kQoSHigh, size_mtus, rnl);
+    expected.add(rnl / static_cast<double>(size_mtus));
+  }
+  const auto& per_mtu = metrics.rnl_per_mtu_by_run_qos(net::kQoSHigh);
+  EXPECT_EQ(per_mtu.count(), 1500u);
+  for (const double pct : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(per_mtu.percentile(pct), expected.percentile(pct))
+        << "pct " << pct;
+  }
+  EXPECT_EQ(metrics.rnl_per_mtu_by_run_qos(1).count(), 0u);
+}
+
+// The sharded fold moves each shard sink's samples: the merged sink equals
+// one sink that saw every RPC, and the sink it moved from keeps no sample.
+TEST(RpcMetricsTest, MergeMovesSamplesAndEmptiesTheSource) {
+  const auto slo = SloConfig::make({15 * sim::kUsec, 0.0}, 99.9);
+  RpcMetrics whole(2, slo, 2, /*rnl_per_mtu=*/true);
+  RpcMetrics merged(2, slo, 2, /*rnl_per_mtu=*/true);
+  RpcMetrics shard(2, slo, 2, /*rnl_per_mtu=*/true);
+  sim::Rng rng(11);
+  for (int i = 0; i < 1200; ++i) {
+    const auto qos = static_cast<net::QoSLevel>(rng.index(2));
+    const std::uint64_t size_mtus = 1 + rng.index(8);
+    const sim::Time rnl = rng.exponential(20 * sim::kUsec);
+    record_completed(whole, qos, size_mtus, rnl);
+    record_completed(i % 3 == 0 ? merged : shard, qos, size_mtus, rnl);
+  }
+  merged.merge(std::move(shard));
+  EXPECT_EQ(merged.total_completed(), whole.total_completed());
+  for (net::QoSLevel q = 0; q < 2; ++q) {
+    for (const auto tracker :
+         {&RpcMetrics::rnl_by_run_qos, &RpcMetrics::rnl_per_mtu_by_run_qos}) {
+      EXPECT_EQ((merged.*tracker)(q).count(), (whole.*tracker)(q).count());
+      EXPECT_EQ((merged.*tracker)(q).p50(), (whole.*tracker)(q).p50());
+      EXPECT_EQ((merged.*tracker)(q).p999(), (whole.*tracker)(q).p999());
+      EXPECT_EQ((shard.*tracker)(q).count(), 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -500,5 +500,42 @@ TEST(CalendarQueueTest, ScheduleAfterNextTimePeekOfFarEvent) {
   EXPECT_EQ(popped, (std::vector<double>{1e-6, 100e-6}));
 }
 
+// A steady population that never crosses the doubling or halving marks
+// (300 live keys in 256 buckets) packed far inside the initial 1 us width:
+// without a width re-estimate every key shares one or two buckets and each
+// insert walks a long chain. The queue must notice the walks and narrow its
+// width, at the same bucket count, while popping exactly what the heap pops.
+TEST(CalendarQueueTest, SteadyDensePopulationAdaptsWidthAndPopsInHeapOrder) {
+  auto calendar = std::make_unique<sim::CalendarQueue>();
+  const sim::CalendarQueue& layout = *calendar;
+  sim::EventStore queue(std::move(calendar));
+  sim::EventStore heap(std::make_unique<sim::EventQueue>());
+  const std::size_t initial_buckets = layout.num_buckets();
+  const double initial_width = layout.bucket_width();
+  std::vector<int> queue_order, heap_order;
+  sim::Rng rng(13);
+  double now = 0.0;
+  int next_id = 0;
+  const auto schedule_both = [&] {
+    const double t = now + rng.uniform(0.0, 1e-6);
+    const int id = next_id++;
+    schedule(queue, t, [&queue_order, id] { queue_order.push_back(id); });
+    schedule(heap, t, [&heap_order, id] { heap_order.push_back(id); });
+  };
+  for (int i = 0; i < 300; ++i) schedule_both();
+  for (int round = 0; round < 20000; ++round) {
+    now = pop_and_run(heap);
+    ASSERT_EQ(pop_and_run(queue), now) << "round " << round;
+    schedule_both();
+  }
+  while (heap.size() != 0) {
+    ASSERT_EQ(pop_and_run(queue), pop_and_run(heap));
+  }
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_EQ(queue_order, heap_order);
+  EXPECT_EQ(layout.num_buckets(), initial_buckets);
+  EXPECT_LT(layout.bucket_width(), initial_width / 10);
+}
+
 }  // namespace
 }  // namespace aeq

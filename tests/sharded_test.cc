@@ -308,6 +308,7 @@ struct MetricsSnapshot {
   std::vector<double> rnl_p999;
   std::vector<double> rnl_max;
   std::vector<double> rnl_mean;
+  std::vector<double> rnl_per_mtu_p999;
 };
 
 MetricsSnapshot snapshot(const rpc::RpcMetrics& metrics,
@@ -331,6 +332,8 @@ MetricsSnapshot snapshot(const rpc::RpcMetrics& metrics,
     snap.rnl_p999.push_back(rnl.p999());
     snap.rnl_max.push_back(rnl.max());
     snap.rnl_mean.push_back(rnl.mean());
+    snap.rnl_per_mtu_p999.push_back(
+        metrics.rnl_per_mtu_by_run_qos(qos).p999());
   }
   return snap;
 }
@@ -356,6 +359,7 @@ void expect_identical(const MetricsSnapshot& serial,
     EXPECT_EQ(serial.rnl_p99[q], sharded.rnl_p99[q]) << at;
     EXPECT_EQ(serial.rnl_p999[q], sharded.rnl_p999[q]) << at;
     EXPECT_EQ(serial.rnl_max[q], sharded.rnl_max[q]) << at;
+    EXPECT_EQ(serial.rnl_per_mtu_p999[q], sharded.rnl_per_mtu_p999[q]) << at;
     // Summation order differs across the merge: ulp-scale tolerance.
     EXPECT_NEAR(serial.rnl_mean[q], sharded.rnl_mean[q],
                 1e-12 * (1.0 + std::abs(serial.rnl_mean[q])))
@@ -372,6 +376,7 @@ runner::ExperimentConfig sharded_config(std::size_t shards,
   config.num_qos = 3;
   config.slo = rpc::SloConfig::make(
       {2.0 * sim::kUsec, 10.0 * sim::kUsec, 0.0}, 99.0);
+  config.rnl_per_mtu = true;  // the per-MTU samples fold across shards too
   config.shards = shards;
   config.audit = audit;
   config.seed = 42;
