@@ -114,11 +114,14 @@ net::Packet make_packet(std::uint8_t qos, double priority = 0.0) {
   return p;
 }
 
+// One enqueue plus one dequeue over a resident backlog of state.range(0)
+// packets: 64 stay cache-resident, 200,000 (about 14 MiB of slots) do not,
+// so the larger backlog shows what a dequeue reads beyond the chosen head.
 void BM_WfqEnqueueDequeue(benchmark::State& state) {
   util::BlockPool buffer;
   net::WfqQueue queue(buffer, {8.0, 4.0, 1.0});
   sim::Rng rng(2);
-  for (int i = 0; i < 64; ++i) {
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
     queue.enqueue(make_packet<net::WfqQueue>(
         static_cast<std::uint8_t>(rng.index(3))));
   }
@@ -128,7 +131,7 @@ void BM_WfqEnqueueDequeue(benchmark::State& state) {
     benchmark::DoNotOptimize(queue.dequeue());
   }
 }
-BENCHMARK(BM_WfqEnqueueDequeue);
+BENCHMARK(BM_WfqEnqueueDequeue)->Arg(64)->Arg(200000);
 
 void BM_DwrrEnqueueDequeue(benchmark::State& state) {
   util::BlockPool buffer;
@@ -218,13 +221,13 @@ void BM_EndToEndPacketThroughput(benchmark::State& state) {
     config.host_queue.weights = {4.0, 1.0};
     config.switch_queue.weights = {4.0, 1.0};
     topo::Network network = topo::build_star(s, config);
+    const transport::SwiftConfig swift;
     std::vector<std::unique_ptr<transport::HostStack>> stacks;
     for (std::size_t i = 0; i < 3; ++i) {
       stacks.push_back(std::make_unique<transport::HostStack>(
           s, network.host(static_cast<net::HostId>(i)), 3,
-          transport::TransportConfig{}, [] {
-            return std::make_unique<transport::SwiftCC>(
-                transport::SwiftConfig{});
+          transport::TransportConfig{}, [&swift] {
+            return std::make_unique<transport::SwiftCC>(swift);
           }));
     }
     int done = 0;

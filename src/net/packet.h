@@ -31,30 +31,23 @@ inline constexpr std::uint32_t kMtuBytes = 4096;
 inline constexpr std::uint32_t kAckBytes = 64;
 
 enum class PacketType : std::uint8_t {
-  kData,         // payload-carrying segment
-  kAck,          // transport acknowledgment
-  kGrant,        // Homa receiver grant
-  kRateRequest,  // D3/PDQ header-only control packet (piggybacked in practice)
-  kRateResponse, // D3/PDQ allocation feedback
+  kData,   // payload-carrying segment
+  kAck,    // transport acknowledgment
+  kGrant,  // Homa receiver grant
 };
 
-// Fields every hop and queue discipline leaves alone but some protocol or
-// endpoint needs: kept in a trailing section so the fields consulted per
-// hop (routing, sizing, sequencing, ECN, pFabric's priority) pack into the
-// first cache line of the packet.
-struct PacketCold {
-  std::uint64_t msg_bytes = 0;  // total message size (message-based stacks)
-
-  // Homa grants: offset granted up to.
-  std::uint64_t grant_offset = 0;
-};
-
+// One cache line: every queue and link copies packets, and a backlogged
+// switch holds millions of them. `seq` means one thing per packet type, so
+// no type carries a field only another type reads.
 struct Packet {
-  // --- hot section: touched at every hop; fits one cache line ---
   std::uint64_t flow_id = 0;  // (src, dst, qos) stream the packet belongs to
   std::uint64_t rpc_id = 0;   // RPC/message the payload belongs to
-  std::uint64_t seq = 0;      // byte offset of first payload byte
-  std::uint64_t ack_seq = 0;  // cumulative ack (next expected byte)
+  // kData: offset of the first payload byte (HostStack) or packet index
+  // within the message (message-based stacks). kAck: cumulative next
+  // expected byte (HostStack) or the acked packet index (message-based
+  // stacks). kGrant: the byte offset granted up to (Homa).
+  std::uint64_t seq = 0;
+  std::uint64_t msg_bytes = 0;  // total message size (message-based stacks)
   sim::Time sent_time = 0.0;  // stamped by sender; echoed by ACKs for RTT
   // pFabric: remaining bytes of the message at send time (lower = higher
   // priority), read by the pFabric queue on every enqueue. Homa grants: the
@@ -70,20 +63,12 @@ struct Packet {
   // threshold; echoed back by ACKs for DCTCP-style senders.
   bool ecn_ce = false;
   bool ecn_echo = false;
-
-  // --- cold section: protocol/endpoint metadata carried along ---
-  PacketCold cold;
-
-  bool is_control() const { return type != PacketType::kData; }
 };
 
-// The split is only worth its churn if the layout actually holds: the whole
-// hot section must land in the packet's first cache line. Every queue and
-// link copies packets, and a backlogged switch holds millions of them, so
-// the cold section may not grow unnoticed either.
-static_assert(offsetof(Packet, cold) == 64, "hot section must fill exactly one cache line");
-static_assert(sizeof(Packet) == 64 + sizeof(PacketCold), "unexpected padding between sections");
-static_assert(sizeof(Packet) <= 80, "Packet regrew past its 80-byte budget");
+// A packet buffer block holds 63 of these (or 56 WFQ slots, which add a
+// start tag), and each byte here is a megabyte of RSS per million queued
+// packets: a new field must displace one.
+static_assert(sizeof(Packet) == 64, "Packet must stay one cache line");
 
 // Receives packets delivered by a link. Implemented by switches and by the
 // host-side demultiplexer.

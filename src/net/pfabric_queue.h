@@ -28,7 +28,7 @@ class PfabricQueue final : public QueueDiscipline {
 
  private:
   struct Entry {
-    Packet packet;  // sort key: packet.priority, in the packet's hot section
+    Packet packet;  // sort key: packet.priority
     std::uint64_t arrival_seq;
   };
 

@@ -65,30 +65,30 @@ void Port::try_transmit() {
   // Deliver at tx-complete + propagation; free the transmitter at
   // tx-complete (charging the full serialization time only then) and
   // immediately look for more work.
-  in_flight_.push_back(*next);
   if (link_ != nullptr) {
     // Handoff mode: the receiver owns the propagation leg, so the tx-end
     // event both frees the transmitter and hands the packet over — one
     // event per packet here plus one arrival event on the receiving side,
-    // the same two-per-packet budget as the sink mode below. The arrival
-    // timestamp is computed here, as now + (ser + propagation) — the exact
-    // expression the sink mode passes to schedule_in — so serial and
-    // sharded runs place the arrival on the same float, bit for bit
-    // (computing now + ser first and adding propagation at tx-end rounds
-    // differently and breaks schedule equivalence).
+    // the same two-per-packet budget as the sink mode below. The one
+    // packet in flight waits in serializing_, so the port holds no buffer
+    // block and takes none per packet. The arrival timestamp is computed
+    // here, as now + (ser + propagation) — the exact expression the sink
+    // mode passes to schedule_in — so serial and sharded runs place the
+    // arrival on the same float, bit for bit (computing now + ser first
+    // and adding propagation at tx-end rounds differently and breaks
+    // schedule equivalence).
+    serializing_ = *next;
     const sim::Time arrival = sim_.now() + (ser + propagation_);
     sim_.schedule_in(ser, [this, arrival] {
       busy_time_ += sim_.now() - tx_start_;
       busy_ = false;
-      AEQ_DCHECK(!in_flight_.empty());
-      const Packet packet = in_flight_.front();
-      in_flight_.pop_front();
       ++delivered_packets_;
-      link_->on_tx_complete(packet, arrival);
+      link_->on_tx_complete(serializing_, arrival);
       try_transmit();
     });
     return;
   }
+  in_flight_.push_back(*next);
   const std::uint16_t rank =
       rank_by_src_ ? delivery_tie_rank(next->src) : sim::kTieRankDefault;
   sim_.schedule_in(ser + propagation_, [this] { deliver_head(); }, rank);

@@ -113,7 +113,9 @@ class Port {
   // discipline hands to the link is either still propagating (in_flight) or
   // has been delivered to the peer — dequeued == delivered + in_flight.
   std::uint64_t delivered_packets() const { return delivered_packets_; }
-  std::uint64_t in_flight_packets() const { return in_flight_.size(); }
+  std::uint64_t in_flight_packets() const {
+    return in_flight_.size() + (link_ != nullptr && busy_ ? 1 : 0);
+  }
 
  private:
   void try_transmit();
@@ -133,11 +135,14 @@ class Port {
   sim::Time busy_time_ = 0.0;  // completed transmissions only
   sim::Time tx_start_ = 0.0;   // start of the in-progress transmission
   std::uint64_t delivered_packets_ = 0;
-  // Packets serialized but not yet delivered (propagation in progress).
-  // Delivery events are scheduled in FIFO order with a constant propagation
-  // delay, so the head is always the next to arrive; keeping the packets
-  // here lets the hot-path events capture only `this` (no allocation).
+  // Sink mode: packets serialized but not yet delivered (propagation in
+  // progress). Delivery events are scheduled in FIFO order with a constant
+  // propagation delay, so the head is always the next to arrive; keeping
+  // the packets here lets the hot-path events capture only `this` (no
+  // allocation). Handoff mode hands each packet over at tx-end, so at most
+  // one is in flight, in serializing_, and in_flight_ stays empty.
   util::BlockFifo<Packet> in_flight_;
+  Packet serializing_;
 };
 
 }  // namespace aeq::net

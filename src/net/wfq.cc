@@ -31,13 +31,13 @@ bool WfqQueue::enqueue(const Packet& packet) {
     return false;
   }
   const double start = std::max(virtual_time_, cls.last_finish);
-  const double finish =
-      start + static_cast<double>(packet.size_bytes) / cls.weight;
+  const double finish = finish_tag(start, packet, cls.weight);
   // Finish tags within a class are non-decreasing by construction; the
   // audit layer re-derives this from the pending packets (audit_tags).
   AEQ_AUDIT_ONLY(AEQ_CHECK_GE(finish, cls.last_finish);)
   cls.last_finish = finish;
-  cls.fifo.push_back(Tagged{packet, start, finish});
+  if (cls.fifo.empty()) cls.head_finish = finish;
+  cls.fifo.push_back(Tagged{packet, start});
   backlog_bytes_ += packet.size_bytes;
   ++backlog_packets_;
   count_enqueued(packet);
@@ -47,20 +47,21 @@ bool WfqQueue::enqueue(const Packet& packet) {
 std::optional<Packet> WfqQueue::dequeue() {
   const obs::prof::ProfRegion prof(obs::prof::Region::kQueueWfq);
   if (backlog_packets_ == 0) return std::nullopt;
-  std::size_t best = classes_.size();
-  double best_finish = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < classes_.size(); ++i) {
-    const auto& cls = classes_[i];
-    if (cls.fifo.empty()) continue;
-    if (cls.fifo.front().finish_tag < best_finish) {
-      best_finish = cls.fifo.front().finish_tag;
-      best = i;
-    }
+  // The smallest head finish tag, the lowest class on a tie. An empty
+  // class's +infinity never wins while any class holds a packet.
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < classes_.size(); ++i) {
+    if (classes_[i].head_finish < classes_[best].head_finish) best = i;
   }
-  AEQ_CHECK_LT(best, classes_.size());
   ClassState& cls = classes_[best];
+  AEQ_ASSERT(!cls.fifo.empty());
   Tagged tagged = cls.fifo.front();
   cls.fifo.pop_front();
+  cls.head_finish = std::numeric_limits<double>::infinity();
+  if (!cls.fifo.empty()) {
+    const Tagged& next = cls.fifo.front();
+    cls.head_finish = finish_tag(next.start_tag, next.packet, cls.weight);
+  }
   // Advance the virtual clock to the service start of the selected packet so
   // that newly arriving classes do not accrue credit while idle. Taking the
   // max keeps the clock monotone; the audit registry independently verifies
@@ -87,15 +88,25 @@ void WfqQueue::audit_tags() const {
     std::uint64_t class_bytes = 0;
     double prev_finish = -std::numeric_limits<double>::infinity();
     cls.fifo.for_each([&](const Tagged& tagged) {
-      AEQ_CHECK_LE_MSG(tagged.start_tag, tagged.finish_tag,
+      const double finish = finish_tag(tagged.start_tag, tagged.packet,
+                                       cls.weight);
+      AEQ_CHECK_LE_MSG(tagged.start_tag, finish,
                        "WFQ start tag past its finish tag");
-      AEQ_CHECK_LE_MSG(prev_finish, tagged.finish_tag,
+      AEQ_CHECK_LE_MSG(prev_finish, finish,
                        "WFQ finish tags out of order within a class");
-      prev_finish = tagged.finish_tag;
+      prev_finish = finish;
       class_bytes += tagged.packet.size_bytes;
     });
-    if (!cls.fifo.empty()) {
-      AEQ_CHECK_EQ_MSG(cls.last_finish, cls.fifo.back().finish_tag,
+    if (cls.fifo.empty()) {
+      AEQ_CHECK_EQ_MSG(cls.head_finish,
+                       std::numeric_limits<double>::infinity(),
+                       "WFQ empty class caches a head finish tag");
+    } else {
+      const Tagged& head = cls.fifo.front();
+      AEQ_CHECK_EQ_MSG(cls.head_finish,
+                       finish_tag(head.start_tag, head.packet, cls.weight),
+                       "WFQ cached head finish does not match head packet");
+      AEQ_CHECK_EQ_MSG(cls.last_finish, prev_finish,
                        "WFQ last_finish does not match newest pending tag");
     }
     AEQ_CHECK_EQ_MSG(class_backlog_bytes(static_cast<QoSLevel>(i)),

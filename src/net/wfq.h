@@ -8,11 +8,16 @@
 // at least weight_i / sum(weights) of the link rate, which is the property
 // Aequitas' delay analysis builds on (paper §4.1).
 //
+// A queued packet stores only its start tag: its finish tag is a function
+// of that tag, its size and its class weight. Each class caches the finish
+// tag of its head packet, the only packet of the class a dequeue compares.
+//
 // The buffer is shared across classes with tail drop, matching commodity
 // switch behaviour described in the paper (footnote 2).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "net/queue.h"
@@ -43,24 +48,38 @@ class WfqQueue final : public QueueDiscipline {
   // invariants the paper's delay bound (§4, Appendix B) is derived from —
   // per-class finish tags non-decreasing in FIFO order, start <= finish for
   // every pending packet, the class's last_finish equal to its newest
-  // pending tag, and per-class backlog consistent with the pending packets.
+  // pending tag, each class's cached head finish equal to its head packet's
+  // tag, and per-class backlog consistent with the pending packets.
   // Aborts via AEQ_CHECK_* on violation.
   void audit_tags() const;
 
  private:
+  friend struct WfqQueueTestPeer;  // corrupts the head cache in a death test
+
   struct Tagged {
     Packet packet;
     double start_tag;
-    double finish_tag;
   };
+  static_assert(sizeof(Tagged) == 72, "a WFQ slot is a packet plus one tag");
+
   // Per-class backlog and drop counters live in the QueueDiscipline base
   // (ClassCounters); only the scheduling state is per-discipline.
   struct ClassState {
     ClassState(double w, util::BlockPool& buffer) : weight(w), fifo(buffer) {}
     double weight;
     double last_finish = 0.0;  // finish tag of the newest packet in class
+    // Finish tag of the head packet; +infinity while the class is empty, so
+    // an empty class never wins a dequeue.
+    double head_finish = std::numeric_limits<double>::infinity();
     util::BlockFifo<Tagged> fifo;
   };
+
+  // The one expression every finish tag comes from, so a head's tag
+  // recomputed after a pop is its enqueue-time tag, bit for bit.
+  static double finish_tag(double start, const Packet& packet,
+                           double weight) {
+    return start + static_cast<double>(packet.size_bytes) / weight;
+  }
 
   std::uint64_t capacity_bytes_;
   std::uint64_t backlog_bytes_ = 0;

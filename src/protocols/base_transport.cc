@@ -50,7 +50,7 @@ void BaseTransport::emit_packet(OutMessage& message, std::uint32_t index) {
   p.type = net::PacketType::kData;
   p.rpc_id = message.request.rpc_id;
   p.seq = index;
-  p.cold.msg_bytes = message.request.bytes;
+  p.msg_bytes = message.request.bytes;
   p.sent_time = sim_.now();
   p.priority = packet_priority(message);
   host_.send(p);
@@ -101,9 +101,9 @@ void BaseTransport::handle_data(const net::Packet& packet) {
   InMessage& in = incoming_[packet.rpc_id];
   if (in.num_pkts == 0) {
     in.num_pkts = static_cast<std::uint32_t>(
-        (packet.cold.msg_bytes + net::kMtuBytes - 1) / net::kMtuBytes);
+        (packet.msg_bytes + net::kMtuBytes - 1) / net::kMtuBytes);
     in.received.assign(in.num_pkts, false);
-    in.msg_bytes = packet.cold.msg_bytes;
+    in.msg_bytes = packet.msg_bytes;
     in.src = packet.src;
     in.qos = packet.qos;
   }

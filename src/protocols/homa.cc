@@ -69,7 +69,7 @@ void HomaTransport::on_receiver_data(const net::Packet& data,
                                      InMessage& state) {
   RxMessage& rx = rx_[data.rpc_id];
   if (rx.msg_bytes == 0) {
-    rx.msg_bytes = data.cold.msg_bytes;
+    rx.msg_bytes = data.msg_bytes;
     rx.num_pkts = state.num_pkts;
     rx.src = data.src;
     rx.granted = std::min<std::uint64_t>(kRttBytes, rx.msg_bytes);
@@ -117,7 +117,7 @@ void HomaTransport::send_grant(std::uint64_t rpc_id, RxMessage& rx,
   grant.qos = 0;  // control rides the top class
   grant.type = net::PacketType::kGrant;
   grant.rpc_id = rpc_id;
-  grant.cold.grant_offset = rx.granted;
+  grant.seq = rx.granted;  // a grant's seq is the offset granted up to
   grant.priority = static_cast<double>(scheduled_level(srpt_rank));
   send_control(grant);
 }
@@ -128,7 +128,7 @@ void HomaTransport::on_control_packet(const net::Packet& packet) {
   if (it == outgoing().end()) return;
   OutMessage& message = it->second;
   message.grant_limit_bytes =
-      std::max(message.grant_limit_bytes, packet.cold.grant_offset);
+      std::max(message.grant_limit_bytes, packet.seq);
   message.granted_rate = packet.priority;  // scheduled level to use
   pump(message);
 }

@@ -22,6 +22,13 @@
 
 namespace aeq::runner {
 
+namespace {
+
+// The config every DCTCP flow of every run points at.
+constexpr transport::DctcpConfig kDctcpConfig{};
+
+}  // namespace
+
 Experiment::Experiment(const ExperimentConfig& config)
     : config_(config), sim_(config.scheduler_backend) {
   AEQ_CHECK_GE(config_.num_qos, 2u);
@@ -193,7 +200,7 @@ std::unique_ptr<transport::MessageTransport> Experiment::make_transport(
           config_.fixed_window_packets);
     }
     if (config_.cc_kind == CcKind::kDctcp) {
-      return std::make_unique<transport::DctcpCC>(transport::DctcpConfig{});
+      return std::make_unique<transport::DctcpCC>(kDctcpConfig);
     }
     return std::make_unique<transport::SwiftCC>(config_.swift);
   };

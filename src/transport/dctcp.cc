@@ -11,7 +11,7 @@ constexpr double kAlphaGain = 0.0625;  // EWMA gain g for alpha
 }  // namespace
 
 void DctcpCC::clamp() {
-  cwnd_ = std::clamp(cwnd_, config_.min_cwnd, config_.max_cwnd);
+  cwnd_ = std::clamp(cwnd_, config_->min_cwnd, config_->max_cwnd);
 }
 
 void DctcpCC::end_window(sim::Time /*now*/) {
@@ -47,7 +47,7 @@ void DctcpCC::on_loss(sim::Time now) {
 }
 
 void DctcpCC::on_idle_restart() {
-  cwnd_ = std::max(cwnd_, config_.restart_cwnd);
+  cwnd_ = std::max(cwnd_, config_->restart_cwnd);
   window_acked_ = 0.0;
   window_marked_ = 0.0;
 }
@@ -57,10 +57,10 @@ void DctcpCC::audit_invariants() const {
   AEQ_CHECK_LE_MSG(alpha_, 1.0, "DCTCP alpha above 1");
   AEQ_CHECK_LE_MSG(window_marked_, window_acked_,
                    "more marked than acked packets in window");
-  AEQ_CHECK_GE_MSG(cwnd_, config_.min_cwnd, "DCTCP cwnd under min_cwnd");
+  AEQ_CHECK_GE_MSG(cwnd_, config_->min_cwnd, "DCTCP cwnd under min_cwnd");
   AEQ_CHECK_LE_MSG(
       cwnd_,
-      std::max({config_.max_cwnd, config_.initial_cwnd, config_.restart_cwnd}),
+      std::max({config_->max_cwnd, config_->initial_cwnd, config_->restart_cwnd}),
       "DCTCP cwnd above max_cwnd");
   AEQ_CHECK_GE_MSG(srtt_, 0.0, "DCTCP srtt negative");
 }

@@ -22,10 +22,13 @@ struct DctcpConfig {
   double restart_cwnd = 16.0;
 };
 
+// Every flow of a run points at one DctcpConfig, which must outlive them
+// (a temporary does not compile).
 class DctcpCC final : public CongestionControl {
  public:
   explicit DctcpCC(const DctcpConfig& config)
-      : config_(config), cwnd_(config.initial_cwnd) {}
+      : config_(&config), cwnd_(config.initial_cwnd) {}
+  explicit DctcpCC(DctcpConfig&&) = delete;
 
   void on_ack(sim::Time now, sim::Time rtt, double acked_packets,
               bool ecn_echo) override;
@@ -46,7 +49,7 @@ class DctcpCC final : public CongestionControl {
   void clamp();
   void end_window(sim::Time now);
 
-  DctcpConfig config_;
+  const DctcpConfig* config_;
   double cwnd_;
   double alpha_ = 0.0;
   // Per-window mark bookkeeping (a window ~= cwnd worth of ACKed packets).

@@ -171,9 +171,9 @@ void Flow::retransmit_from_ack() {
 
 void Flow::handle_ack(const net::Packet& ack) {
   AEQ_DCHECK(ack.flow_id == flow_id_);
-  if (ack.ack_seq > acked_) {
-    const std::uint64_t advanced = ack.ack_seq - acked_;
-    acked_ = ack.ack_seq;
+  if (ack.seq > acked_) {
+    const std::uint64_t advanced = ack.seq - acked_;
+    acked_ = ack.seq;
     // GBN can rewind next_seq_ below an ACK raced in flight.
     next_seq_ = std::max(next_seq_, acked_);
     dup_acks_ = 0;
@@ -187,7 +187,7 @@ void Flow::handle_ack(const net::Packet& ack) {
     complete_messages();
     rearm_rto();
     try_send();
-  } else if (ack.ack_seq == acked_ && bytes_in_flight() > 0) {
+  } else if (ack.seq == acked_ && bytes_in_flight() > 0) {
     if (++dup_acks_ >= 3) {
       dup_acks_ = 0;
       cc_->on_loss(sim_.now());

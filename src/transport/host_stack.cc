@@ -107,7 +107,7 @@ void HostStack::handle_data(const net::Packet& packet) {
   ack.qos = packet.qos;
   ack.type = net::PacketType::kAck;
   ack.flow_id = packet.flow_id;
-  ack.ack_seq = r.next_expected;
+  ack.seq = r.next_expected;  // cumulative: next expected byte
   ack.sent_time = packet.sent_time;  // echo for RTT
   ack.ecn_echo = packet.ecn_ce;
   host_.send(ack);

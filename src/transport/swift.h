@@ -29,16 +29,19 @@ struct SwiftConfig {
   double restart_cwnd = 16.0;
 };
 
+// Every flow of a run points at one SwiftConfig, which must outlive them
+// (a temporary does not compile).
 class SwiftCC final : public CongestionControl {
  public:
   explicit SwiftCC(const SwiftConfig& config)
-      : config_(config), cwnd_(config.max_cwnd) {}
+      : config_(&config), cwnd_(config.max_cwnd) {}
+  explicit SwiftCC(SwiftConfig&&) = delete;
 
   void on_ack(sim::Time now, sim::Time rtt, double acked_packets,
               bool ecn_echo) override;
   void on_loss(sim::Time now) override;
   void on_idle_restart() override {
-    cwnd_ = std::max(cwnd_, config_.restart_cwnd);
+    cwnd_ = std::max(cwnd_, config_->restart_cwnd);
   }
   double cwnd_packets() const override { return cwnd_; }
 
@@ -58,7 +61,7 @@ class SwiftCC final : public CongestionControl {
     return now - last_decrease_ >= srtt_;
   }
 
-  SwiftConfig config_;
+  const SwiftConfig* config_;
   double cwnd_;
   sim::Time srtt_ = 0.0;
   sim::Time last_decrease_ = -1.0;

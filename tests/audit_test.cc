@@ -23,6 +23,19 @@
 #include "util/block_fifo.h"
 
 namespace aeq {
+
+namespace net {
+
+// Reaches the head finish tag a WfqQueue caches per class, so a death test
+// can leave it stale the way a dequeue that skipped the refresh would.
+struct WfqQueueTestPeer {
+  static double& head_finish(WfqQueue& queue, QoSLevel qos) {
+    return queue.classes_[qos].head_finish;
+  }
+};
+
+}  // namespace net
+
 namespace {
 
 net::Packet make_packet(std::uint32_t bytes, net::QoSLevel qos = 0,
@@ -194,6 +207,24 @@ TEST(AuditorDeathTest, LeakedBufferBlockTripsBlockConservation) {
                "buffer0/block-conservation.*packet buffer lost a block");
 }
 
+// A dequeue that left its class's cached head finish at the tag of the
+// packet it just sent: the head is then one packet's tag stale, and the
+// class keeps winning the next comparisons it should lose.
+TEST(AuditorDeathTest, StaleWfqHeadFinishTripsTagCheck) {
+  util::BlockPool buffer;
+  net::WfqQueue wfq(buffer, {4.0, 1.0});
+  audit::Auditor auditor;
+  audit::register_queue_checks(auditor, "wfq0", wfq);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    wfq.enqueue(make_packet(1500, static_cast<net::QoSLevel>(i % 2), i));
+  }
+  ASSERT_EQ(wfq.dequeue()->qos, 0);
+  auditor.run_all();
+  net::WfqQueueTestPeer::head_finish(wfq, 0) -= 1500 / 4.0;
+  EXPECT_DEATH(auditor.run_all(),
+               "wfq0/wfq-tag-order.*cached head finish does not match");
+}
+
 // --- Catalogue over real components ---------------------------------------
 
 TEST(Checks, WellBehavedQueuesPassConservation) {
@@ -235,8 +266,10 @@ TEST(Checks, WellBehavedQueuesPassConservation) {
 }
 
 TEST(Checks, CongestionControlInvariantsPass) {
-  transport::SwiftCC swift{transport::SwiftConfig{}};
-  transport::DctcpCC dctcp{transport::DctcpConfig{}};
+  const transport::SwiftConfig swift_config;
+  const transport::DctcpConfig dctcp_config;
+  transport::SwiftCC swift{swift_config};
+  transport::DctcpCC dctcp{dctcp_config};
   for (int i = 0; i < 50; ++i) {
     swift.on_ack(i * 1e-5, 8 * sim::kUsec, 1.0, false);
     dctcp.on_ack(i * 1e-5, 8 * sim::kUsec, 1.0, i % 4 == 0);

@@ -1,6 +1,7 @@
 // Property-based suites tying the layers together:
 //  * model-based event-store check (both backends) against a reference
 //    priority list,
+//  * model-based WFQ check against a reference that keeps both tags,
 //  * packet-level WFQ worst-case delay vs the closed-form bound across a
 //    (phi, rho, share) grid — the Figure-10 validation as a test,
 //  * fluid-model invariants (single class, symmetric classes),
@@ -8,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -84,6 +87,93 @@ TEST(EventQueueModelTest, MatchesReferenceOrderUnderRandomOps) {
       }
       ASSERT_EQ(queue.size(), reference.size());
     }
+  }
+}
+
+// WfqQueue against a reference that keeps both tags with every queued
+// packet and compares every class's head on each dequeue, the discipline
+// as §4.1 states it. Random enqueue/dequeue sequences over 1-8 classes with
+// random weights and sizes, some drained to empty midway, must dequeue in
+// the same order and leave the virtual clock bit-identical.
+TEST(WfqModelTest, MatchesTwoTagReferenceUnderRandomOps) {
+  sim::Rng rng(2022);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t num_classes = 1 + rng.index(8);
+    std::vector<double> weights;
+    for (std::size_t i = 0; i < num_classes; ++i) {
+      weights.push_back(rng.uniform(0.05, 16.0));
+    }
+    util::BlockPool buffer;
+    net::WfqQueue queue(buffer, weights);
+
+    struct Ref {
+      std::uint64_t id;
+      double start;
+      double finish;
+    };
+    std::vector<std::deque<Ref>> reference(num_classes);
+    std::vector<double> last_finish(num_classes, 0.0);
+    double virtual_time = 0.0;
+    std::size_t resident = 0;
+    std::uint64_t next_id = 0;
+
+    // One dequeue from each side; a failure names the first disagreement.
+    const auto dequeue_both = [&]() -> ::testing::AssertionResult {
+      std::size_t best = num_classes;
+      for (std::size_t i = 0; i < num_classes; ++i) {
+        if (reference[i].empty()) continue;
+        if (best == num_classes ||
+            reference[i].front().finish < reference[best].front().finish) {
+          best = i;
+        }
+      }
+      const Ref head = reference[best].front();
+      reference[best].pop_front();
+      virtual_time = std::max(virtual_time, head.start);
+      --resident;
+      const std::optional<net::Packet> got = queue.dequeue();
+      if (!got) return ::testing::AssertionFailure() << "queue ran dry";
+      if (got->rpc_id != head.id) {
+        return ::testing::AssertionFailure()
+               << "dequeued packet " << got->rpc_id << " of class "
+               << int{got->qos} << ", reference " << head.id << " of class "
+               << best;
+      }
+      if (queue.virtual_time() != virtual_time) {  // bit-identical
+        return ::testing::AssertionFailure()
+               << "virtual time " << queue.virtual_time() << ", reference "
+               << virtual_time;
+      }
+      return ::testing::AssertionSuccess();
+    };
+
+    const int ops = 50 + static_cast<int>(rng.index(400));
+    for (int op = 0; op < ops; ++op) {
+      const double action = rng.uniform();
+      if (action < 0.02) {
+        while (resident > 0) ASSERT_TRUE(dequeue_both());
+      } else if (action < 0.6 || resident == 0) {
+        net::Packet p;
+        p.qos = static_cast<net::QoSLevel>(rng.index(num_classes));
+        p.size_bytes =
+            1 + static_cast<std::uint32_t>(rng.index(net::kMtuBytes));
+        p.rpc_id = next_id++;
+        const double start = std::max(virtual_time, last_finish[p.qos]);
+        const double finish =
+            start + static_cast<double>(p.size_bytes) / weights[p.qos];
+        last_finish[p.qos] = finish;
+        reference[p.qos].push_back(Ref{p.rpc_id, start, finish});
+        ++resident;
+        ASSERT_TRUE(queue.enqueue(p));
+      } else {
+        ASSERT_TRUE(dequeue_both());
+      }
+      ASSERT_EQ(queue.backlog_packets(), resident);
+    }
+    while (resident > 0) ASSERT_TRUE(dequeue_both());
+    EXPECT_TRUE(queue.empty());
+    EXPECT_FALSE(queue.dequeue().has_value());
+    EXPECT_EQ(buffer.blocks_owned(), buffer.blocks_free());
   }
 }
 

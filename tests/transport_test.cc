@@ -71,6 +71,7 @@ TEST(SwiftTest, RespectsMinCwnd) {
 struct Harness {
   sim::Simulator s;
   topo::Network network;
+  const SwiftConfig swift;  // every Swift flow points at it
   std::vector<std::unique_ptr<HostStack>> stacks;
 
   explicit Harness(std::size_t hosts = 3, double fixed_window = 0.0) {
@@ -83,12 +84,11 @@ struct Harness {
       TransportConfig tc;
       stacks.push_back(std::make_unique<HostStack>(
           s, network.host(static_cast<net::HostId>(i)), hosts, tc,
-          [fixed_window]() -> std::unique_ptr<CongestionControl> {
+          [this, fixed_window]() -> std::unique_ptr<CongestionControl> {
             if (fixed_window > 0) {
               return std::make_unique<FixedWindowCC>(fixed_window);
             }
-            SwiftConfig sc;
-            return std::make_unique<SwiftCC>(sc);
+            return std::make_unique<SwiftCC>(swift);
           }));
     }
   }
@@ -103,7 +103,7 @@ TEST(HostStackTest, ReassemblesOutOfOrderSegments) {
   Harness h;
   std::vector<std::uint64_t> acks;
   h.network.host(0).set_delivery_handler(
-      [&acks](const net::Packet& packet) { acks.push_back(packet.ack_seq); });
+      [&acks](const net::Packet& packet) { acks.push_back(packet.seq); });
   const auto deliver = [&h](std::uint64_t seq, std::uint32_t bytes) {
     net::Packet packet;
     packet.src = 0;
