@@ -52,7 +52,6 @@ class QuotaServer {
   // Current allocated rate (bytes/sec) for the tenant on `qos`.
   double allocation(TenantId tenant, net::QoSLevel qos) const;
 
-  std::size_t num_tenants() const { return tenants_.size(); }
   const QuotaServerConfig& config() const { return config_; }
 
   // Audit hook, run by QuotaController::audit_invariants (the

@@ -94,7 +94,6 @@ class Port {
   }
 
   sim::Rate rate() const { return rate_; }
-  sim::Time propagation_delay() const { return propagation_; }
 
   // Cumulative time spent serializing packets, up to the current simulated
   // time. Completed transmissions are accounted in full; an in-progress one

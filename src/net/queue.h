@@ -62,7 +62,6 @@ class QueueDiscipline {
   void set_ecn_threshold(std::uint64_t threshold_bytes) {
     ecn_threshold_bytes_ = threshold_bytes;
   }
-  std::uint64_t ecn_threshold() const { return ecn_threshold_bytes_; }
 
   // Blocks of the packet buffer (util::BlockPool) this discipline's FIFOs
   // hold; the buffer audit sums them. pFabric keeps no FIFO there.
@@ -89,7 +88,6 @@ class QueueDiscipline {
   }
 
   const QueueStats& stats() const { return stats_; }
-  const ClassCounters& class_counters() const { return class_counters_; }
 
  protected:
   // Applies the ECN mark if the (post-dequeue) backlog is past threshold.

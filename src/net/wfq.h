@@ -41,7 +41,6 @@ class WfqQueue final : public QueueDiscipline {
   std::uint64_t backlog_packets() const override { return backlog_packets_; }
   std::size_t buffer_blocks() const override;
 
-  std::size_t num_classes() const { return classes_.size(); }
   double virtual_time() const { return virtual_time_; }
 
   // Audit hook (src/audit/checks.h): asserts the virtual-time/tag

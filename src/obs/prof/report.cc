@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "obs/shard_merge.h"
 #include "sim/assert.h"
 
 namespace aeq::obs::prof {
@@ -159,18 +158,17 @@ void write_json(const Report& report, const std::string& path) {
 
 void write_chrome_tracks(const Report& report, const std::string& path) {
   // One trace process per thread profile, each a single flame row laying
-  // the regions out by cumulative self time. The per-thread files use the
-  // exact ChromeTraceSink framing so merge_sharded_chrome_traces can fold
-  // them — deliberately the same plumbing as the telemetry traces.
+  // the regions out by cumulative self time, in ChromeTraceSink's framing:
+  // one prologue, every thread's events joined by ",", one epilogue.
   constexpr std::uint32_t kProfPidBase = 900000;
+  std::ofstream out(path, std::ios::out | std::ios::trunc | std::ios::binary);
+  AEQ_ASSERT_MSG(out.is_open(), "prof: cannot open trace track file");
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   for (std::size_t t = 0; t < report.threads.size(); ++t) {
     const ThreadProfile& thread = report.threads[t];
-    std::ofstream out(shard_trace_path(path, t),
-                      std::ios::out | std::ios::trunc);
-    AEQ_ASSERT_MSG(out.is_open(), "prof: cannot open trace track file");
     const std::uint32_t pid = kProfPidBase + static_cast<std::uint32_t>(t);
-    out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    out << "\n{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
+    out << (t == 0 ? "" : ",")
+        << "\n{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
         << ",\"tid\":0,\"args\":{\"name\":\"prof:" << thread.label
         << "\"}}";
     double cursor_seconds = 0.0;
@@ -186,9 +184,8 @@ void write_chrome_tracks(const Report& report, const std::string& path) {
           << ",\"self_share\":" << num(self_share(stats, report)) << "}}";
       cursor_seconds += self_seconds;
     }
-    out << "\n]}\n";
   }
-  merge_sharded_chrome_traces(path, report.threads.size());
+  out << "\n]}\n";
 }
 
 void write_text_summary(const Report& report, std::ostream& out) {

@@ -5,11 +5,9 @@
 // three ways:
 //   * write_json       — the machine-readable `--prof=PATH` report
 //                        (validated by tools/validate_trace.py --prof-json)
-//   * write_chrome_tracks — per-shard flame rows (self time per region) as
-//                        Chrome trace_event JSON, written as
-//                        `<path>.shard<k>` files and folded into `<path>`
-//                        by obs::merge_sharded_chrome_traces — the same
-//                        merge the telemetry traces use
+//   * write_chrome_tracks — one flame row (self time per region) per
+//                        executive thread, as Chrome trace_event JSON in
+//                        the telemetry traces' framing
 //   * write_text_summary — the end-of-run table printed to stderr (stderr,
 //                        not stdout: profiled stdout must stay
 //                        byte-identical to unprofiled stdout)

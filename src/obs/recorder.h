@@ -91,7 +91,6 @@ class Recorder {
     return port_names_.at(port - first_port_id_);
   }
   std::size_t port_count() const { return port_names_.size(); }
-  std::uint32_t first_port_id() const { return first_port_id_; }
 
   void rpc_generated(const RpcGenerated& event) {
     const prof::ProfRegion region(prof::Region::kTelemetry);

@@ -5,7 +5,7 @@
 // just Aequitas. A dropped decision keeps the requested QoS (the RPC never
 // runs anywhere) and the inner policy's p_admit, so traces still show the
 // state that caused the rejection. Everything else — completion feedback,
-// window feedback, gauges, audit invariants — forwards untouched.
+// gauges, audit invariants — forwards untouched.
 //
 // Per the admission contract (rpc/admission.h), a dropped RPC generates no
 // on_completion call; policies whose downgrades carry learning signal only
@@ -45,10 +45,6 @@ class RejectionAdapter final : public rpc::AdmissionController {
                           size_mtus);
   }
 
-  void on_window(const obs::WindowStats& window) override {
-    inner_->on_window(window);
-  }
-
   std::vector<rpc::Gauge> gauges() const override {
     return inner_->gauges();
   }
@@ -56,8 +52,6 @@ class RejectionAdapter final : public rpc::AdmissionController {
   void audit_invariants(sim::Time now) const override {
     inner_->audit_invariants(now);
   }
-
-  rpc::AdmissionController& inner() { return *inner_; }
 
  private:
   std::unique_ptr<rpc::AdmissionController> inner_;

@@ -40,6 +40,7 @@ BanditController::BanditController(const BanditConfig& config,
         min_target_per_mtu_ == 0.0 ? target
                                    : std::min(min_target_per_mtu_, target);
   }
+  window_.resize(num_qos);
   q_.assign(kStates * config_.actions.size(), kQInit);
   // Start on the most permissive action: the empty-state prior is "admit",
   // matching every other policy's cold start.
@@ -48,30 +49,35 @@ BanditController::BanditController(const BanditConfig& config,
 
 rpc::AdmissionDecision BanditController::decide(
     sim::Time /*now*/, net::HostId /*src*/, net::HostId /*dst*/,
-    net::QoSLevel qos_requested, std::uint64_t /*bytes*/) {
-  if (!slo().has_slo(qos_requested)) {
-    return {qos_requested, false, false};  // scavenger: never gated
+    net::QoSLevel qos_requested, std::uint64_t bytes) {
+  rpc::AdmissionDecision decision{qos_requested, false, false};
+  if (slo().has_slo(qos_requested)) {  // scavenger: never gated
+    decision.p_admit = config_.actions[action_];
+    // Strict comparison, as in core/aequitas.cc: p == 0 never admits.
+    if (rng_.uniform() >= decision.p_admit) {
+      decision.qos_run = lowest_qos();
+      decision.downgraded = true;
+      ++rejections_;
+    }
   }
-  const double p = config_.actions[action_];
-  // Strict comparison, as in core/aequitas.cc: p == 0 never admits.
-  if (rng_.uniform() < p) {
-    return {qos_requested, false, false, p};
-  }
-  return {lowest_qos(), true, false, p};
+  ++decisions_;
+  window_[decision.qos_run].offered_bytes += bytes;
+  offered_bytes_ += bytes;
+  return decision;
 }
 
 void BanditController::on_feedback(sim::Time /*now*/, net::HostId /*dst*/,
                                    net::QoSLevel qos_requested,
                                    net::QoSLevel /*qos_run*/, sim::Time rnl,
-                                   std::uint64_t size_mtus,
-                                   bool /*slo_met*/) {
+                                   std::uint64_t size_mtus, bool slo_met) {
   if (!slo().has_slo(qos_requested)) return;
+  ++window_[qos_requested].completed;
+  if (slo_met) ++window_[qos_requested].slo_met;
   norm_rnl_sum_ += rnl / static_cast<double>(size_mtus);
   ++norm_rnl_count_;
 }
 
-std::size_t BanditController::classify(
-    const obs::WindowStats& window) const {
+std::size_t BanditController::classify() const {
   // RNL band: mean normalized RNL vs the tightest per-MTU target.
   std::size_t rnl_band = 0;
   if (norm_rnl_count_ > 0) {
@@ -82,32 +88,34 @@ std::size_t BanditController::classify(
   }
   // Mix band: share of offered bytes admitted onto SLO classes.
   double slo_share = 0.0;
-  for (std::size_t q = 0; q + 1 < window.qos.size(); ++q) {
-    slo_share += window.qos[q].byte_share;
+  if (offered_bytes_ > 0) {
+    for (std::size_t q = 0; q + 1 < window_.size(); ++q) {
+      slo_share += static_cast<double>(window_[q].offered_bytes) /
+                   static_cast<double>(offered_bytes_);
+    }
   }
   const std::size_t mix_band =
       slo_share < 0.4 ? 0 : (slo_share < 0.7 ? 1 : 2);
   return rnl_band * kMixBands + mix_band;
 }
 
-void BanditController::on_window(const obs::WindowStats& window) {
+void BanditController::on_window() {
   // 1. Score the action that was live during this window.
   double worst_compliance = 1.0;
   std::uint64_t completed = 0;
-  for (std::size_t q = 0; q + 1 < window.qos.size(); ++q) {
-    if (window.qos[q].completed == 0) continue;
-    completed += window.qos[q].completed;
+  for (std::size_t q = 0; q + 1 < window_.size(); ++q) {
+    if (window_[q].completed == 0) continue;
+    completed += window_[q].completed;
     worst_compliance =
-        std::min(worst_compliance, window.qos[q].slo_compliance);
+        std::min(worst_compliance,
+                 static_cast<double>(window_[q].slo_met) /
+                     static_cast<double>(window_[q].completed));
   }
-  const std::uint64_t decisions =
-      window.admits + window.downgrades + window.admission_drops;
   const double rejected_share =
-      decisions == 0 ? 0.0
-                     : static_cast<double>(window.downgrades +
-                                           window.admission_drops) /
-                           static_cast<double>(decisions);
-  if (completed > 0 || decisions > 0) {
+      decisions_ == 0 ? 0.0
+                      : static_cast<double>(rejections_) /
+                            static_cast<double>(decisions_);
+  if (completed > 0 || decisions_ > 0) {
     const double reward =
         worst_compliance - kRejectPenalty * rejected_share;
     double& value = q(state_, action_);
@@ -115,7 +123,9 @@ void BanditController::on_window(const obs::WindowStats& window) {
   }
 
   // 2. Observe the next state and pick the next action.
-  state_ = classify(window);
+  state_ = classify();
+  for (ClassCounts& counts : window_) counts = ClassCounts{};
+  offered_bytes_ = decisions_ = rejections_ = 0;
   norm_rnl_sum_ = 0.0;
   norm_rnl_count_ = 0;
   if (rng_.uniform() < epsilon_) {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "policy/spec.h"
 #include "policy/windowed.h"
@@ -33,8 +34,6 @@ class BanditController final : public WindowedController {
   BanditController(const BanditConfig& config, std::size_t num_qos,
                    rpc::SloConfig slo, sim::Rng rng);
 
-  void on_window(const obs::WindowStats& window) override;
-
   std::vector<rpc::Gauge> gauges() const override;
   void audit_invariants(sim::Time now) const override;
 
@@ -42,6 +41,8 @@ class BanditController final : public WindowedController {
   double epsilon() const { return epsilon_; }
 
  protected:
+  void on_window() override;
+
   rpc::AdmissionDecision decide(sim::Time now, net::HostId src,
                                 net::HostId dst, net::QoSLevel qos_requested,
                                 std::uint64_t bytes) override;
@@ -56,7 +57,7 @@ class BanditController final : public WindowedController {
   static constexpr std::size_t kMixBands = 3;
   static constexpr std::size_t kStates = kRnlBands * kMixBands;
 
-  std::size_t classify(const obs::WindowStats& window) const;
+  std::size_t classify() const;
   double& q(std::size_t state, std::size_t action) {
     return q_[state * config_.actions.size() + action];
   }
@@ -73,8 +74,19 @@ class BanditController final : public WindowedController {
   std::size_t action_;     // index into config_.actions
   double epsilon_;
 
-  // Side accumulators beyond WindowStats: size-normalized RNL of SLO-class
-  // completions in the current window.
+  // The current window's observations. Completions count by requested
+  // SLO class; offered payload counts by the class the RPC was admitted
+  // onto, at decision time.
+  struct ClassCounts {
+    std::uint64_t completed = 0;
+    std::uint64_t slo_met = 0;
+    std::uint64_t offered_bytes = 0;
+  };
+  std::vector<ClassCounts> window_;  // by QoS level
+  std::uint64_t offered_bytes_ = 0;
+  std::uint64_t decisions_ = 0;
+  std::uint64_t rejections_ = 0;
+  // Size-normalized RNL of SLO-class completions.
   double norm_rnl_sum_ = 0.0;
   std::uint64_t norm_rnl_count_ = 0;
 };

@@ -102,7 +102,7 @@ void SwpPacingController::on_feedback(sim::Time /*now*/, net::HostId /*dst*/,
   norm_rnl_.add(rnl / static_cast<double>(size_mtus));
 }
 
-void SwpPacingController::on_window(const obs::WindowStats& /*window*/) {
+void SwpPacingController::on_window() {
   const bool violating =
       norm_rnl_.count() > 0 && norm_rnl_.p99() >= min_target_per_mtu_;
   norm_rnl_.reset();

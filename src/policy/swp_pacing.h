@@ -19,6 +19,7 @@
 
 #include "policy/spec.h"
 #include "policy/windowed.h"
+#include "stats/log_histogram.h"
 
 namespace aeq::policy {
 
@@ -28,14 +29,14 @@ class SwpPacingController final : public WindowedController {
                       rpc::SloConfig slo, sim::Rate link_rate,
                       bool drop_rejects);
 
-  void on_window(const obs::WindowStats& window) override;
-
   std::vector<rpc::Gauge> gauges() const override;
   void audit_invariants(sim::Time now) const override;
 
   double rate_fraction() const { return rate_fraction_; }
 
  protected:
+  void on_window() override;
+
   rpc::AdmissionDecision decide(sim::Time now, net::HostId src,
                                 net::HostId dst, net::QoSLevel qos_requested,
                                 std::uint64_t bytes) override;

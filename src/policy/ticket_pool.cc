@@ -68,7 +68,7 @@ void TicketPoolController::on_feedback(sim::Time /*now*/,
   ++ticketed_completions_;
 }
 
-void TicketPoolController::on_window(const obs::WindowStats& /*window*/) {
+void TicketPoolController::on_window() {
   const double observed = static_cast<double>(ticketed_completions_);
   ticketed_completions_ = 0;
   goodput_ema_ = kEmaWeight * observed +

@@ -28,8 +28,6 @@ class TicketPoolController final : public WindowedController {
   TicketPoolController(const TicketPoolConfig& config, std::size_t num_qos,
                        rpc::SloConfig slo);
 
-  void on_window(const obs::WindowStats& window) override;
-
   std::vector<rpc::Gauge> gauges() const override;
   void audit_invariants(sim::Time now) const override;
 
@@ -37,6 +35,8 @@ class TicketPoolController final : public WindowedController {
   std::int64_t tickets_in_flight() const { return in_flight_; }
 
  protected:
+  void on_window() override;
+
   rpc::AdmissionDecision decide(sim::Time now, net::HostId src,
                                 net::HostId dst, net::QoSLevel qos_requested,
                                 std::uint64_t bytes) override;

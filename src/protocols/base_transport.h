@@ -114,7 +114,6 @@ class BaseTransport : public transport::MessageTransport {
   void send_control(net::Packet packet);
 
   sim::Simulator& sim() { return sim_; }
-  net::Host& host() { return host_; }
   std::unordered_map<std::uint64_t, OutMessage>& outgoing() {
     return outgoing_;
   }

@@ -18,10 +18,10 @@
 //    and telemetry layers call them mid-run, so they must not mutate state
 //    or consume randomness (results are bit-identical with auditing on or
 //    off).
-//  * on_window() is optional periodic feedback (see policy/windowed.h for
-//    the canonical self-clocked implementation that keeps the schedule
-//    digest invariant). The vocabulary is obs::WindowStats — the same
-//    record the telemetry TimeseriesSink emits.
+//  * admit() and on_completion() are a policy's only inputs. A policy that
+//    adapts per window clocks its windows from these calls
+//    (policy/windowed.h), so it creates no scheduler events and leaves the
+//    schedule digest unchanged.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +30,6 @@
 
 #include "net/packet.h"
 #include "sim/units.h"
-
-namespace aeq::obs {
-struct WindowStats;
-}  // namespace aeq::obs
 
 namespace aeq::rpc {
 
@@ -85,13 +81,6 @@ class AdmissionController {
                              net::QoSLevel qos_requested,
                              net::QoSLevel qos_run, sim::Time rnl,
                              std::uint64_t size_mtus) = 0;
-
-  // Optional periodic feedback over a closed observation window. Policies
-  // built on policy::WindowedController receive this automatically; the
-  // base default ignores it.
-  virtual void on_window(const obs::WindowStats& window) {
-    (void)window;
-  }
 
   // Read-only introspection: named scalars with documented bounds. The
   // audit catalogue's admission/gauge-bounds check asserts each value sits

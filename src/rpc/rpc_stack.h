@@ -43,9 +43,6 @@ class RpcStack {
     listener_ = std::move(listener);
   }
 
-  std::uint64_t issued_count() const { return issued_; }
-  net::HostId host_id() const { return host_id_; }
-
   // Attaches the telemetry recorder: every issue emits RpcGenerated +
   // AdmissionDecision, every finish (completion, termination, admission
   // rejection) emits RpcComplete. Null detaches.

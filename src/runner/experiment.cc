@@ -409,24 +409,20 @@ void Experiment::on_anomaly(const obs::Anomaly& anomaly) {
   }
   // The first anomaly gets the flight dump: its ring still holds the onset
   // of the problem, which later anomalies' rings may have evicted.
-  if (flight_ != nullptr && !flight_dumped_) {
-    flight_dumped_ = true;
-    flight_->dump(config_.telemetry.flight_recorder, &anomaly);
-    if (timeseries_ != nullptr) {
-      timeseries_->write_recent_csv(config_.telemetry.flight_recorder +
-                                    ".timeseries.csv");
-    }
-  }
+  dump_flight_once(&anomaly);
 }
 
 void Experiment::failure_dump(void* self) {
-  auto* experiment = static_cast<Experiment*>(self);
-  if (experiment->flight_ == nullptr || experiment->flight_dumped_) return;
-  experiment->flight_dumped_ = true;
-  experiment->flight_->dump(experiment->config_.telemetry.flight_recorder);
-  if (experiment->timeseries_ != nullptr) {
-    experiment->timeseries_->write_recent_csv(
-        experiment->config_.telemetry.flight_recorder + ".timeseries.csv");
+  static_cast<Experiment*>(self)->dump_flight_once(nullptr);
+}
+
+void Experiment::dump_flight_once(const obs::Anomaly* anomaly) {
+  if (flight_ == nullptr || flight_dumped_) return;
+  flight_dumped_ = true;
+  flight_->dump(config_.telemetry.flight_recorder, anomaly);
+  if (timeseries_ != nullptr) {
+    timeseries_->write_recent_csv(config_.telemetry.flight_recorder +
+                                  ".timeseries.csv");
   }
 }
 

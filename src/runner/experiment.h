@@ -220,8 +220,8 @@ class Experiment {
   // baseline protocol, which has none.
   transport::HostStack& host_stack(net::HostId id);
   // Host `id`'s admission controller, whatever policy it runs. The base
-  // interface (gauges(), audit_invariants(), on_window()) is the
-  // policy-agnostic surface benches and checks should prefer.
+  // interface (gauges(), audit_invariants()) is the policy-agnostic
+  // surface benches and checks should prefer.
   rpc::AdmissionController& admission(net::HostId id) {
     return *controllers_.at(static_cast<std::size_t>(id));
   }
@@ -323,6 +323,10 @@ class Experiment {
   // Last-gasp hook (sim/assert.h): dumps the flight recorder and recent
   // timeseries rows before an assert/audit failure aborts the process.
   static void failure_dump(void* self);
+  // The run's one flight dump (a no-op after the first or without a
+  // recorder): the ring, marked with `anomaly` when non-null, plus the
+  // recent timeseries rows at `<path>.timeseries.csv`.
+  void dump_flight_once(const obs::Anomaly* anomaly);
 
   ExperimentConfig config_;
   sim::Simulator sim_;

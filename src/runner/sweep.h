@@ -84,8 +84,6 @@ class SweepRunner {
   std::uint64_t point_seed(std::size_t index) const;
 
   std::size_t size() const { return points_.size(); }
-  std::size_t jobs() const { return jobs_; }
-  std::uint64_t base_seed() const { return options_.base_seed; }
 
   // Executes all submitted points and returns their results in submission
   // order. May be called again after further submit()s; already-run points

@@ -65,8 +65,6 @@ class Rng {
   // its own stream.
   Rng fork() { return Rng(engine_()); }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};

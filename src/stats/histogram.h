@@ -22,12 +22,7 @@ class Histogram {
   void add(double x, std::uint64_t weight = 1);
 
   std::uint64_t total() const { return total_; }
-  std::size_t bin_count() const { return counts_.size(); }
   std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_lower(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
   std::uint64_t underflow() const { return underflow_; }
   std::uint64_t overflow() const { return overflow_; }
 

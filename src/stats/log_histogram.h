@@ -28,11 +28,7 @@ class LogHistogram {
   // Percentile in [0, 100]; returns the upper edge of the matched bucket
   // (a <= precision overestimate). 0 when empty.
   double percentile(double pct) const;
-  double p50() const { return percentile(50.0); }
   double p99() const { return percentile(99.0); }
-  double p999() const { return percentile(99.9); }
-
-  std::size_t bucket_count() const { return buckets_.size(); }
 
  private:
   std::size_t index_of(double value) const;

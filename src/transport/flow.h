@@ -52,12 +52,8 @@ class Flow {
   void handle_ack(const net::Packet& ack);
 
   std::uint64_t flow_id() const { return flow_id_; }
-  net::QoSLevel qos() const { return qos_; }
-  net::HostId dst() const { return dst_; }
   std::uint64_t bytes_in_flight() const { return next_seq_ - acked_; }
   std::uint64_t backlog_bytes() const { return stream_end_ - next_seq_; }
-  std::uint64_t queued_messages() const { return messages_.size; }
-  const CongestionControl& cc() const { return *cc_; }
 
   // Attaches the telemetry recorder: every congestion-window move (ACK
   // advance, loss, idle restart) emits a CwndUpdate. Null detaches.

@@ -53,8 +53,6 @@ class SwiftCC final : public CongestionControl {
   // decrease gate.
   void audit_invariants() const override;
 
-  sim::Time smoothed_rtt() const { return srtt_; }
-
  private:
   void clamp();
   bool can_decrease(sim::Time now) const {

@@ -73,7 +73,6 @@ void TrafficGenerator::schedule_next(std::size_t class_index,
     const net::HostId dst = pick_destination_(rng_);
     const std::uint64_t bytes = cls.load.sizes->sample(rng_);
     stack_.issue(dst, cls.load.priority, bytes, cls.load.deadline_budget);
-    ++issued_;
     schedule_next(class_index, at);
   });
 }

@@ -54,8 +54,6 @@ class TrafficGenerator {
   // Begins issuing at `start` and stops scheduling new RPCs after `stop`.
   void run(sim::Time start, sim::Time stop);
 
-  std::uint64_t issued() const { return issued_; }
-
  private:
   struct ClassState {
     ClassLoad load;
@@ -72,7 +70,6 @@ class TrafficGenerator {
   sim::Time window_stop_ = 0.0;
   sim::Time stop_time_ = 0.0;
   std::vector<ClassState> classes_;
-  std::uint64_t issued_ = 0;
 };
 
 }  // namespace aeq::workload

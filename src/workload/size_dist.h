@@ -1,4 +1,4 @@
-// RPC size distributions: fixed/uniform synthetics plus
+// RPC size distributions: a fixed synthetic plus
 // empirical CDFs shaped like the paper's production storage workload
 // (Figure 1), where PC RPCs are small-biased but have a genuine large tail —
 // the size/priority misalignment that defeats SJF-style schedulers (§2.1).
@@ -32,22 +32,6 @@ class FixedSize final : public SizeDistribution {
 
  private:
   std::uint64_t bytes_;
-};
-
-class UniformSize final : public SizeDistribution {
- public:
-  UniformSize(std::uint64_t lo, std::uint64_t hi) : lo_(lo), hi_(hi) {
-    AEQ_ASSERT(lo > 0 && hi >= lo);
-  }
-  std::uint64_t sample(sim::Rng& rng) const override {
-    return lo_ + rng.index(hi_ - lo_ + 1);
-  }
-  double mean_bytes() const override {
-    return 0.5 * static_cast<double>(lo_ + hi_);
-  }
-
- private:
-  std::uint64_t lo_, hi_;
 };
 
 // Piecewise-linear inverse-CDF sampling: points are (cumulative probability,

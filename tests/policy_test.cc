@@ -204,18 +204,34 @@ class WindowProbe final : public policy::WindowedController {
   WindowProbe(std::size_t num_qos, rpc::SloConfig slo)
       : WindowedController(num_qos, std::move(slo)) {}
 
-  void on_window(const obs::WindowStats& window) override {
-    windows.push_back(window);
-  }
-
-  std::vector<obs::WindowStats> windows;
+  // Per on_window() call: windows_closed() at the call, and the decisions
+  // made in the window it closed.
+  std::vector<std::uint64_t> closed_at;
+  std::vector<std::uint64_t> decisions;
+  // The slo_met verdict of every on_feedback() call, in call order.
+  std::vector<bool> verdicts;
 
  protected:
+  void on_window() override {
+    closed_at.push_back(windows_closed());
+    decisions.push_back(open_decisions_);
+    open_decisions_ = 0;
+  }
+
   rpc::AdmissionDecision decide(sim::Time, net::HostId, net::HostId,
                                 net::QoSLevel qos_requested,
                                 std::uint64_t) override {
+    ++open_decisions_;
     return {qos_requested, false, false, 1.0};
   }
+
+  void on_feedback(sim::Time, net::HostId, net::QoSLevel, net::QoSLevel,
+                   sim::Time, std::uint64_t, bool slo_met) override {
+    verdicts.push_back(slo_met);
+  }
+
+ private:
+  std::uint64_t open_decisions_ = 0;
 };
 
 TEST(WindowedController, ClosesEmptyWindowsAcrossIdleGaps) {
@@ -224,35 +240,35 @@ TEST(WindowedController, ClosesEmptyWindowsAcrossIdleGaps) {
   // A long idle gap: the next call first closes every window in between,
   // so window-indexed adaptation sees simulated time, not call counts.
   probe.admit(1050 * sim::kUsec, 0, 1, net::kQoSHigh, 4096);
-  ASSERT_EQ(probe.windows.size(), 10u);
-  EXPECT_EQ(probe.windows[0].index, 0u);
-  EXPECT_EQ(probe.windows[0].admits, 1u);
-  for (std::size_t w = 1; w < 10; ++w) {
-    EXPECT_EQ(probe.windows[w].index, w);
-    EXPECT_EQ(probe.windows[w].admits, 0u);
+  ASSERT_EQ(probe.decisions.size(), 10u);
+  for (std::size_t w = 0; w < 10; ++w) {
+    EXPECT_EQ(probe.closed_at[w], w + 1);
+    EXPECT_EQ(probe.decisions[w], w == 0 ? 1u : 0u);
   }
   EXPECT_EQ(probe.windows_closed(), 10u);
 }
 
-TEST(WindowedController, WindowStatsAttributeRequestedQosAndSloVerdict) {
+TEST(WindowedController, FeedbackCarriesTheRequestedClassSloVerdict) {
   const sim::Time width = policy::kDefaultPolicyWindow;
   WindowProbe probe(3, make_slo());
-  probe.admit(0.0, 0, 1, net::kQoSHigh, 4096);
-  probe.admit(0.0, 0, 1, net::kQoSHigh, 4096);
-  // One on-time completion (target 2us/MTU => 8 MTUs budget 16us) and one
-  // late, both requested on QoS_h but one run on the scavenger class.
+  // QoS_h's target is 2us/MTU, so an 8-MTU RPC has a 16us budget. The
+  // verdict is against the requested class, wherever the RPC ran.
   probe.on_completion(10 * sim::kUsec, 0, 1, net::kQoSHigh, net::kQoSHigh,
-                      10 * sim::kUsec, 8);
+                      10 * sim::kUsec, 8);  // on time
   probe.on_completion(20 * sim::kUsec, 0, 1, net::kQoSHigh, net::kQoSLow,
-                      100 * sim::kUsec, 8);
-  probe.admit(width, 0, 1, net::kQoSLow, 4096);  // closes window 0
-  ASSERT_EQ(probe.windows.size(), 1u);
-  const obs::WindowStats& window = probe.windows[0];
-  EXPECT_EQ(window.qos[net::kQoSHigh].completed, 2u);
-  EXPECT_EQ(window.qos[net::kQoSHigh].slo_met, 1u);
-  EXPECT_DOUBLE_EQ(window.qos[net::kQoSHigh].slo_compliance, 0.5);
-  EXPECT_EQ(window.qos[net::kQoSLow].completed, 0u);
-  EXPECT_EQ(window.admits, 2u);
+                      100 * sim::kUsec, 8);  // late, ran as scavenger
+  probe.on_completion(30 * sim::kUsec, 0, 1, net::kQoSLow, net::kQoSLow,
+                      1 * sim::kUsec, 8);  // scavenger: no SLO to meet
+  EXPECT_EQ(probe.verdicts, (std::vector<bool>{true, false, false}));
+  EXPECT_TRUE(probe.closed_at.empty());
+
+  // The first call past three window ends delivers one on_window() per
+  // elapsed window before its own feedback.
+  probe.on_completion(3 * width, 0, 1, net::kQoSHigh, net::kQoSHigh,
+                      1 * sim::kUsec, 8);
+  EXPECT_EQ(probe.closed_at, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(probe.verdicts.size(), 4u);
+  EXPECT_EQ(probe.windows_closed(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,6 +365,61 @@ TEST(Bandit, AppliesItsActionAsTheAdmitProbability) {
   }
   // The scavenger class is never gated, whatever the action.
   EXPECT_FALSE(bandit.admit(0.0, 0, 1, net::kQoSLow, 4096).downgraded);
+}
+
+double gauge_value(const rpc::AdmissionController& controller,
+                   const char* name) {
+  for (const rpc::Gauge& gauge : controller.gauges()) {
+    if (std::string(gauge.name) == name) return gauge.value;
+  }
+  ADD_FAILURE() << "no gauge " << name;
+  return 0.0;
+}
+
+TEST(Bandit, RewardIsWorstSloComplianceOverTheWindow) {
+  policy::BanditConfig config;
+  config.actions = {1.0};
+  config.epsilon0 = 0.0;
+  config.epsilon_min = 0.0;
+  policy::BanditController bandit(config, 3, make_slo(), sim::Rng(7));
+  // Window 0: 16 KiB admitted on QoS_h and 64 KiB on the scavenger class,
+  // so the SLO byte share is 0.2 (mix band low).
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_FALSE(bandit.admit(0.0, 0, 1, net::kQoSHigh, 4096).downgraded);
+  }
+  bandit.admit(0.0, 0, 1, net::kQoSLow, 64 * 1024);
+  // 8-MTU RPCs against a 16us budget: three on time, one late, so QoS_h
+  // compliance is 0.75 and the mean normalized RNL (1.375us/MTU) sits
+  // under 0.8x the 2us/MTU target (RNL band under).
+  for (int i = 0; i < 3; ++i) {
+    bandit.on_completion(10 * sim::kUsec, 0, 1, net::kQoSHigh,
+                         net::kQoSHigh, 8 * sim::kUsec, 8);
+  }
+  bandit.on_completion(10 * sim::kUsec, 0, 1, net::kQoSHigh, net::kQoSHigh,
+                       20 * sim::kUsec, 8);
+  bandit.admit(policy::kDefaultPolicyWindow, 0, 1, net::kQoSLow, 4096);
+  // Nothing was rejected, so the reward is the compliance itself.
+  EXPECT_EQ(gauge_value(bandit, "state"), 0.0);
+  EXPECT_DOUBLE_EQ(gauge_value(bandit, "q_current"),
+                   1.0 + 0.2 * (0.75 - 1.0));
+}
+
+TEST(Bandit, RewardChargesTheRejectedShareOfDecisions) {
+  policy::BanditConfig config;
+  config.actions = {0.0};
+  config.epsilon0 = 0.0;
+  config.epsilon_min = 0.0;
+  policy::BanditController bandit(config, 3, make_slo(), sim::Rng(7));
+  // Three QoS_h requests, all rejected, and one ungated scavenger request:
+  // 3 of 4 decisions rejected, no completions (compliance 1).
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(bandit.admit(0.0, 0, 1, net::kQoSHigh, 8 * 4096).downgraded);
+  }
+  bandit.admit(0.0, 0, 1, net::kQoSLow, 8 * 4096);
+  bandit.admit(policy::kDefaultPolicyWindow, 0, 1, net::kQoSLow, 4096);
+  EXPECT_EQ(gauge_value(bandit, "state"), 0.0);
+  EXPECT_DOUBLE_EQ(gauge_value(bandit, "q_current"),
+                   1.0 + 0.2 * ((1.0 - 0.5 * 0.75) - 1.0));
 }
 
 TEST(BanditDeathTest, RejectsMalformedActionSets) {

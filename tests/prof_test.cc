@@ -402,4 +402,50 @@ TEST(ProfReportTest, TextSummaryScalesCallsAndNamesSampling) {
   EXPECT_NE(text.find("           4 "), std::string::npos);
 }
 
+TEST(ProfReportTest, ChromeTracksJoinThreadsInOneTraceFile) {
+  // Measured cycles vary run to run, so the report prints them as zeros: a
+  // clock so fast every duration rounds to 0.000us, and no share
+  // denominator. Calls are exact at period 1.
+  obs::prof::Report report;
+  report.cycles_per_second = 1e300;
+  report.denominator_cycles = 0;
+  obs::prof::ThreadProfile shard0;
+  shard0.label = "shard0";
+  shard0.collector = Collector(1);
+  for (int i = 0; i < 2; ++i) {
+    shard0.collector.enter(Region::kDispatch);
+    shard0.collector.enter(Region::kQueueWfq);
+    shard0.collector.exit(Region::kQueueWfq);
+    shard0.collector.exit(Region::kDispatch);
+  }
+  obs::prof::ThreadProfile shard1;
+  shard1.label = "shard1";
+  shard1.collector = Collector(1);
+  shard1.collector.enter(Region::kPortTx);
+  shard1.collector.exit(Region::kPortTx);
+  report.threads.push_back(std::move(shard0));
+  report.threads.push_back(std::move(shard1));
+
+  const std::string path = ::testing::TempDir() + "prof_tracks.json";
+  obs::prof::write_chrome_tracks(report, path);
+  const std::string zero = "\"cat\":\"prof\",\"ts\":0.000,\"dur\":0.000,";
+  const std::string expected =
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+      "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":900000,\"tid\":0,"
+      "\"args\":{\"name\":\"prof:shard0\"}},\n"
+      "{\"ph\":\"X\",\"name\":\"engine/dispatch\"," + zero +
+      "\"pid\":900000,\"tid\":0,\"args\":{\"calls\":2,\"self_share\":0}},\n"
+      "{\"ph\":\"X\",\"name\":\"queue/wfq\"," + zero +
+      "\"pid\":900000,\"tid\":0,\"args\":{\"calls\":2,\"self_share\":0}},\n"
+      "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":900001,\"tid\":0,"
+      "\"args\":{\"name\":\"prof:shard1\"}},\n"
+      "{\"ph\":\"X\",\"name\":\"port/tx\"," + zero +
+      "\"pid\":900001,\"tid\":0,\"args\":{\"calls\":1,\"self_share\":0}}"
+      "\n]}\n";
+  EXPECT_EQ(slurp(path), expected);
+  // Nothing is left beside the trace.
+  EXPECT_FALSE(std::ifstream(path + ".shard0").is_open());
+  std::remove(path.c_str());
+}
+
 }  // namespace

@@ -14,21 +14,11 @@
 namespace aeq::workload {
 namespace {
 
-TEST(SizeDistTest, FixedAndUniform) {
+TEST(SizeDistTest, FixedSamplesItsSize) {
   sim::Rng rng(1);
   FixedSize fixed(32768);
   EXPECT_EQ(fixed.sample(rng), 32768u);
   EXPECT_DOUBLE_EQ(fixed.mean_bytes(), 32768.0);
-
-  UniformSize uniform(1000, 2000);
-  double sum = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const auto x = uniform.sample(rng);
-    EXPECT_GE(x, 1000u);
-    EXPECT_LE(x, 2000u);
-    sum += static_cast<double>(x);
-  }
-  EXPECT_NEAR(sum / 20000, uniform.mean_bytes(), 15.0);
 }
 
 TEST(SizeDistTest, EmpiricalInterpolatesAndMatchesMean) {

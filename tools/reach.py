@@ -30,7 +30,10 @@ comparison.
 What it cannot see:
   - branches that link but never run;
   - header-inline functions and templates that no translation unit emits
-    (nothing to diff: neither side defines them);
+    (nothing to diff: neither side defines them). To look for them, add
+    -fkeep-inline-functions to the build's CXX flags, which emits every
+    inline function a translation unit sees; the hits then also hold
+    implicit special members and test seams, so read each one;
   - virtual functions kept alive by a vtable: constructing an object
     references its vtable, which references every virtual override, called
     or not.
