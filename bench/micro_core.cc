@@ -1,13 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the hot data structures: event
-// queue, queue disciplines, Swift, the Aequitas admission decision, and
-// whole-simulator packet throughput.
+// queue, the port packet hop, queue disciplines, Swift, the Aequitas
+// admission decision, and whole-simulator packet throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/aequitas.h"
 #include "net/dwrr.h"
 #include "net/pfabric_queue.h"
+#include "net/port.h"
 #include "net/spq.h"
 #include "net/wfq.h"
 #include "sim/rng.h"
@@ -104,6 +107,56 @@ void BM_SchedulerScheduleCancelPop(benchmark::State& state) {
 BENCHMARK(BM_SchedulerScheduleCancelPop)
     ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kHeap))
     ->Arg(static_cast<int>(aeq::sim::SchedulerBackend::kCalendar));
+
+// The per-packet link path, which the scheduler benchmarks above never
+// see: ports keep their tx-ends and deliveries out of the event store. Two
+// WFQ ports back to back in sink mode, each delivering into the other, with
+// 8 packets circling; every delivery stops the run, so one iteration is one
+// packet hop (a delivery, the send it causes on the other port, and that
+// port's share of tx-ends and tree replays). Arg: propagation in ns; at 0 a
+// packet's delivery and its tx-end share a time.
+void BM_PortPacketHop(benchmark::State& state) {
+  sim::Simulator s(sim::SchedulerBackend::kCalendar);
+  util::BlockPool buffer;
+  const sim::Time propagation = static_cast<double>(state.range(0)) * 1e-9;
+  const auto make_port = [&] {
+    return std::make_unique<net::Port>(
+        s, buffer, sim::gbps(100), propagation,
+        std::make_unique<net::WfqQueue>(buffer,
+                                        std::vector<double>{8.0, 4.0, 1.0}));
+  };
+  const auto a = make_port();
+  const auto b = make_port();
+  struct Relay final : net::PacketSink {
+    sim::Simulator* sim;
+    net::Port* next;
+    void receive(const net::Packet& packet) override {
+      next->send(packet);
+      sim->stop();
+    }
+  };
+  Relay to_a{};
+  to_a.sim = &s;
+  to_a.next = a.get();
+  Relay to_b{};
+  to_b.sim = &s;
+  to_b.next = b.get();
+  a->connect(&to_b);
+  b->connect(&to_a);
+  for (int i = 0; i < 8; ++i) {
+    net::Packet packet;
+    packet.qos = static_cast<net::QoSLevel>(i % 3);
+    packet.size_bytes = 4096;
+    a->send(packet);
+  }
+  for (auto _ : state) s.run();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["transitions_per_hop"] =
+      static_cast<double>(s.events_processed()) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+}
+BENCHMARK(BM_PortPacketHop)->Arg(0)->Arg(500);
 
 template <typename Queue>
 net::Packet make_packet(std::uint8_t qos, double priority = 0.0) {

@@ -93,6 +93,9 @@ void register_port_checks(Auditor& auditor, std::string component,
                      "packet left the queue but neither delivered nor "
                      "propagating");
   });
+  auditor.add_check(component, "transition-order", [&port, &sim] {
+    port.audit_transitions(sim.now());
+  });
   auditor.add_check(component, "busy-time-bounded", [&port, &sim] {
     const sim::Time now = sim.now();
     AEQ_CHECK_GE(port.busy_time(), 0.0);

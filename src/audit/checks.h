@@ -22,10 +22,17 @@
 //                                        invariants the per-QoS delay bound
 //                                        is derived from (§4, Appendix B).
 //   port/link-conservation               dequeued == delivered + in-flight.
+//   port/transition-order                the port's pending tx-end and
+//                                        delivery keys lie at or after now,
+//                                        deliveries keyed in link order —
+//                                        so the one key it publishes to the
+//                                        simulator is its earliest.
 //   buffer/block-conservation            a shard's packet buffer owns
 //                                        exactly its free blocks plus the
-//                                        blocks its ports' FIFOs hold: no
-//                                        block leaked or handed out twice.
+//                                        blocks its ports' FIFOs hold,
+//                                        in-flight delivery keys included:
+//                                        no block leaked or handed out
+//                                        twice.
 //   port/busy-time-bounded               serialization time fits in [0, now]
 //                                        (utilization figures depend on it).
 //   switch/routing-conservation          every received packet was offered

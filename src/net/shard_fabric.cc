@@ -44,7 +44,7 @@ void ShardFabric::ArrivalPool::land(sim::Time arrival, const Packet& packet) {
     slot = static_cast<std::uint32_t>(slots.size());
     slots.push_back(packet);
   }
-  // Ranked exactly like the serial uplink's delivery event (see
+  // Ranked exactly like the serial uplink's delivery (see
   // Port::rank_deliveries_by_source): the rank — not the landing order —
   // decides same-timestamp ties, so tx-end/barrier insertion reproduces the
   // serial tx-start schedule.
@@ -63,7 +63,7 @@ void ShardFabric::ShardLink::on_tx_complete(const Packet& packet,
   const std::uint32_t dst_shard = fabric_->shard_of(packet.dst);
   if (dst_shard == shard_) {
     // Same shard: land directly — one arrival event, exactly like the
-    // serial link's delivery event.
+    // serial link's delivery.
     fabric_->arrivals_[shard_].land(arrival, packet);
     return;
   }

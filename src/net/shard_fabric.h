@@ -23,11 +23,14 @@
 //     construction (propagation >= lookahead), so the handoff never
 //     schedules into a shard's past.
 //
-// Event budget: one tx-end event on the sending shard plus one arrival
-// event on the receiving shard per packet — identical to the serial link
-// pipeline, which is what makes serial and sharded event counts comparable
+// Dispatch budget: one tx-end on the sending shard, which the NIC port
+// keeps itself (see net::Port), plus one arrival event on the receiving
+// shard per packet — the serial link's two transitions, tx-end and
+// delivery, which is what makes serial and sharded dispatch counts equal
 // (the "cross-shard event identity" pinned, with auditing on, by
-// ShardDeterminismTest.SameSeedAnyShardCountSameMetrics).
+// ShardDeterminismTest.SameSeedAnyShardCountSameMetrics). The arrivals stay
+// events in the shard's store: they belong to no port, and they land from
+// every source of the shard.
 #pragma once
 
 #include <array>

@@ -1,6 +1,5 @@
 #include "sim/scheduler.h"
 
-#include <limits>
 #include <utility>
 
 #include "sim/calendar_queue.h"
@@ -40,20 +39,23 @@ bool EventStore::cancel(EventId id) {
   key.stamp |= EventKey::kCancelled;
   AEQ_ASSERT(live_ > 0);
   --live_;
+  if (slot == head_) head_known_ = false;
   return true;
 }
 
-Time EventStore::next_time() {
-  while (size() != 0) {
+std::uint32_t EventStore::find_head() {
+  // Tombstones go even when no live event is left: a head found later must
+  // be the backend's minimum, or pop_head would pop a tombstone below it.
+  for (;;) {
     const std::uint32_t slot = order_->peek(keys_.data());
+    if (slot == kNoSlot) return kNoSlot;
     const EventKey& key = keys_[slot];
-    if ((key.stamp & EventKey::kCancelled) == 0) return key.t;
+    if ((key.stamp & EventKey::kCancelled) == 0) return slot;
     // A tombstone is the minimum: pop exactly it.
     const std::uint32_t popped = order_->pop_at_most(keys_.data(), key.t);
     AEQ_DCHECK(popped == slot);
     discard(popped);
   }
-  return std::numeric_limits<Time>::infinity();
 }
 
 void EventStore::reserve(std::size_t n) {

@@ -12,15 +12,21 @@
 // events are common (zero-delay chains, phase-locked ack-clocking), and
 // breaking those ties purely by insertion order would tie the schedule to
 // *when* each event was inserted — which differs between the serial
-// executive (a link's delivery event is inserted at tx-start) and the
-// sharded one (the same delivery is inserted at tx-end or at a lookahead
-// barrier). Events whose insertion point is mode-dependent therefore carry
+// executive (a link's delivery is keyed at tx-start) and the sharded one
+// (the same delivery is an arrival event inserted at tx-end or at a
+// lookahead barrier). Events whose insertion point is mode-dependent therefore carry
 // an explicit rank derived from simulation identity (the packet's source
 // host; see net::Port), which both executives compute identically; rank
 // beats insertion order, so the dispatch schedule — and every metric — is
 // the same serially and sharded. Events scheduled without a rank get
 // kTieRankDefault (sorts after every ranked event at the same timestamp)
 // and keep pure insertion order among themselves.
+//
+// Not every pending transition is an event: net::Port keeps its tx-end
+// and link deliveries itself and the simulator orders them beside this
+// store (sim/winner_tree.h). Each such transition still draws its tie key
+// from this store's insertion counter (draw_tie), so it sorts exactly where
+// an event scheduled at the same point would.
 //
 // Everything but the ordering lives once, in the EventStore both backends
 // share. A pending event owns one slot: its 24-byte EventKey (time, packed
@@ -39,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -76,6 +83,23 @@ inline std::uint64_t pack_tie_key(std::uint16_t rank,
 // The rank half of a packed tie key.
 inline std::uint16_t tie_rank_of(std::uint64_t tie_key) {
   return static_cast<std::uint16_t>(tie_key >> 48);
+}
+
+// A place in the dispatch order: a time and a packed tie key. What a
+// transition kept outside the event store carries (sim/winner_tree.h).
+struct OrderKey {
+  Time t;
+  std::uint64_t tie;
+};
+
+// The key of a source with nothing pending: after every real key.
+inline constexpr OrderKey kIdleKey{std::numeric_limits<Time>::infinity(),
+                                   ~std::uint64_t{0}};
+
+// Dispatch order over anything keyed by (t, tie): EventKey, OrderKey.
+template <typename A, typename B>
+bool earlier(const A& a, const B& b) {
+  return a.t < b.t || (a.t == b.t && a.tie < b.tie);
 }
 
 // Opaque handle to a scheduled event; value 0 means "no event". The high
@@ -156,56 +180,56 @@ class EventStore {
     handler_at(slot).emplace(std::forward<F>(handler));
     EventKey& key = keys_[slot];
     key.t = t;
-    key.tie = pack_tie_key(rank, next_seq_++);
+    key.tie = draw_tie(rank);
     const EventId id{(static_cast<std::uint64_t>(key.stamp) << 32) | slot};
     ++live_;
     order_->push(keys_.data(), slot);
-    // The pop-order floor follows an event scheduled below it.
-    AEQ_AUDIT_ONLY({
-      if (t < last_popped_t_) {
-        last_popped_t_ = t;
-        last_popped_tie_ = 0;
-      }
-    });
+    // A known head stays known: the new event either is below it or not.
+    if (head_known_ && (head_ == kNoSlot || earlier(key, keys_[head_]))) {
+      head_ = slot;
+    }
     return id;
+  }
+
+  // The tie key the next event scheduled with `rank` would get, consumed:
+  // pack_tie_key(rank, next insertion-counter value).
+  std::uint64_t draw_tie(std::uint16_t rank) {
+    return pack_tie_key(rank, next_seq_++);
   }
 
   // Pending -> cancelled. False when the id already fired (or is firing),
   // was already cancelled, or is invalid.
   bool cancel(EventId id);
 
-  // Removes the earliest pending event at or before `limit` and retires its
-  // id (cancel() of it now returns false); returns its slot, or kNoSlot.
-  // Tombstones met on the way are destroyed and freed.
-  std::uint32_t pop_at_most(Time limit) {
-    while (size() != 0) {
-      const std::uint32_t slot = order_->pop_at_most(keys_.data(), limit);
-      if (slot == kNoSlot) break;
-      EventKey& key = keys_[slot];
-      if ((key.stamp & EventKey::kCancelled) != 0) {
-        discard(slot);
-        continue;
-      }
-      key.stamp = next_generation(key.stamp);
-      --live_;
-      // The backend contract: pops leave in strictly increasing (time,
-      // tie key) order, the property backend equivalence rests on.
-      AEQ_AUDIT_ONLY({
-        AEQ_CHECK_GE_MSG(key.t, last_popped_t_,
-                         "event popped out of time order");
-        if (key.t == last_popped_t_) {
-          AEQ_CHECK_GT_MSG(key.tie, last_popped_tie_,
-                           "tied events popped out of insertion order");
-        }
-        last_popped_t_ = key.t;
-        last_popped_tie_ = key.tie;
-      });
-      return slot;
+  // The slot of the earliest pending event, kNoSlot when none. Cached
+  // between calls: a schedule below it or a cancel of it moves it, and
+  // nothing else can, so only the call after a pop asks the backend.
+  // Tombstones at the backend's head are destroyed and freed.
+  std::uint32_t head() {
+    if (!head_known_) {
+      head_ = find_head();
+      head_known_ = true;
     }
-    return kNoSlot;
+    return head_;
   }
 
-  // The key of a popped slot (valid until run()).
+  // Removes the head() event and retires its id (cancel() of it now returns
+  // false); returns its slot. Precondition: head() != kNoSlot.
+  std::uint32_t pop_head() {
+    const std::uint32_t slot = head();
+    AEQ_DCHECK(slot != kNoSlot);
+    EventKey& key = keys_[slot];
+    const std::uint32_t popped = order_->pop_at_most(keys_.data(), key.t);
+    AEQ_DCHECK(popped == slot);
+    (void)popped;
+    key.stamp = next_generation(key.stamp);
+    --live_;
+    head_known_ = false;
+    return slot;
+  }
+
+  // The key of a pending or popped slot (a popped one's is valid until
+  // run()).
   const EventKey& key(std::uint32_t slot) const { return keys_[slot]; }
 
   // Runs a popped event's handler where it lies, then destroys it and frees
@@ -218,9 +242,11 @@ class EventStore {
     free_.push_back(slot);
   }
 
-  // Time of the earliest pending event, +infinity when none. Tombstones at
-  // the head are destroyed and freed.
-  Time next_time();
+  // Time of the earliest pending event, +infinity when none.
+  Time next_time() {
+    const std::uint32_t slot = head();
+    return slot == kNoSlot ? kIdleKey.t : keys_[slot].t;
+  }
 
   // Pending (scheduled, not fired, not cancelled) events.
   std::size_t size() const { return live_; }
@@ -257,6 +283,8 @@ class EventStore {
   std::uint32_t grow();
   // Retires a tombstone's id and destroys and frees it.
   void discard(std::uint32_t slot);
+  // The backend's minimum live slot, discarding tombstones above it.
+  std::uint32_t find_head();
 
   std::vector<EventKey> keys_;
   std::vector<std::unique_ptr<HandlerNode[]>> chunks_;
@@ -264,10 +292,9 @@ class EventStore {
   std::unique_ptr<EventScheduler> order_;
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;
-  // Last dispatched (time, tie), consulted only by the AEQ_AUDIT build's
-  // pop-order check.
-  Time last_popped_t_ = -1.0;
-  std::uint64_t last_popped_tie_ = 0;
+  // head(): the earliest live slot (kNoSlot: none) while head_known_.
+  std::uint32_t head_ = kNoSlot;
+  bool head_known_ = true;
 };
 
 }  // namespace aeq::sim

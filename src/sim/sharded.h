@@ -145,11 +145,11 @@ class ShardedSimulator {
   // Simulated time every shard has reached (between run_until calls).
   Time now() const { return now_; }
 
-  // Sum of events dispatched across shards. It equals the serial run's
-  // count — the cross-shard handoff path schedules one NIC tx-end event
-  // plus one arrival event per packet, exactly like the serial two-event
-  // link pipeline (checked, with the runner's between-call audit sweeps
-  // on, by ShardDeterminismTest.SameSeedAnyShardCountSameMetrics).
+  // Sum of events and port transitions dispatched across shards. It equals
+  // the serial run's count — the cross-shard handoff path dispatches one
+  // NIC tx-end plus one arrival event per packet, exactly like the serial
+  // link's tx-end and delivery (checked, with the runner's between-call
+  // audit sweeps on, by ShardDeterminismTest.SameSeedAnyShardCountSameMetrics).
   std::uint64_t events_processed() const;
 
   std::size_t pending_events() const;

@@ -1,12 +1,20 @@
-// The simulation executive: a clock over the event store.
+// The simulation executive: a clock over the event store and the
+// transition sources.
 //
 // A Simulator is an explicit object passed (by reference) to every component
 // that needs to schedule work; there is no global simulation state. The
 // scheduler backend (heap or calendar queue) is chosen at construction;
 // both dispatch events in identical order for a fixed seed, so the choice is
 // purely a performance knob.
+//
+// Two kinds of pending work share one dispatch order: events in the store
+// (sim/scheduler.h), and the transitions sources keep themselves — a port's
+// tx-ends and link deliveries — in a winner tree (sim/winner_tree.h). Each
+// dispatch runs the earlier of the tree's root and the store's cached head
+// by (time, tie key), and counts, digests and profiles either the same way.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -16,6 +24,7 @@
 #include "sim/digest.h"
 #include "sim/scheduler.h"
 #include "sim/units.h"
+#include "sim/winner_tree.h"
 
 namespace aeq::sim {
 
@@ -55,12 +64,33 @@ class Simulator {
   // fired, is firing, or was already cancelled.
   bool cancel(EventId id) { return store_.cancel(id); }
 
+  // Transition sources (sim/winner_tree.h). attach() gives `source` an
+  // idle leaf; it must detach() it before it dies.
+  std::uint32_t attach(TransitionSource& source) {
+    return sources_.attach(&source);
+  }
+  void detach(std::uint32_t leaf) { sources_.detach(leaf); }
+
+  // The key an event scheduled now at `t` with `rank` would get: the next
+  // value of the event store's insertion counter is drawn here, so call it
+  // exactly where that event would have been scheduled.
+  OrderKey make_key(Time t, std::uint16_t rank = kTieRankDefault) {
+    return {t, store_.draw_tie(rank)};
+  }
+
+  // Sets the earliest pending key of the source at `leaf` (kIdleKey: none).
+  // A key below now() is rejected like an event scheduled into the past.
+  void publish(std::uint32_t leaf, const OrderKey& key) {
+    AEQ_CHECK_GE_MSG(key.t, now_, "cannot schedule into the past");
+    sources_.publish(leaf, key);
+  }
+
   // Pre-sizes the event store for `n` concurrent pending events (see
   // EventStore::reserve): below that mark the event loop performs no
   // steady-state allocations.
   void reserve_events(std::size_t n) { store_.reserve(n); }
 
-  // Runs until the event queue drains or stop() is called.
+  // Runs until no event or transition is pending, or stop() is called.
   void run() { dispatch_until(std::numeric_limits<Time>::infinity()); }
 
   // Runs all events with time <= `t_end`; afterwards now() == t_end
@@ -78,25 +108,37 @@ class Simulator {
   void enable_schedule_digest() { digest_enabled_ = true; }
   const ScheduleDigest& schedule_digest() const { return digest_; }
 
-  // Timestamp of the earliest pending event, +infinity when the queue is
-  // empty. The sharded executive uses this to pick the next conservative
-  // window; for the calendar backend it costs a head scan, so call it once
-  // per window, not per event.
-  Time next_event_time() { return store_.next_time(); }
+  // Timestamp of the earliest pending event or transition, +infinity when
+  // none is. The sharded executive uses this to pick the next conservative
+  // window; for the calendar backend it may cost a head scan, so call it
+  // once per window, not per event.
+  Time next_event_time() {
+    return std::min(store_.next_time(), sources_.top().t());
+  }
 
-  std::size_t pending_events() const { return store_.size(); }
+  // Pending events plus pending source transitions. Asks every source, so
+  // it is for tests and diagnostics, not the event loop.
+  std::size_t pending_events() const {
+    return store_.size() + sources_.pending();
+  }
 
  private:
-  // The one dispatch loop: runs events up to `limit` until stop().
+  // The one dispatch loop: runs events and transitions up to `limit`
+  // until stop().
   void dispatch_until(Time limit);
 
   SchedulerBackend backend_;
   EventStore store_;
+  WinnerTree sources_;
   Time now_ = 0.0;
   bool stopped_ = false;
   std::uint64_t events_processed_ = 0;
   bool digest_enabled_ = false;
   ScheduleDigest digest_;
+  // Last dispatched (time, tie), read only by the AEQ_AUDIT build's
+  // dispatch-order check.
+  Time last_t_ = -1.0;
+  std::uint64_t last_tie_ = 0;
 };
 
 }  // namespace aeq::sim

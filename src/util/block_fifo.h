@@ -29,10 +29,10 @@ namespace aeq::util {
 class alignas(64) BlockPool {
  public:
   static constexpr std::size_t kBlockBytes = 4096;
-  // The largest element a BlockFifo may store (WFQ's 72-byte slot: a
-  // packet plus its start tag). It sets the element count reserve()
-  // provisions for.
-  static constexpr std::size_t kMaxElementBytes = 72;
+  // The largest element a BlockFifo may store (a link's 80-byte in-flight
+  // entry: a packet plus its delivery key). It sets the element count
+  // reserve() provisions for.
+  static constexpr std::size_t kMaxElementBytes = 80;
 
   // A block: the link that threads it into a FIFO or the free list, then
   // raw element slots.

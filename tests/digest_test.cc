@@ -160,6 +160,22 @@ TEST(ScheduleDigestRuns, HeapAndCalendarDispatchTheSameSchedule) {
   EXPECT_EQ(heap.count, cal.count);
 }
 
+// The canonical digest is a commutative sum, blind to two events trading
+// places; the ordered fold is not. Pinning the fold and the count holds any
+// change to the dispatch machinery (the store, its backends, the transition
+// sources) to the exact serial dispatch order, on both backends.
+TEST(ScheduleDigestRuns, SerialDispatchOrderIsPinned) {
+  constexpr std::uint64_t kOrdered = 0x67553fc5e2f0d24aull;
+  constexpr std::uint64_t kCount = 242370;
+  for (const auto backend :
+       {sim::SchedulerBackend::kHeap, sim::SchedulerBackend::kCalendar}) {
+    const DigestRun run = run_workload(1, backend, 42);
+    EXPECT_EQ(run.ordered, kOrdered) << sim::backend_name(backend);
+    EXPECT_EQ(run.count, kCount) << sim::backend_name(backend);
+    EXPECT_EQ(run.events, kCount) << sim::backend_name(backend);
+  }
+}
+
 class ShardDigestTest
     : public ::testing::TestWithParam<sim::SchedulerBackend> {};
 

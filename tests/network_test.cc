@@ -105,6 +105,32 @@ TEST(PortTest, BackToBackPacketsSerializeSequentially) {
   EXPECT_NEAR(port.utilization(s.now()), 1.0, 1e-9);
 }
 
+// With zero propagation a packet's delivery and its tx-end share a time.
+// The delivery's key is drawn first, so it runs first: the next packet is
+// still queued when the peer sees this one.
+TEST(PortTest, ZeroPropagationDeliversBeforeTheTxEnd) {
+  sim::Simulator s;
+  util::BlockPool buffer;
+  Port port(s, buffer, sim::gbps(100), 0.0,
+            std::make_unique<FifoQueue>(buffer));
+  struct BacklogAtArrival final : PacketSink {
+    explicit BacklogAtArrival(const Port& p) : port(p) {}
+    void receive(const Packet&) override {
+      backlog.push_back(port.queue().backlog_packets());
+    }
+    const Port& port;
+    std::vector<std::size_t> backlog;
+  } sink(port);
+  port.connect(&sink);
+  for (int i = 0; i < 3; ++i) port.send(data_packet(0, 1, 12500));
+  EXPECT_EQ(s.pending_events(), 2u);  // the first packet's tx-end, delivery
+  s.run();
+  // Tx-end first would have dequeued the next packet: {1, 0, 0}.
+  EXPECT_EQ(sink.backlog, (std::vector<std::size_t>{2, 1, 0}));
+  EXPECT_EQ(s.events_processed(), 6u);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
 TEST(PortTest, WfqOrderingUnderBacklog) {
   sim::Simulator s;
   Collector sink;

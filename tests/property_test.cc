@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <tuple>
@@ -70,10 +69,8 @@ TEST(EventQueueModelTest, MatchesReferenceOrderUnderRandomOps) {
           reference.erase(it);
         }
       } else {
-        const std::uint32_t slot =
-            queue.pop_at_most(std::numeric_limits<double>::infinity());
-        ASSERT_NE(slot, sim::kNoSlot);
-        queue.run(slot);
+        ASSERT_NE(queue.head(), sim::kNoSlot);
+        queue.run(queue.pop_head());
         // Reference: smallest (t, seq).
         auto best = std::min_element(reference.begin(), reference.end(),
                                      [](const Ref& a, const Ref& b) {

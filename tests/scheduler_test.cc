@@ -30,9 +30,10 @@ constexpr double kForever = std::numeric_limits<double>::infinity();
 
 // Dispatches the earliest pending event of `store` and returns its time.
 double pop_and_run(sim::EventStore& store) {
-  const std::uint32_t slot = store.pop_at_most(kForever);
+  const std::uint32_t slot = store.head();
   EXPECT_NE(slot, sim::kNoSlot);
   if (slot == sim::kNoSlot) return -1.0;
+  store.pop_head();
   const double t = store.key(slot).t;
   store.run(slot);
   return t;

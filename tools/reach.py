@@ -92,8 +92,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (regex, reason). Keep each reason to the point of why the function stays.
 ALLOWLIST = [
-    (r"^aeq::sim::Simulator::pending_events\(",
-     "test seam: scheduler tests assert on the pending-event count"),
+    (r"^aeq::sim::(Simulator::pending_events|EventStore::size|"
+     r"WinnerTree::pending)\(",
+     "test seam: scheduler tests assert on the pending-event count, the "
+     "store's live events plus the ports' pending transitions"),
     (r"^aeq::sim::ShardedSimulator::pending_events\(",
      "test seam: sharded-executive tests assert on the pending-event count"),
     (r"^aeq::obs::CsvSink::CsvSink\(std::ostream\*\)$",
