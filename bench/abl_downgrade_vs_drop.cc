@@ -15,7 +15,6 @@
 // policy-agnostic rather than Aequitas-specific.
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -70,36 +69,12 @@ runner::PointResult run(const std::string& kind, bool drop,
        offered > 0 ? 100 * delivered / offered : 0.0, 100 * rejected});
 }
 
-std::vector<std::string> parse_kinds(const std::string& controller) {
-  if (controller == "all") return policy::names();
-  std::vector<std::string> kinds;
-  std::string_view remaining = controller;
-  while (!remaining.empty()) {
-    const auto comma = remaining.find(',');
-    kinds.emplace_back(remaining.substr(0, comma));
-    if (comma == std::string_view::npos) break;
-    remaining.remove_prefix(comma + 1);
-  }
-  return kinds;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
-  const std::string controller = args.flags.get("controller");
+  const std::vector<std::string> kinds = bench::controller_kinds(args);
   bench::reject_unknown_flags(args);
-  std::vector<std::string> kinds = parse_kinds(controller);
-  for (const std::string& kind : kinds) {
-    if (policy::is_registered(kind)) continue;
-    std::fprintf(stderr, "unknown --controller kind \"%s\"; registered:",
-                 kind.c_str());
-    for (const std::string& name : policy::names()) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
 
   bench::print_header("Ablation",
                       "Downgrade (Aequitas) vs drop-based admission under "

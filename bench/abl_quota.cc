@@ -34,54 +34,15 @@ Result run(bool with_quota, std::uint64_t seed,
   config.slo =
       rpc::SloConfig::make({20 * sim::kUsec / size_mtus, 0.0}, 99.9);
 
-  // One QuotaServer shared by all controllers; created lazily from the
-  // factory (which receives the experiment's simulator) and kept alive by
-  // the controller wrappers.
-  auto server = std::make_shared<std::shared_ptr<core::QuotaServer>>();
   if (with_quota) {
-    const rpc::SloConfig slo = config.slo;
+    core::QuotaServerConfig server;
+    // Budget: the admissible QoS_h rate for this SLO (~20% of 100G).
+    server.qos_budget_bytes_per_sec = {0.20 * sim::gbps(100), sim::gbps(100)};
+    core::AequitasConfig aequitas;
+    aequitas.slo = config.slo;
+    // Host 0 is tenant A (weight 3), host 1 tenant B; host 2 serves.
     config.admission.factory =
-        [server, slo](sim::Simulator& simulator, net::HostId host,
-                      sim::Rng rng)
-        -> std::unique_ptr<rpc::AdmissionController> {
-      if (!*server) {
-        core::QuotaServerConfig sc;
-        // Budget: the admissible QoS_h rate for this SLO (~20% of 100G).
-        sc.qos_budget_bytes_per_sec = {0.20 * sim::gbps(100),
-                                       sim::gbps(100)};
-        *server = std::make_shared<core::QuotaServer>(simulator, sc);
-      }
-      core::AequitasConfig aeq;
-      aeq.slo = slo;
-      const double weight = host == 0 ? 3.0 : 1.0;
-      const auto tenant = (*server)->register_tenant(weight);
-
-      struct Holder final : rpc::AdmissionController {
-        std::shared_ptr<core::QuotaServer> keepalive;
-        std::unique_ptr<core::QuotaController> inner;
-        rpc::AdmissionDecision admit(sim::Time now, net::HostId src,
-                                     net::HostId dst, net::QoSLevel qos,
-                                     std::uint64_t bytes) override {
-          return inner->admit(now, src, dst, qos, bytes);
-        }
-        void on_completion(sim::Time now, net::HostId src, net::HostId dst,
-                           net::QoSLevel qos_requested, net::QoSLevel qos_run,
-                           sim::Time rnl, std::uint64_t mtus) override {
-          inner->on_completion(now, src, dst, qos_requested, qos_run, rnl,
-                               mtus);
-        }
-        void audit_invariants(sim::Time now) const override {
-          inner->audit_invariants(now);
-        }
-      };
-      auto holder = std::make_unique<Holder>();
-      holder->keepalive = *server;
-      holder->inner = std::make_unique<core::QuotaController>(
-          simulator, **server, tenant,
-          std::make_unique<core::AequitasController>(aeq, rng));
-      return holder;
-    };
-  } else {
+        core::quota_tenants(server, aequitas, {3.0, 1.0, 1.0});
   }
   runner::Experiment experiment(config);
   trace.apply(experiment, point);

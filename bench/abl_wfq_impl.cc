@@ -4,74 +4,39 @@
 // preserves the same worst-case delay profile at this granularity (its
 // unfairness bound is one quantum per class), so Aequitas's analysis holds
 // over either; the micro-benchmarks in micro_core show DWRR's O(1) cost.
+// The binary exits 1 when the worst |WFQ - DWRR| exceeds
+// analysis::kReplaySlack of the period.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
+#include "analysis/packet_replay.h"
 #include "analysis/wfq_delay.h"
 #include "bench/bench_util.h"
 #include "net/dwrr.h"
-#include "net/port.h"
 #include "net/wfq.h"
-#include "sim/simulator.h"
 
 namespace {
 
 using namespace aeq;
 
-struct Point {
-  double high;
-  double low;
-};
-
-// Deterministic packet replay — no RNG, so the sweep seed is unused.
-Point run_once(double x, bool dwrr) {
-  sim::Simulator s;
-  struct Recorder final : net::PacketSink {
-    sim::Simulator* sim;
-    double worst[2] = {0, 0};
-    void receive(const net::Packet& p) override {
-      worst[p.qos] = std::max(worst[p.qos], sim->now() - p.sent_time);
-    }
-  } recorder;
-  recorder.sim = &s;
-
-  const sim::Rate line_rate = sim::gbps(100);
-  util::BlockPool buffer;
-  std::unique_ptr<net::QueueDiscipline> queue;
-  if (dwrr) {
-    queue = std::make_unique<net::DwrrQueue>(
-        buffer, std::vector<double>{4.0, 1.0}, 0, 1500);
-  } else {
-    queue = std::make_unique<net::WfqQueue>(buffer,
-                                            std::vector<double>{4.0, 1.0});
-  }
-  net::Port port(s, buffer, line_rate, 0.0, std::move(queue));
-  port.connect(&recorder);
-
-  const sim::Time period = 500 * sim::kUsec;
-  const double mu = 0.8, rho = 1.2;
-  const sim::Time window = period * mu / rho;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    for (int cls = 0; cls < 2; ++cls) {
-      const double share = cls == 0 ? x : 1.0 - x;
-      const double byte_rate = rho * line_rate * share;
-      const sim::Time interval = 1500 / byte_rate;
-      for (sim::Time t = cycle * period; t < cycle * period + window;
-           t += interval) {
-        s.schedule_at(t, [&port, cls, &s] {
-          net::Packet p;
-          p.qos = static_cast<net::QoSLevel>(cls);
-          p.size_bytes = 1500;
-          p.sent_time = s.now();
-          port.send(p);
-        });
-      }
-    }
-  }
-  s.run();
-  return Point{recorder.worst[0] / period, recorder.worst[1] / period};
+// Worst delay per class (of the period) on the Figure-10 replay: 1500-byte
+// packets, 500us period, 3 cycles. Deterministic, so the sweep seed is
+// unused. DWRR's quantum is one 1500-byte packet per unit of weight.
+std::vector<double> run_once(const analysis::TwoQosParams& params, double x,
+                             bool dwrr) {
+  const std::vector<double> weights{params.phi, 1.0};
+  return analysis::replay_figure7(
+      params.mu, params.rho, {x, 1.0 - x}, 1500, 500 * sim::kUsec, 3,
+      [&weights, dwrr](util::BlockPool& buffer)
+          -> std::unique_ptr<net::QueueDiscipline> {
+        if (dwrr) {
+          return std::make_unique<net::DwrrQueue>(buffer, weights, 0, 1500);
+        }
+        return std::make_unique<net::WfqQueue>(buffer, weights);
+      });
 }
 
 }  // namespace
@@ -87,17 +52,17 @@ int main(int argc, char** argv) {
   for (int pct = 10; pct <= 90; pct += 10) {
     sweep.submit([pct, &params](const runner::PointContext&) {
       const double x = pct / 100.0;
-      const Point wfq = run_once(x, false);
-      const Point dwrr = run_once(x, true);
+      const std::vector<double> wfq = run_once(params, x, false);
+      const std::vector<double> dwrr = run_once(params, x, true);
       runner::PointResult result;
       result.rows.push_back(
           {static_cast<double>(pct),
            stats::Cell(analysis::delay_high(params, x), 4),
-           stats::Cell(wfq.high, 4), stats::Cell(dwrr.high, 4),
+           stats::Cell(wfq[0], 4), stats::Cell(dwrr[0], 4),
            stats::Cell(analysis::delay_low(params, x), 4),
-           stats::Cell(wfq.low, 4), stats::Cell(dwrr.low, 4)});
-      result.metrics["gap"] = std::max(std::abs(wfq.high - dwrr.high),
-                                       std::abs(wfq.low - dwrr.low));
+           stats::Cell(wfq[1], 4), stats::Cell(dwrr[1], 4)});
+      result.metrics["gap"] = std::max(std::abs(wfq[0] - dwrr[0]),
+                                       std::abs(wfq[1] - dwrr[1]));
       return result;
     });
   }
@@ -119,5 +84,10 @@ int main(int argc, char** argv) {
               "the delay analysis is implementation-agnostic.\n",
               worst_gap);
   bench::print_footer(args);
+  if (worst_gap > analysis::kReplaySlack) {
+    std::fprintf(stderr, "abl_wfq_impl: max |WFQ - DWRR| %.4f exceeds %g\n",
+                 worst_gap, analysis::kReplaySlack);
+    return 1;
+  }
   return 0;
 }

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "policy/registry.h"
 #include "runner/experiment.h"
 #include "runner/sweep.h"
 #include "stats/export.h"
@@ -214,6 +215,26 @@ inline sim::SchedulerBackend parse_backend(const BenchArgs& args) {
   std::fprintf(stderr, "unknown --backend \"%s\" (heap|calendar)\n",
                backend.c_str());
   std::exit(2);
+}
+
+// `--controller=aequitas,ticket-pool,...` (or `all`, every registered
+// name): the admission policies a shoot-out runs, empty when the flag is
+// absent. Exits 1 on a kind the policy registry does not know, listing the
+// ones it does.
+inline std::vector<std::string> controller_kinds(const BenchArgs& args) {
+  const std::vector<std::string> kinds = args.flags.get_names("controller");
+  if (kinds == std::vector<std::string>{"all"}) return policy::names();
+  for (const std::string& kind : kinds) {
+    if (policy::is_registered(kind)) continue;
+    std::fprintf(stderr, "unknown --controller kind \"%s\"; registered:",
+                 kind.c_str());
+    for (const std::string& name : policy::names()) {
+      std::fprintf(stderr, " %s", name.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(1);
+  }
+  return kinds;
 }
 
 namespace detail {

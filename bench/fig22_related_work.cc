@@ -20,15 +20,14 @@
 // residual ~20Gbps lets SRPT finish even multi-MB RPCs within their
 // size-proportional budgets, so the large-RPC starvation that sinks SRPT
 // in the paper's workload only partially materializes in ours.
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "policy/registry.h"
 
 namespace {
 
@@ -70,22 +69,7 @@ void attach_workload(runner::Experiment& experiment, bool with_deadlines,
     spec.deadline_budget = {kDeadlineH * sim::kUsec, kDeadlineM * sim::kUsec,
                             0.0};
   }
-  const double per_host_rate = spec.load * sim::gbps(100);
-  for (std::size_t h = 0; h < 33; ++h) {
-    workload::GeneratorConfig gen;
-    gen.burst_over_avg = spec.burst_load / spec.load;
-    gen.burst_period = spec.burst_period;
-    for (std::size_t c = 0; c < 3; ++c) {
-      workload::ClassLoad load;
-      load.priority = static_cast<rpc::Priority>(c);
-      load.byte_rate = spec.mix[c] * per_host_rate;
-      load.sizes = spec.sizes[c];
-      load.deadline_budget =
-          spec.deadline_budget.empty() ? 0.0 : spec.deadline_budget[c];
-      gen.classes.push_back(load);
-    }
-    experiment.add_generator(static_cast<net::HostId>(h), gen);
-  }
+  bench::attach_all_to_all(experiment, spec);
 }
 
 Row collect(const char* name, runner::Experiment& experiment,
@@ -248,46 +232,13 @@ PolicyRow run_policy(const std::string& kind, sim::SchedulerBackend backend,
   return result;
 }
 
-// Runs the shoot-out and renders its table; returns the process exit code.
-int run_shootout(bench::BenchArgs& args, const std::string& controller,
+// Runs the shoot-out of the registered policies `kinds` and renders its
+// table; returns the process exit code.
+int run_shootout(bench::BenchArgs& args, const std::vector<std::string>& kinds,
                  sim::SchedulerBackend backend) {
-  std::vector<std::string> kinds;
-  if (controller == "all") {
-    kinds = policy::names();
-  } else {
-    std::string_view remaining = controller;
-    while (!remaining.empty()) {
-      const auto comma = remaining.find(',');
-      kinds.emplace_back(remaining.substr(0, comma));
-      if (comma == std::string_view::npos) break;
-      remaining.remove_prefix(comma + 1);
-    }
-  }
-  for (const std::string& kind : kinds) {
-    if (policy::is_registered(kind)) continue;
-    std::fprintf(stderr, "unknown --controller kind \"%s\"; registered:",
-                 kind.c_str());
-    for (const std::string& name : policy::names()) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-
-  std::vector<double> loads;
-  const std::string loads_flag = args.flags.get("loads");
+  const std::vector<double> loads =
+      args.flags.get_list("loads", {kOfferedLoad});
   bench::reject_unknown_flags(args);
-  if (loads_flag.empty()) {
-    loads.push_back(kOfferedLoad);
-  } else {
-    std::string_view remaining = loads_flag;
-    while (!remaining.empty()) {
-      const auto comma = remaining.find(',');
-      loads.push_back(std::stod(std::string(remaining.substr(0, comma))));
-      if (comma == std::string_view::npos) break;
-      remaining.remove_prefix(comma + 1);
-    }
-  }
 
   bench::print_header("Admission-policy shoot-out",
                       "33-node, production sizes, input mix 50/30/20, "
@@ -332,28 +283,20 @@ int main(int argc, char** argv) {
   // related-work comparison to the admission-policy shoot-out: every named
   // registered policy on the identical stack, optionally swept across
   // `--loads=0.6,0.8,1.0`.
-  const std::string controller = args.flags.get("controller");
-  if (!controller.empty()) return run_shootout(args, controller, backend);
+  const std::vector<std::string> kinds = bench::controller_kinds(args);
+  if (!kinds.empty()) return run_shootout(args, kinds, backend);
+  // Optional filter: run only the named systems (case-sensitive,
+  // comma-separated), e.g. `fig22_related_work --only=D3,PDQ`.
+  const std::vector<std::string> only = args.flags.get_names("only");
+  bench::reject_unknown_flags(args);
+  const auto wanted = [&only](const char* name) {
+    return only.empty() ||
+           std::find(only.begin(), only.end(), name) != only.end();
+  };
   bench::print_header("Figure 22",
                       "Related-work comparison, 33-node, production sizes, "
                       "input mix 50/30/20 (normalized SLO 3/6us per MTU; "
                       "D3/PDQ deadlines 250/300us)");
-  // Optional filter: run only the named systems (case-sensitive,
-  // comma-separated), e.g. `fig22_related_work --only=D3,PDQ`.
-  const std::string only = args.flags.get("only");
-  bench::reject_unknown_flags(args);
-  auto wanted = [&only](const char* name) {
-    if (only.empty()) return true;
-    std::string_view remaining = only;
-    while (!remaining.empty()) {
-      const auto comma = remaining.find(',');
-      const std::string_view token = remaining.substr(0, comma);
-      if (token == name) return true;
-      if (comma == std::string_view::npos) break;
-      remaining.remove_prefix(comma + 1);
-    }
-    return false;
-  };
 
   // Every system is one point; --trace-point N picks the N-th submitted.
   using CcKind = runner::ExperimentConfig::CcKind;

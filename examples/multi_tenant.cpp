@@ -25,47 +25,14 @@ int main() {
   const double size_mtus = 8.0;
   config.slo =
       rpc::SloConfig::make({20 * sim::kUsec / size_mtus, 0.0}, 99.9);
-  const rpc::SloConfig slo = config.slo;
 
-  // Shared quota server, created lazily with the experiment's simulator.
-  auto server = std::make_shared<std::shared_ptr<core::QuotaServer>>();
+  // One quota server shared by every host's controller.
+  core::QuotaServerConfig server;
+  server.qos_budget_bytes_per_sec = {0.20 * sim::gbps(100), sim::gbps(100)};
+  core::AequitasConfig aequitas;
+  aequitas.slo = config.slo;
   config.admission.factory =
-      [server, slo](sim::Simulator& simulator, net::HostId host,
-                    sim::Rng rng) -> std::unique_ptr<rpc::AdmissionController> {
-    if (!*server) {
-      core::QuotaServerConfig sc;
-      sc.qos_budget_bytes_per_sec = {0.20 * sim::gbps(100), sim::gbps(100)};
-      *server = std::make_shared<core::QuotaServer>(simulator, sc);
-    }
-    core::AequitasConfig aeq;
-    aeq.slo = slo;
-    const double weight = host == 0 ? 3.0 : 1.0;  // gold : bronze
-    const auto tenant = (*server)->register_tenant(weight);
-    struct Tenant final : rpc::AdmissionController {
-      std::shared_ptr<core::QuotaServer> keepalive;
-      std::unique_ptr<core::QuotaController> inner;
-      rpc::AdmissionDecision admit(sim::Time now, net::HostId src,
-                                   net::HostId dst, net::QoSLevel qos,
-                                   std::uint64_t bytes) override {
-        return inner->admit(now, src, dst, qos, bytes);
-      }
-      void on_completion(sim::Time now, net::HostId src, net::HostId dst,
-                         net::QoSLevel qos_requested, net::QoSLevel qos_run,
-                         sim::Time rnl, std::uint64_t mtus) override {
-        inner->on_completion(now, src, dst, qos_requested, qos_run, rnl,
-                             mtus);
-      }
-      void audit_invariants(sim::Time now) const override {
-        inner->audit_invariants(now);
-      }
-    };
-    auto controller = std::make_unique<Tenant>();
-    controller->keepalive = *server;
-    controller->inner = std::make_unique<core::QuotaController>(
-        simulator, **server, tenant,
-        std::make_unique<core::AequitasController>(aeq, rng));
-    return controller;
-  };
+      core::quota_tenants(server, aequitas, {3.0, 1.0, 1.0});  // gold : bronze
   runner::Experiment experiment(config);
 
   const auto* sizes = experiment.own(

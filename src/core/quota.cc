@@ -124,22 +124,21 @@ void QuotaServer::audit_invariants() const {
 }
 
 QuotaController::QuotaController(
-    sim::Simulator& simulator, QuotaServer& server,
-    QuotaServer::TenantId tenant,
+    std::shared_ptr<QuotaServer> server, QuotaServer::TenantId tenant,
     std::unique_ptr<AequitasController> aequitas)
-    : sim_(simulator),
-      server_(server),
+    : server_(std::move(server)),
       tenant_(tenant),
       aequitas_(std::move(aequitas)) {
+  AEQ_ASSERT(server_ != nullptr);
   AEQ_ASSERT(aequitas_ != nullptr);
-  buckets_.resize(server_.config().qos_budget_bytes_per_sec.size());
+  buckets_.resize(server_->config().qos_budget_bytes_per_sec.size());
 }
 
 bool QuotaController::take_tokens(sim::Time now, net::QoSLevel qos,
                                   double bytes) {
   if (qos >= buckets_.size()) return true;  // no quota on this level
   Bucket& bucket = buckets_[qos];
-  const double rate = server_.allocation(tenant_, qos);
+  const double rate = server_->allocation(tenant_, qos);
   const double cap = kBurstIntervals * rate * QuotaServer::kAllocationInterval;
   bucket.tokens = std::min(
       cap, bucket.tokens + rate * (now - bucket.last_refill));
@@ -156,8 +155,8 @@ rpc::AdmissionDecision QuotaController::admit(sim::Time now,
                                               net::HostId dst,
                                               net::QoSLevel qos_requested,
                                               std::uint64_t bytes) {
-  server_.report_demand(tenant_, qos_requested,
-                        static_cast<double>(bytes));
+  server_->report_demand(tenant_, qos_requested,
+                         static_cast<double>(bytes));
   rpc::AdmissionDecision decision =
       aequitas_->admit(now, src, dst, qos_requested, bytes);
   if (decision.downgraded || decision.dropped) return decision;
@@ -183,6 +182,28 @@ std::vector<rpc::Gauge> QuotaController::gauges() const {
   gauges.push_back({"over_quota", static_cast<double>(over_quota_), 0.0,
                     rpc::kGaugeUnbounded});
   return gauges;
+}
+
+std::function<std::unique_ptr<rpc::AdmissionController>(
+    sim::Simulator&, net::HostId, sim::Rng)>
+quota_tenants(const QuotaServerConfig& server, const AequitasConfig& aequitas,
+              std::vector<double> weights) {
+  // The spec holding the factory is copied, so every copy reaches the one
+  // server through a pointer they share.
+  auto shared = std::make_shared<std::shared_ptr<QuotaServer>>();
+  return [shared, server, aequitas, weights = std::move(weights)](
+             sim::Simulator& simulator, net::HostId host, sim::Rng rng)
+             -> std::unique_ptr<rpc::AdmissionController> {
+    AEQ_CHECK_LT(static_cast<std::size_t>(host), weights.size());
+    // Host 0 is every experiment's first call: it starts a fresh server, so
+    // a config reused for a second experiment does not reach the first's.
+    if (host == 0) *shared = std::make_shared<QuotaServer>(simulator, server);
+    AEQ_ASSERT_MSG(*shared != nullptr, "host 0 builds the quota server");
+    const auto tenant =
+        (*shared)->register_tenant(weights[static_cast<std::size_t>(host)]);
+    return std::make_unique<QuotaController>(
+        *shared, tenant, std::make_unique<AequitasController>(aequitas, rng));
+  };
 }
 
 }  // namespace aeq::core

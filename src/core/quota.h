@@ -12,10 +12,12 @@
 // QuotaController: wraps a tenant's AequitasController. RPCs pass the
 // Aequitas coin flip first; an admitted RPC must then also fit the tenant's
 // token bucket for that QoS, otherwise it is downgraded. Completion
-// feedback still flows to Aequitas.
+// feedback still flows to Aequitas. The tenants' controllers share
+// ownership of their server; quota_tenants() wires one per host.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -81,7 +83,7 @@ class QuotaServer {
 
 class QuotaController final : public rpc::AdmissionController {
  public:
-  QuotaController(sim::Simulator& simulator, QuotaServer& server,
+  QuotaController(std::shared_ptr<QuotaServer> server,
                   QuotaServer::TenantId tenant,
                   std::unique_ptr<AequitasController> aequitas);
 
@@ -98,10 +100,9 @@ class QuotaController final : public rpc::AdmissionController {
   // The inner Aequitas sweep plus the shared quota server's conservation.
   void audit_invariants(sim::Time now) const override {
     aequitas_->audit_invariants(now);
-    server_.audit_invariants();
+    server_->audit_invariants();
   }
 
-  AequitasController& aequitas() { return *aequitas_; }
   std::uint64_t over_quota_count() const { return over_quota_; }
 
  private:
@@ -116,12 +117,22 @@ class QuotaController final : public rpc::AdmissionController {
         aequitas_->config().slo.num_qos() - 1);
   }
 
-  sim::Simulator& sim_;
-  QuotaServer& server_;
+  std::shared_ptr<QuotaServer> server_;
   QuotaServer::TenantId tenant_;
   std::unique_ptr<AequitasController> aequitas_;
   std::vector<Bucket> buckets_;
   std::uint64_t over_quota_ = 0;
 };
+
+// The per-host admission factory (policy::AdmissionSpec::factory) that
+// makes every host a quota tenant: the first call, for host 0, builds one
+// QuotaServer with `server` on the experiment's simulator, and each host
+// registers with weight `weights[host]` and runs Aequitas with `aequitas`
+// under the server's quota. The hosts share the server, so they must share
+// one simulator too: the experiment runs on one shard.
+std::function<std::unique_ptr<rpc::AdmissionController>(
+    sim::Simulator&, net::HostId, sim::Rng)>
+quota_tenants(const QuotaServerConfig& server, const AequitasConfig& aequitas,
+              std::vector<double> weights);
 
 }  // namespace aeq::core

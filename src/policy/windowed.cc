@@ -40,10 +40,8 @@ void WindowedController::on_completion(sim::Time now, net::HostId /*src*/,
                                        std::uint64_t size_mtus) {
   roll_to(now);
   AEQ_CHECK_GE(size_mtus, 1u);
-  const bool slo_met =
-      slo_.has_slo(qos_requested) &&
-      rnl < slo_.absolute_target(qos_requested, size_mtus);
-  on_feedback(now, dst, qos_requested, qos_run, rnl, size_mtus, slo_met);
+  on_feedback(now, dst, qos_requested, qos_run, rnl, size_mtus,
+              slo_.met(qos_requested, rnl, size_mtus));
 }
 
 void WindowedController::on_feedback(sim::Time /*now*/, net::HostId /*dst*/,

@@ -55,8 +55,9 @@ class WindowedController : public rpc::AdmissionController {
                                         std::uint64_t bytes) = 0;
 
   // Per-completion feedback, after window rolling; default ignores it.
-  // `slo_met` is the verdict against the *requested* class's normalized
-  // target (false for scavenger-requested completions, which have no SLO).
+  // `slo_met` is rpc::SloConfig::met against the *requested* class's
+  // normalized target (false for scavenger-requested completions, which
+  // have no SLO).
   virtual void on_feedback(sim::Time now, net::HostId dst,
                            net::QoSLevel qos_requested, net::QoSLevel qos_run,
                            sim::Time rnl, std::uint64_t size_mtus,

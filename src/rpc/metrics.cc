@@ -62,8 +62,7 @@ void RpcMetrics::record(const RpcRecord& record) {
   if (slo_.has_slo(record.qos_requested)) {
     ++slo_eligible_[record.qos_requested];
     slo_eligible_bytes_[record.qos_requested] += record.bytes;
-    if (record.rnl <=
-        slo_.absolute_target(record.qos_requested, record.size_mtus)) {
+    if (slo_.met(record.qos_requested, record.rnl, record.size_mtus)) {
       ++slo_met_[record.qos_requested];
       slo_met_bytes_[record.qos_requested] += record.bytes;
     }

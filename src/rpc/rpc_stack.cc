@@ -152,10 +152,9 @@ void RpcStack::emit_finished(const RpcRecord& record) {
   event.terminated = record.terminated;
   // Compliance is judged against the requested QoS's SLO, exactly as the
   // metrics sink does (§6.10); terminated RPCs always miss.
-  const SloConfig& slo = metrics_.slo();
-  event.slo_met = !record.terminated && slo.has_slo(record.qos_requested) &&
-                  record.rnl <= slo.absolute_target(record.qos_requested,
-                                                    record.size_mtus);
+  event.slo_met =
+      !record.terminated && metrics_.slo().met(record.qos_requested,
+                                               record.rnl, record.size_mtus);
   obs_->rpc_complete(event);
 }
 

@@ -2,8 +2,8 @@
 //
 // Targets are *normalized per MTU* (paper §5.1, "Handling different RPC
 // sizes"): an RPC of `size` MTUs meets its SLO when
-// rnl / size < latency_target_per_mtu[qos]. The lowest QoS is a scavenger
-// class with no SLO.
+// rnl <= size * latency_target_per_mtu[qos] (SloConfig::met). The lowest
+// QoS is a scavenger class with no SLO.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +32,16 @@ struct SloConfig {
   sim::Time absolute_target(net::QoSLevel qos, std::uint64_t size_mtus) const {
     AEQ_CHECK_LT(qos, latency_target_per_mtu.size());
     return latency_target_per_mtu[qos] * static_cast<double>(size_mtus);
+  }
+
+  // The SLO verdict on one completed RPC that requested `qos_requested`:
+  // its RNL is at most its absolute target. Every SLO-met count, the
+  // RpcComplete event and the windowed policies' feedback use it; an RPC
+  // that requested the scavenger class never meets one.
+  bool met(net::QoSLevel qos_requested, sim::Time rnl,
+           std::uint64_t size_mtus) const {
+    return has_slo(qos_requested) &&
+           rnl <= absolute_target(qos_requested, size_mtus);
   }
 
   // Convenience: uniform percentile for all levels.

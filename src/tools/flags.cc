@@ -1,7 +1,6 @@
 #include "tools/flags.h"
 
 #include <charconv>
-#include <sstream>
 
 namespace aeq::tools {
 
@@ -14,6 +13,19 @@ bool parse_whole(const std::string& text, T& out) {
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, out);
   return error == std::errc() && stop == end;
+}
+
+// The comma-separated items of `text`; empty when any item is empty.
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> items;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = text.find(',', begin);
+    items.push_back(text.substr(begin, comma - begin));
+    if (items.back().empty()) return {};
+    if (comma == std::string::npos) return items;
+    begin = comma + 1;
+  }
 }
 
 }  // namespace
@@ -79,16 +91,20 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 
 std::vector<double> Flags::get_list(const std::string& name,
                                     std::vector<double> fallback) const {
-  std::stringstream stream(get(name));
-  std::vector<double> out;
-  std::string token;
-  bool ok = true;
-  while (ok && std::getline(stream, token, ',')) {
-    double item = 0.0;
-    ok = parse_whole(token, item);
-    out.push_back(item);
+  const std::vector<std::string> items = split_list(get(name));
+  std::vector<double> out(items.size());
+  bool ok = !items.empty();
+  for (std::size_t i = 0; ok && i < items.size(); ++i) {
+    ok = parse_whole(items[i], out[i]);
   }
-  return valid(name, ok && !out.empty()) ? out : fallback;
+  return valid(name, ok) ? out : fallback;
+}
+
+std::vector<std::string> Flags::get_names(const std::string& name) const {
+  std::vector<std::string> items = split_list(get(name));
+  return valid(name, bare_.count(name) == 0 && !items.empty())
+             ? items
+             : std::vector<std::string>{};
 }
 
 std::vector<std::string> Flags::unused() const {

@@ -28,9 +28,13 @@ class Flags {
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   // 1/true/yes/on or 0/false/no/off (a bare --name is "true").
   bool get_bool(const std::string& name, bool fallback) const;
-  // Comma-separated list of doubles, e.g. --mix=0.5,0.3,0.2.
+  // Comma-separated list of doubles, e.g. --mix=0.5,0.3,0.2; an empty
+  // value or item is malformed.
   std::vector<double> get_list(const std::string& name,
                                std::vector<double> fallback) const;
+  // Comma-separated list of names, e.g. --only=D3,PDQ; empty when absent.
+  // A bare --name, an empty value or an empty item ("a,,b") is malformed.
+  std::vector<std::string> get_names(const std::string& name) const;
 
   // Names seen on the command line but never queried — typo detection.
   std::vector<std::string> unused() const;

@@ -4,9 +4,10 @@
 //   * the registry (builtin names, unknown-kind abort),
 //   * the admission spec reaching every host's controller,
 //   * the AdmissionDecision drop contract (dropped => no completion
-//     feedback, at the stack level and through QuotaController),
-//   * per-policy unit behavior (windowed base mechanics, ticket pool,
-//     bandit, SWP pacing, rejection adapter),
+//     feedback, at the stack level and through the rejection adapter),
+//   * per-policy unit behavior (windowed base mechanics, the one SLO
+//     verdict on every path, ticket pool, bandit, SWP pacing, rejection
+//     adapter),
 //   * the determinism property: every registered policy produces identical
 //     metrics and schedule digests for a fixed seed across repeated runs,
 //     both scheduler backends, and shard counts 1/2/4, and
@@ -269,6 +270,48 @@ TEST(WindowedController, FeedbackCarriesTheRequestedClassSloVerdict) {
   EXPECT_EQ(probe.closed_at, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(probe.verdicts.size(), 4u);
   EXPECT_EQ(probe.windows_closed(), 3u);
+}
+
+// One SLO verdict (rpc::SloConfig::met) on every path: an RPC whose RNL is
+// exactly its absolute target meets its SLO in the metrics sink, in the
+// RpcComplete event and in the windowed policies' feedback.
+TEST(WindowedController, RpcExactlyAtTargetMeetsItsSloOnEveryPath) {
+  // Completes every message on the spot, `rnl` after its issue at 0.
+  struct FixedRnl final : transport::MessageTransport {
+    sim::Time rnl = 0.0;
+    void send_message(const transport::SendRequest& request,
+                      transport::CompletionHandler on_complete) override {
+      transport::MessageCompletion done;
+      done.rpc_id = request.rpc_id;
+      done.dst = request.dst;
+      done.qos = request.qos;
+      done.bytes = request.bytes;
+      done.completed = rnl;
+      on_complete(done);
+    }
+  };
+  struct Verdicts final : obs::Sink {
+    std::vector<bool> slo_met;
+    void on_rpc_complete(const obs::RpcComplete& event) override {
+      slo_met.push_back(event.slo_met);
+    }
+  };
+  const rpc::SloConfig slo = make_slo();
+  sim::Simulator s;
+  FixedRnl transport;
+  transport.rnl = slo.absolute_target(net::kQoSHigh, 1);
+  WindowProbe probe(3, slo);
+  rpc::RpcMetrics metrics(3, slo, 2, /*rnl_per_mtu=*/false);
+  rpc::RpcStack stack(s, 0, transport, probe, metrics, rpc::RpcStackConfig{});
+  Verdicts events;
+  obs::Recorder recorder;
+  recorder.add_sink(&events);
+  stack.set_observer(&recorder);
+
+  stack.issue(1, rpc::Priority::kPC, net::kMtuBytes);  // one MTU on QoS_h
+  EXPECT_EQ(metrics.slo_met(net::kQoSHigh), 1u);
+  EXPECT_EQ(events.slo_met, std::vector<bool>{true});
+  EXPECT_EQ(probe.verdicts, std::vector<bool>{true});
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 //  * model-based event-store check (both backends) against a reference
 //    priority list,
 //  * model-based WFQ check against a reference that keeps both tags,
-//  * packet-level WFQ worst-case delay vs the closed-form bound across a
-//    (phi, rho, share) grid — the Figure-10 validation as a test,
+//  * packet-level WFQ and DWRR worst-case delay vs the closed-form bound
+//    across a (phi, rho, share) grid — the Figure-10 validation as a test,
 //  * fluid-model invariants (single class, symmetric classes),
 //  * Swift idle-restart and pacing behaviour.
 #include <gtest/gtest.h>
@@ -16,12 +16,12 @@
 #include <vector>
 
 #include "analysis/fluid.h"
+#include "analysis/packet_replay.h"
 #include "analysis/wfq_delay.h"
-#include "net/port.h"
+#include "net/dwrr.h"
 #include "net/wfq.h"
 #include "sim/scheduler.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
 #include "transport/swift.h"
 
 namespace aeq {
@@ -174,62 +174,51 @@ TEST(WfqModelTest, MatchesTwoTagReferenceUnderRandomOps) {
   }
 }
 
-// Packet-level WFQ under the Figure-7 arrival pattern must respect the
-// closed-form worst-case bound (within packet-granularity slack) and get
-// close to it (the bound is tight for this arrival pattern).
+// Figure 7's burst/idle arrivals through one two-class port
+// (analysis::replay_figure7: 1000-byte packets, 400us period, 2 cycles).
+// Packet-by-packet WFQ must sit in the band packetized GPS guarantees
+// around the fluid bound of Eqs 1 and 8: at most one packet time L/C below
+// it, and above it by at most L/C plus the packet's own service at its
+// class's guaranteed rate r_i = phi_i / sum(phi) * C, which the fluid
+// model does not see. DWRR (a 1500-byte quantum per unit of weight) must
+// stay within analysis::kReplaySlack of the bound.
 class WfqDelayBoundProperty
     : public ::testing::TestWithParam<std::tuple<double, double, double>> {};
 
 TEST_P(WfqDelayBoundProperty, PacketSimMatchesTheory) {
   const auto [phi, rho, share] = GetParam();
   const analysis::TwoQosParams params{.phi = phi, .mu = 0.8, .rho = rho};
-
-  sim::Simulator s;
-  const sim::Rate line_rate = sim::gbps(100);
-  const sim::Time period = 400 * sim::kUsec;
-  const sim::Time window = period * params.mu / params.rho;
+  const std::vector<double> weights{phi, 1.0};
   const std::uint32_t pkt = 1000;
-
-  struct Recorder final : net::PacketSink {
-    sim::Simulator* sim;
-    double worst[2] = {0, 0};
-    void receive(const net::Packet& p) override {
-      worst[p.qos] = std::max(worst[p.qos], sim->now() - p.sent_time);
-    }
-  } recorder;
-  recorder.sim = &s;
-
-  util::BlockPool buffer;
-  net::Port port(s, buffer, line_rate, 0.0,
-                 std::make_unique<net::WfqQueue>(
-                     buffer, std::vector<double>{phi, 1.0}));
-  port.connect(&recorder);
-  for (int cycle = 0; cycle < 2; ++cycle) {
-    for (int cls = 0; cls < 2; ++cls) {
-      const double cls_share = cls == 0 ? share : 1.0 - share;
-      const double byte_rate = params.rho * line_rate * cls_share;
-      const sim::Time interval = pkt / byte_rate;
-      for (sim::Time t = cycle * period; t < cycle * period + window;
-           t += interval) {
-        s.schedule_at(t, [&port, cls, &s] {
-          net::Packet p;
-          p.qos = static_cast<net::QoSLevel>(cls);
-          p.size_bytes = 1000;
-          p.sent_time = s.now();
-          port.send(p);
+  const sim::Time period = 400 * sim::kUsec;
+  const auto replay = [&](bool dwrr) {
+    return analysis::replay_figure7(
+        params.mu, params.rho, {share, 1.0 - share}, pkt, period, 2,
+        [&](util::BlockPool& buffer)
+            -> std::unique_ptr<net::QueueDiscipline> {
+          if (dwrr) {
+            return std::make_unique<net::DwrrQueue>(buffer, weights, 0, 1500);
+          }
+          return std::make_unique<net::WfqQueue>(buffer, weights);
         });
-      }
-    }
+  };
+  const std::vector<double> wfq = replay(false);
+  const std::vector<double> dwrr = replay(true);
+  const double theory[2] = {analysis::delay_high(params, share),
+                            analysis::delay_low(params, share)};
+  // One packet's transmission at `rate`, normalized to the period.
+  const auto packet_time = [&](sim::Rate rate) { return pkt / rate / period; };
+  const double line_packet = packet_time(analysis::kReplayLineRate);
+  for (std::size_t q = 0; q < 2; ++q) {
+    SCOPED_TRACE(::testing::Message()
+                 << (q == 0 ? "QoS_h" : "QoS_l") << " phi=" << phi
+                 << " rho=" << rho << " x=" << share);
+    const sim::Rate guaranteed =
+        weights[q] / (phi + 1.0) * analysis::kReplayLineRate;
+    EXPECT_GE(wfq[q], theory[q] - line_packet);
+    EXPECT_LE(wfq[q], theory[q] + packet_time(guaranteed) + line_packet);
+    EXPECT_NEAR(dwrr[q], theory[q], analysis::kReplaySlack);
   }
-  s.run();
-
-  const double slack = 0.01;  // packet granularity, normalized to period
-  EXPECT_NEAR(recorder.worst[0] / period, analysis::delay_high(params, share),
-              slack)
-      << "QoS_h phi=" << phi << " rho=" << rho << " x=" << share;
-  EXPECT_NEAR(recorder.worst[1] / period, analysis::delay_low(params, share),
-              slack)
-      << "QoS_l phi=" << phi << " rho=" << rho << " x=" << share;
 }
 
 INSTANTIATE_TEST_SUITE_P(

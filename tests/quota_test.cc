@@ -1,11 +1,18 @@
 // Tests for the centralized per-tenant quota extension (paper §5.2):
-// max-min allocation, demand capping, token-bucket enforcement, and the
-// downgrade/drop behaviour when a tenant exceeds its share.
+// max-min allocation, demand capping, token-bucket enforcement, the
+// downgrade/drop behaviour when a tenant exceeds its share, and the
+// per-host tenant factory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/quota.h"
+#include "runner/experiment.h"
+#include "workload/generator.h"
+#include "workload/size_dist.h"
 
 namespace aeq::core {
 namespace {
@@ -94,10 +101,11 @@ TEST(QuotaServerTest, EqualDemandsSplitByWeight) {
 
 TEST(QuotaControllerTest, WithinQuotaPassesThrough) {
   sim::Simulator s;
-  QuotaServer server(s, server_config(1e9));  // 1 GB/s: generous
-  const auto tenant = server.register_tenant(1.0);
+  // 1 GB/s: generous
+  auto server = std::make_shared<QuotaServer>(s, server_config(1e9));
+  const auto tenant = server->register_tenant(1.0);
   QuotaController controller(
-      s, server, tenant,
+      server, tenant,
       std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   const auto decision = controller.admit(1e-3, 0, 1, 0, 4096);
   EXPECT_EQ(decision.qos_run, 0);
@@ -108,10 +116,11 @@ TEST(QuotaControllerTest, WithinQuotaPassesThrough) {
 
 TEST(QuotaControllerTest, OverQuotaDowngrades) {
   sim::Simulator s;
-  QuotaServer server(s, server_config(4096.0));  // ~1 RPC/sec of budget
-  const auto tenant = server.register_tenant(1.0);
+  // ~1 RPC/sec of budget
+  auto server = std::make_shared<QuotaServer>(s, server_config(4096.0));
+  const auto tenant = server->register_tenant(1.0);
   QuotaController controller(
-      s, server, tenant,
+      server, tenant,
       std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   int downgrades = 0;
   for (int i = 0; i < 50; ++i) {
@@ -128,10 +137,11 @@ TEST(QuotaControllerTest, OverQuotaDowngrades) {
 
 TEST(QuotaControllerTest, ScavengerClassNeverGated) {
   sim::Simulator s;
-  QuotaServer server(s, server_config(1.0));  // essentially zero budget
-  const auto tenant = server.register_tenant(1.0);
+  // Essentially zero budget
+  auto server = std::make_shared<QuotaServer>(s, server_config(1.0));
+  const auto tenant = server->register_tenant(1.0);
   QuotaController controller(
-      s, server, tenant,
+      server, tenant,
       std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   for (int i = 0; i < 20; ++i) {
     const auto decision = controller.admit(1e-3, 0, 1, 2, 1 << 20);
@@ -143,10 +153,10 @@ TEST(QuotaControllerTest, ScavengerClassNeverGated) {
 TEST(QuotaControllerTest, TokensRefillOverTime) {
   sim::Simulator s;
   // Budget fits one 4KB RPC per millisecond.
-  QuotaServer server(s, server_config(4096.0 * 1000));
-  const auto tenant = server.register_tenant(1.0);
+  auto server = std::make_shared<QuotaServer>(s, server_config(4096.0 * 1000));
+  const auto tenant = server->register_tenant(1.0);
   QuotaController controller(
-      s, server, tenant,
+      server, tenant,
       std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   // Exhaust the bucket...
   int admitted_burst = 0;
@@ -168,18 +178,56 @@ TEST(QuotaControllerTest, TokensRefillOverTime) {
 // report_demand, hence the report sits inside the death statement.
 TEST(QuotaControllerDeathTest, AuditCatchesNegativeDemandReport) {
   sim::Simulator s;
-  QuotaServer server(s, server_config());
-  const auto tenant = server.register_tenant(1.0);
+  auto server = std::make_shared<QuotaServer>(s, server_config());
+  const auto tenant = server->register_tenant(1.0);
   QuotaController controller(
-      s, server, tenant,
+      server, tenant,
       std::make_unique<AequitasController>(aeq_config(), sim::Rng(1)));
   controller.audit_invariants(0.0);  // a clean server passes
   EXPECT_DEATH(
       {
-        server.report_demand(tenant, 0, -1.0);
+        server->report_demand(tenant, 0, -1.0);
         controller.audit_invariants(0.0);
       },
       ">= 0\\.0 \\(-1 vs 0\\)");
+}
+
+// quota_tenants() hands each host its QuotaController itself, not behind a
+// forwarding wrapper that would hide its gauges, so the audit and the
+// timeseries see over_quota. Each experiment built from the config gets
+// its own server: the second run repeats the first.
+TEST(QuotaTenantsTest, HostsExposeOverQuotaAndEachRunGetsItsOwnServer) {
+  runner::ExperimentConfig config;
+  config.num_hosts = 3;
+  config.num_qos = 3;
+  config.slo = aeq_config().slo;
+  // A 20 MB/s budget: host 0's QoS_h traffic runs over quota, and its
+  // buckets hold one 32 KiB RPC only once the server has re-divided the
+  // budget by demand.
+  config.admission.factory = quota_tenants(server_config(20e6), aeq_config(),
+                                           {3.0, 1.0, 1.0});
+  std::vector<double> over_quota;
+  for (int run = 0; run < 2; ++run) {
+    runner::Experiment experiment(config);
+    const auto* sizes = experiment.own(
+        std::make_unique<workload::FixedSize>(32 * sim::kKiB));
+    workload::GeneratorConfig gen;
+    gen.classes = {{rpc::Priority::kPC, 0.5 * sim::gbps(100), sizes, 0.0}};
+    experiment.add_generator(0, gen, workload::fixed_destination(2));
+    experiment.run(0.0, 3 * sim::kMsec);
+    for (net::HostId host = 0; host < 3; ++host) {
+      const std::vector<rpc::Gauge> gauges =
+          experiment.admission(host).gauges();
+      const auto it =
+          std::find_if(gauges.begin(), gauges.end(), [](const rpc::Gauge& g) {
+            return std::string(g.name) == "over_quota";
+          });
+      ASSERT_NE(it, gauges.end()) << "host " << host;
+      if (host == 0) over_quota.push_back(it->value);
+    }
+  }
+  EXPECT_GT(over_quota[0], 0.0);
+  EXPECT_EQ(over_quota[0], over_quota[1]);
 }
 
 }  // namespace

@@ -108,10 +108,13 @@ TEST(TraceTest, ReplayIssuesThroughStacks) {
 }
 
 TEST(FlagsTest, ParsesFormsAndTypes) {
-  const char* argv[] = {"prog", "--hosts=12",   "--load", "0.5",
-                        "--aequitas=off", "--mix=0.5,0.3,0.2", "--verbose"};
+  const char* argv[] = {"prog",          "--hosts=12",
+                        "--load",        "0.5",
+                        "--aequitas=off", "--mix=0.5,0.3,0.2",
+                        "--only=D3,PDQ", "--controller=abc",
+                        "--verbose"};
   tools::Flags flags;
-  ASSERT_TRUE(flags.parse(7, const_cast<char**>(argv)));
+  ASSERT_TRUE(flags.parse(9, const_cast<char**>(argv)));
   EXPECT_EQ(flags.get_int("hosts", 0), 12);
   EXPECT_DOUBLE_EQ(flags.get_double("load", 0), 0.5);
   EXPECT_FALSE(flags.get_bool("aequitas", true));
@@ -119,8 +122,12 @@ TEST(FlagsTest, ParsesFormsAndTypes) {
   const auto mix = flags.get_list("mix", {});
   ASSERT_EQ(mix.size(), 3u);
   EXPECT_DOUBLE_EQ(mix[1], 0.3);
+  EXPECT_EQ(flags.get_names("only"), (std::vector<std::string>{"D3", "PDQ"}));
+  EXPECT_EQ(flags.get_names("controller"), std::vector<std::string>{"abc"});
+  EXPECT_TRUE(flags.get_names("missing").empty());
   EXPECT_EQ(flags.get_int("missing", 7), 7);
   EXPECT_TRUE(flags.unused().empty());
+  EXPECT_EQ(flags.problem(), "");
 }
 
 TEST(FlagsTest, ReportsUnusedAndErrors) {
@@ -135,17 +142,26 @@ TEST(FlagsTest, ReportsUnusedAndErrors) {
 }
 
 TEST(FlagsTest, MalformedValueIsAProblemNotItsPrefixOrDefault) {
-  const char* argv[] = {"prog",          "--hosts=12x",    "--seed=1e3junk",
-                        "--load=0.5.1",  "--mix=0.5,x",    "--aequitas=maybe",
-                        "--jobs=4",      "--rate=1e3"};
+  const char* argv[] = {"prog",           "--hosts=12x",   "--seed=1e3junk",
+                        "--load=0.5.1",   "--mix=0.5,x",   "--aequitas=maybe",
+                        "--jobs=4",       "--rate=1e3",    "--loads=abc",
+                        "--slo=0.5x",     "--weights=",    "--shares=0.5,",
+                        "--only=D3,,PDQ", "--kinds=",      "--controller"};
   tools::Flags flags;
-  ASSERT_TRUE(flags.parse(8, const_cast<char**>(argv)));
+  ASSERT_TRUE(flags.parse(15, const_cast<char**>(argv)));
   // A value is only known to be malformed once a getter asks for a type.
   EXPECT_EQ(flags.problem(), "unknown flag --aequitas");
   EXPECT_EQ(flags.get_int("hosts", 144), 144);
   EXPECT_EQ(flags.get_int("seed", 1), 1);
   EXPECT_DOUBLE_EQ(flags.get_double("load", 0.8), 0.8);
   EXPECT_EQ(flags.get_list("mix", {1.0}), std::vector<double>{1.0});
+  for (const char* list : {"loads", "slo", "weights", "shares"}) {
+    EXPECT_EQ(flags.get_list(list, {1.0}), std::vector<double>{1.0}) << list;
+  }
+  // A name list needs a name in every item, and a value.
+  for (const char* names : {"only", "kinds", "controller"}) {
+    EXPECT_TRUE(flags.get_names(names).empty()) << names;
+  }
   EXPECT_TRUE(flags.get_bool("aequitas", true));
   EXPECT_EQ(flags.get_int("jobs", 0), 4);
   EXPECT_DOUBLE_EQ(flags.get_double("rate", 0), 1000.0);
